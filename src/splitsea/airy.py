@@ -215,6 +215,15 @@ def _decay_point(m):
     raise TruncationFailure(f"no decay point found for m={m}")
 
 
+@lru_cache(maxsize=16)
+def _gauss_legendre(n):
+    """Read-only n-point Gauss-Legendre nodes and weights on [-1, 1]."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
 @lru_cache(maxsize=64)
 def _v_quadrature(m, x_floor, n_per_panel=24):
     """Composite Gauss-Legendre rule on [0, V] for the kernel's v-integral.
@@ -223,7 +232,7 @@ def _v_quadrature(m, x_floor, n_per_panel=24):
     truncation point for every argument >= x_floor.
     """
     v_top = max(_decay_point(m) - x_floor, 1.0)
-    nodes_ref, weights_ref = np.polynomial.legendre.leggauss(n_per_panel)
+    nodes_ref, weights_ref = _gauss_legendre(n_per_panel)
     panels = max(2, math.ceil(v_top / 2.0))
     edges = np.linspace(0.0, v_top, panels + 1)
     vs, ws = [], []
@@ -266,7 +275,7 @@ class FredholmConfig:
 
 
 def _fredholm_once(m, s, L, n_nodes):
-    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+    nodes, weights = _gauss_legendre(n_nodes)
     x = s + 0.5 * L * (nodes + 1.0)
     w = 0.5 * L * weights
     a = airy_kernel_matrix(m, x)

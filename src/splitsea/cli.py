@@ -397,6 +397,8 @@ def _apply_config(argv):
     if "--config" not in argv:
         return argv
     idx = argv.index("--config")
+    if idx + 1 >= len(argv):
+        raise ValueError("--config needs a path")
     path = argv[idx + 1]
     injected = []
     with open(path) as fh:
@@ -436,7 +438,7 @@ def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         argv = _apply_config(argv)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     argv = _merge_negative_values(argv)

@@ -31,7 +31,8 @@ import scipy.linalg
 
 from .airy import limiting_cdf
 from .errors import NotPositiveDefinite, WindowTooSmall
-from .kernel import _fourier_band, coefficient_band, kernel_matrix
+from .kernel import (_fourier_band, coefficient_band, kernel_matrix,
+                     tail_trace)
 from .potential import HoppingCoefficients, edge_profile
 
 MAX_TOEPLITZ_DIM = 4096
@@ -95,21 +96,10 @@ def fredholm_cdf_check(coeffs, ell, trace_tol=1e-12, max_window=512):
     """
     ell = int(ell)
     band = coefficient_band(coeffs)
-    n = band.half_width
-
-    def tail_trace(above):
-        # sum_{k half-integer > above} K(k,k) = sum_{j >= 1} j * J_{above+j}^2
-        idx = np.arange(above + 1, n + 1)
-        if len(idx) == 0:
-            return 0.0
-        js = band.slice(above + 1, n)
-        return float(np.dot(idx - above, js * js))
-
     w = 64
     while w <= max_window:
-        if tail_trace(ell + w) < trace_tol:
-            sites = [ell + j + 0.5 for j in range(w)]
-            mat = kernel_matrix(band, sites)
+        if tail_trace(band, ell + w) < trace_tol:
+            mat = kernel_matrix(band, ell + 0.5 + np.arange(w))
             sign, logdet = np.linalg.slogdet(np.eye(w) - mat)
             return float(sign * math.exp(logdet))
         w *= 2

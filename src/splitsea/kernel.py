@@ -7,7 +7,8 @@ k and l is the discrete-Bessel-type series
 
     K(k, l) = sum_{i in 1/2, 3/2, ...} J_{k+i} J_{l+i},
 
-which is the primary O(band) evaluation path.  An independent double-contour
+which is the primary O(band) evaluation path; a block over many sites is one
+product H H^T with H a Hankel slice of the band.  An independent double-contour
 quadrature of the same kernel on circles |z| = 1+eps, |w| = 1-eps provides the
 oracle; both are exact representations of the same analytic object, so they
 must agree to quadrature accuracy.
@@ -47,17 +48,6 @@ class CoefficientBand:
         if abs(n) > self.half_width:
             return 0.0
         return float(self.coeffs[n + self.half_width])
-
-    def slice(self, lo, hi):
-        """J_lo..J_hi as an array, zero-padded outside the band."""
-        lo, hi = int(lo), int(hi)
-        out = np.zeros(hi - lo + 1)
-        a = max(lo, -self.half_width)
-        b = min(hi, self.half_width)
-        if a <= b:
-            out[a - lo:b - lo + 1] = self.coeffs[a + self.half_width:
-                                                 b + self.half_width + 1]
-        return out
 
 
 def _fourier_band(log_fn, width_hint, what):
@@ -136,15 +126,34 @@ def kernel_eval(band, k, ell):
 
 
 def kernel_matrix(band, sites):
-    """Kernel matrix over an iterable of half-integer sites."""
-    sites = list(sites)
-    mat = np.empty((len(sites), len(sites)))
-    for i, k in enumerate(sites):
-        for j in range(i, len(sites)):
-            val = kernel_eval(band, k, sites[j])
-            mat[i, j] = val
-            mat[j, i] = val
-    return mat
+    """Kernel matrix over half-integer sites as one Hankel product H H^T.
+
+    Row i of H, (J_{k_i + 1/2}, J_{k_i + 3/2}, ...), is a row of the sliding
+    window view of the zero-padded band.  Sites may be in any order, repeated
+    or off the band.
+    """
+    first = np.array([_half_int(k, "site") + 1 for k in sites], dtype=np.int64)
+    n = band.half_width
+    low = int(first.min(initial=n + 1))
+    width = max(n - low + 1, 1)   # summands J_low..J_n
+    pad = max(-n - low, 0)        # J_i = 0 below -n
+    padded = np.concatenate([np.zeros(pad), band.coeffs, np.zeros(width)])
+    rows = np.minimum(first, n + 1) + n + pad
+    h = np.lib.stride_tricks.sliding_window_view(padded, width)[rows]
+    return h @ h.T
+
+
+def tail_trace(band, above, below=None):
+    """Exact mass dropped by keeping only the sites k with below < k < above.
+
+    sum_{k > above} K(k, k) = sum_i max(i - above, 0) J_i^2, plus, with
+    ``below``, sum_{k < below} (1 - K(k, k)) = sum_i max(below - i, 0) J_i^2.
+    """
+    i = np.arange(-band.half_width, band.half_width + 1)
+    weight = np.maximum(i - int(above), 0)
+    if below is not None:
+        weight = weight + np.maximum(int(below) - i, 0)
+    return float(np.dot(weight, band.coeffs * band.coeffs))
 
 
 def kernel_eval_quadrature(coeffs, k, ell, eps=0.05, tol=QUAD_TOL):

@@ -59,6 +59,8 @@ class HoppingCoefficients:
 
     def __post_init__(self):
         g = tuple(float(v) for v in self.gammas)
+        if not all(math.isfinite(v) for v in g):
+            raise ValueError(f"hopping weights must be finite; got {g}")
         while g and g[-1] == 0.0:
             g = g[:-1]
         object.__setattr__(self, "gammas", g)

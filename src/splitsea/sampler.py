@@ -4,12 +4,19 @@ The exact kernel is truncated to a window of half-integer sites wide enough
 that the mass outside is negligible: sites left of the window are effectively
 frozen (occupied), sites right of it empty, and the leakage
 sum_{k<lo} (1 - K(k,k)) + sum_{k>hi} K(k,k) is computed exactly from the
-coefficient band rather than assumed.
+coefficient band rather than assumed.  The window matrix is one Hankel
+product H H^T (``kernel.kernel_matrix``).
+
+A determinantal process restricted to a subset A is the determinantal process
+of K_A (Hough-Krishnapur-Peres-Virag 2006), so ``empirical_edge_law`` draws
+k_max from A = {k >= ell_min = b theta - 8 (d theta)^(1/(2m+1))} alone.  Its
+leakage is det(I - K_A) = P(k_max < ell_min) plus the right dropped trace.
 
 Sampling uses the spectral decomposition of the windowed kernel: eigenvalues
 in [0, 1] select an eigenvector subset by independent Bernoulli draws, then
 the induced projection process is sampled sequentially (site by site, with
-the selected frame orthogonalised against each chosen site's coordinate).
+the selected frame orthogonalised against each chosen site's coordinate;
+each site is one uniform located in the cumulative site weights).
 Randomness comes from counter-based Philox streams keyed by
 (seed, sample index), so results are reproducible regardless of how samples
 are distributed over workers.
@@ -23,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LeakageTooLarge
-from .kernel import coefficient_band, kernel_eval
+from .kernel import coefficient_band, kernel_matrix, tail_trace
+from .kernel import kernel_eval  # noqa: F401  (bench/tracer.py patches it here)
 from .potential import edge_profile, global_extrema, limit_density
 
 EIG_CLIP_TOL = 1e-9
@@ -44,62 +52,51 @@ class WindowedKernel:
     def sites(self):
         return np.arange(self.k_lo_int, self.k_hi_int + 1) + 0.5
 
-    def site(self, idx):
-        return self.k_lo_int + idx + 0.5
 
+def auto_window(coeffs, edge=False):
+    """Window covering frozen-to-empty with bulk/edge scaled margins.
 
-def auto_window(coeffs):
-    """Window covering frozen-to-empty with bulk/edge scaled margins."""
+    With ``edge`` it starts instead at the sites that carry k_max, from
+    ell_min = floor(b theta - 8 (d theta)^(1/(2m+1))) (clipped to the window).
+    """
     b, b_tilde = global_extrema(coeffs)
-    profile = edge_profile(coeffs)
-    mx = profile.principal
+    mx = edge_profile(coeffs).principal
     theta = coeffs.theta
-    lo = -b_tilde * theta - 10.0 * math.sqrt(max(theta, 1.0))
-    hi = b * theta + 10.0 * (mx.d * theta) ** (1.0 / (2 * mx.m + 1))
-    return math.floor(lo), math.ceil(hi)
+    scale = (mx.d * theta) ** (1.0 / (2 * mx.m + 1))
+    lo = math.floor(-b_tilde * theta - 10.0 * math.sqrt(max(theta, 1.0)))
+    hi = math.ceil(b * theta + 10.0 * scale)
+    if edge:
+        lo = min(max(math.floor(b * theta - 8.0 * scale), lo), hi)
+    return lo, hi
 
 
-def windowed_kernel(coeffs, window=None, leakage_tol=1e-6):
+def windowed_kernel(coeffs, window=None, leakage_tol=1e-6, edge=False):
     """Build the kernel matrix over a window of sites and eigendecompose it.
 
     ``window`` is an integer pair (k_lo_int, k_hi_int) addressing sites
     k_int + 1/2; None selects the automatic window, whose leakage must stay
-    under ``leakage_tol``.
+    under ``leakage_tol``.  With ``edge`` the window only has to hold k_max:
+    None selects the edge window, and the leakage, det(I - K) (no particle in
+    the window) plus the trace dropped on the right, is always checked.
     """
     auto = window is None
     if auto:
-        window = auto_window(coeffs)
+        window = auto_window(coeffs, edge=edge)
     k_lo, k_hi = int(window[0]), int(window[1])
     band = coefficient_band(coeffs)
-    n = band.half_width
-
-    # exact truncation loss, computable because the band is finite:
-    # sum_{k > hi} K(k,k) = sum_{j>=1} j J_{hi+j}^2 and symmetrically below
-    def right_tail(above_int):
-        js = band.slice(above_int + 1, n)
-        return float(np.dot(np.arange(1, len(js) + 1), js * js)) if len(js) else 0.0
-
-    def left_tail(below_int):
-        js = band.slice(-n, below_int)
-        return float(np.dot(np.arange(len(js), 0, -1), js * js)) if len(js) else 0.0
-
-    leakage = left_tail(k_lo - 1) + right_tail(k_hi + 1)
-    if auto and leakage >= leakage_tol:
-        raise LeakageTooLarge(f"window {window} leaks {leakage:.2e}")
-
-    sites = np.arange(k_lo, k_hi + 1) + 0.5
-    mat = np.empty((len(sites), len(sites)))
-    for i, k in enumerate(sites):
-        for j in range(i, len(sites)):
-            v = kernel_eval(band, k, sites[j])
-            mat[i, j] = v
-            mat[j, i] = v
+    mat = kernel_matrix(band, np.arange(k_lo, k_hi + 1) + 0.5)
     eigvals, eigvecs = np.linalg.eigh(mat)
     if np.min(eigvals) < -EIG_CLIP_TOL or np.max(eigvals) > 1.0 + EIG_CLIP_TOL:
         raise LeakageTooLarge(
             f"windowed kernel eigenvalues escape [0,1]: "
             f"[{np.min(eigvals):.2e}, {np.max(eigvals):.2e}]")
     eigvals = np.clip(eigvals, 0.0, 1.0)
+    if edge:
+        leakage = float(np.prod(1.0 - eigvals)) + tail_trace(band, k_hi + 1)
+    else:
+        leakage = tail_trace(band, k_hi + 1, below=k_lo)
+    if (auto or edge) and leakage >= leakage_tol:
+        raise LeakageTooLarge(f"window {window} leaks {leakage:.2e}")
     return WindowedKernel(k_lo_int=k_lo, k_hi_int=k_hi, matrix=mat,
                           eigenvalues=eigvals, eigenvectors=eigvecs,
                           leakage=leakage)
@@ -120,18 +117,18 @@ def _sample_projection(vectors, rng):
     n, rank = v.shape
     c = np.zeros((n, rank))
     norms2 = np.sum(v * v, axis=1)
-    avail = np.ones(n, dtype=bool)
-    chosen = []
+    cdf = np.empty(n)
+    chosen = np.empty(rank, dtype=np.int64)
     for it in range(rank):
-        probs = np.maximum(norms2 * avail, 0.0)
-        probs /= probs.sum()
-        site = int(rng.choice(n, p=probs))
-        chosen.append(site)
-        avail[site] = False
+        np.maximum(norms2, 0.0, out=cdf)
+        cdf.cumsum(out=cdf)
+        cdf /= cdf[-1]
+        site = int(cdf.searchsorted(rng.random(), side="right"))
+        chosen[it] = site
         denom = math.sqrt(max(norms2[site], 1e-300))
-        proj = v @ v[site] - c[:, :it] @ c[site, :it]
-        c[:, it] = proj / denom
-        norms2 = norms2 - c[:, it] ** 2
+        c[:, it] = (v @ v[site] - c[:, :it] @ c[site, :it]) / denom
+        norms2 -= c[:, it] ** 2
+        norms2[site] = 0.0  # chosen: only rounding residue is left
     return chosen
 
 
@@ -139,11 +136,8 @@ def sample(wk, rng_seed, sample_index=0):
     """One configuration: sorted array of occupied half-integer sites."""
     rng = _rng_for(rng_seed, sample_index)
     keep = rng.random(len(wk.eigenvalues)) < wk.eigenvalues
-    if not np.any(keep):
-        return np.array([])
-    vectors = wk.eigenvectors[:, keep]
-    idx = _sample_projection(vectors, rng)
-    return np.sort(np.array([wk.site(i) for i in idx]))
+    idx = _sample_projection(wk.eigenvectors[:, keep], rng)
+    return wk.k_lo_int + 0.5 + np.sort(idx)
 
 
 def sample_many(wk, n_samples, seed):
@@ -168,12 +162,16 @@ def empirical_edge_law(coeffs, n_samples, seed, exact_cdf_fn=None,
 
     ``exact_cdf_fn(ell)`` should give P(k_max < ell); ``limit_cdf_fn(s)`` the
     limiting law of the rescaled maximum.  Either may be None to skip.
+    Draws come from the edge window unless ``window`` is given.
     """
-    wk = windowed_kernel(coeffs, window=window)
-    kmax = np.empty(int(n_samples))
-    for i in range(int(n_samples)):
+    n_samples = int(n_samples)
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be a positive integer, got {n_samples}")
+    wk = windowed_kernel(coeffs, window=window, edge=True)
+    kmax = np.empty(n_samples)
+    for i in range(n_samples):
         conf = sample(wk, seed, i)
-        kmax[i] = conf[-1] if len(conf) else wk.site(0) - 1.0
+        kmax[i] = conf[-1] if len(conf) else wk.k_lo_int - 0.5
     ks_exact = float("nan")
     if exact_cdf_fn is not None:
         ks_exact = 0.0
@@ -191,7 +189,7 @@ def empirical_edge_law(coeffs, n_samples, seed, exact_cdf_fn=None,
             emp = float(np.mean(s_vals < s))
             ks_limit = max(ks_limit, abs(emp - limit_cdf_fn(s)))
     return EdgeLawReport(k_max=kmax, ks_exact=ks_exact, ks_limit=ks_limit,
-                         n_samples=int(n_samples), seed=int(seed))
+                         n_samples=n_samples, seed=int(seed))
 
 
 @dataclass(frozen=True)
@@ -214,13 +212,12 @@ def limit_shape_deviation(coeffs, n_samples, seed, percentile=90.0):
     # limiting counts above each site: theta * int_{k/theta}^inf density
     dens = np.array([limit_density(coeffs, k / theta) for k in sites])
     # right-to-left trapezoid accumulation on the lattice (spacing 1/theta)
-    tail = np.zeros(len(sites))
-    for i in range(len(sites) - 2, -1, -1):
-        tail[i] = tail[i + 1] + 0.5 * (dens[i] + dens[i + 1]) / theta
+    steps = 0.5 * (dens[:-1] + dens[1:]) / theta
+    tail = np.append(np.cumsum(steps[::-1])[::-1], 0.0)
     sups = np.empty(int(n_samples))
     for i in range(int(n_samples)):
-        conf = sample(wk, seed, i)
-        counts = np.array([np.sum(conf > k) for k in sites], dtype=float)
+        conf = sample(wk, seed, i)  # sorted: count sites above each k
+        counts = len(conf) - np.searchsorted(conf, sites, side="right")
         sups[i] = float(np.max(np.abs(counts / theta - tail)))
     return ShapeDeviationReport(
         percentile_90=float(np.percentile(sups, percentile)),

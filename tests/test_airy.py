@@ -8,7 +8,7 @@ import pytest
 from splitsea.airy import (AiryOrder, FredholmConfig, airy_fn, airy_kernel,
                            airy_kernel_matrix, airy_values, fredholm_F,
                            limiting_cdf)
-from splitsea.airy import _fredholm_once, _v_quadrature
+from splitsea.airy import _fredholm_once, _gauss_legendre, _v_quadrature
 from splitsea.errors import NodeCountInsufficient
 from conftest import airy_series
 
@@ -143,3 +143,14 @@ def test_limiting_cdf_powers():
     assert limiting_cdf(1, 3, 8.0) == pytest.approx(1.0, abs=1e-7)
     with pytest.raises(ValueError):
         limiting_cdf(1, 0, 0.0)
+
+
+def test_gauss_legendre_cache_is_exact_and_read_only():
+    for n in (24, 64, 128):
+        nodes, weights = _gauss_legendre(n)
+        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(n)
+        assert np.array_equal(nodes, ref_nodes)
+        assert np.array_equal(weights, ref_weights)
+        assert _gauss_legendre(n)[0] is nodes
+        with pytest.raises(ValueError):
+            nodes[0] = 0.0

@@ -44,6 +44,32 @@ def test_empty_gamma_is_config_error(capsys):
     assert code == 2
 
 
+def test_non_finite_gamma_is_config_error(capsys):
+    code, out, err = run(capsys, "analyze", "--gamma", "1,nan")
+    assert code == 2 and out == ""
+    assert "config error" in err and "finite" in err
+
+
+def test_infinite_gamma_sample_is_config_error(capsys):
+    code, out, err = run(capsys, "sample", "--gamma", "1,inf", "--theta", "5",
+                         "-n", "3")
+    assert code == 2 and out == ""
+    assert "config error" in err and "finite" in err
+
+
+def test_config_without_path_is_config_error(capsys):
+    code, _, err = run(capsys, "--config")
+    assert code == 2
+    assert "config error: --config needs a path" in err
+
+
+def test_sample_zero_draws_is_config_error(capsys):
+    code, out, err = run(capsys, "sample", "--gamma", "1,-0.3333333333",
+                         "--theta", "4.0", "-n", "0")
+    assert code == 2 and out == ""
+    assert "n_samples must be a positive integer" in err
+
+
 def test_subcritical_is_numerical_error(capsys):
     code, _, err = run(capsys, "unitary-density", "--gamma", "1,-0.3333333333",
                        "--x", "0.5")

@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splitsea.errors import UnsupportedEdge
 from splitsea.kernel import (coefficient_band, edge_prediction, kernel_eval,
                              kernel_eval_quadrature, kernel_matrix,
-                             local_sine_prediction)
+                             local_sine_prediction, tail_trace)
 from splitsea.potential import (HoppingCoefficients, edge_profile, fermi_sea,
                                 global_extrema, limit_density)
 from splitsea.schur import brute_correlation
@@ -74,6 +76,35 @@ def test_minor_matches_brute_correlation():
     sites = (0.5, 1.5)
     det = float(np.linalg.det(kernel_matrix(band, sites)))
     assert det == pytest.approx(brute_correlation(c, sites, 22), abs=1e-7)
+
+
+@given(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3),
+       st.floats(0.0, 80.0),
+       st.lists(st.floats(-1.3, 1.3), min_size=1, max_size=10))
+@settings(max_examples=40, deadline=None)
+def test_hankel_matrix_matches_series(gammas, theta, fractions):
+    band = coefficient_band(HoppingCoefficients(tuple(gammas), theta=theta))
+    # sites in unsorted order, one repeated, some past either end of the band
+    n = band.half_width
+    sites = [math.floor(f * (n + 2)) + 0.5 for f in fractions]
+    sites.append(sites[0])
+    mat = kernel_matrix(band, sites)
+    want = np.array([[kernel_eval(band, k, ell) for ell in sites]
+                     for k in sites])
+    assert mat.shape == want.shape
+    assert np.max(np.abs(mat - want)) <= 1e-14
+
+
+def test_tail_trace_is_the_dropped_diagonal():
+    band = coefficient_band(HoppingCoefficients((1.0, -1.0 / 3.0), theta=3.0))
+    n = band.half_width
+    right = sum(kernel_eval(band, k + 0.5, k + 0.5) for k in range(4, n + 1))
+    left = sum(1.0 - kernel_eval(band, k + 0.5, k + 0.5)
+               for k in range(-n - 1, -6))
+    assert tail_trace(band, 4) == pytest.approx(right, abs=1e-15)
+    # the reference adds ~2n terms 1 - K(k, k), each rounded to ~1e-16
+    assert tail_trace(band, 4, below=-6) == pytest.approx(right + left,
+                                                          abs=1e-12)
 
 
 def test_operator_contraction(rng):

@@ -6,9 +6,12 @@ import math
 import numpy as np
 import pytest
 
+from splitsea.edge import fredholm_cdf_check
 from splitsea.errors import LeakageTooLarge
-from splitsea.potential import HoppingCoefficients
-from splitsea.sampler import (WindowedKernel, auto_window, empirical_edge_law,
+from splitsea.kernel import coefficient_band, tail_trace
+from splitsea.potential import HoppingCoefficients, global_extrema
+from splitsea.sampler import (WindowedKernel, _rng_for, _sample_projection,
+                              auto_window, empirical_edge_law,
                               limit_shape_deviation, sample, sample_many,
                               windowed_kernel)
 
@@ -57,6 +60,75 @@ def test_windowed_kernel_leakage_guard():
     with pytest.raises(LeakageTooLarge):
         # a window that truncates straight through the bulk leaks badly
         windowed_kernel(c, window=None, leakage_tol=1e-30)
+
+
+def _choice_projection(vectors, rng):
+    """Reference: the projection sampler drawing each site with rng.choice."""
+    n, rank = vectors.shape
+    c = np.zeros((n, rank))
+    norms2 = np.sum(vectors * vectors, axis=1)
+    avail = np.ones(n, dtype=bool)
+    chosen = []
+    for it in range(rank):
+        probs = np.maximum(norms2 * avail, 0.0)
+        site = int(rng.choice(n, p=probs / probs.sum()))
+        chosen.append(site)
+        avail[site] = False
+        proj = vectors @ vectors[site] - c[:, :it] @ c[site, :it]
+        c[:, it] = proj / math.sqrt(max(norms2[site], 1e-300))
+        norms2 = norms2 - c[:, it] ** 2
+    return chosen
+
+
+def test_projection_draw_matches_choice_reference():
+    # one uniform located in the cumulative weights is what rng.choice does;
+    # the sums differ only in rounding, so the drawn sites agree
+    wk = windowed_kernel(HoppingCoefficients((1.0, -1.0 / 3.0), theta=8.0))
+    for i in range(200):
+        rng = _rng_for(3, i)
+        keep = rng.random(len(wk.eigenvalues)) < wk.eigenvalues
+        ref_rng = _rng_for(3, i)
+        ref_rng.random(len(wk.eigenvalues))
+        vectors = wk.eigenvectors[:, keep]
+        assert list(_sample_projection(vectors, rng)) == \
+            _choice_projection(vectors, ref_rng)
+
+
+@pytest.mark.parametrize("theta", [20.0, 40.0])
+def test_edge_window_leakage_is_exact_gap_probability(theta):
+    c = HoppingCoefficients((1.0, -1.0 / 3.0), theta=theta)
+    wk = windowed_kernel(c, edge=True)
+    ell_min = wk.k_lo_int
+    assert (ell_min, wk.k_hi_int) == auto_window(c, edge=True)
+    lo, hi = auto_window(c)
+    assert lo < ell_min and wk.k_hi_int == hi
+    gap = float(np.linalg.det(np.eye(len(wk.sites)) - wk.matrix))
+    assert gap == pytest.approx(fredholm_cdf_check(c, ell_min), abs=1e-12)
+    right = tail_trace(coefficient_band(c), hi + 1)
+    assert wk.leakage == pytest.approx(gap + right, abs=1e-12)
+    assert wk.leakage < 1e-6
+    # a window starting at the edge misses k_max with probability ~0.94
+    ell = round(global_extrema(c)[0] * theta)
+    near = windowed_kernel(c, window=(ell, hi), leakage_tol=2.0, edge=True)
+    assert near.leakage - right == pytest.approx(fredholm_cdf_check(c, ell),
+                                                 abs=1e-12)
+
+
+def test_edge_window_leakage_guard():
+    c = HoppingCoefficients((1.0, -1.0 / 3.0), theta=20.0)
+    leak = windowed_kernel(c, edge=True).leakage
+    assert leak > 1e-300
+    for tol in (1e-300, leak):  # the bound is exclusive: leakage == tol fails
+        with pytest.raises(LeakageTooLarge):
+            windowed_kernel(c, leakage_tol=tol, edge=True)
+
+
+def test_edge_law_draws_are_deterministic_per_seed():
+    c = HoppingCoefficients((1.0, -1.0 / 3.0), theta=40.0)
+    a = empirical_edge_law(c, 200, seed=4).k_max
+    b = empirical_edge_law(c, 200, seed=4).k_max
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, empirical_edge_law(c, 200, seed=5).k_max)
 
 
 def test_degenerate_coupling_is_domain_wall():
