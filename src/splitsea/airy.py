@@ -17,12 +17,17 @@ and F_{2m+1}(s) = det(1 - A_{2m+1}) on L^2([s, infinity)) is the order-m
 Tracy-Widom law (classical GUE Tracy-Widom at m = 1).  Integer powers
 F_{2m+1}^n are the edge laws of n-cut seas.
 
+Evaluation: ``airy_values`` is the one contour evaluator (vectorised, and it
+takes scalars too); ``airy_fn`` is its guarded public scalar form, and
+``_airy_spline`` caches it on a fine grid for the kernel assembly.
+
 Contour choice: along the vertical line Re z = sigma the integrand decays
 like exp(-sigma t^{2m}); the linear term contributes a cancellation bump of
 exp(|x| sigma) for x < 0, so sigma = 1 is kept there (larger sigma only
-inflates it), while for m = 1 and x > 1 the line moves to the saddle
+inflates it), while for m = 1 and x > 1 the line moves towards the saddle
 abscissa sqrt(x) - the saddle's descent direction is vertical - which removes
-the cancellation on the decaying side entirely.
+the cancellation on the decaying side.  Arguments sharing ceil(sqrt(x)) share
+that line as sigma, which keeps the off-saddle bump below e.
 
 Fredholm determinants use a Nystrom discretisation with Gauss-Legendre nodes
 on [s, s + L]; the kernel matrix is assembled as a Gram matrix over a
@@ -32,45 +37,37 @@ v-quadrature, which keeps it symmetric positive semi-definite by construction.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import NodeCountInsufficient, TruncationFailure
+from .errors import NoConvergence, NodeCountInsufficient, TruncationFailure
 
 INTEGRAND_FLOOR = 1e-18      # tail magnitude required at the truncation point
 KERNEL_FACTOR_FLOOR = 1e-16  # Ai factor size ending the v-integration
+AIRY_NODE_BUDGET = 65536     # most trapezoid nodes one contour batch may use
 _MAX_ARG = 40.0        # public argument guard
 _SCAN_MAX = 80.0       # internal decay scans may go further
 
 
 @dataclass(frozen=True)
 class AiryOrder:
-    """Order m with its contour abscissa and truncation for x <= 0 arguments."""
+    """Order m >= 1 of the Airy function; m = 1 is the classical one."""
 
     m: int
-    contour_sigma: float = 1.0
-    t_max: float = 0.0
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("order m must be a positive integer")
-        if self.t_max == 0.0:
-            object.__setattr__(self, "t_max",
-                               _tail_cutoff(self.m, self.contour_sigma, 0.0))
-        # construction invariant: the integrand has decayed at t_max
-        if _tail_magnitude(self.m, self.contour_sigma, 0.0, self.t_max) \
-                > INTEGRAND_FLOOR:
-            raise TruncationFailure("t_max too small for the requested contour")
+        _order(self.m)
 
 
-def _sigma_for(m, x):
-    """Contour abscissa: sqrt(x) is the descent line of the m = 1 saddle for
-    x > 1; otherwise sigma = 1 minimises the exp(|x| sigma) cancellation."""
-    if m == 1 and x > 1.0:
-        return math.sqrt(x)
-    return 1.0
+def _order(order):
+    """The integer m >= 1 of an AiryOrder or an int; ValueError otherwise."""
+    m = order.m if isinstance(order, AiryOrder) else order
+    if not isinstance(m, numbers.Integral) or m < 1:
+        raise ValueError(f"order m must be a positive integer; got {m!r}")
+    return int(m)
 
 
 def _tail_magnitude(m, sigma, x, t):
@@ -96,7 +93,8 @@ def _airy_batch(m, xs, sigma, t_max):
     The integrand at -t is the conjugate of the integrand at t (x real), so
     the integral reduces to the real part over the half line, which is real
     by construction; node count doubles until the difference hits the
-    roundoff floor set by the largest integrand magnitude encountered.
+    roundoff floor set by the largest integrand magnitude encountered, and
+    NoConvergence is raised if it does not within AIRY_NODE_BUDGET nodes.
     """
     xs = np.asarray(xs, dtype=float)
     peak = [1.0]
@@ -115,57 +113,36 @@ def _airy_batch(m, xs, sigma, t_max):
 
     n = 1024
     prev = quad(n)
-    while n < 65536:
+    while n < AIRY_NODE_BUDGET:
         n *= 2
         cur = quad(n)
         if np.max(np.abs(cur - prev)) < max(1e-13, 3e-16 * peak[0]):
             return cur
         prev = cur
-    return prev
-
-
-@lru_cache(maxsize=200000)
-def _airy_scalar(m, x):
-    if abs(x) > _SCAN_MAX:
-        raise ValueError(f"|x| <= {_SCAN_MAX} supported internally; got {x!r}")
-    sigma = _sigma_for(m, x)
-    t_max = _tail_cutoff(m, sigma, x)
-    for _ in range(3):
-        val = float(_airy_batch(m, np.array([x]), sigma, t_max)[0])
-        if _tail_magnitude(m, sigma, x, t_max) < INTEGRAND_FLOOR:
-            return val
-        t_max *= 2.0
-    raise TruncationFailure(f"tail bound unmet at t_max={t_max} for x={x}")
-
-
-def airy_fn(order, x):
-    """Order-m Airy function; ``order`` is an AiryOrder or a positive int."""
-    m = order.m if isinstance(order, AiryOrder) else int(order)
-    if abs(float(x)) > _MAX_ARG:
-        raise ValueError(f"|x| <= {_MAX_ARG} supported; got {x!r}")
-    return _airy_scalar(m, float(x))
+    raise NoConvergence(f"Airy contour quadrature (m={m}, sigma={sigma}) "
+                        f"not converged at {AIRY_NODE_BUDGET} nodes")
 
 
 def airy_values(m, xs):
-    """Vectorised Ai_{2m+1}: batches share contours, bucketed by abscissa."""
+    """Ai_{2m+1} at scalar or array xs; batches share contours by abscissa."""
+    m = _order(m)
     xs = np.asarray(xs, dtype=float)
     flat = xs.ravel()
+    sigmas = (np.ceil(np.sqrt(np.maximum(flat, 1.0))) if m == 1
+              else np.ones_like(flat))
     res = np.empty(flat.shape)
-    if m == 1:
-        groups = {}
-        for i, x in enumerate(flat):
-            # bucket sigma = ceil(sqrt(x)) keeps the off-saddle bump < e
-            key = 1 if x <= 1.0 else math.ceil(math.sqrt(x))
-            groups.setdefault(key, []).append(i)
-        for key, idx in groups.items():
-            sub = flat[idx]
-            sigma = float(key)
-            t_max = _tail_cutoff(m, sigma, float(np.min(sub)))
-            res[idx] = _airy_batch(m, sub, sigma, t_max)
-    else:
-        t_max = _tail_cutoff(m, 1.0, float(np.min(flat)))
-        res[:] = _airy_batch(m, flat, 1.0, t_max)
+    for sigma in np.unique(sigmas):
+        idx = sigmas == sigma
+        t_max = _tail_cutoff(m, float(sigma), float(np.min(flat[idx])))
+        res[idx] = _airy_batch(m, flat[idx], float(sigma), t_max)
     return res.reshape(xs.shape)
+
+
+def airy_fn(order, x):
+    """Order-m Airy function at one argument |x| <= 40."""
+    if abs(float(x)) > _MAX_ARG:
+        raise ValueError(f"|x| <= {_MAX_ARG} supported; got {x!r}")
+    return float(airy_values(order, float(x)))
 
 
 _SPLINE_DOMAIN = (-14.5, 52.0)
@@ -177,7 +154,7 @@ def _airy_spline(m):
     """Cubic-spline cache of Ai_{2m+1} on the desk-scale argument range.
 
     Interpolation error is ~ h^4 |Ai''''| / 384 < 1e-10 on the domain, below
-    every tolerance the Fredholm determinants are used at; beyond the domain
+    every tolerance the Fredholm determinants are used at; above the domain
     the function is below the kernel truncation floor and treated as zero.
     """
     from scipy.interpolate import CubicSpline
@@ -187,29 +164,16 @@ def _airy_spline(m):
     return CubicSpline(grid, airy_values(m, grid))
 
 
-def airy_values_fast(m, xs):
-    """Spline-backed Ai_{2m+1} for bulk kernel assembly."""
-    xs = np.asarray(xs, dtype=float)
-    lo, hi = _SPLINE_DOMAIN
-    if float(np.min(xs)) < lo:
-        return airy_values(m, xs)  # outside the cached range: exact path
-    out = np.zeros(xs.shape)
-    inside = xs <= hi
-    if np.any(inside):
-        out[inside] = _airy_spline(m)(xs[inside])
-    return out
-
-
 @lru_cache(maxsize=32)
 def _decay_point(m):
     """Argument beyond which |Ai_{2m+1}| stays under KERNEL_FACTOR_FLOOR.
 
-    Scans scalar evaluations: each positive argument then carries its own
+    Scans one argument at a time: each positive argument then carries its own
     roundoff floor, which shrinks with exp(-x) and stays below the target.
     """
     u = 4.0
     while u < _SCAN_MAX:
-        if abs(_airy_scalar(m, u)) < KERNEL_FACTOR_FLOOR:
+        if abs(float(airy_values(m, u))) < KERNEL_FACTOR_FLOOR:
             return u
         u += 1.0
     raise TruncationFailure(f"no decay point found for m={m}")
@@ -242,22 +206,28 @@ def _v_quadrature(m, x_floor, n_per_panel=24):
     return np.concatenate(vs), np.concatenate(ws)
 
 
-def airy_kernel_matrix(m, xs):
-    """Gram matrix [A_{2m+1}(x_i, x_j)] over the given arguments.
+def airy_kernel_matrix(order, xs):
+    """Gram matrix [A_{2m+1}(x_i, x_j)] over arguments x_i >= -14.5.
 
-    Assembled as Phi W Phi^T over the v-quadrature, so it is symmetric
-    positive semi-definite by construction.
+    Assembled as Phi W Phi^T over the v-quadrature from the spline cache, so
+    it is symmetric positive semi-definite by construction.
     """
+    m = _order(order)
     xs = np.asarray(xs, dtype=float)
-    vs, ws = _v_quadrature(m, float(np.min(xs)))
-    phi = airy_values_fast(m, xs[:, None] + vs[None, :])
+    lo, hi = _SPLINE_DOMAIN
+    x_floor = float(np.min(xs))
+    if x_floor < lo:
+        raise ValueError(f"Airy kernel arguments >= {lo} supported; got {x_floor!r}")
+    vs, ws = _v_quadrature(m, x_floor)
+    args = xs[:, None] + vs[None, :]
+    phi = _airy_spline(m)(args)
+    phi[args > hi] = 0.0
     return (phi * ws[None, :]) @ phi.T
 
 
 def airy_kernel(order, x, y):
     """Order-m Airy kernel A_{2m+1}(x, y); symmetric in its arguments."""
-    m = order.m if isinstance(order, AiryOrder) else int(order)
-    mat = airy_kernel_matrix(m, np.array([float(x), float(y)]))
+    mat = airy_kernel_matrix(order, np.array([float(x), float(y)]))
     return float(mat[0, 1]) if x != y else float(mat[0, 0])
 
 
@@ -283,7 +253,8 @@ def _fredholm_once(m, s, L, n_nodes):
     mat = np.eye(n_nodes) - sw[:, None] * a * sw[None, :]
     sign, logdet = np.linalg.slogdet(mat)
     if sign <= 0.0:
-        return 0.0
+        raise NodeCountInsufficient(
+            f"det(1 - A) has sign {sign:+.0f} at s={s} with {n_nodes} nodes (m={m})")
     return float(math.exp(logdet))
 
 
@@ -294,7 +265,7 @@ def fredholm_F(order, config=None, s=0.0, check=True):
     by less than 1e-8 (NodeCountInsufficient otherwise); the doubled value is
     returned.
     """
-    m = order.m if isinstance(order, AiryOrder) else int(order)
+    m = _order(order)
     cfg = config or FredholmConfig()
     if s < -12.0:
         raise ValueError("desk range is s >= -12")

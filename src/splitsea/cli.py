@@ -4,8 +4,8 @@ Conventions: CSV rows are written with repr-roundtrip floats so re-reading
 them reproduces values bit for bit; ``--json`` summaries go to stdout; exit
 code 2 flags configuration errors, 3 numerical failures (the failing error
 class name is printed on stderr).  A flat key=value config file can seed any
-long option; explicit flags win.  SPLITSEA_THREADS or --threads sizes the
-worker pool used by grid studies (reductions stay deterministic).
+long option; explicit flags win.  --threads sizes the worker pool used by
+grid studies (reductions stay deterministic).
 """
 
 from __future__ import annotations
@@ -291,10 +291,7 @@ def _add_common(sub, theta=False):
 
 
 def resolved_threads(args):
-    """Pool size: SPLITSEA_THREADS overrides the flag, which defaults to all cores."""
-    env = os.environ.get("SPLITSEA_THREADS")
-    if env is not None:
-        return max(1, int(env))
+    """Pool size: the --threads flag, defaulting to all cores."""
     if getattr(args, "threads", None):
         return max(1, args.threads)
     return os.cpu_count() or 1
@@ -306,7 +303,7 @@ def build_parser():
                     help="flat key=value file seeding long options")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--threads", type=int, default=None,
-                        help="worker pool size (SPLITSEA_THREADS overrides)")
+                        help="worker pool size (default: all cores)")
     subparsers = ap.add_subparsers(dest="command", required=True)
 
     class _Sub:
@@ -393,13 +390,19 @@ def build_parser():
 
 
 def _apply_config(argv):
-    """Inject key=value pairs from --config as defaults (flags override)."""
-    if "--config" not in argv:
+    """Inject key=value pairs from --config as defaults (flags override).
+
+    Accepts both ``--config PATH`` and ``--config=PATH``.
+    """
+    idx = next((i for i, tok in enumerate(argv)
+                if tok.partition("=")[0] == "--config"), None)
+    if idx is None:
         return argv
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
+    _, eq, path = argv[idx].partition("=")
+    if not eq:
+        path = argv[idx + 1] if idx + 1 < len(argv) else ""
+    if not path:
         raise ValueError("--config needs a path")
-    path = argv[idx + 1]
     injected = []
     with open(path) as fh:
         for line in fh:
@@ -410,7 +413,7 @@ def _apply_config(argv):
             flag = "--" + key.strip().replace("_", "-")
             if flag not in argv:
                 injected += [flag, val.strip()]
-    head = argv[:idx] + argv[idx + 2:]
+    head = argv[:idx] + argv[idx + (1 if eq else 2):]
     if not head:
         return injected
     return head[:1] + injected + head[1:]

@@ -3,13 +3,15 @@
 P(k_max < ell) for integer ell is exp(-theta^2 sum_r r gamma_r^2) times the
 ell x ell Toeplitz determinant of the positive symbol
 
-    f(phi) = exp(-2 theta sum_r (-1)^r gamma_r cos(r phi)),
+    f(phi) = exp(2 theta sum_r (-1)^(r-1) gamma_r cos(r phi)),
 
-whose Fourier coefficients f_n are real and even in n.  The symbol is
-strictly positive, so the Toeplitz matrix is symmetric positive definite and
-the determinant is computed stably through its Cholesky factor; the strong
-Szego limit of the log-determinant is exactly theta^2 sum_r r gamma_r^2,
-which the normaliser cancels, making P -> 1 as ell grows.
+whose log is ``HoppingCoefficients.log_symbol`` and whose Fourier
+coefficients f_n are real and even in n.  The symbol is strictly positive, so
+the Toeplitz matrix is symmetric positive definite and the determinant is
+computed stably through its Cholesky factor; the strong Szego limit of the
+log-determinant is exactly theta^2 sum_r r gamma_r^2
+(``HoppingCoefficients.szego_constant``), which the normaliser cancels,
+making P -> 1 as ell grows.
 
 Two independent exact routes cross-check it: the brute Schur sum (schur
 module) and a discrete Fredholm determinant det(I - K) over the window
@@ -41,29 +43,15 @@ MAX_TOEPLITZ_DIM = 4096
 def symbol_coeffs(coeffs, n_max):
     """Fourier coefficients f_{-n_max}..f_{n_max} of the Toeplitz symbol."""
     coeffs.require_theta()
-    gam = coeffs.gammas
-    theta = coeffs.theta
-
-    def log_f(phi):
-        acc = np.zeros_like(phi, dtype=complex)
-        for r, g in enumerate(gam, start=1):
-            if g != 0.0:
-                acc = acc - 2.0 * (-1.0) ** r * theta * g * np.cos(r * phi)
-        return acc
-
-    width = 2.0 * theta * sum(r * abs(g) for r, g in enumerate(gam, start=1))
-    band, half = _fourier_band(log_f, width, "Toeplitz symbol")
+    width = 2.0 * coeffs.theta * sum(r * abs(g) for r, g in
+                                     enumerate(coeffs.gammas, start=1))
+    band, half = _fourier_band(coeffs.log_symbol, width, "Toeplitz symbol")
     n_max = int(n_max)
     out = np.zeros(2 * n_max + 1)
     lo = max(-n_max, -half)
     hi = min(n_max, half - 1)
     out[lo + n_max:hi + n_max + 1] = band[lo + half:hi + half + 1]
     return out
-
-
-def _szego_normalizer(coeffs):
-    return sum(r * (coeffs.theta * g) ** 2
-               for r, g in enumerate(coeffs.gammas, start=1))
 
 
 def toeplitz_cdf(coeffs, ell):
@@ -81,7 +69,7 @@ def toeplitz_cdf(coeffs, ell):
     except scipy.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(f"Toeplitz matrix at ell={ell}: {exc}") from exc
     logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    p = math.exp(logdet - _szego_normalizer(coeffs))
+    p = math.exp(logdet - coeffs.szego_constant())
     if p > 1.0 + 1e-9:
         raise NotPositiveDefinite(f"P={p!r} overshoots 1 beyond tolerance")
     return min(p, 1.0)
@@ -108,12 +96,8 @@ def fredholm_cdf_check(coeffs, ell, trace_tol=1e-12, max_window=512):
 
 
 def _symbol_log_range(coeffs):
-    """theta * max of the symbol's log over the circle (its dynamic range)."""
-    phi = np.linspace(0.0, math.pi, 2048)
-    h = np.zeros_like(phi)
-    for r, g in enumerate(coeffs.gammas, start=1):
-        h -= 2.0 * (-1.0) ** r * g * np.cos(r * phi)
-    return coeffs.theta * float(np.max(h))
+    """Max of the symbol's log over the circle (its dynamic range)."""
+    return float(np.max(coeffs.log_symbol(np.linspace(0.0, math.pi, 2048))))
 
 
 def exact_cdf(coeffs, ell):

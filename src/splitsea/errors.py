@@ -30,7 +30,8 @@ class TruncationFailure(SplitSeaError):
 
 
 class NodeCountInsufficient(SplitSeaError):
-    """Fredholm determinant changed too much under node doubling."""
+    """Nystrom Fredholm determinant unresolved: it moved under node doubling
+    or came out non-positive."""
 
 
 class UnsupportedEdge(SplitSeaError):

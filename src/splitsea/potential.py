@@ -79,6 +79,23 @@ class HoppingCoefficients:
         """Miwa times theta*gamma_r driving the measure side."""
         return tuple(self.theta * g for g in self.gammas)
 
+    def log_symbol(self, phi):
+        """2 theta sum_r (-1)^(r-1) gamma_r cos(r phi), scalar or array phi.
+
+        The log of both the Toeplitz symbol of the edge law and the
+        one-angle weight of the unitary matrix model.
+        """
+        phi = np.asarray(phi, dtype=float)
+        total = sum((2.0 * self.theta * (-1.0) ** (r - 1) * g * np.cos(r * phi)
+                     for r, g in enumerate(self.gammas, start=1)),
+                    np.zeros_like(phi))
+        return float(total) if phi.ndim == 0 else total
+
+    def szego_constant(self):
+        """theta^2 sum_r r gamma_r^2: strong Szego limit of log det T_ell."""
+        return sum(r * (self.theta * g) ** 2
+                   for r, g in enumerate(self.gammas, start=1))
+
 
 @dataclass(frozen=True)
 class FermiSea:

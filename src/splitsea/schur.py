@@ -145,10 +145,8 @@ def schur_exact(parts, times):
 def measure_weight(parts, coeffs):
     """Probability of the partition under the squared-Schur measure."""
     coeffs.require_theta()
-    t = coeffs.miwa_times()
-    norm = math.exp(-sum(r * tr * tr for r, tr in enumerate(t, start=1)))
-    s = schur(parts, t)
-    return norm * s * s
+    s = schur(parts, coeffs.miwa_times())
+    return math.exp(-coeffs.szego_constant()) * s * s
 
 
 def partitions_upto(size_cap):

@@ -1,10 +1,11 @@
 """The matching unitary matrix model: densities, MCMC, partition functions.
 
 The eigenvalue weight on U(ell) assigns each eigenvalue angle the potential
-term 2 theta sum_r (-1)^(r-1) gamma_r cos(r alpha) plus the log-Vandermonde
-repulsion 2 sum_{j<k} log |sin((alpha_j - alpha_k)/2)|.  Its partition
-function equals exp(theta^2 sum_r r gamma_r^2) P(k_max < ell) of the fermion
-model, which the edge module computes exactly.
+term 2 theta sum_r (-1)^(r-1) gamma_r cos(r alpha) - the log of the edge
+law's Toeplitz symbol, ``HoppingCoefficients.log_symbol`` - plus the
+log-Vandermonde repulsion 2 sum_{j<k} log |sin((alpha_j - alpha_k)/2)|.  Its
+partition function equals exp(theta^2 sum_r r gamma_r^2) P(k_max < ell) of
+the fermion model, which the edge module computes exactly.
 
 In the supercritical regime ell/theta = x >= max D, the limiting eigenvalue
 density is rho(alpha) = (1 - D(alpha - pi)/x) / (2 pi); it touches zero at
@@ -69,10 +70,7 @@ def density_support_cuts(gammas, x, rel_floor=1e-3, grid=4096):
 def log_joint_density(gammas, theta, angles):
     """Unnormalised log density of the eigenvalue angles (exchangeable)."""
     angles = np.asarray(angles, dtype=float)
-    coeffs = HoppingCoefficients(gammas)
-    pot = 0.0
-    for r, g in enumerate(coeffs.gammas, start=1):
-        pot += -2.0 * theta * (-1.0) ** r * g * float(np.sum(np.cos(r * angles)))
+    pot = float(np.sum(HoppingCoefficients(gammas, theta=theta).log_symbol(angles)))
     if len(angles) > 1:
         diff = angles[:, None] - angles[None, :]
         iu = np.triu_indices(len(angles), k=1)
@@ -86,7 +84,6 @@ def log_joint_density(gammas, theta, angles):
 @dataclass(frozen=True)
 class EigenSample:
     angles: np.ndarray
-    log_weight: float
 
 
 @dataclass(frozen=True)
@@ -100,6 +97,8 @@ def _site_log_weight_delta(gammas, theta, angles, j, new_angle):
     """Change of the log weight when angle j moves (O(ell) update)."""
     old = angles[j]
     delta = 0.0
+    # scalar math.cos, not log_symbol: this runs once per Metropolis proposal,
+    # where numpy's per-call overhead on scalars would dominate the update
     for r, g in enumerate(gammas, start=1):
         delta += -2.0 * theta * (-1.0) ** r * g * (math.cos(r * new_angle)
                                                    - math.cos(r * old))
@@ -151,9 +150,7 @@ def metropolis_chain(gammas, theta, ell, sweeps, seed, keep_every=1):
                 tune_acc = tune_prop = 0
             continue
         if (sweep - burn) % keep_every == 0:
-            samples.append(EigenSample(
-                angles=np.sort(angles.copy()),
-                log_weight=log_joint_density(gam, theta, angles)))
+            samples.append(EigenSample(angles=np.sort(angles)))
     return ChainResult(samples=samples,
                        acceptance_rate=accepted / max(proposed, 1),
                        proposal_sigma=sigma)
@@ -170,8 +167,7 @@ def angle_histogram(samples, bins=64):
 def partition_function_toeplitz(gammas, theta, ell):
     """Z_ell = exp(theta^2 sum r gamma_r^2) P(k_max < ell), via the edge CDF."""
     coeffs = HoppingCoefficients(gammas, theta=theta)
-    norm = sum(r * (theta * g) ** 2 for r, g in enumerate(coeffs.gammas, start=1))
-    return math.exp(norm) * exact_cdf(coeffs, ell)
+    return math.exp(coeffs.szego_constant()) * exact_cdf(coeffs, ell)
 
 
 def partition_function_quadrature(gammas, theta, ell, nodes=512):
@@ -180,15 +176,12 @@ def partition_function_quadrature(gammas, theta, ell, nodes=512):
     Periodic trapezoid over the ell-torus of the Weyl-measure integrand
     prod_j w(alpha_j) prod_{j<k} |e^{i a_j} - e^{i a_k}|^2 / ((2 pi)^ell ell!).
     """
-    gam = HoppingCoefficients(gammas).gammas
+    coeffs = HoppingCoefficients(gammas, theta=theta)
     ell = int(ell)
     if ell not in (1, 2):
         raise ValueError("direct quadrature oracle supports ell in {1, 2}")
     alphas = 2.0 * math.pi * np.arange(nodes) / nodes - math.pi
-    w = np.zeros_like(alphas)
-    for r, g in enumerate(gam, start=1):
-        w += 2.0 * theta * (-1.0) ** (r - 1) * g * np.cos(r * alphas)
-    w = np.exp(w)
+    w = np.exp(coeffs.log_symbol(alphas))
     h = 2.0 * math.pi / nodes
     if ell == 1:
         return float(np.sum(w) * h / (2.0 * math.pi))

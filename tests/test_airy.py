@@ -8,8 +8,10 @@ import pytest
 from splitsea.airy import (AiryOrder, FredholmConfig, airy_fn, airy_kernel,
                            airy_kernel_matrix, airy_values, fredholm_F,
                            limiting_cdf)
-from splitsea.airy import _fredholm_once, _gauss_legendre, _v_quadrature
-from splitsea.errors import NodeCountInsufficient
+from splitsea import airy as airy_mod
+from splitsea.airy import (_airy_spline, _fredholm_once, _gauss_legendre,
+                           _v_quadrature)
+from splitsea.errors import NoConvergence, NodeCountInsufficient
 from conftest import airy_series
 
 
@@ -19,11 +21,17 @@ def test_classical_airy_against_series():
         assert airy_fn(1, x) == pytest.approx(airy_series(x), abs=1e-9)
 
 
-def test_airy_batch_matches_scalar():
-    xs = np.array([-5.0, -1.2, 0.0, 2.4, 7.5])
-    batch = airy_values(1, xs)
-    for x, v in zip(xs, batch):
-        assert v == pytest.approx(airy_fn(1, float(x)), abs=1e-11)
+def test_airy_values_and_spline_against_scipy():
+    # independent oracle on the whole spline domain; the spline's docstring
+    # claims an interpolation error below 1e-10
+    from scipy.special import airy
+
+    xs = np.linspace(-14.5, 52.0, 1331)
+    assert np.max(np.abs(airy_values(1, xs) - airy(xs)[0])) < 1e-10
+    fine = np.linspace(-14.5, 52.0, 66501)
+    assert np.max(np.abs(_airy_spline(1)(fine) - airy(fine)[0])) < 1e-10
+    assert airy_values(1, 0.5).shape == ()
+    assert airy_fn(1, 0.5) == float(airy_values(1, 0.5))
 
 
 def test_airy_order_guard():
@@ -31,8 +39,17 @@ def test_airy_order_guard():
         airy_fn(1, 41.0)
     with pytest.raises(ValueError):
         AiryOrder(0)
-    order = AiryOrder(2)
-    assert order.t_max > 0.0
+    with pytest.raises(ValueError):
+        AiryOrder(1.5)
+    with pytest.raises(ValueError):
+        airy_fn(0, 0.0)
+    assert airy_fn(AiryOrder(2), 0.3) == airy_fn(2, 0.3)
+
+
+def test_airy_batch_raises_beyond_node_budget(monkeypatch):
+    monkeypatch.setattr(airy_mod, "AIRY_NODE_BUDGET", 1024)
+    with pytest.raises(NoConvergence):
+        airy_values(1, np.array([-3.0, 0.0, 2.0]))
 
 
 @pytest.mark.parametrize("m,h", [(1, 1e-3), (2, 0.03)])
@@ -56,6 +73,11 @@ def test_airy_kernel_value_and_symmetry():
     assert airy_kernel(1, 0.4, -1.3) == pytest.approx(
         airy_kernel(1, -1.3, 0.4), abs=1e-14)
     assert abs(airy_kernel(1, 8.0, 8.0)) < 1e-12
+
+
+def test_airy_kernel_below_spline_domain_raises():
+    with pytest.raises(ValueError):
+        airy_kernel(1, -20.0, 0.0)
 
 
 def test_airy_kernel_vs_series_quadrature():
@@ -86,6 +108,14 @@ def test_fredholm_node_doubling_stability():
     # the checking wrapper enforces the same invariant
     assert fredholm_F(1, cfg, -1.1) == pytest.approx(
         _fredholm_once(1, -1.1, cfg.cut_for(1), 128), abs=1e-12)
+
+
+def test_fredholm_nonpositive_determinant_raises(monkeypatch):
+    # a rank-one kernel of trace L > 1 makes det(1 - A) = 1 - L negative
+    monkeypatch.setattr(airy_mod, "airy_kernel_matrix",
+                        lambda m, x: np.ones((len(x), len(x))))
+    with pytest.raises(NodeCountInsufficient):
+        _fredholm_once(1, 0.0, 14.0, 64)
 
 
 def test_fredholm_clenshaw_curtis_cross_family():

@@ -63,6 +63,24 @@ def test_config_without_path_is_config_error(capsys):
     assert "config error: --config needs a path" in err
 
 
+def test_config_equals_form_reads_the_file(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("gamma=1,-0.3333333333\ntheta=0.5\nk=0.5\nl=1.5\n")
+    code, spaced, _ = run(capsys, "--config", str(cfg), "kernel")
+    assert code == 0
+    code, joined, _ = run(capsys, f"--config={cfg}", "kernel")
+    assert code == 0 and joined == spaced
+    code, _, err = run(capsys, "--config=", "kernel")
+    assert code == 2 and "config error: --config needs a path" in err
+
+
+@pytest.mark.parametrize("m", ["0", "-1"])
+def test_airy_order_below_one_is_config_error(capsys, m):
+    code, out, err = run(capsys, "airy", "--m", m, "--s", "0:0.2")
+    assert code == 2 and out == ""
+    assert "config error" in err and "positive integer" in err
+
+
 def test_sample_zero_draws_is_config_error(capsys):
     code, out, err = run(capsys, "sample", "--gamma", "1,-0.3333333333",
                          "--theta", "4.0", "-n", "0")

@@ -16,6 +16,32 @@ from conftest import central_derivative
 GAMMA_SETS = [(1.0, 1.0 / 3.0), (1.0, 0.1), (1.0, -0.125), (1.0, -1.0 / 3.0)]
 
 
+def test_package_exports_resolve():
+    import splitsea
+
+    for name in splitsea.__all__:
+        assert getattr(splitsea, name) is not None, name
+
+
+def test_log_symbol_and_szego_constant():
+    c = HoppingCoefficients((1.0, -1.0 / 3.0, 0.2), theta=1.7)
+    phis = np.linspace(-math.pi, math.pi, 9)
+    want = [2.0 * 1.7 * sum((-1.0) ** (r - 1) * g * math.cos(r * p)
+                            for r, g in enumerate(c.gammas, start=1))
+            for p in phis]
+    assert c.log_symbol(phis) == pytest.approx(want, abs=1e-13)
+    assert isinstance(c.log_symbol(0.4), float)
+    assert c.log_symbol(0.4) == c.log_symbol(np.array([0.4]))[0]
+    # the Szego constant is sum_{r >= 1} r |(log f)_r|^2 over the Fourier
+    # coefficients of the log-symbol
+    n = 64
+    hat = np.fft.rfft(c.log_symbol(2.0 * math.pi * np.arange(n) / n)) / n
+    assert c.szego_constant() == pytest.approx(
+        sum(r * abs(hat[r]) ** 2 for r in range(1, n // 2)), rel=1e-13)
+    assert c.szego_constant() == pytest.approx(
+        1.7 ** 2 * (1.0 + 2.0 / 9.0 + 3.0 * 0.04), rel=1e-14)
+
+
 def test_dispersion_values():
     assert eval_dispersion(HoppingCoefficients((1.0,)), 0.0) == pytest.approx(2.0)
     # split point of the two-cut model sits at D(0) = 2/3
