@@ -175,20 +175,15 @@ def _cmd_converge(args):
     reports = _pool_map(one, thetas, resolved_threads(args))
     summary = {str(r["theta"]): r["sup_distance"] for r in reports}
     if args.out:
-        rows = []
-        for r in reports:
-            for s in s_grid:
-                rows.append((r["theta"], float(s), r["table"].cdf_at(float(s))))
+        rows = [(r["theta"], float(s), float(p))
+                for r in reports for s, p in zip(s_grid, r["cdf"])]
         _csv_out(rows, ["theta", "s", "cdf"], args.out)
     if args.svg:
-        m = reports[0]["m"]
         pw = reports[0]["power"]
         panel = Panel(title=f"scaled edge CDFs vs limit (power {pw})")
         for r in reports:
-            panel.add(s_grid, [r["table"].cdf_at(float(s)) for s in s_grid],
-                      label=f"theta={r['theta']:g}")
-        panel.add(s_grid, [airy_mod.limiting_cdf(m, pw, float(s))
-                           for s in s_grid], label="limit")
+            panel.add(s_grid, r["cdf"], label=f"theta={r['theta']:g}")
+        panel.add(s_grid, reports[0]["limit"], label="limit")
         render_panels([panel], args.svg)
     json.dump({"sup_distance": summary}, sys.stdout)
     sys.stdout.write("\n")
@@ -197,13 +192,8 @@ def _cmd_converge(args):
 
 def _cmd_sample(args):
     coeffs = HoppingCoefficients(args.gamma, theta=args.theta)
-    profile = edge_profile(coeffs)
-    mx = profile.principal
-    scale = (mx.d * coeffs.theta) ** (1.0 / (2 * mx.m + 1))
-    report = sampler_mod.empirical_edge_law(
-        coeffs, args.n, args.seed,
-        exact_cdf_fn=lambda ell: edge_mod.exact_cdf(coeffs, ell),
-        limit_cdf_fn=lambda s: airy_mod.limiting_cdf(mx.m, profile.n_cuts, s))
+    scale = edge_profile(coeffs).scale(coeffs.theta)
+    report = sampler_mod.empirical_edge_law(coeffs, args.n, args.seed)
     if args.out:
         _csv_out([(float(k),) for k in report.k_max], ["k_max"], args.out)
     json.dump({"ks_exact": report.ks_exact, "ks_limit": report.ks_limit,

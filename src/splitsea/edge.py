@@ -13,9 +13,9 @@ log-determinant is exactly theta^2 sum_r r gamma_r^2
 (``HoppingCoefficients.szego_constant``), which the normaliser cancels,
 making P -> 1 as ell grows.
 
-Two independent exact routes cross-check it: the brute Schur sum (schur
-module) and a discrete Fredholm determinant det(I - K) over the window
-{ell + 1/2, ...} with a certified dropped-trace bound.
+The same law is the discrete Fredholm determinant det(I - K) over the sites
+{ell + 1/2, ...} (with a certified dropped trace), the large-coupling route.
+Either route gets a whole table of ell from one Cholesky factor's minors.
 
 The scaled study maps ell to s = (ell - b theta) / (d theta)^(1/(2m+1)) and
 compares the lattice CDF (a left-continuous step function: k_max is lattice
@@ -54,64 +54,74 @@ def symbol_coeffs(coeffs, n_max):
     return out
 
 
+def _log_minors(mat):
+    """Log leading minors of orders 0, 1, ... up to the first pivot <= 0."""
+    chol, info = scipy.linalg.lapack.dpotrf(mat, lower=1)
+    n = len(mat) if info == 0 else info - 1
+    return np.concatenate(([0.0], np.cumsum(2.0 * np.log(np.diag(chol)[:n]))))
+
+
 def toeplitz_cdf(coeffs, ell):
-    """P(k_max < ell) via the Cholesky log-determinant of the Toeplitz matrix."""
-    ell = int(ell)
-    if ell < 1:
-        raise ValueError("ell must be a positive integer")
-    if ell > MAX_TOEPLITZ_DIM:
+    """P(k_max < ell) from the first ell log-pivots of one Cholesky factor.
+
+    ``ell`` is an integer or array; one factor of T_max(ell) serves them all.
+    det T_0 = 1, and P = 0 for ell < 0 because k_max >= -1/2.
+    """
+    ells = np.atleast_1d(ell).astype(np.int64)
+    top = max(int(ells.max()), 0)
+    if top > MAX_TOEPLITZ_DIM:
         raise ValueError(f"ell capped at {MAX_TOEPLITZ_DIM} at desk scale")
-    f = symbol_coeffs(coeffs, ell)
-    col = f[ell:2 * ell]  # f_0 .. f_{ell-1}
-    mat = scipy.linalg.toeplitz(col)
-    try:
-        chol = scipy.linalg.cholesky(mat, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"Toeplitz matrix at ell={ell}: {exc}") from exc
-    logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    p = math.exp(logdet - coeffs.szego_constant())
-    if p > 1.0 + 1e-9:
-        raise NotPositiveDefinite(f"P={p!r} overshoots 1 beyond tolerance")
-    return min(p, 1.0)
+    f = symbol_coeffs(coeffs, top)
+    logdet = _log_minors(scipy.linalg.toeplitz(f[top:2 * top]))  # f_0 .. f_{top-1}
+    if len(logdet) <= top:
+        raise NotPositiveDefinite(f"T_ell not positive definite at ell={len(logdet)}")
+    p = np.exp(logdet[np.maximum(ells, 0)] - coeffs.szego_constant())
+    p[ells < 0] = 0.0
+    if np.max(p) > 1.0 + 1e-9:
+        raise NotPositiveDefinite(
+            f"P={float(np.max(p))!r} overshoots 1 beyond tolerance")
+    p = np.minimum(p, 1.0)
+    return float(p[0]) if np.ndim(ell) == 0 else p
 
 
 def fredholm_cdf_check(coeffs, ell, trace_tol=1e-12, max_window=512):
-    """P(k_max < ell) as det(I - K) on the sites above ell (oracle route).
+    """P(k_max < ell) as det(I - K) on the sites above ell (integer or array).
 
-    The window width W doubles until the dropped tail trace
-    sum_{k > ell + W} K(k, k) falls under ``trace_tol``; that trace is
-    computed exactly from the coefficient band.
+    The large-coupling route and the Toeplitz oracle.  The window [min ell,
+    top = max ell + W) grows W until the exact tail trace above top is under
+    ``trace_tol``; with sites ordered down from top, each row is a leading
+    minor of one Cholesky factor of I - K, whose pivots are <= 1 - K(k, k)
+    <= 1.  Rows past a pivot <= 0 (roundoff deep below the edge) lie in
+    [0, last minor] and are 0.0 when that minor is under ``trace_tol``.
     """
-    ell = int(ell)
+    ells = np.atleast_1d(ell).astype(np.int64)
     band = coefficient_band(coeffs)
     w = 64
-    while w <= max_window:
-        if tail_trace(band, ell + w) < trace_tol:
-            mat = kernel_matrix(band, ell + 0.5 + np.arange(w))
-            sign, logdet = np.linalg.slogdet(np.eye(w) - mat)
-            return float(sign * math.exp(logdet))
+    while w <= max_window and tail_trace(band, int(ells.max()) + w) >= trace_tol:
         w *= 2
-    raise WindowTooSmall(
-        f"tail trace above ell+{max_window} still exceeds {trace_tol}")
-
-
-def _symbol_log_range(coeffs):
-    """Max of the symbol's log over the circle (its dynamic range)."""
-    return float(np.max(coeffs.log_symbol(np.linspace(0.0, math.pi, 2048))))
+    if w > max_window:
+        raise WindowTooSmall(
+            f"tail trace above ell+{max_window} still exceeds {trace_tol}")
+    top = int(ells.max()) + w
+    sites = top - 0.5 - np.arange(top - int(ells.min()))
+    logdet = _log_minors(np.eye(len(sites)) - kernel_matrix(band, sites))
+    order = np.minimum(top - ells, len(logdet))
+    if np.max(order) == len(logdet) and math.exp(logdet[-1]) >= trace_tol:
+        raise NotPositiveDefinite(f"I - K pivot <= 0 at site {top - len(logdet) + 0.5}")
+    p = np.exp(np.append(logdet, -np.inf)[order])  # uncertified rows: 0.0
+    return float(p[0]) if np.ndim(ell) == 0 else p
 
 
 def exact_cdf(coeffs, ell):
-    """P(k_max < ell) by the numerically appropriate exact route.
+    """P(k_max < ell) by the numerically appropriate exact route (once per call).
 
-    The Toeplitz Cholesky route is exact while the symbol's dynamic range
-    fits in double precision (pivots decay from the symbol maximum to its
-    geometric mean 1); beyond that the equivalent discrete Fredholm
-    determinant takes over - it works with a contraction kernel and has no
-    conditioning issue.  The two routes agree to 1e-15 wherever both run.
+    Toeplitz while the symbol's dynamic range fits in double precision, then
+    Fredholm.  The Toeplitz rows drift already below the switch: 3e-12 from
+    the Fredholm ones at theta = 2.9, over 1e-9 from theta near 4.4.
     """
-    if _symbol_log_range(coeffs) <= 25.0:
+    if np.max(coeffs.log_symbol(np.linspace(0.0, math.pi, 2048))) <= 25.0:
         return toeplitz_cdf(coeffs, ell)
-    return min(max(fredholm_cdf_check(coeffs, ell), 0.0), 1.0)
+    return fredholm_cdf_check(coeffs, ell)
 
 
 @dataclass(frozen=True)
@@ -139,33 +149,34 @@ class CdfTable:
         The maximum sits on the half-integer lattice, so its CDF at s is
         P(k_max <= h) for the largest half-integer h below the s-image; that
         is the tabulated P(k_max < ell) with ell = h + 1/2 the nearest
-        lattice point, i.e. floor(b theta + s scale + 1/2).
+        lattice point, i.e. floor(b theta + s scale + 1/2); it must have a row.
         """
         target = self.b * self.theta + s * self.fluct_scale
         ell_star = math.floor(target + 0.5)
-        first_ell = self.rows[0][0]
-        if ell_star < first_ell:
-            return 0.0
-        idx = min(ell_star - first_ell, len(self.rows) - 1)
-        return self.rows[idx][1]
+        first_ell, last_ell = self.rows[0][0], self.rows[-1][0]
+        if not first_ell <= ell_star <= last_ell:
+            raise ValueError(f"s={s!r} maps to ell={ell_star}, outside the "
+                             f"table rows {first_ell}..{last_ell}")
+        return self.rows[ell_star - first_ell][1]
 
 
 def cdf_table(coeffs, ell_lo, ell_hi):
     """Tabulate P(k_max < ell) for ell in [ell_lo, ell_hi] with scaling data."""
+    ells = np.arange(int(ell_lo), int(ell_hi) + 1)
+    if not ells.size:
+        raise ValueError(f"empty ell range {ell_lo}:{ell_hi}")
     profile = edge_profile(coeffs)
     mx = profile.principal
-    rows = tuple((ell, exact_cdf(coeffs, ell))
-                 for ell in range(int(ell_lo), int(ell_hi) + 1))
+    rows = tuple(zip(ells.tolist(), exact_cdf(coeffs, ells).tolist()))
     return CdfTable(theta=coeffs.theta, gammas=coeffs.gammas, rows=rows,
                     b=profile.b, d=mx.d, m=mx.m, n_cuts=profile.n_cuts)
 
 
 def table_for_srange(coeffs, s_min=-6.0, s_max=4.0):
-    """CdfTable covering the image of [s_min, s_max] on the lattice."""
+    """CdfTable covering the image of [s_min, s_max], one row padded each side."""
     profile = edge_profile(coeffs)
-    mx = profile.principal
-    scale = (mx.d * coeffs.theta) ** (1.0 / (2 * mx.m + 1))
-    ell_lo = max(1, math.floor(profile.b * coeffs.theta + s_min * scale) - 1)
+    scale = profile.scale(coeffs.theta)
+    ell_lo = math.floor(profile.b * coeffs.theta + s_min * scale) - 1
     ell_hi = math.ceil(profile.b * coeffs.theta + s_max * scale) + 1
     return cdf_table(coeffs, ell_lo, ell_hi)
 
@@ -173,8 +184,8 @@ def table_for_srange(coeffs, s_min=-6.0, s_max=4.0):
 def scaled_convergence_study(gammas, theta_list, s_grid=None, n_cuts=None):
     """Sup-distance between the scaled lattice CDF and its limiting edge law.
 
-    Returns a list of per-theta reports {theta, sup_distance, table}; the
-    power of the limit law defaults to the cut count of the sea at the edge.
+    Per-theta reports {theta, sup_distance, table, cdf, limit}, the last two
+    on ``s_grid``; the limit law's power defaults to the sea's cut count.
     """
     if s_grid is None:
         s_grid = np.linspace(-6.0, 4.0, 101)
@@ -191,7 +202,8 @@ def scaled_convergence_study(gammas, theta_list, s_grid=None, n_cuts=None):
         lattice_vals = np.array([table.cdf_at(s) for s in s_grid])
         sup = float(np.max(np.abs(lattice_vals - limit_vals)))
         reports.append({"theta": float(theta), "sup_distance": sup,
-                        "power": power, "m": mx.m, "table": table})
+                        "power": power, "m": mx.m, "table": table,
+                        "cdf": lattice_vals, "limit": limit_vals})
     return reports
 
 

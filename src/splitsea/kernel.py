@@ -226,7 +226,7 @@ def edge_prediction(profile, theta, k, ell):
     if profile.n_cuts != 2:
         raise UnsupportedEdge(f"n_cuts={profile.n_cuts}; only the two-cut case is supported")
     mx = interior[0]
-    scale = (mx.d * theta) ** (1.0 / (2 * mx.m + 1))
+    scale = profile.scale(theta)
     x = (float(k) - profile.b * theta) / scale
     y = (float(ell) - profile.b * theta) / scale
     if abs(x) > 6.0 or abs(y) > 6.0:

@@ -148,6 +148,10 @@ class EdgeProfile:
         """Maximizer with the lowest order m; it sets the edge scaling."""
         return min(self.maximizers, key=lambda mx: mx.m)
 
+    def scale(self, theta):
+        """Edge fluctuation scale (d theta)^(1/(2m+1)) of the principal maximizer."""
+        return (self.principal.d * theta) ** (1.0 / (2 * self.principal.m + 1))
+
 
 def eval_dispersion(coeffs, phi, order=0):
     """Evaluate D or one of its derivatives in closed form.

@@ -29,6 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .airy import limiting_cdf
+from .edge import exact_cdf
 from .errors import LeakageTooLarge
 from .kernel import coefficient_band, kernel_matrix, tail_trace
 from .kernel import kernel_eval  # noqa: F401  (bench/tracer.py patches it here)
@@ -60,9 +62,8 @@ def auto_window(coeffs, edge=False):
     ell_min = floor(b theta - 8 (d theta)^(1/(2m+1))) (clipped to the window).
     """
     b, b_tilde = global_extrema(coeffs)
-    mx = edge_profile(coeffs).principal
     theta = coeffs.theta
-    scale = (mx.d * theta) ** (1.0 / (2 * mx.m + 1))
+    scale = edge_profile(coeffs).scale(theta)
     lo = math.floor(-b_tilde * theta - 10.0 * math.sqrt(max(theta, 1.0)))
     hi = math.ceil(b * theta + 10.0 * scale)
     if edge:
@@ -156,38 +157,30 @@ class EdgeLawReport:
     seed: int
 
 
-def empirical_edge_law(coeffs, n_samples, seed, exact_cdf_fn=None,
-                       limit_cdf_fn=None, window=None):
-    """Sample k_max repeatedly; report KS distances to reference laws.
+def empirical_edge_law(coeffs, n_samples, seed):
+    """Sample k_max from the edge window; report KS distances to its laws.
 
-    ``exact_cdf_fn(ell)`` should give P(k_max < ell); ``limit_cdf_fn(s)`` the
-    limiting law of the rescaled maximum.  Either may be None to skip.
-    Draws come from the edge window unless ``window`` is given.
+    ``ks_exact`` is against one ``exact_cdf`` table, ``ks_limit`` against the
+    sea's own limit law F_{2m+1}^n on s in [-6, 4].
     """
     n_samples = int(n_samples)
     if n_samples < 1:
         raise ValueError(f"n_samples must be a positive integer, got {n_samples}")
-    wk = windowed_kernel(coeffs, window=window, edge=True)
+    wk = windowed_kernel(coeffs, edge=True)
     kmax = np.empty(n_samples)
     for i in range(n_samples):
         conf = sample(wk, seed, i)
         kmax[i] = conf[-1] if len(conf) else wk.k_lo_int - 0.5
-    ks_exact = float("nan")
-    if exact_cdf_fn is not None:
-        ks_exact = 0.0
-        for ell in range(int(np.min(kmax) - 0.5), int(np.max(kmax) + 0.5) + 2):
-            emp = float(np.mean(kmax < ell))
-            ks_exact = max(ks_exact, abs(emp - exact_cdf_fn(ell)))
-    ks_limit = float("nan")
-    if limit_cdf_fn is not None:
-        profile = edge_profile(coeffs)
-        mx = profile.principal
-        scale = (mx.d * coeffs.theta) ** (1.0 / (2 * mx.m + 1))
-        s_vals = (kmax - profile.b * coeffs.theta) / scale
-        ks_limit = 0.0
-        for s in np.linspace(-6.0, 4.0, 201):
-            emp = float(np.mean(s_vals < s))
-            ks_limit = max(ks_limit, abs(emp - limit_cdf_fn(s)))
+    ordered = np.sort(kmax)  # searchsorted counts the draws below a point
+    ells = np.arange(int(ordered[0] - 0.5), int(ordered[-1] + 0.5) + 2)
+    ks_exact = float(np.max(np.abs(np.searchsorted(ordered, ells) / n_samples
+                                   - exact_cdf(coeffs, ells))))
+    profile = edge_profile(coeffs)
+    s_vals = (ordered - profile.b * coeffs.theta) / profile.scale(coeffs.theta)
+    s_grid = np.linspace(-6.0, 4.0, 201)
+    limit = [limiting_cdf(profile.principal.m, profile.n_cuts, s) for s in s_grid]
+    ks_limit = float(np.max(np.abs(np.searchsorted(s_vals, s_grid) / n_samples
+                                   - limit)))
     return EdgeLawReport(k_max=kmax, ks_exact=ks_exact, ks_limit=ks_limit,
                          n_samples=n_samples, seed=int(seed))
 

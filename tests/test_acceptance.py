@@ -12,7 +12,7 @@ import pytest
 
 from splitsea.airy import airy_fn, fredholm_F, limiting_cdf
 from splitsea.airy import _fredholm_once, FredholmConfig
-from splitsea.edge import (exact_cdf, fredholm_cdf_check, oscillation_average,
+from splitsea.edge import (fredholm_cdf_check, oscillation_average,
                            scaled_convergence_study, toeplitz_cdf)
 from splitsea.kernel import (coefficient_band, edge_prediction, kernel_eval,
                              kernel_eval_quadrature, kernel_matrix,
@@ -206,8 +206,7 @@ def test_criterion_09_sampler_exactness():
     tv = 0.5 * sum(abs(counts.get(s, 0) / n_toy - p) for s, p in exact.items())
 
     c = HoppingCoefficients(TWO_CUT, theta=40.0)
-    rep = empirical_edge_law(c, 5000, seed=17,
-                             exact_cdf_fn=lambda ell: exact_cdf(c, ell))
+    rep = empirical_edge_law(c, 5000, seed=17)
     ks_crit = 1.63 / math.sqrt(5000)
     _verdict(9, "sampler exactness", tv < 0.01 and rep.ks_exact < ks_crit,
              f"toy TV {tv:.4f} (<0.01), KS {rep.ks_exact:.4f} "

@@ -159,6 +159,13 @@ def test_cdf_command(capsys):
     assert all(a <= b + 1e-12 for a, b in zip(ps, ps[1:]))
 
 
+def test_cdf_empty_ell_range_is_config_error(capsys):
+    code, out, err = run(capsys, "cdf", "--gamma", "1,-0.3333333333",
+                         "--theta", "2.0", "--ell-range", "5:3")
+    assert code == 2 and out == ""
+    assert "config error: empty ell range 5:3" in err
+
+
 def test_converge_command(tmp_path, capsys):
     svg = tmp_path / "conv.svg"
     csv = tmp_path / "conv.csv"

@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splitsea.edge import (CdfTable, cdf_table, exact_cdf, fredholm_cdf_check,
                            oscillation_average, scaled_convergence_study,
                            symbol_coeffs, table_for_srange, toeplitz_cdf)
-from splitsea.errors import WindowTooSmall
+from splitsea.errors import NotPositiveDefinite, WindowTooSmall
+from splitsea.kernel import coefficient_band, kernel_matrix
 from splitsea.potential import HoppingCoefficients, edge_profile
 from splitsea.schur import brute_cdf_first_part
 from conftest import bessel_i
@@ -81,6 +85,84 @@ def test_fredholm_window_guard():
     c = HoppingCoefficients((1.0, -1.0 / 3.0), theta=5.0)
     with pytest.raises(WindowTooSmall):
         fredholm_cdf_check(c, 1, max_window=8)
+
+
+@given(st.floats(-0.45, 0.45), st.sampled_from([10.0, 20.0, 40.0]))
+@settings(max_examples=15, deadline=None)
+def test_fredholm_table_matches_per_row_determinants(g2, theta):
+    c = HoppingCoefficients((1.0, g2), theta=theta)
+    profile = edge_profile(c)
+    edge, scale = profile.b * theta, profile.scale(theta)
+    ells = np.arange(max(1, math.floor(edge - 5.0 * scale)),
+                     math.ceil(edge + 4.0 * scale))
+    band = coefficient_band(c)
+    ref = []
+    for ell in ells:
+        sign, logdet = np.linalg.slogdet(
+            np.eye(64) - kernel_matrix(band, ell + 0.5 + np.arange(64)))
+        ref.append(sign * math.exp(logdet))
+    assert np.max(np.abs(fredholm_cdf_check(c, ells) - ref)) < 1e-12
+
+
+@given(st.floats(-0.45, 0.45), st.floats(0.05, 3.0))
+@settings(max_examples=15, deadline=None)
+def test_toeplitz_table_matches_per_row_determinants(g2, theta):
+    c = HoppingCoefficients((1.0, g2), theta=theta)
+    ells = np.arange(1, 21)
+    f = symbol_coeffs(c, 20)
+    ref = [math.exp(np.linalg.slogdet(scipy.linalg.toeplitz(f[20:20 + ell]))[1]
+                    - c.szego_constant()) for ell in ells]
+    # both sides carry roundoff of order n eps cond(T) <= n eps max f / min f,
+    # which passes 1e-11 near theta = 3 (at gamma2 = -0.4 the reference
+    # itself is 5e-11 off a 40-digit determinant)
+    log_f = c.log_symbol(np.linspace(0.0, math.pi, 2048))
+    tol = max(1e-11, 20 * np.finfo(float).eps * math.exp(np.ptp(log_f)))
+    assert np.max(np.abs(toeplitz_cdf(c, ells) - ref)) < tol
+
+
+def test_scalar_ell_gives_float_and_array_gives_rows():
+    c = HoppingCoefficients((1.0, -1.0 / 3.0), theta=12.0)
+    table = exact_cdf(c, np.arange(18, 24))
+    assert type(exact_cdf(c, 20)) is float
+    assert exact_cdf(c, 20) == pytest.approx(table[2], abs=1e-15)
+
+
+def test_deep_fredholm_rows_are_a_cdf():
+    # far below the edge the pivots of I - K sink to roundoff
+    c = HoppingCoefficients((1.0, -1.0 / 3.0), theta=40.0)
+    p = fredholm_cdf_check(c, np.arange(1, 91))
+    assert np.all(p >= 0.0) and np.all(np.diff(p) >= 0.0) and np.all(p <= 1.0)
+
+
+def test_fredholm_first_pivot_failure_raises(monkeypatch):
+    monkeypatch.setattr("splitsea.edge.kernel_matrix",
+                        lambda band, sites: 2.0 * np.eye(len(sites)))
+    c = HoppingCoefficients((1.0, -1.0 / 3.0), theta=2.0)
+    with pytest.raises(NotPositiveDefinite):
+        fredholm_cdf_check(c, np.arange(1, 5))
+
+
+def test_toeplitz_rows_at_and_below_zero():
+    # k_max >= -1/2: P(k_max < 0) = exp(-theta^2 sum r gamma_r^2), and 0 below
+    c = HoppingCoefficients((1.0, -1.0 / 3.0), theta=2.0)
+    p = toeplitz_cdf(c, np.array([-2, -1, 0, 1]))
+    assert p[0] == p[1] == toeplitz_cdf(c, -1) == 0.0
+    assert p[2] == pytest.approx(math.exp(-c.szego_constant()), rel=1e-12)
+    assert p[2:] == pytest.approx(fredholm_cdf_check(c, np.array([0, 1])),
+                                  abs=1e-12)
+
+
+def test_cdf_at_raises_outside_the_rows():
+    c = HoppingCoefficients((1.0, -1.0 / 3.0), theta=2.0)
+    table = cdf_table(c, 3, 8)
+    assert table.fluct_scale == edge_profile(c).scale(2.0)
+    assert table.cdf_at(table.s_of_ell(3)) == table.rows[0][1]
+    assert table.cdf_at(table.s_of_ell(8)) == table.rows[-1][1]
+    for ell in (2, 9):
+        with pytest.raises(ValueError):
+            table.cdf_at(table.s_of_ell(ell))
+    with pytest.raises(ValueError):
+        cdf_table(c, 5, 3)
 
 
 def test_cdf_table_scaling_map():

@@ -190,22 +190,18 @@ def test_determinism_bitwise():
 
 
 def test_empirical_edge_law_small():
-    from splitsea.edge import exact_cdf
     c = HoppingCoefficients((1.0, -1.0 / 3.0), theta=10.0)
-    rep = empirical_edge_law(c, 600, seed=2,
-                             exact_cdf_fn=lambda ell: exact_cdf(c, ell))
+    rep = empirical_edge_law(c, 600, seed=2)
     # KS against the exact law at the 1% level
     assert rep.ks_exact < 1.63 / math.sqrt(600)
 
 
 def test_edge_law_ks_convergence_trend():
     # deterministic seeded run: the scaled empirical law moves towards F_3^2
-    from splitsea.airy import limiting_cdf
     ks = {}
     for th in (20.0, 80.0):
         c = HoppingCoefficients((1.0, -1.0 / 3.0), theta=th)
-        rep = empirical_edge_law(c, 1200, seed=123,
-                                 limit_cdf_fn=lambda s: limiting_cdf(1, 2, s))
+        rep = empirical_edge_law(c, 1200, seed=123)
         ks[th] = rep.ks_limit
     assert ks[80.0] < ks[20.0]
 
