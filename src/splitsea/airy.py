@@ -19,7 +19,8 @@ F_{2m+1}^n are the edge laws of n-cut seas.
 
 Evaluation: ``airy_values`` is the one contour evaluator (vectorised, and it
 takes scalars too); ``airy_fn`` is its guarded public scalar form, and
-``_airy_spline`` caches it on a fine grid for the kernel assembly.
+``_airy_cache`` holds its degree-16 Chebyshev interpolants on the unit panels
+of [-14.5, 52] (1139 contour points) for the kernel assembly.
 
 Contour choice: along the vertical line Re z = sigma the integrand decays
 like exp(-sigma t^{2m}); the linear term contributes a cancellation bump of
@@ -29,9 +30,16 @@ abscissa sqrt(x) - the saddle's descent direction is vertical - which removes
 the cancellation on the decaying side.  Arguments sharing ceil(sqrt(x)) share
 that line as sigma, which keeps the off-saddle bump below e.
 
-Fredholm determinants use a Nystrom discretisation with Gauss-Legendre nodes
-on [s, s + L]; the kernel matrix is assembled as a Gram matrix over a
-v-quadrature, which keeps it symmetric positive semi-definite by construction.
+Fredholm determinants use a Nystrom discretisation with Gauss-Legendre nodes;
+the kernel matrix is assembled as a Gram matrix B B^T over a v-quadrature,
+which keeps it symmetric positive semi-definite by construction.
+``limiting_cdf`` computes F on a whole s-grid as one table: composite panels
+whose edges are the grid points, plus the tail [s_max, s_max + L] in unit
+panels, with the nodes ordered from the top down so that every F(s_j) is a
+leading minor of one Cholesky factor of I - W^1/2 A W^1/2.  A second table
+with twice the nodes on every panel and twice L certifies it to TABLE_TOL,
+and the finer one is returned.  ``fredholm_F`` (one panel on [s, s + L],
+node doubling) stays as the independent per-point oracle.
 """
 
 from __future__ import annotations
@@ -48,6 +56,8 @@ from .errors import NoConvergence, NodeCountInsufficient, TruncationFailure
 INTEGRAND_FLOOR = 1e-18      # tail magnitude required at the truncation point
 KERNEL_FACTOR_FLOOR = 1e-16  # Ai factor size ending the v-integration
 AIRY_NODE_BUDGET = 65536     # most trapezoid nodes one contour batch may use
+TABLE_TOL = 1e-8             # certification tolerance of the F_{2m+1} laws
+TABLE_POINTS = 256           # most s values per table: bounds its N x N matrix
 _MAX_ARG = 40.0        # public argument guard
 _SCAN_MAX = 80.0       # internal decay scans may go further
 
@@ -145,23 +155,50 @@ def airy_fn(order, x):
     return float(airy_values(order, float(x)))
 
 
-_SPLINE_DOMAIN = (-14.5, 52.0)
-_SPLINE_STEP = 0.004
+_CACHE_DOMAIN = (-14.5, 52.0)
+_CHEB_DEGREE = 16
 
 
 @lru_cache(maxsize=8)
-def _airy_spline(m):
-    """Cubic-spline cache of Ai_{2m+1} on the desk-scale argument range.
+def _airy_cache(m):
+    """Chebyshev coefficients of Ai_{2m+1} on the unit panels of the domain.
 
-    Interpolation error is ~ h^4 |Ai''''| / 384 < 1e-10 on the domain, below
-    every tolerance the Fredholm determinants are used at; above the domain
-    the function is below the kernel truncation floor and treated as zero.
+    Column p holds the degree-16 interpolant on [lo + p, lo + p + 1] through
+    its 17 first-kind Chebyshev points (row k its degree-k coefficients).
+    Coefficients past degree 16 are at the contour evaluator's own noise (a
+    few 1e-12), so the interpolant is as accurate as the evaluator; above the
+    domain the function is below the kernel truncation floor and treated as
+    zero.
     """
-    from scipy.interpolate import CubicSpline
+    lo, hi = _CACHE_DOMAIN
+    n = _CHEB_DEGREE + 1
+    angles = math.pi * (np.arange(n) + 0.5) / n
+    panels = lo + np.arange(math.ceil(hi - lo))
+    vals = airy_values(m, panels[:, None] + 0.5 * (np.cos(angles) + 1.0))
+    coef = vals @ (np.cos(np.outer(angles, np.arange(n))) * (2.0 / n))
+    coef[:, 0] *= 0.5
+    coef = np.ascontiguousarray(coef.T)
+    coef.flags.writeable = False
+    return coef
 
-    lo, hi = _SPLINE_DOMAIN
-    grid = np.arange(lo, hi + _SPLINE_STEP, _SPLINE_STEP)
-    return CubicSpline(grid, airy_values(m, grid))
+
+def _airy_cached(m, xs):
+    """Ai_{2m+1} at arguments lo <= xs from the cache (Clenshaw recurrence)."""
+    coef = _airy_cache(m)
+    lo, hi = _CACHE_DOMAIN
+    u = xs - lo
+    panel = np.minimum(u.astype(np.intp), coef.shape[1] - 1)
+    t2 = 4.0 * (u - panel) - 2.0  # twice the local argument in [-1, 1]
+    b1, b2, ck = np.zeros(xs.shape), np.zeros(xs.shape), np.empty(xs.shape)
+    for k in range(_CHEB_DEGREE, 0, -1):  # b_k = c_k + 2t b_{k+1} - b_{k+2}
+        np.take(coef[k], panel, out=ck)
+        ck -= b2
+        np.multiply(t2, b1, out=b2)
+        b2 += ck
+        b1, b2 = b2, b1
+    out = np.take(coef[0], panel) + 0.5 * t2 * b1 - b2
+    out[xs > hi] = 0.0
+    return out
 
 
 @lru_cache(maxsize=32)
@@ -206,23 +243,32 @@ def _v_quadrature(m, x_floor, n_per_panel=24):
     return np.concatenate(vs), np.concatenate(ws)
 
 
-def airy_kernel_matrix(order, xs):
-    """Gram matrix [A_{2m+1}(x_i, x_j)] over arguments x_i >= -14.5.
+def _kernel_factor(m, xs):
+    """Airy factor B with A_{2m+1}(x_i, x_j) = (B B^T)_ij.
 
-    Assembled as Phi W Phi^T over the v-quadrature from the spline cache, so
-    it is symmetric positive semi-definite by construction.
+    B_ik = Ai_{2m+1}(x_i + v_k) sqrt(w_k) over the v-quadrature, from the
+    Chebyshev cache in row chunks that keep the temporaries small.
     """
-    m = _order(order)
-    xs = np.asarray(xs, dtype=float)
-    lo, hi = _SPLINE_DOMAIN
+    lo = _CACHE_DOMAIN[0]
     x_floor = float(np.min(xs))
     if x_floor < lo:
         raise ValueError(f"Airy kernel arguments >= {lo} supported; got {x_floor!r}")
     vs, ws = _v_quadrature(m, x_floor)
-    args = xs[:, None] + vs[None, :]
-    phi = _airy_spline(m)(args)
-    phi[args > hi] = 0.0
-    return (phi * ws[None, :]) @ phi.T
+    factor = np.empty((len(xs), len(vs)))
+    for i in range(0, len(xs), 128):
+        factor[i:i + 128] = _airy_cached(m, xs[i:i + 128, None] + vs)
+    factor *= np.sqrt(ws)
+    return factor
+
+
+def airy_kernel_matrix(order, xs):
+    """Gram matrix [A_{2m+1}(x_i, x_j)] over arguments x_i >= -14.5.
+
+    Assembled as B B^T from the Airy factor over the v-quadrature, so it is
+    symmetric positive semi-definite by construction.
+    """
+    factor = _kernel_factor(_order(order), np.asarray(xs, dtype=float))
+    return factor @ factor.T
 
 
 def airy_kernel(order, x, y):
@@ -239,9 +285,10 @@ class FredholmConfig:
     upper_cut: float = 0.0  # 0 means: pick the per-order default
 
     def cut_for(self, m):
+        """Upper cut L: 14 for m = 1, 20 above (10 is 1.8e-8 off at m = 2)."""
         if self.upper_cut > 0.0:
             return self.upper_cut
-        return 14.0 if m == 1 else 10.0
+        return 14.0 if m == 1 else 20.0
 
 
 def _fredholm_once(m, s, L, n_nodes):
@@ -259,10 +306,11 @@ def _fredholm_once(m, s, L, n_nodes):
 
 
 def fredholm_F(order, config=None, s=0.0, check=True):
-    """F_{2m+1}(s) = det(1 - A_{2m+1}) on L^2([s, infinity)).
+    """F_{2m+1}(s) = det(1 - A_{2m+1}) on L^2([s, infinity)), one panel.
 
-    With ``check`` the value is recomputed at doubled node count and must move
-    by less than 1e-8 (NodeCountInsufficient otherwise); the doubled value is
+    The independent per-point oracle of ``limiting_cdf``.  With ``check`` the
+    value is recomputed at doubled node count and must move by less than
+    TABLE_TOL (NodeCountInsufficient otherwise); the doubled value is
     returned.
     """
     m = _order(order)
@@ -272,17 +320,121 @@ def fredholm_F(order, config=None, s=0.0, check=True):
     L = cfg.cut_for(m)
     val = _fredholm_once(m, s, L, cfg.n_nodes)
     if not check:
-        return min(max(val, 0.0), 1.0)
+        return val
     val2 = _fredholm_once(m, s, L, 2 * cfg.n_nodes)
-    if abs(val2 - val) >= 1e-8:
+    if abs(val2 - val) >= TABLE_TOL:
         raise NodeCountInsufficient(
             f"F changed by {abs(val2 - val):.2e} under node doubling at s={s}")
-    return min(max(val2, 0.0), 1.0)
+    return val2
 
 
-def limiting_cdf(order, n_cuts, s, config=None, check=False):
-    """Edge law F_{2m+1}(s)^n for an n-cut sea."""
+def _panel_nodes(width):
+    """Gauss-Legendre nodes on one panel (width <= 1) of the coarse table.
+
+    Measured on [-6, 4] for m = 1, 2, 3, the coarse/fine gap of a grid of
+    such panels stays under 3e-9 (two nodes at width 0.055, m = 1) and falls
+    like width^(2 nodes); six nodes on the unit panels of the tail leave
+    under 5e-12 for every s in [-12, 6].
+    """
+    for top, nodes in ((0.055, 2), (0.22, 3), (0.55, 4)):
+        if width <= top:
+            return nodes
+    return 6
+
+
+def _law_nodes(edges, refine):
+    """Nodes and weights on [edges[-1], edges[0]], ordered from the top down.
+
+    ``edges`` descend; each gap is split into equal panels at most 1 wide,
+    carrying ``refine`` times the nodes of ``_panel_nodes``.  Also returns
+    the number of nodes above each edge after the first.
+    """
+    xs, ws, above = [], [], []
+    count = 0
+    for hi, lo in zip(edges[:-1], edges[1:]):
+        pieces = math.ceil(hi - lo)
+        width = (hi - lo) / pieces
+        nodes, weights = _gauss_legendre(refine * _panel_nodes(width))
+        for j in range(pieces):
+            xs.append(hi - j * width - 0.5 * width * (1.0 + nodes))
+            ws.append(0.5 * width * weights)
+        count += pieces * len(nodes)
+        above.append(count)
+    return np.concatenate(xs), np.concatenate(ws), np.array(above)
+
+
+def _cholesky_log_pivots(mat):
+    """Log pivots of the Cholesky factor of ``mat``, overwriting its lower half.
+
+    Right-looking and blocked, so that memory stays one matrix plus a panel
+    (``np.linalg.cholesky`` would hold three copies of it).  Raises
+    ``np.linalg.LinAlgError`` if ``mat`` is not positive definite.
+    """
+    n, block = len(mat), 256
+    logs = np.empty(n)
+    for i in range(0, n, block):
+        j = min(i + block, n)
+        pivots = np.linalg.cholesky(mat[i:j, i:j])
+        logs[i:j] = 2.0 * np.log(np.diag(pivots))
+        panel = np.linalg.solve(pivots, mat[j:, i:j].T)  # L_21^T
+        for c in range(0, n - j, block):
+            rest = panel[:, c:]
+            mat[j + c:, j + c:j + c + block] -= rest.T @ rest[:, :block]
+    return logs
+
+
+def _law_table(m, s, refine):
+    """det(1 - A_{2m+1}) on [s_j, infinity) for ascending distinct s.
+
+    The composite rule covers [s_0, s_max + refine L]; with its nodes
+    ordered from the top down, F(s_j) is the leading minor over the nodes
+    above s_j, so one Cholesky factor of I - W^1/2 A W^1/2 gives the whole
+    table (NodeCountInsufficient if it does not exist).  The products stay in
+    numpy's BLAS: interleaving them with scipy's, a second OpenBLAS thread
+    pool, doubled the CPU time of ``sample`` on two cores.
+    """
+    top = s[-1] + refine * FredholmConfig().cut_for(m)
+    x, w, above = _law_nodes(np.concatenate(([top], s[::-1])), refine)
+    factor = _kernel_factor(m, x)
+    factor *= np.sqrt(w)[:, None]
+    mat = factor @ factor.T
+    del factor
+    mat *= -1.0
+    mat.flat[::len(x) + 1] += 1.0
+    try:
+        logs = _cholesky_log_pivots(mat)
+    except np.linalg.LinAlgError as exc:
+        raise NodeCountInsufficient(
+            f"I - A not positive definite on {len(x)} nodes (m={m})") from exc
+    return np.exp(np.concatenate(([0.0], np.cumsum(logs)))[above[::-1]])
+
+
+def limiting_cdf(order, n_cuts, s):
+    """Edge law F_{2m+1}(s)^n of an n-cut sea at scalar or array s >= -12.
+
+    A scalar gives a float, an array a table of its shape.  Distinct s are
+    computed TABLE_POINTS at a time as one table, certified against a second
+    table with twice the nodes on every panel and twice the cut L: the two
+    must agree to TABLE_TOL (NodeCountInsufficient otherwise), and the finer
+    one is returned.  An s above the decay point of Ai_{2m+1} is computed
+    there, where 1 - F is below 1e-30.
+    """
+    m = _order(order)
     n = int(n_cuts)
     if n < 1:
         raise ValueError("n_cuts must be >= 1")
-    return fredholm_F(order, config, s, check=check) ** n
+    s_arr = np.asarray(s, dtype=float)
+    if not (s_arr.size and np.all(np.isfinite(s_arr)) and np.min(s_arr) >= -12.0):
+        raise ValueError("s must be finite and >= -12 (desk range)")
+    grid, inverse = np.unique(np.minimum(s_arr.ravel(), _decay_point(m)),
+                              return_inverse=True)
+    tables = []
+    for chunk in np.array_split(grid, math.ceil(grid.size / TABLE_POINTS)):
+        coarse, fine = _law_table(m, chunk, 1), _law_table(m, chunk, 2)
+        gap = float(np.max(np.abs(fine - coarse)))
+        if gap >= TABLE_TOL:
+            raise NodeCountInsufficient(
+                f"F_{2 * m + 1} table moved by {gap:.2e} under refinement")
+        tables.append(fine)
+    law = np.concatenate(tables)[inverse].reshape(s_arr.shape) ** n
+    return float(law) if law.ndim == 0 else law

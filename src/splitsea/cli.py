@@ -148,8 +148,8 @@ def _cmd_airy(args):
     lo, hi, step = _parse_range(args.s)
     step = step or 0.1
     ss = np.arange(lo, hi + 0.5 * step, step)
-    rows = [(float(s), airy_mod.limiting_cdf(args.m, args.power, float(s)))
-            for s in ss]
+    rows = list(zip(ss.tolist(),
+                    airy_mod.limiting_cdf(args.m, args.power, ss).tolist()))
     _csv_out(rows, ["s", "F"], args.out)
     return 0
 
@@ -165,12 +165,14 @@ def _cmd_cdf(args):
 
 def _cmd_converge(args):
     thetas = [float(t) for t in args.thetas.split(",")]
-    power = None if args.power == "auto" else int(args.power)
+    profile = edge_profile(HoppingCoefficients(args.gamma))
+    power = profile.n_cuts if args.power == "auto" else int(args.power)
     s_grid = np.linspace(-6.0, 4.0, 101)
+    limit = airy_mod.limiting_cdf(profile.principal.m, power, s_grid)
 
     def one(theta):
         return edge_mod.scaled_convergence_study(
-            args.gamma, [theta], s_grid=s_grid, n_cuts=power)[0]
+            args.gamma, [theta], s_grid=s_grid, n_cuts=power, limit=limit)[0]
 
     reports = _pool_map(one, thetas, resolved_threads(args))
     summary = {str(r["theta"]): r["sup_distance"] for r in reports}

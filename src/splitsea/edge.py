@@ -93,22 +93,25 @@ def fredholm_cdf_check(coeffs, ell, trace_tol=1e-12, max_window=512):
     minor of one Cholesky factor of I - K, whose pivots are <= 1 - K(k, k)
     <= 1.  Rows past a pivot <= 0 (roundoff deep below the edge) lie in
     [0, last minor] and are 0.0 when that minor is under ``trace_tol``.
+    P = 0 for ell < 0 because k_max >= -1/2; the window stops at site 1/2.
     """
     ells = np.atleast_1d(ell).astype(np.int64)
+    rows = np.maximum(ells, 0)
     band = coefficient_band(coeffs)
     w = 64
-    while w <= max_window and tail_trace(band, int(ells.max()) + w) >= trace_tol:
+    while w <= max_window and tail_trace(band, int(rows.max()) + w) >= trace_tol:
         w *= 2
     if w > max_window:
         raise WindowTooSmall(
             f"tail trace above ell+{max_window} still exceeds {trace_tol}")
-    top = int(ells.max()) + w
-    sites = top - 0.5 - np.arange(top - int(ells.min()))
+    top = int(rows.max()) + w
+    sites = top - 0.5 - np.arange(top - int(rows.min()))
     logdet = _log_minors(np.eye(len(sites)) - kernel_matrix(band, sites))
-    order = np.minimum(top - ells, len(logdet))
+    order = np.minimum(top - rows, len(logdet))
     if np.max(order) == len(logdet) and math.exp(logdet[-1]) >= trace_tol:
         raise NotPositiveDefinite(f"I - K pivot <= 0 at site {top - len(logdet) + 0.5}")
     p = np.exp(np.append(logdet, -np.inf)[order])  # uncertified rows: 0.0
+    p[ells < 0] = 0.0
     return float(p[0]) if np.ndim(ell) == 0 else p
 
 
@@ -132,13 +135,9 @@ class CdfTable:
     gammas: tuple
     rows: tuple          # (ell, P(k_max < ell)) pairs, nondecreasing in ell
     b: float
-    d: float
+    fluct_scale: float   # EdgeProfile.scale(theta)
     m: int
     n_cuts: int
-
-    @property
-    def fluct_scale(self):
-        return (self.d * self.theta) ** (1.0 / (2 * self.m + 1))
 
     def s_of_ell(self, ell):
         return (ell - self.b * self.theta) / self.fluct_scale
@@ -160,16 +159,20 @@ class CdfTable:
         return self.rows[ell_star - first_ell][1]
 
 
-def cdf_table(coeffs, ell_lo, ell_hi):
-    """Tabulate P(k_max < ell) for ell in [ell_lo, ell_hi] with scaling data."""
+def cdf_table(coeffs, ell_lo, ell_hi, profile=None):
+    """Tabulate P(k_max < ell) for ell in [ell_lo, ell_hi] with scaling data.
+
+    ``profile`` is ``edge_profile(coeffs)`` when the caller already has it.
+    """
     ells = np.arange(int(ell_lo), int(ell_hi) + 1)
     if not ells.size:
         raise ValueError(f"empty ell range {ell_lo}:{ell_hi}")
-    profile = edge_profile(coeffs)
-    mx = profile.principal
+    if profile is None:
+        profile = edge_profile(coeffs)
     rows = tuple(zip(ells.tolist(), exact_cdf(coeffs, ells).tolist()))
     return CdfTable(theta=coeffs.theta, gammas=coeffs.gammas, rows=rows,
-                    b=profile.b, d=mx.d, m=mx.m, n_cuts=profile.n_cuts)
+                    b=profile.b, fluct_scale=profile.scale(coeffs.theta),
+                    m=profile.principal.m, n_cuts=profile.n_cuts)
 
 
 def table_for_srange(coeffs, s_min=-6.0, s_max=4.0):
@@ -178,14 +181,17 @@ def table_for_srange(coeffs, s_min=-6.0, s_max=4.0):
     scale = profile.scale(coeffs.theta)
     ell_lo = math.floor(profile.b * coeffs.theta + s_min * scale) - 1
     ell_hi = math.ceil(profile.b * coeffs.theta + s_max * scale) + 1
-    return cdf_table(coeffs, ell_lo, ell_hi)
+    return cdf_table(coeffs, ell_lo, ell_hi, profile)
 
 
-def scaled_convergence_study(gammas, theta_list, s_grid=None, n_cuts=None):
+def scaled_convergence_study(gammas, theta_list, s_grid=None, n_cuts=None,
+                             limit=None):
     """Sup-distance between the scaled lattice CDF and its limiting edge law.
 
     Per-theta reports {theta, sup_distance, table, cdf, limit}, the last two
     on ``s_grid``; the limit law's power defaults to the sea's cut count.
+    ``limit`` is that law on ``s_grid`` when the caller already has it
+    (one ``limiting_cdf`` table otherwise).
     """
     if s_grid is None:
         s_grid = np.linspace(-6.0, 4.0, 101)
@@ -193,7 +199,7 @@ def scaled_convergence_study(gammas, theta_list, s_grid=None, n_cuts=None):
     profile = edge_profile(HoppingCoefficients(gammas))
     mx = profile.principal
     power = int(n_cuts) if n_cuts is not None else profile.n_cuts
-    limit_vals = np.array([limiting_cdf(mx.m, power, s) for s in s_grid])
+    limit_vals = limiting_cdf(mx.m, power, s_grid) if limit is None else limit
 
     reports = []
     for theta in theta_list:

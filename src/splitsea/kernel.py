@@ -43,12 +43,6 @@ class CoefficientBand:
     half_width: int
     coeffs: np.ndarray  # J_{-N..N}, index n stored at n + N
 
-    def __getitem__(self, n):
-        n = int(n)
-        if abs(n) > self.half_width:
-            return 0.0
-        return float(self.coeffs[n + self.half_width])
-
 
 def _fourier_band(log_fn, width_hint, what):
     """Real Fourier coefficients of exp(log_fn(phi)) with tail checks.

@@ -178,7 +178,7 @@ def empirical_edge_law(coeffs, n_samples, seed):
     profile = edge_profile(coeffs)
     s_vals = (ordered - profile.b * coeffs.theta) / profile.scale(coeffs.theta)
     s_grid = np.linspace(-6.0, 4.0, 201)
-    limit = [limiting_cdf(profile.principal.m, profile.n_cuts, s) for s in s_grid]
+    limit = limiting_cdf(profile.principal.m, profile.n_cuts, s_grid)
     ks_limit = float(np.max(np.abs(np.searchsorted(s_vals, s_grid) / n_samples
                                    - limit)))
     return EdgeLawReport(k_max=kmax, ks_exact=ks_exact, ks_limit=ks_limit,

@@ -178,17 +178,6 @@ def brute_cdf_first_part(coeffs, ell, size_cap):
                if not lam or lam[0] <= ell)
 
 
-def occupied_sites(parts, max_index=None):
-    """Half-integer sites {lambda_i - i + 1/2} down to index max_index."""
-    parts = tuple(parts)
-    n = max_index if max_index is not None else len(parts) + 1
-    out = []
-    for i in range(1, n + 1):
-        lam_i = parts[i - 1] if i <= len(parts) else 0
-        out.append(lam_i - i + 0.5)
-    return out
-
-
 def site_occupied(parts, site):
     """Whether half-integer ``site`` is occupied by the configuration of lambda."""
     if abs(2 * site - round(2 * site)) > 1e-9 or round(2 * site) % 2 == 0:

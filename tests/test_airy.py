@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splitsea.airy import (AiryOrder, FredholmConfig, airy_fn, airy_kernel,
                            airy_kernel_matrix, airy_values, fredholm_F,
                            limiting_cdf)
 from splitsea import airy as airy_mod
-from splitsea.airy import (_airy_spline, _fredholm_once, _gauss_legendre,
+from splitsea.airy import (_airy_cached, _fredholm_once, _gauss_legendre,
                            _v_quadrature)
 from splitsea.errors import NoConvergence, NodeCountInsufficient
 from conftest import airy_series
@@ -22,14 +24,14 @@ def test_classical_airy_against_series():
 
 
 def test_airy_values_and_spline_against_scipy():
-    # independent oracle on the whole spline domain; the spline's docstring
-    # claims an interpolation error below 1e-10
+    # independent oracle on the whole domain of the Chebyshev cache, which
+    # must stay within 1e-10 of it
     from scipy.special import airy
 
     xs = np.linspace(-14.5, 52.0, 1331)
     assert np.max(np.abs(airy_values(1, xs) - airy(xs)[0])) < 1e-10
     fine = np.linspace(-14.5, 52.0, 66501)
-    assert np.max(np.abs(_airy_spline(1)(fine) - airy(fine)[0])) < 1e-10
+    assert np.max(np.abs(_airy_cached(1, fine) - airy(fine)[0])) < 1e-10
     assert airy_values(1, 0.5).shape == ()
     assert airy_fn(1, 0.5) == float(airy_values(1, 0.5))
 
@@ -173,6 +175,61 @@ def test_limiting_cdf_powers():
     assert limiting_cdf(1, 3, 8.0) == pytest.approx(1.0, abs=1e-7)
     with pytest.raises(ValueError):
         limiting_cdf(1, 0, 0.0)
+
+
+@settings(max_examples=12, deadline=None)
+@given(m=st.sampled_from([1, 2]), n=st.integers(1, 3),
+       grid=st.lists(st.floats(-8.0, 6.0), min_size=1, max_size=6, unique=True))
+def test_limit_table_matches_per_point_fredholm(m, n, grid):
+    # one certified table against the independent per-point oracle, each
+    # value from node doubling on a single [s, s + L] panel
+    s = np.sort(np.array(grid))
+    table = limiting_cdf(m, n, s)
+    ref = np.array([fredholm_F(m, None, float(v), check=True) ** n for v in s])
+    assert table.shape == s.shape
+    assert np.max(np.abs(table - ref)) < 1e-12
+
+
+def test_limit_table_scalar_and_array_forms_agree():
+    grid = np.linspace(-6.0, 4.0, 101)
+    table = limiting_cdf(1, 2, grid)
+    assert isinstance(limiting_cdf(1, 2, -4.0), float)
+    for i in (0, 20, 47, 100):
+        assert abs(limiting_cdf(1, 2, float(grid[i])) - table[i]) < 1e-13
+    # any shape, repeated and unsorted values, and the saturated right tail
+    s = np.array([[0.5, -1.0], [0.5, 60.0]])
+    got = limiting_cdf(1, 1, s)
+    assert got.shape == (2, 2) and got[0, 0] == got[1, 0] and got[1, 1] == 1.0
+    assert got[0, 1] == pytest.approx(limiting_cdf(1, 1, -1.0), abs=1e-13)
+    for bad in (-12.5, float("nan"), [0.0, float("inf")], []):
+        with pytest.raises(ValueError):
+            limiting_cdf(1, 1, bad)
+
+
+def test_m2_table_uses_the_certifying_cut():
+    # L = 10 is 1.6e-8 off at s = -4; the table and the oracle share L = 20
+    assert FredholmConfig().cut_for(2) == 20.0
+    for s in (-4.3, -4.0):
+        coarse_cut = _fredholm_once(2, s, 10.0, 128)
+        assert abs(limiting_cdf(2, 1, s) - coarse_cut) > 1e-8
+        assert limiting_cdf(2, 1, s) == pytest.approx(fredholm_F(2, None, s),
+                                                      abs=1e-12)
+
+
+def test_limit_table_makes_two_kernel_assemblies(monkeypatch):
+    calls = []
+    factor = airy_mod._kernel_factor
+    monkeypatch.setattr(airy_mod, "_kernel_factor",
+                        lambda m, xs: calls.append(len(xs)) or factor(m, xs))
+    limiting_cdf(1, 2, np.linspace(-6.0, 4.0, 201))
+    assert len(calls) == 2  # the table and its refinement
+
+
+def test_limit_table_refuses_an_uncertified_table(monkeypatch):
+    # one node per panel leaves the coarse table far from the refined one
+    monkeypatch.setattr(airy_mod, "_panel_nodes", lambda width: 1)
+    with pytest.raises(NodeCountInsufficient, match="moved by"):
+        limiting_cdf(1, 1, np.linspace(-3.0, 2.0, 11))
 
 
 def test_gauss_legendre_cache_is_exact_and_read_only():

@@ -149,6 +149,28 @@ def test_airy_grid(capsys):
     assert vals == sorted(vals)
 
 
+@pytest.mark.parametrize("argv", [
+    ("converge", "--gamma", "1,-0.3333333333", "--thetas", "10,12",
+     "--threads", "2"),
+    ("sample", "--gamma", "1,-0.3333333333", "--theta", "4.0", "-n", "20"),
+    ("airy", "--m", "1", "--power", "2", "--s", "-6:4:0.1"),
+])
+def test_each_command_computes_one_limit_table(monkeypatch, capsys, argv):
+    import splitsea.airy as airy_mod
+
+    calls = []
+    table = airy_mod.limiting_cdf
+
+    def counted(*args):
+        calls.append(args)
+        return table(*args)
+
+    for module in ("splitsea.airy", "splitsea.edge", "splitsea.sampler"):
+        monkeypatch.setattr(f"{module}.limiting_cdf", counted)
+    assert run(capsys, *argv)[0] == 0
+    assert len(calls) == 1 and np.ndim(calls[0][2]) == 1
+
+
 def test_cdf_command(capsys):
     code, out, _ = run(capsys, "cdf", "--gamma", "1,-0.3333333333",
                        "--theta", "2.0", "--ell-range", "1:8")

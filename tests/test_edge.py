@@ -152,6 +152,16 @@ def test_toeplitz_rows_at_and_below_zero():
                                   abs=1e-12)
 
 
+def test_fredholm_rows_below_zero_match_toeplitz():
+    # the pivot of I - K at site -1/2 is exactly 0 at small coupling; rows
+    # below ell = 0 are 0 (k_max >= -1/2) and the window stops at site 1/2
+    c = HoppingCoefficients((1.0, -1.0 / 3.0), theta=2.0)
+    ells = np.arange(-2, 5)
+    p = fredholm_cdf_check(c, ells)
+    assert p[0] == p[1] == fredholm_cdf_check(c, -1) == 0.0
+    assert np.max(np.abs(p - toeplitz_cdf(c, ells))) < 1e-11
+
+
 def test_cdf_at_raises_outside_the_rows():
     c = HoppingCoefficients((1.0, -1.0 / 3.0), theta=2.0)
     table = cdf_table(c, 3, 8)

@@ -21,7 +21,7 @@ def test_band_is_bessel_for_nearest_neighbour():
     band = coefficient_band(HoppingCoefficients((1.0,), theta=1.0))
     for n in range(-10, 11):
         want = bessel_j(n, 2.0) * ((-1.0) ** n if n < 0 else 1.0)
-        assert band[n] == pytest.approx(want, abs=1e-13)
+        assert band.coeffs[n + band.half_width] == pytest.approx(want, abs=1e-13)
 
 
 def test_band_parseval_and_degenerate_coupling():
@@ -29,8 +29,8 @@ def test_band_parseval_and_degenerate_coupling():
         band = coefficient_band(HoppingCoefficients(gammas, theta=theta))
         assert float(np.dot(band.coeffs, band.coeffs)) == pytest.approx(1.0, abs=1e-12)
     band0 = coefficient_band(HoppingCoefficients((1.0,), theta=0.0))
-    assert band0[0] == pytest.approx(1.0)
-    assert band0[1] == pytest.approx(0.0, abs=1e-15)
+    assert band0.coeffs[band0.half_width] == pytest.approx(1.0)
+    assert band0.coeffs[band0.half_width + 1] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_kernel_domain_wall_limits():
