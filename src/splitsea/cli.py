@@ -165,6 +165,8 @@ def _cmd_cdf(args):
 
 def _cmd_converge(args):
     thetas = [float(t) for t in args.thetas.split(",")]
+    for theta in thetas:
+        HoppingCoefficients(args.gamma, theta=theta).require_theta()
     profile = edge_profile(HoppingCoefficients(args.gamma))
     power = profile.n_cuts if args.power == "auto" else int(args.power)
     s_grid = np.linspace(-6.0, 4.0, 101)
@@ -194,6 +196,7 @@ def _cmd_converge(args):
 
 def _cmd_sample(args):
     coeffs = HoppingCoefficients(args.gamma, theta=args.theta)
+    coeffs.require_theta()
     scale = edge_profile(coeffs).scale(coeffs.theta)
     report = sampler_mod.empirical_edge_law(coeffs, args.n, args.seed)
     if args.out:

@@ -11,6 +11,12 @@ In the supercritical regime ell/theta = x >= max D, the limiting eigenvalue
 density is rho(alpha) = (1 - D(alpha - pi)/x) / (2 pi); it touches zero at
 alpha = pi +- chi_b for each maximizer chi_b of D when x = max D, one zero
 pair per cut of the sea at the edge.
+
+``metropolis_chain`` moves one angle at a time.  A proposal costs O(ell)
+and allocates nothing: the chain caches the pair log-sines
+log|sin((alpha_j - alpha_k)/2)| as a symmetric matrix with a zero diagonal,
+always those of the current angles, and an accepted move rewrites one row
+and one column of it.
 """
 
 from __future__ import annotations
@@ -93,23 +99,55 @@ class ChainResult:
     proposal_sigma: float
 
 
-def _site_log_weight_delta(gammas, theta, angles, j, new_angle):
-    """Change of the log weight when angle j moves (O(ell) update)."""
-    old = angles[j]
-    delta = 0.0
-    # scalar math.cos, not log_symbol: this runs once per Metropolis proposal,
-    # where numpy's per-call overhead on scalars would dominate the update
-    for r, g in enumerate(gammas, start=1):
-        delta += -2.0 * theta * (-1.0) ** r * g * (math.cos(r * new_angle)
-                                                   - math.cos(r * old))
-    others = np.delete(angles, j)
-    if len(others):
-        new_s = np.abs(np.sin(0.5 * (new_angle - others)))
-        old_s = np.abs(np.sin(0.5 * (old - others)))
-        if np.any(new_s == 0.0):
-            return -np.inf
-        delta += 2.0 * float(np.sum(np.log(new_s) - np.log(old_s)))
-    return delta
+class _PairLogSines:
+    """Metropolis state: the angles and a cache of their pair log-sines.
+
+    Keeps the half-angles h = alpha/2 and the symmetric ell x ell matrix
+    ``pair[j, k] = log|sin(h_j - h_k)|`` with a zero diagonal, so that the
+    change of the log weight when angle j moves costs O(ell): one buffer of
+    new log-sines against row j.  ``accept`` rewrites row and column j, also
+    O(ell); no cached row sums, which would cost O(ell^2) per accepted move.
+    ``delta`` writes log(0) = -inf for a proposal on top of another angle,
+    so callers silence numpy's divide warning around it.
+    """
+
+    def __init__(self, coeffs, angles):
+        self.angles = angles
+        self.half = 0.5 * angles
+        # potential coefficients 2 theta (-1)^(r-1) gamma_r of cos(r alpha)
+        self.coef = tuple(2.0 * coeffs.theta * (-1.0) ** (r - 1) * g
+                          for r, g in enumerate(coeffs.gammas, start=1))
+        with np.errstate(divide="ignore"):
+            self.pair = np.log(np.abs(np.sin(
+                self.half[:, None] - self.half[None, :])))
+        np.fill_diagonal(self.pair, 0.0)
+        self.rows = list(self.pair)     # row views, built once
+        self.buf = np.empty_like(angles)
+
+    def delta(self, j, new_angle):
+        """Change of the log weight when angle j moves to ``new_angle``."""
+        old = self.angles[j]
+        delta = 0.0
+        # scalar math.cos: numpy's per-call overhead on scalars would
+        # dominate this once-per-proposal term
+        for r, c in enumerate(self.coef, start=1):
+            delta += c * (math.cos(r * new_angle) - math.cos(r * old))
+        if len(self.rows) > 1:
+            buf = self.buf
+            np.subtract(0.5 * new_angle, self.half, out=buf)
+            np.sin(buf, out=buf)
+            np.abs(buf, out=buf)
+            buf[j] = 1.0
+            np.log(buf, out=buf)
+            delta += 2.0 * (buf.sum() - self.rows[j].sum())
+        return delta
+
+    def accept(self, j, new_angle):
+        """Move angle j; ``delta(j, new_angle)`` must be the last call."""
+        self.angles[j] = new_angle
+        self.half[j] = 0.5 * new_angle
+        self.pair[j] = self.buf
+        self.pair[:, j] = self.buf
 
 
 def metropolis_chain(gammas, theta, ell, sweeps, seed, keep_every=1):
@@ -118,39 +156,52 @@ def metropolis_chain(gammas, theta, ell, sweeps, seed, keep_every=1):
     Proposals are Gaussian steps wrapped to [-pi, pi]; the step size is tuned
     during the first 20% of sweeps towards a 20-50% acceptance rate, then
     frozen.  Returns the post-burn-in samples (every ``keep_every`` sweeps).
+
+    A proposal costs O(ell) and allocates nothing: its pair term is read off
+    a cached matrix of pair log-sines (``_PairLogSines``), which an accepted
+    move updates in O(ell).  Samples, acceptance rate and step size are
+    bit-for-bit those of a direct recomputation of every pair term.
     """
-    gam = HoppingCoefficients(gammas).gammas
-    ell = int(ell)
+    coeffs = HoppingCoefficients(gammas, theta=theta)
+    coeffs.require_theta()
+    ell, sweeps = int(ell), int(sweeps)
+    if ell < 1:
+        raise ValueError(f"ell must be a positive integer; got {ell}")
+    burn = max(1, int(0.2 * sweeps))
+    if sweeps <= burn:
+        raise ValueError(f"sweeps={sweeps} keeps no sample after the "
+                         f"{burn}-sweep burn-in; use at least 2")
     rng = np.random.Generator(np.random.Philox(key=[int(seed), 0]))
     angles = rng.uniform(-math.pi, math.pi, size=ell)
+    state = _PairLogSines(coeffs, angles)
     sigma = 0.5
-    burn = max(1, int(0.2 * sweeps))
     accepted = proposed = 0
     tune_acc = tune_prop = 0
     samples = []
-    for sweep in range(int(sweeps)):
-        for j in range(ell):
-            new_angle = angles[j] + sigma * rng.normal()
-            new_angle = math.remainder(new_angle, 2.0 * math.pi)
-            delta = _site_log_weight_delta(gam, theta, angles, j, new_angle)
-            take = delta >= 0.0 or rng.random() < math.exp(max(delta, -700.0))
-            proposed += 1
-            tune_prop += 1
-            if take:
-                angles[j] = new_angle
-                accepted += 1
-                tune_acc += 1
-        if sweep < burn:
-            if tune_prop >= 50 * ell:
-                rate = tune_acc / tune_prop
-                if rate < 0.20:
-                    sigma *= 0.7
-                elif rate > 0.50:
-                    sigma *= 1.4
-                tune_acc = tune_prop = 0
-            continue
-        if (sweep - burn) % keep_every == 0:
-            samples.append(EigenSample(angles=np.sort(angles)))
+    with np.errstate(divide="ignore"):
+        for sweep in range(sweeps):
+            for j in range(ell):
+                new_angle = angles[j] + sigma * rng.normal()
+                new_angle = math.remainder(new_angle, 2.0 * math.pi)
+                delta = state.delta(j, new_angle)
+                take = delta >= 0.0 or rng.random() < math.exp(max(delta, -700.0))
+                proposed += 1
+                tune_prop += 1
+                if take:
+                    state.accept(j, new_angle)
+                    accepted += 1
+                    tune_acc += 1
+            if sweep < burn:
+                if tune_prop >= 50 * ell:
+                    rate = tune_acc / tune_prop
+                    if rate < 0.20:
+                        sigma *= 0.7
+                    elif rate > 0.50:
+                        sigma *= 1.4
+                    tune_acc = tune_prop = 0
+                continue
+            if (sweep - burn) % keep_every == 0:
+                samples.append(EigenSample(angles=np.sort(angles)))
     return ChainResult(samples=samples,
                        acceptance_rate=accepted / max(proposed, 1),
                        proposal_sigma=sigma)

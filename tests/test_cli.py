@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -223,6 +225,47 @@ def test_unitary_mc_command(capsys):
     report = json.loads(out)
     assert {"acceptance_rate", "dip_ratio", "proposal_sigma"} <= set(report)
     assert 0.0 < report["acceptance_rate"] < 1.0
+
+
+MC = ("unitary-mc", "--gamma", "1,-0.3333333333")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (MC + ("--theta", "nan", "--ell", "4"), "theta must be a nonnegative real"),
+    (MC + ("--theta", "inf", "--ell", "4"), "theta must be a nonnegative real"),
+    (MC + ("--theta", "-1", "--ell", "4"), "theta must be a nonnegative real"),
+    (MC + ("--theta", "5", "--ell", "0"), "ell must be a positive integer"),
+    (MC + ("--theta", "5", "--ell", "4", "--sweeps", "0"), "keeps no sample"),
+    (MC + ("--theta", "5", "--ell", "4", "--sweeps", "1"), "keeps no sample"),
+    (MC + ("--theta", "5", "--ell", "4", "--sweeps", "-5"), "keeps no sample"),
+    (("sample", "--gamma", "1,-0.3333333333", "--theta", "nan", "-n", "3"),
+     "theta must be a nonnegative real"),
+    (("converge", "--gamma", "1,-0.3333333333", "--thetas", "nan"),
+     "theta must be a nonnegative real"),
+    (("converge", "--gamma", "1,-0.3333333333", "--thetas", "10,-3"),
+     "theta must be a nonnegative real"),
+])
+def test_bad_coupling_or_chain_length_is_config_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("config error") and message in err
+
+
+def test_unitary_mc_two_sweeps_keep_one_sample(capsys):
+    code, out, _ = run(capsys, *MC, "--theta", "5", "--ell", "3",
+                       "--sweeps", "2", "--seed", "1")
+    assert code == 0 and "acceptance_rate" in json.loads(out)
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [os.path.abspath(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "splitsea", "analyze",
+                           "--gamma", "1,-0.3333333333"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["n_cuts"] == 2
 
 
 def test_figures_command(tmp_path, capsys):

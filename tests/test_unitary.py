@@ -1,19 +1,110 @@
 """Unitary matrix model: densities, partition identities, Metropolis chain."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats
 
+import splitsea.unitary as unitary_mod
 from splitsea.errors import CoincidentAngles, SubcriticalPhase
 from splitsea.potential import HoppingCoefficients, edge_profile, global_extrema
-from splitsea.unitary import (angle_histogram, density_support_cuts,
+from splitsea.unitary import (ChainResult, EigenSample, angle_histogram,
+                              density_support_cuts,
                               eigen_density_supercritical, log_joint_density,
                               metropolis_chain, partition_function_quadrature,
                               partition_function_toeplitz)
 from conftest import bessel_i
 
 FOUR_MODELS = [(1.0, 1.0 / 3.0), (1.0, 0.1), (1.0, -0.125), (1.0, -1.0 / 3.0)]
+TWO_CUT = (1.0, -1.0 / 3.0)
+
+
+def _reference_site_delta(gammas, theta, angles, j, new_angle):
+    """Log-weight change of one move, every pair term recomputed."""
+    old = angles[j]
+    delta = 0.0
+    for r, g in enumerate(gammas, start=1):
+        delta += -2.0 * theta * (-1.0) ** r * g * (math.cos(r * new_angle)
+                                                   - math.cos(r * old))
+    others = np.delete(angles, j)
+    if len(others):
+        new_s = np.abs(np.sin(0.5 * (new_angle - others)))
+        old_s = np.abs(np.sin(0.5 * (old - others)))
+        if np.any(new_s == 0.0):
+            return -np.inf
+        delta += 2.0 * float(np.sum(np.log(new_s) - np.log(old_s)))
+    return delta
+
+
+def _reference_chain(gammas, theta, ell, sweeps, seed, keep_every=1):
+    """The chain with a from-scratch pair term per proposal (O(ell) copies)."""
+    gam = HoppingCoefficients(gammas).gammas
+    rng = np.random.Generator(np.random.Philox(key=[int(seed), 0]))
+    angles = rng.uniform(-math.pi, math.pi, size=ell)
+    sigma = 0.5
+    burn = max(1, int(0.2 * sweeps))
+    accepted = proposed = 0
+    tune_acc = tune_prop = 0
+    samples = []
+    for sweep in range(sweeps):
+        for j in range(ell):
+            new_angle = angles[j] + sigma * rng.normal()
+            new_angle = math.remainder(new_angle, 2.0 * math.pi)
+            delta = _reference_site_delta(gam, theta, angles, j, new_angle)
+            take = delta >= 0.0 or rng.random() < math.exp(max(delta, -700.0))
+            proposed += 1
+            tune_prop += 1
+            if take:
+                angles[j] = new_angle
+                accepted += 1
+                tune_acc += 1
+        if sweep < burn:
+            if tune_prop >= 50 * ell:
+                rate = tune_acc / tune_prop
+                if rate < 0.20:
+                    sigma *= 0.7
+                elif rate > 0.50:
+                    sigma *= 1.4
+                tune_acc = tune_prop = 0
+            continue
+        if (sweep - burn) % keep_every == 0:
+            samples.append(EigenSample(angles=np.sort(angles)))
+    return ChainResult(samples=samples, acceptance_rate=accepted / proposed,
+                       proposal_sigma=sigma)
+
+
+def _pair_log_sines(angles):
+    """Fresh log|sin((a_j - a_k)/2)| matrix with a zero diagonal."""
+    diff = np.subtract.outer(angles, angles)
+    np.fill_diagonal(diff, math.pi)
+    return np.log(np.abs(np.sin(0.5 * diff)))
+
+
+def _arnoldi_density(gammas, theta, ell, n=2048):
+    """Exact one-point density rho_ell of the ell-angle law on an n-point grid.
+
+    The law is a projection DPP on the circle whose range is spanned by
+    sqrt(w) z^k, k < ell.  Arnoldi on Z = diag(e^{i phi}) from sqrt(w), with
+    two Gram-Schmidt passes, gives its orthonormal frame Q on the grid, and
+    rho_ell(phi_i) = sum_j |Q_ij|^2 n / (2 pi ell).
+    """
+    phi = -math.pi + 2.0 * math.pi * np.arange(n) / n
+    log_w = sum(2.0 * theta * (-1.0) ** (r - 1) * g * np.cos(r * phi)
+                for r, g in enumerate(gammas, start=1))
+    z = np.exp(1j * phi)
+    frame = np.empty((n, ell), dtype=complex)
+    v = np.sqrt(np.exp(log_w - np.max(log_w))).astype(complex)
+    for k in range(ell):
+        if k:
+            v = z * frame[:, k - 1]
+            for _ in range(2):
+                v -= frame[:, :k] @ (frame[:, :k].conj().T @ v)
+        frame[:, k] = v / np.linalg.norm(v)
+    return phi, np.sum(np.abs(frame) ** 2, axis=1) * n / (2.0 * math.pi * ell)
 
 
 def test_density_normalisation_and_uniform_limit():
@@ -156,3 +247,117 @@ def test_metropolis_two_cut_dips():
     dip = hist[np.argmin(np.abs(centers - (math.pi - chi_b)))]
     mid = hist[np.argmin(np.abs(centers))]
     assert dip < 0.5 * mid
+
+
+@pytest.mark.parametrize("ell,theta,seed,sweeps", [
+    (1, 0.8, 11, 1000), (2, 3.0, 4, 1000), (24, 24.0 / 2.2, 5, 300)])
+def test_metropolis_chain_matches_reference(ell, theta, seed, sweeps):
+    # the cached pair log-sines change no accept decision and no RNG draw
+    got = metropolis_chain(TWO_CUT, theta, ell, sweeps, seed)
+    want = _reference_chain(TWO_CUT, theta, ell, sweeps, seed)
+    assert len(got.samples) == len(want.samples)
+    assert all(np.array_equal(a.angles, b.angles)
+               for a, b in zip(got.samples, want.samples))
+    assert got.acceptance_rate == want.acceptance_rate
+    assert got.proposal_sigma == want.proposal_sigma
+
+
+@settings(max_examples=30, deadline=None)
+@given(ell=st.sampled_from([1, 2, 3, 24]), g2=st.floats(-0.45, 0.45),
+       theta=st.floats(0.0, 12.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_pair_cache_tracks_moves(ell, g2, theta, seed):
+    gam = (1.0, g2)
+    rng = np.random.default_rng(seed)
+    angles = rng.uniform(-math.pi, math.pi, size=ell)
+    state = unitary_mod._PairLogSines(HoppingCoefficients(gam, theta=theta),
+                                      angles.copy())
+    for _ in range(40):
+        j = int(rng.integers(ell))
+        new_angle = float(rng.uniform(-math.pi, math.pi))
+        moved = angles.copy()
+        moved[j] = new_angle
+        delta = state.delta(j, new_angle)
+        want = (log_joint_density(gam, theta, moved)
+                - log_joint_density(gam, theta, angles))
+        assert abs(delta - want) <= 1e-10 * (1.0 + abs(want))
+        if rng.random() < 0.5:      # rejected proposals must leave no trace
+            state.accept(j, new_angle)
+            angles = moved
+    assert np.array_equal(state.angles, angles)
+    assert np.max(np.abs(state.pair - _pair_log_sines(angles))) <= 1e-12
+
+
+def test_coincident_proposal_is_rejected_without_warning(monkeypatch):
+    # scripted draws: angles (0, 1) and a first step of exactly 0.5 * 2.0 = 1,
+    # which lands angle 0 on angle 1
+    draws, deltas = [], []
+
+    class Scripted:
+        def __init__(self, bit_generator):
+            pass
+
+        def uniform(self, lo, hi, size):
+            draws.append("uniform")
+            return np.array([0.0, 1.0])
+
+        def normal(self):
+            draws.append("normal")
+            return 2.0
+
+        def random(self):
+            draws.append("random")
+            return 0.5
+
+    delta = unitary_mod._PairLogSines.delta
+
+    def spy(self, j, new_angle):
+        deltas.append(delta(self, j, new_angle))
+        return deltas[-1]
+
+    monkeypatch.setattr(np.random, "Generator", Scripted)
+    monkeypatch.setattr(unitary_mod._PairLogSines, "delta", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = metropolis_chain(TWO_CUT, 1.0, 2, 2, seed=0)
+    assert deltas[0] == -math.inf
+    assert draws[:3] == ["uniform", "normal", "random"]
+    assert res.samples[0].angles[0] == 0.0  # not moved by the first proposal
+
+
+def test_arnoldi_density_small_ell_against_quadrature():
+    # ell = 1: rho = w / int w; ell = 2: the pair law's marginal by direct
+    # periodic quadrature, w(a) int w(b) |e^{ia} - e^{ib}|^2 db, normalised
+    gam, theta, n = TWO_CUT, 0.9, 256
+    phi, rho1 = _arnoldi_density(gam, theta, 1, n)
+    w = np.exp(2.0 * theta * (np.cos(phi) - gam[1] * np.cos(2.0 * phi)))
+    h = 2.0 * math.pi / n
+    assert np.max(np.abs(rho1 - w / (np.sum(w) * h))) < 1e-12
+    _, rho2 = _arnoldi_density(gam, theta, 2, n)
+    marginal = w * ((2.0 - 2.0 * np.cos(np.subtract.outer(phi, phi))) @ w)
+    assert np.max(np.abs(rho2 - marginal / (np.sum(marginal) * h))) < 1e-12
+
+
+def test_metropolis_one_point_law_matches_arnoldi_oracle():
+    # criterion 10's chain against the exact finite-ell one-point density,
+    # bin by bin, with batch-means standard errors at a Bonferroni level
+    ell, theta, n_bins, n_batches = 24, 24.0 / 2.2, 48, 32
+    family_level = 1e-3  # chance that a correct chain fails any of the bins
+    phi, rho = _arnoldi_density(TWO_CUT, theta, ell)
+    h = 2.0 * math.pi / len(phi)
+    assert float(np.sum(rho) * h) == pytest.approx(1.0, abs=1e-12)
+    # bin means of rho from its periodic trapezoid CDF
+    grid = np.append(phi, math.pi)
+    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (rho + np.roll(rho, -1)) * h)])
+    edges = np.linspace(-math.pi, math.pi, n_bins + 1)
+    exact = np.diff(np.interp(edges, grid, cdf)) / np.diff(edges)
+
+    res = metropolis_chain(TWO_CUT, theta, ell, 12000, seed=5)
+    batches = np.array_split(np.arange(len(res.samples)), n_batches)
+    assert len({len(b) for b in batches}) == 1
+    hists = np.array([angle_histogram([res.samples[i] for i in b],
+                                      bins=n_bins)[0] for b in batches])
+    mean = hists.mean(axis=0)
+    se = hists.std(axis=0, ddof=1) / math.sqrt(n_batches)
+    z_max = stats.t.ppf(1.0 - family_level / (2.0 * n_bins), n_batches - 1)
+    z = np.abs(mean - exact) / se
+    assert np.all(z < z_max), (float(np.max(z)), float(z_max))
