@@ -23,12 +23,15 @@ takes scalars too); ``airy_fn`` is its guarded public scalar form, and
 of [-14.5, 52] (1139 contour points) for the kernel assembly.
 
 Contour choice: along the vertical line Re z = sigma the integrand decays
-like exp(-sigma t^{2m}); the linear term contributes a cancellation bump of
-exp(|x| sigma) for x < 0, so sigma = 1 is kept there (larger sigma only
-inflates it), while for m = 1 and x > 1 the line moves towards the saddle
-abscissa sqrt(x) - the saddle's descent direction is vertical - which removes
-the cancellation on the decaying side.  Arguments sharing ceil(sqrt(x)) share
-that line as sigma, which keeps the off-saddle bump below e.
+like exp(-sigma t^{2m}); for x < 0 the linear term adds a bump of
+exp(|x| sigma) that the integral cancels, so its roundoff grows with
+|x| sigma (at sigma = 1 and m = 3, 1e-7 near x = -14).  For x < -2 the line
+therefore sits at sigma = 2/ceil(|x|), which bounds the bump by about e^2 at
+the price of a slower decay and a longer line; sigma = 1 is kept on [-2, 1].
+For m = 1 and x > 1 the line moves towards the saddle abscissa sqrt(x) - the
+saddle's descent direction is vertical - which removes the cancellation on
+the decaying side.  Arguments sharing ceil(sqrt(x)) share that line as
+sigma, which keeps the off-saddle bump below e.
 
 Fredholm determinants use a Nystrom discretisation with Gauss-Legendre nodes;
 the kernel matrix is assembled as a Gram matrix B B^T over a v-quadrature,
@@ -36,10 +39,13 @@ which keeps it symmetric positive semi-definite by construction.
 ``limiting_cdf`` computes F on a whole s-grid as one table: composite panels
 whose edges are the grid points, plus the tail [s_max, s_max + L] in unit
 panels, with the nodes ordered from the top down so that every F(s_j) is a
-leading minor of one Cholesky factor of I - W^1/2 A W^1/2.  A second table
-with twice the nodes on every panel and twice L certifies it to TABLE_TOL,
-and the finer one is returned.  ``fredholm_F`` (one panel on [s, s + L],
-node doubling) stays as the independent per-point oracle.
+leading minor of I - W^1/2 A W^1/2.  That kernel has low numerical rank
+(Bornemann 2010): in the r leading eigenvectors of the weighted factor's
+V x V Gram (r from 8 to 75 against up to 1300 nodes) each minor is the
+determinant of one r x r matrix, with the dropped trace bounding the error.
+A second table with twice the nodes on every panel and twice L certifies it
+to TABLE_TOL, and the finer one is returned.  ``fredholm_F`` (one panel on
+[s, s + L], node doubling) stays as the independent per-point oracle.
 """
 
 from __future__ import annotations
@@ -57,7 +63,9 @@ INTEGRAND_FLOOR = 1e-18      # tail magnitude required at the truncation point
 KERNEL_FACTOR_FLOOR = 1e-16  # Ai factor size ending the v-integration
 AIRY_NODE_BUDGET = 65536     # most trapezoid nodes one contour batch may use
 TABLE_TOL = 1e-8             # certification tolerance of the F_{2m+1} laws
-TABLE_POINTS = 256           # most s values per table: bounds its N x N matrix
+TABLE_POINTS = 256           # most s values per table: bounds its N x V factor
+RANK_RTOL = 1e-17            # kept eigenvalues of the table's Gram, relative
+RANK_DROP_TOL = 1e-12        # most kernel trace the compressed table may drop
 _MAX_ARG = 40.0        # public argument guard
 _SCAN_MAX = 80.0       # internal decay scans may go further
 
@@ -140,6 +148,8 @@ def airy_values(m, xs):
     flat = xs.ravel()
     sigmas = (np.ceil(np.sqrt(np.maximum(flat, 1.0))) if m == 1
               else np.ones_like(flat))
+    left = flat < -2.0
+    sigmas[left] = 2.0 / np.ceil(-flat[left])
     res = np.empty(flat.shape)
     for sigma in np.unique(sigmas):
         idx = sigmas == sigma
@@ -226,34 +236,34 @@ def _gauss_legendre(n):
 
 
 @lru_cache(maxsize=64)
-def _v_quadrature(m, x_floor, n_per_panel=24):
-    """Composite Gauss-Legendre rule on [0, V] for the kernel's v-integral.
+def _v_quadrature(panels, n_per_panel=24):
+    """Composite Gauss-Legendre rule on [0, 2 panels] for the v-integral.
 
-    V is chosen so both Airy factors are below KERNEL_FACTOR_FLOOR at the
-    truncation point for every argument >= x_floor.
+    The panels are 2 wide from v = 0, so a rule with fewer panels is a
+    prefix of one with more.
     """
-    v_top = max(_decay_point(m) - x_floor, 1.0)
     nodes_ref, weights_ref = _gauss_legendre(n_per_panel)
-    panels = max(2, math.ceil(v_top / 2.0))
-    edges = np.linspace(0.0, v_top, panels + 1)
-    vs, ws = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        vs.append(0.5 * (b - a) * nodes_ref + 0.5 * (a + b))
-        ws.append(0.5 * (b - a) * weights_ref)
-    return np.concatenate(vs), np.concatenate(ws)
+    vs = (np.arange(panels)[:, None] * 2.0 + 1.0 + nodes_ref).ravel()
+    ws = np.tile(weights_ref, panels)
+    vs.flags.writeable = False
+    ws.flags.writeable = False
+    return vs, ws
 
 
 def _kernel_factor(m, xs):
     """Airy factor B with A_{2m+1}(x_i, x_j) = (B B^T)_ij.
 
     B_ik = Ai_{2m+1}(x_i + v_k) sqrt(w_k) over the v-quadrature, from the
-    Chebyshev cache in row chunks that keep the temporaries small.
+    Chebyshev cache in row chunks that keep the temporaries small.  The rule
+    reaches V >= (decay point - min x), so both Airy factors are below
+    KERNEL_FACTOR_FLOOR at its end for every argument.
     """
     lo = _CACHE_DOMAIN[0]
     x_floor = float(np.min(xs))
     if x_floor < lo:
         raise ValueError(f"Airy kernel arguments >= {lo} supported; got {x_floor!r}")
-    vs, ws = _v_quadrature(m, x_floor)
+    panels = math.ceil((_decay_point(m) - x_floor) / 2.0)
+    vs, ws = _v_quadrature(max(panels, 2))
     factor = np.empty((len(xs), len(vs)))
     for i in range(0, len(xs), 128):
         factor[i:i + 128] = _airy_cached(m, xs[i:i + 128, None] + vs)
@@ -363,50 +373,102 @@ def _law_nodes(edges, refine):
     return np.concatenate(xs), np.concatenate(ws), np.array(above)
 
 
-def _cholesky_log_pivots(mat):
-    """Log pivots of the Cholesky factor of ``mat``, overwriting its lower half.
+def _law_factor(m, s, refine):
+    """Weighted Airy factor W^1/2 B of the table on [s_0, s_max + refine L].
 
-    Right-looking and blocked, so that memory stays one matrix plus a panel
-    (``np.linalg.cholesky`` would hold three copies of it).  Raises
-    ``np.linalg.LinAlgError`` if ``mat`` is not positive definite.
-    """
-    n, block = len(mat), 256
-    logs = np.empty(n)
-    for i in range(0, n, block):
-        j = min(i + block, n)
-        pivots = np.linalg.cholesky(mat[i:j, i:j])
-        logs[i:j] = 2.0 * np.log(np.diag(pivots))
-        panel = np.linalg.solve(pivots, mat[j:, i:j].T)  # L_21^T
-        for c in range(0, n - j, block):
-            rest = panel[:, c:]
-            mat[j + c:, j + c:j + c + block] -= rest.T @ rest[:, :block]
-    return logs
-
-
-def _law_table(m, s, refine):
-    """det(1 - A_{2m+1}) on [s_j, infinity) for ascending distinct s.
-
-    The composite rule covers [s_0, s_max + refine L]; with its nodes
-    ordered from the top down, F(s_j) is the leading minor over the nodes
-    above s_j, so one Cholesky factor of I - W^1/2 A W^1/2 gives the whole
-    table (NodeCountInsufficient if it does not exist).  The products stay in
-    numpy's BLAS: interleaving them with scipy's, a second OpenBLAS thread
-    pool, doubled the CPU time of ``sample`` on two cores.
+    Rows are the ``_law_nodes`` from the top down; also returns the number of
+    rows above each s_j, from s_max down.
     """
     top = s[-1] + refine * FredholmConfig().cut_for(m)
     x, w, above = _law_nodes(np.concatenate(([top], s[::-1])), refine)
     factor = _kernel_factor(m, x)
     factor *= np.sqrt(w)[:, None]
-    mat = factor @ factor.T
-    del factor
-    mat *= -1.0
-    mat.flat[::len(x) + 1] += 1.0
+    return factor, above
+
+
+def _pd_det(mat):
+    """det(mat) from its Cholesky factor; None if it is not positive definite."""
     try:
-        logs = _cholesky_log_pivots(mat)
-    except np.linalg.LinAlgError as exc:
+        chol = np.linalg.cholesky(mat)
+    except np.linalg.LinAlgError:
+        return None
+    return math.exp(2.0 * float(np.sum(np.log(np.diagonal(chol)))))
+
+
+def _leading_minors(p, above):
+    """det(I - P_k P_k^T) for the leading row blocks P_k = p[:k], k in above.
+
+    By Sylvester each is det(I_r - P_k^T P_k), from a Cholesky factor of the
+    running r x r complement.  From a breakpoint where it is not positive
+    definite on, the minors are 0.0 when the last positive minor, taken node
+    by node, is under TABLE_TOL (F is monotone, so 0 is then within it);
+    otherwise NodeCountInsufficient.
+    """
+    comp = np.eye(p.shape[1])
+    minors = np.zeros(len(above))
+    start, last = 0, 1.0
+    for j, stop in enumerate(above):
+        block = p[start:stop]
+        gram = block.T @ block
+        value = _pd_det(comp - gram)
+        if value is None:
+            for row in block:
+                comp -= np.outer(row, row)
+                value = _pd_det(comp)
+                if value is None:
+                    break
+                last = value
+            if last >= TABLE_TOL:
+                raise NodeCountInsufficient(
+                    f"I - A not positive definite on {stop} nodes at a minor "
+                    f"of {last:.2e}")
+            break
+        comp -= gram
+        start, last, minors[j] = stop, value, value
+    return minors
+
+
+def _law_table(m, s):
+    """F_{2m+1}(s_j) = det(1 - A_{2m+1}) on [s_j, infinity), ascending s_j.
+
+    The composite rule covers [s_0, s_max + L]; with its nodes ordered from
+    the top down, F(s_j) is the leading minor of I - F F^T over the nodes
+    above s_j, F = W^1/2 B the weighted N x V Airy factor.  A second table
+    with twice the nodes on every panel and twice L certifies it: the two
+    must agree to TABLE_TOL, and the finer one is returned.
+
+    The Nystrom kernel F F^T has low numerical rank (Bornemann 2010), so
+    both tables are taken in the r leading eigenvectors Q of the fine Gram
+    F^T F (the coarse v-rule is a prefix of the fine one).  With P = F Q,
+    F F^T = P P^T + E splits into two positive semi-definite terms, and
+    tr E = ||F Q_perp||_F^2 is the dropped mass delta.  A determinant
+    det(I - K) with 0 <= K <= I moves by at most the trace of a positive
+    semi-definite change, so every minor moves by at most delta; delta >=
+    RANK_DROP_TOL raises NodeCountInsufficient.  By Sylvester each minor is
+    det(I_r - P_k^T P_k), from a running r x r Gram.
+
+    Cost per table: N V Airy factor values, the V x V Gram and the
+    projection (N V^2 each), one V x V eigh and one r x r Cholesky per s_j;
+    memory is O(N V).  The products stay in numpy's BLAS: interleaving them
+    with scipy's, a second OpenBLAS thread pool, doubled the CPU time of
+    ``sample`` on two cores.
+    """
+    fine, fine_above = _law_factor(m, s, 2)
+    lam, vecs = np.linalg.eigh(fine.T @ fine)
+    rank = int(np.count_nonzero(lam > RANK_RTOL * lam[-1]))
+    tables, dropped = [], 0.0
+    for factor, above in ((fine, fine_above), _law_factor(m, s, 1)):
+        proj = factor @ vecs[:factor.shape[1]]
+        dropped = max(dropped, float(np.sum(np.square(proj[:, :-rank]))))
+        tables.append(_leading_minors(proj[:, -rank:], above)[::-1])
+    if dropped >= RANK_DROP_TOL:
         raise NodeCountInsufficient(
-            f"I - A not positive definite on {len(x)} nodes (m={m})") from exc
-    return np.exp(np.concatenate(([0.0], np.cumsum(logs)))[above[::-1]])
+            f"rank-{rank} Airy factor drops {dropped:.2e} of the kernel trace")
+    gap = float(np.max(np.abs(tables[0] - tables[1])))
+    if gap >= TABLE_TOL:
+        raise NodeCountInsufficient(
+            f"F_{2 * m + 1} table moved by {gap:.2e} under refinement")
+    return tables[0]
 
 
 def limiting_cdf(order, n_cuts, s):
@@ -428,13 +490,7 @@ def limiting_cdf(order, n_cuts, s):
         raise ValueError("s must be finite and >= -12 (desk range)")
     grid, inverse = np.unique(np.minimum(s_arr.ravel(), _decay_point(m)),
                               return_inverse=True)
-    tables = []
-    for chunk in np.array_split(grid, math.ceil(grid.size / TABLE_POINTS)):
-        coarse, fine = _law_table(m, chunk, 1), _law_table(m, chunk, 2)
-        gap = float(np.max(np.abs(fine - coarse)))
-        if gap >= TABLE_TOL:
-            raise NodeCountInsufficient(
-                f"F_{2 * m + 1} table moved by {gap:.2e} under refinement")
-        tables.append(fine)
+    tables = [_law_table(m, chunk) for chunk in
+              np.array_split(grid, math.ceil(grid.size / TABLE_POINTS))]
     law = np.concatenate(tables)[inverse].reshape(s_arr.shape) ** n
     return float(law) if law.ndim == 0 else law

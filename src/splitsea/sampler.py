@@ -25,6 +25,7 @@ are distributed over workers.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,8 +104,27 @@ def windowed_kernel(coeffs, window=None, leakage_tol=1e-6, edge=False):
                           leakage=leakage)
 
 
-def _rng_for(seed, index):
-    return np.random.Generator(np.random.Philox(key=[int(seed), int(index)]))
+_LOCAL = threading.local()  # one Generator per thread, re-keyed by sample()
+
+
+def _rng_for(seed, index, rng=None):
+    """Generator on the Philox stream keyed by (seed, index), at counter 0.
+
+    The same stream as a new ``Philox(key=[seed, index])`` (a negative key
+    word wraps modulo 2^64 in both).  ``rng``, a Generator on a Philox, is
+    re-keyed in place and returned, at a quarter of the cost of building one;
+    without it a new Generator is built.
+    """
+    if rng is None:
+        rng = np.random.Generator(np.random.Philox(0))
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64),
+                  "key": np.array([int(seed) % 2 ** 64, int(index) % 2 ** 64],
+                                  dtype=np.uint64)},
+        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+        "has_uint32": 0, "uinteger": 0}
+    return rng
 
 
 def _sample_projection(vectors, rng):
@@ -135,7 +155,9 @@ def _sample_projection(vectors, rng):
 
 def sample(wk, rng_seed, sample_index=0):
     """One configuration: sorted array of occupied half-integer sites."""
-    rng = _rng_for(rng_seed, sample_index)
+    if not hasattr(_LOCAL, "rng"):
+        _LOCAL.rng = _rng_for(0, 0)
+    rng = _rng_for(rng_seed, sample_index, _LOCAL.rng)
     keep = rng.random(len(wk.eigenvalues)) < wk.eigenvalues
     idx = _sample_projection(wk.eigenvectors[:, keep], rng)
     return wk.k_lo_int + 0.5 + np.sort(idx)

@@ -35,6 +35,8 @@ def eigen_density_supercritical(gammas, x, alpha):
     coeffs = HoppingCoefficients(gammas)
     b, _ = global_extrema(coeffs)
     x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"coupling ratio x must be finite; got {x!r}")
     if x < b - 1e-12:
         raise SubcriticalPhase(f"x={x} below the critical point {b}")
     alpha_arr = np.asarray(alpha, dtype=float)

@@ -11,8 +11,9 @@ from splitsea.airy import (AiryOrder, FredholmConfig, airy_fn, airy_kernel,
                            airy_kernel_matrix, airy_values, fredholm_F,
                            limiting_cdf)
 from splitsea import airy as airy_mod
-from splitsea.airy import (_airy_cached, _fredholm_once, _gauss_legendre,
-                           _v_quadrature)
+from splitsea.airy import (TABLE_TOL, _airy_cached, _fredholm_once,
+                           _gauss_legendre, _kernel_factor, _law_nodes,
+                           _leading_minors, _v_quadrature)
 from splitsea.errors import NoConvergence, NodeCountInsufficient
 from conftest import airy_series
 
@@ -34,6 +35,30 @@ def test_airy_values_and_spline_against_scipy():
     assert np.max(np.abs(_airy_cached(1, fine) - airy(fine)[0])) < 1e-10
     assert airy_values(1, 0.5).shape == ()
     assert airy_fn(1, 0.5) == float(airy_values(1, 0.5))
+
+
+def test_higher_order_airy_against_mpmath():
+    # an independent 30-digit quadrature of the contour integral on
+    # Re z = 1; at m = 3 that line once left the evaluator 1.4e-7 off near
+    # x = -14, because of the exp(|x| sigma) cancellation bump
+    mp = pytest.importorskip("mpmath")
+
+    def reference(m, x):
+        k, sign = 2 * m + 1, (-1) ** (m - 1)
+
+        def integrand(t):
+            z = mp.mpc(1, t)
+            return mp.re(mp.exp(sign * z ** k / k - mp.mpf(x) * z))
+
+        with mp.workdps(30):
+            return float(mp.quad(integrand, mp.linspace(0, 3, 7) + [mp.inf]) / mp.pi)
+
+    xs = np.array([-14.4, -13.97, -13.9659, -10.3, -6.2, -2.5])
+    for m in (2, 3):
+        ref = np.array([reference(m, x) for x in xs])
+        assert np.max(np.abs(airy_values(m, xs) - ref)) < 1e-13
+        assert np.max(np.abs(_airy_cached(m, xs) - ref)) < 1e-13
+    assert airy_values(3, -13.9659) == pytest.approx(0.0512257449, abs=1e-10)
 
 
 def test_airy_order_guard():
@@ -214,6 +239,56 @@ def test_m2_table_uses_the_certifying_cut():
         assert abs(limiting_cdf(2, 1, s) - coarse_cut) > 1e-8
         assert limiting_cdf(2, 1, s) == pytest.approx(fredholm_F(2, None, s),
                                                       abs=1e-12)
+
+
+def _dense_law_table(m, s):
+    # reference: leading minors of one Cholesky factor of the N x N matrix
+    # I - W^1/2 A W^1/2 on the refined table's nodes, from the top down
+    top = s[-1] + 2 * FredholmConfig().cut_for(m)
+    x, w, above = _law_nodes(np.concatenate(([top], s[::-1])), 2)
+    factor = _kernel_factor(m, x) * np.sqrt(w)[:, None]
+    chol = np.linalg.cholesky(np.eye(len(x)) - factor @ factor.T)
+    logs = 2.0 * np.log(np.diag(chol))
+    return np.exp(np.concatenate(([0.0], np.cumsum(logs)))[above[::-1]])
+
+
+@pytest.mark.parametrize("m,points", [(1, 201), (1, 101), (2, 101), (3, 101)])
+def test_rank_compressed_table_matches_dense_cholesky(m, points):
+    s = np.linspace(-6.0, 4.0, points)
+    assert np.max(np.abs(limiting_cdf(m, 1, s) - _dense_law_table(m, s))) < 1e-13
+
+
+def test_limit_table_refuses_a_lossy_compression(monkeypatch):
+    # keeping only eigenvalues above 1e-3 lambda_max drops far more than the
+    # 1e-12 of kernel trace a table may lose
+    monkeypatch.setattr(airy_mod, "RANK_RTOL", 1e-3)
+    with pytest.raises(NodeCountInsufficient, match="drops"):
+        limiting_cdf(1, 1, np.linspace(-3.0, 2.0, 11))
+
+
+def test_leading_minors_past_a_failed_pivot():
+    # rows past a minor that is not positive definite are 0.0 when the last
+    # positive minor, node by node, is under TABLE_TOL, and raise otherwise
+    with pytest.raises(NodeCountInsufficient):
+        _leading_minors(np.full((3, 1), 0.6), [1, 3])  # 0.64, 0.28, -0.08
+    p = np.array([[math.sqrt(1.0 - 1e-10)], [1e-3], [0.5]])
+    got = _leading_minors(p, [1, 2, 3])
+    assert got[0] == pytest.approx(1e-10, rel=1e-5)
+    assert list(got[1:]) == [0.0, 0.0]
+    # the failing block holds a minor of 1e-10 between the breakpoints
+    p = np.array([[0.5], [math.sqrt(0.75 - 1e-10)], [1e-3]])
+    got = _leading_minors(p, [1, 3])
+    assert got[0] == pytest.approx(0.75, abs=1e-15) and got[1] == 0.0
+
+
+def test_limit_table_below_roundoff_is_zero_not_an_error():
+    # F(-10.4583) is about 1e-41: the coarse table's last pivot fails there,
+    # which used to raise although the rows above are certified
+    s = np.array([-10.4583, -4.646, -3.5816])
+    got = limiting_cdf(1, 1, s)
+    assert 0.0 <= got[0] < TABLE_TOL
+    for i in (1, 2):
+        assert got[i] == pytest.approx(fredholm_F(1, None, float(s[i])), abs=1e-12)
 
 
 def test_limit_table_makes_two_kernel_assemblies(monkeypatch):

@@ -97,6 +97,15 @@ def test_subcritical_is_numerical_error(capsys):
     assert "SubcriticalPhase" in err
 
 
+@pytest.mark.parametrize("x", ["nan", "inf", "-inf"])
+def test_unitary_density_rejects_non_finite_x(capsys, x):
+    # --x nan used to print a CSV of nan and --x inf the uniform density
+    code, out, err = run(capsys, "unitary-density", "--gamma", "1,-0.3333333333",
+                         f"--x={x}", "--steps", "5")
+    assert code == 2 and out == ""
+    assert "x must be finite" in err
+
+
 def test_density_csv_roundtrip(tmp_path, capsys):
     out = tmp_path / "density.csv"
     code, _, _ = run(capsys, "density", "--gamma", "1,-0.3333333333",

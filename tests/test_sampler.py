@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -187,6 +189,33 @@ def test_determinism_bitwise():
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
     assert not all(np.array_equal(x, y)
                    for x, y in zip(a, sample_many(wk, 10, seed=43)))
+
+
+def test_keyed_streams_survive_interleaving_and_threads():
+    # sample() re-keys one Generator per thread: each draw is the stream of
+    # a new Philox(key=[seed, index]), however seeds and threads interleave
+    wk = windowed_kernel(HoppingCoefficients((1.0, -1.0 / 3.0), theta=8.0))
+    shared = _rng_for(5, 5)
+    for seed, index in itertools.product((0, 2, -1), (0, 3, 2 ** 40)):
+        shared.integers(0, 2 ** 31, dtype=np.uint32)  # leaves half a word
+        for rng in (_rng_for(seed, index), _rng_for(seed, index, shared)):
+            ref = np.random.Generator(np.random.Philox(key=[seed, index]))
+            assert np.array_equal(rng.integers(0, 2 ** 31, 5, dtype=np.uint32),
+                                  ref.integers(0, 2 ** 31, 5, dtype=np.uint32))
+            assert np.array_equal(rng.random(9), ref.random(9))
+    keys = [(seed, i) for i in range(12) for seed in (1, 2)]
+    apart = {(seed, i): sample(wk, seed, i)
+             for seed in (1, 2) for i in range(12)}
+    assert all(np.array_equal(sample(wk, *k), apart[k]) for k in keys)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(sample, wk, *k) for k in keys * 4]
+            drawn = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(switch)
+    assert all(np.array_equal(d, apart[k]) for d, k in zip(drawn, keys * 4))
 
 
 def test_empirical_edge_law_small():
