@@ -8,9 +8,8 @@ model, with a CLI (``splitsea``) orchestrating desk-scale studies.
 
 from .airy import (AiryOrder, FredholmConfig, airy_fn, airy_kernel,
                    fredholm_F, limiting_cdf)
-from .edge import (CdfTable, cdf_table, exact_cdf, fredholm_cdf_check,
-                   oscillation_average, scaled_convergence_study,
-                   symbol_coeffs, toeplitz_cdf)
+from .edge import (exact_cdf, fredholm_cdf_check, oscillation_average,
+                   scaled_convergence_study, symbol_coeffs, toeplitz_cdf)
 from .kernel import (CoefficientBand, coefficient_band, edge_prediction,
                      kernel_eval, kernel_eval_quadrature, kernel_matrix,
                      local_sine_prediction)
@@ -28,10 +27,10 @@ from .unitary import (eigen_density_supercritical, log_joint_density,
                       metropolis_chain, partition_function_toeplitz)
 
 __all__ = [
-    "AiryOrder", "CdfTable", "CoefficientBand", "EdgeProfile", "FermiSea",
+    "AiryOrder", "CoefficientBand", "EdgeProfile", "FermiSea",
     "FredholmConfig", "HoppingCoefficients", "WindowedKernel",
     "airy_fn", "airy_kernel", "brute_cdf_first_part", "brute_correlation",
-    "cdf_table", "coefficient_band", "complete_homogeneous",
+    "coefficient_band", "complete_homogeneous",
     "edge_prediction", "edge_profile", "eigen_density_supercritical",
     "elementary", "empirical_edge_law", "eval_dispersion", "exact_cdf",
     "fermi_sea", "fredholm_F", "fredholm_cdf_check", "global_extrema",

@@ -41,14 +41,33 @@ def _parse_gammas(text):
     return vals
 
 
-def _parse_range(text):
-    """a:b or a:b:step."""
-    parts = text.split(":")
-    if len(parts) == 2:
-        return float(parts[0]), float(parts[1]), None
-    if len(parts) == 3:
-        return float(parts[0]), float(parts[1]), float(parts[2])
-    raise argparse.ArgumentTypeError(f"bad range {text!r}; expected a:b[:step]")
+def _parse_range(flag, text, noun, step=None):
+    """(lo, hi, step) of ``flag``'s value lo:hi, or lo:hi:step when a default
+    ``step`` is given.
+
+    Anything else, a step that is not positive or hi < lo (an empty grid) is
+    a config error naming the flag.
+    """
+    try:
+        vals = [float(v) for v in text.split(":")]
+    except ValueError:
+        vals = []
+    if len(vals) not in ((2, 3) if step else (2,)) \
+            or not all(map(math.isfinite, vals)):
+        form = "lo:hi[:step]" if step else "lo:hi"
+        raise ValueError(f"{flag} takes finite {form}, got {text!r}")
+    if len(vals) == 3 and not vals[2] > 0.0:
+        raise ValueError(f"{flag} step must be positive, got {text!r}")
+    if vals[1] < vals[0]:
+        raise ValueError(f"empty {noun} range {text} in {flag}")
+    return vals[0], vals[1], vals[2] if len(vals) == 3 else step
+
+
+def _steps(args):
+    """The --steps value, a config error unless positive."""
+    if args.steps < 1:
+        raise ValueError(f"--steps must be a positive integer, got {args.steps}")
+    return args.steps
 
 
 def _csv_out(rows, header, out=None):
@@ -104,7 +123,7 @@ def _cmd_analyze(args):
 
 def _cmd_density(args):
     coeffs = HoppingCoefficients(args.gamma)
-    xs = np.linspace(args.xmin, args.xmax, args.steps)
+    xs = np.linspace(args.xmin, args.xmax, _steps(args))
     rows = [(float(x), limit_density(coeffs, x), limit_shape(coeffs, x))
             for x in xs]
     _csv_out(rows, ["x", "rho", "Omega"], args.out)
@@ -125,7 +144,7 @@ def _cmd_kernel(args):
 def _cmd_kernel_profile(args):
     coeffs = HoppingCoefficients(args.gamma, theta=args.theta)
     band = kernel_mod.coefficient_band(coeffs)
-    lo, hi, _ = _parse_range(args.window)
+    lo, hi, _ = _parse_range("--window", args.window, "site")
     ks = np.arange(math.floor(lo), math.ceil(hi) + 1) + 0.5
     rows = [(float(k), kernel_mod.kernel_eval(band, k, k)) for k in ks]
     _csv_out(rows, ["k", "Kkk"], args.out)
@@ -145,8 +164,7 @@ def _cmd_oracle(args):
 
 
 def _cmd_airy(args):
-    lo, hi, step = _parse_range(args.s)
-    step = step or 0.1
+    lo, hi, step = _parse_range("--s", args.s, "s", step=0.1)
     ss = np.arange(lo, hi + 0.5 * step, step)
     rows = list(zip(ss.tolist(),
                     airy_mod.limiting_cdf(args.m, args.power, ss).tolist()))
@@ -156,10 +174,14 @@ def _cmd_airy(args):
 
 def _cmd_cdf(args):
     coeffs = HoppingCoefficients(args.gamma, theta=args.theta)
-    lo, hi, _ = _parse_range(args.ell_range)
-    table = edge_mod.cdf_table(coeffs, int(lo), int(hi))
-    rows = [(ell, p, table.s_of_ell(ell)) for ell, p in table.rows]
-    _csv_out(rows, ["ell", "p", "s"], args.out)
+    lo, hi, _ = _parse_range("--ell-range", args.ell_range, "ell")
+    if lo != int(lo) or hi != int(hi):
+        raise ValueError(f"--ell-range takes integers, got {args.ell_range!r}")
+    ells = np.arange(int(lo), int(hi) + 1)
+    p = edge_mod.exact_cdf(coeffs, ells)
+    s = edge_profile(coeffs).s_of(ells, coeffs.theta)
+    _csv_out(zip(ells.tolist(), p.tolist(), s.tolist()), ["ell", "p", "s"],
+             args.out)
     return 0
 
 
@@ -209,7 +231,7 @@ def _cmd_sample(args):
 
 
 def _cmd_unitary_density(args):
-    alphas = np.linspace(-math.pi, math.pi, args.steps)
+    alphas = np.linspace(-math.pi, math.pi, _steps(args))
     rho = unitary_mod.eigen_density_supercritical(args.gamma, args.x, alphas)
     _csv_out(list(zip(map(float, alphas), map(float, rho))),
              ["alpha", "rho"], args.out)
@@ -415,7 +437,11 @@ def _apply_config(argv):
 
 
 def _merge_negative_values(argv):
-    """Join ``--flag -2:4`` into ``--flag=-2:4`` so argparse accepts it."""
+    """Join ``--flag -2:4`` or ``--flag -inf`` into ``--flag=...`` for argparse.
+
+    A value is negative when a digit or ``.`` follows its dash, or ``inf`` or
+    ``nan`` in any case (also where a range starts with them).
+    """
     out = []
     i = 0
     while i < len(argv):
@@ -423,7 +449,8 @@ def _merge_negative_values(argv):
         nxt = argv[i + 1] if i + 1 < len(argv) else None
         if (tok.startswith("--") and "=" not in tok and nxt
                 and nxt.startswith("-") and len(nxt) > 1
-                and (nxt[1].isdigit() or nxt[1] == ".")):
+                and (nxt[1].isdigit() or nxt[1] == "."
+                     or nxt[1:4].lower() in ("inf", "nan"))):
             out.append(f"{tok}={nxt}")
             i += 2
         else:

@@ -17,16 +17,17 @@ The same law is the discrete Fredholm determinant det(I - K) over the sites
 {ell + 1/2, ...} (with a certified dropped trace), the large-coupling route.
 Either route gets a whole table of ell from one Cholesky factor's minors.
 
-The scaled study maps ell to s = (ell - b theta) / (d theta)^(1/(2m+1)) and
-compares the lattice CDF (a left-continuous step function: k_max is lattice
-valued) against the limiting law F_{2m+1}^n at the cut count n of the sea
-just below the edge.
+The edge scaling is one affine map on ``EdgeProfile``: ``s_of`` sends ell
+to s = (ell - b theta) / (d theta)^(1/(2m+1)), and ``lattice_of`` sends s
+back to the lattice point whose row is the law of the scaled maximum at s
+(a step function in s: k_max is lattice valued).  The scaled study reads
+those rows from one ``exact_cdf`` table per theta and compares them with the
+limiting law F_{2m+1}^n at the cut count n of the sea just below the edge.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -127,71 +128,15 @@ def exact_cdf(coeffs, ell):
     return fredholm_cdf_check(coeffs, ell)
 
 
-@dataclass(frozen=True)
-class CdfTable:
-    """Lattice CDF rows with the edge-scaling data used to rescale them."""
-
-    theta: float
-    gammas: tuple
-    rows: tuple          # (ell, P(k_max < ell)) pairs, nondecreasing in ell
-    b: float
-    fluct_scale: float   # EdgeProfile.scale(theta)
-    m: int
-    n_cuts: int
-
-    def s_of_ell(self, ell):
-        return (ell - self.b * self.theta) / self.fluct_scale
-
-    def cdf_at(self, s):
-        """Exact law of the scaled maximum as a step function in s.
-
-        The maximum sits on the half-integer lattice, so its CDF at s is
-        P(k_max <= h) for the largest half-integer h below the s-image; that
-        is the tabulated P(k_max < ell) with ell = h + 1/2 the nearest
-        lattice point, i.e. floor(b theta + s scale + 1/2); it must have a row.
-        """
-        target = self.b * self.theta + s * self.fluct_scale
-        ell_star = math.floor(target + 0.5)
-        first_ell, last_ell = self.rows[0][0], self.rows[-1][0]
-        if not first_ell <= ell_star <= last_ell:
-            raise ValueError(f"s={s!r} maps to ell={ell_star}, outside the "
-                             f"table rows {first_ell}..{last_ell}")
-        return self.rows[ell_star - first_ell][1]
-
-
-def cdf_table(coeffs, ell_lo, ell_hi, profile=None):
-    """Tabulate P(k_max < ell) for ell in [ell_lo, ell_hi] with scaling data.
-
-    ``profile`` is ``edge_profile(coeffs)`` when the caller already has it.
-    """
-    ells = np.arange(int(ell_lo), int(ell_hi) + 1)
-    if not ells.size:
-        raise ValueError(f"empty ell range {ell_lo}:{ell_hi}")
-    if profile is None:
-        profile = edge_profile(coeffs)
-    rows = tuple(zip(ells.tolist(), exact_cdf(coeffs, ells).tolist()))
-    return CdfTable(theta=coeffs.theta, gammas=coeffs.gammas, rows=rows,
-                    b=profile.b, fluct_scale=profile.scale(coeffs.theta),
-                    m=profile.principal.m, n_cuts=profile.n_cuts)
-
-
-def table_for_srange(coeffs, s_min=-6.0, s_max=4.0):
-    """CdfTable covering the image of [s_min, s_max], one row padded each side."""
-    profile = edge_profile(coeffs)
-    scale = profile.scale(coeffs.theta)
-    ell_lo = math.floor(profile.b * coeffs.theta + s_min * scale) - 1
-    ell_hi = math.ceil(profile.b * coeffs.theta + s_max * scale) + 1
-    return cdf_table(coeffs, ell_lo, ell_hi, profile)
-
-
 def scaled_convergence_study(gammas, theta_list, s_grid=None, n_cuts=None,
                              limit=None):
     """Sup-distance between the scaled lattice CDF and its limiting edge law.
 
-    Per-theta reports {theta, sup_distance, table, cdf, limit}, the last two
-    on ``s_grid``; the limit law's power defaults to the sea's cut count.
-    ``limit`` is that law on ``s_grid`` when the caller already has it
-    (one ``limiting_cdf`` table otherwise).
+    Per-theta reports {theta, sup_distance, power, m, cdf, limit}, the last
+    two on ``s_grid``: the lattice law at each s is one ``exact_cdf`` row,
+    P(k_max < ``EdgeProfile.lattice_of(s, theta)``).  The limit law's power
+    defaults to the sea's cut count.  ``limit`` is that law on ``s_grid``
+    when the caller already has it (one ``limiting_cdf`` table otherwise).
     """
     if s_grid is None:
         s_grid = np.linspace(-6.0, 4.0, 101)
@@ -203,12 +148,11 @@ def scaled_convergence_study(gammas, theta_list, s_grid=None, n_cuts=None,
 
     reports = []
     for theta in theta_list:
-        table = table_for_srange(HoppingCoefficients(gammas, theta=theta),
-                                 float(s_grid[0]), float(s_grid[-1]))
-        lattice_vals = np.array([table.cdf_at(s) for s in s_grid])
+        lattice_vals = exact_cdf(HoppingCoefficients(gammas, theta=theta),
+                                 profile.lattice_of(s_grid, theta))
         sup = float(np.max(np.abs(lattice_vals - limit_vals)))
         reports.append({"theta": float(theta), "sup_distance": sup,
-                        "power": power, "m": mx.m, "table": table,
+                        "power": power, "m": mx.m,
                         "cdf": lattice_vals, "limit": limit_vals})
     return reports
 

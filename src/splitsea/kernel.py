@@ -220,12 +220,10 @@ def edge_prediction(profile, theta, k, ell):
     if profile.n_cuts != 2:
         raise UnsupportedEdge(f"n_cuts={profile.n_cuts}; only the two-cut case is supported")
     mx = interior[0]
-    scale = profile.scale(theta)
-    x = (float(k) - profile.b * theta) / scale
-    y = (float(ell) - profile.b * theta) / scale
+    x, y = profile.s_of(float(k), theta), profile.s_of(float(ell), theta)
     if abs(x) > 6.0 or abs(y) > 6.0:
         raise ValueError("edge variables out of the calibrated window |x|,|y| <= 6")
     from .airy import airy_kernel  # deferred: avoids a hard import cycle
 
     osc = 2.0 * math.cos(mx.chi_b * (float(k) - float(ell)))
-    return osc * airy_kernel(mx.m, x, y) / scale
+    return osc * airy_kernel(mx.m, x, y) / profile.scale(theta)

@@ -150,7 +150,25 @@ class EdgeProfile:
 
     def scale(self, theta):
         """Edge fluctuation scale (d theta)^(1/(2m+1)) of the principal maximizer."""
+        if not theta > 0.0:
+            raise ValueError(f"the edge scaling needs theta > 0, got {theta!r}")
         return (self.principal.d * theta) ** (1.0 / (2 * self.principal.m + 1))
+
+    def s_of(self, ell, theta):
+        """Scaled position (ell - b theta) / scale(theta) of scalar or array ell."""
+        return (ell - self.b * theta) / self.scale(theta)
+
+    def lattice_of(self, s, theta):
+        """Lattice point ell with P(k_max < ell) the law of the scaled maximum at s.
+
+        k_max sits on the half-integer lattice, so its CDF at s is
+        P(k_max <= h) for the largest half-integer h at or below the image
+        b theta + s scale(theta); that is P(k_max < ell) with
+        ell = floor(b theta + s scale + 1/2).  Scalar s gives an int, an
+        array an int64 array.
+        """
+        ell = np.floor(self.b * theta + np.asarray(s) * self.scale(theta) + 0.5)
+        return int(ell) if ell.ndim == 0 else ell.astype(np.int64)
 
 
 def eval_dispersion(coeffs, phi, order=0):
@@ -351,10 +369,17 @@ def edge_profile(coeffs):
     For each maximizer chi_b the order m is the smallest integer with
     D^(2m)(chi_b) != 0 (detected against DERIV_ZERO_REL_TOL times the natural
     coefficient scale of that derivative), and d = -D^(2m)(chi_b)/(2m)!.
-    The cut count is read off the sea at b - eps.
+    The cut count is read off the sea at b - eps.  theta does not enter, so
+    the profile is computed once per weight sequence.
     """
-    if not coeffs.gammas:
+    return _edge_profile(coeffs.gammas)
+
+
+@lru_cache(maxsize=None)
+def _edge_profile(gammas):
+    if not gammas:
         raise DegenerateEdge("dispersion is constant; no edge to analyse")
+    coeffs = HoppingCoefficients(gammas)
     b, b_tilde = global_extrema(coeffs)
     crit = _critical_points(coeffs.gammas)
     scale_b = max(1.0, abs(b))

@@ -35,7 +35,7 @@ from .edge import exact_cdf
 from .errors import LeakageTooLarge
 from .kernel import coefficient_band, kernel_matrix, tail_trace
 from .kernel import kernel_eval  # noqa: F401  (bench/tracer.py patches it here)
-from .potential import edge_profile, global_extrema, limit_density
+from .potential import edge_profile, limit_density
 
 EIG_CLIP_TOL = 1e-9
 
@@ -62,13 +62,13 @@ def auto_window(coeffs, edge=False):
     With ``edge`` it starts instead at the sites that carry k_max, from
     ell_min = floor(b theta - 8 (d theta)^(1/(2m+1))) (clipped to the window).
     """
-    b, b_tilde = global_extrema(coeffs)
+    profile = edge_profile(coeffs)
     theta = coeffs.theta
-    scale = edge_profile(coeffs).scale(theta)
-    lo = math.floor(-b_tilde * theta - 10.0 * math.sqrt(max(theta, 1.0)))
-    hi = math.ceil(b * theta + 10.0 * scale)
+    scale = profile.scale(theta)
+    lo = math.floor(-profile.b_tilde * theta - 10.0 * math.sqrt(max(theta, 1.0)))
+    hi = math.ceil(profile.b * theta + 10.0 * scale)
     if edge:
-        lo = min(max(math.floor(b * theta - 8.0 * scale), lo), hi)
+        lo = min(max(math.floor(profile.b * theta - 8.0 * scale), lo), hi)
     return lo, hi
 
 
@@ -198,7 +198,7 @@ def empirical_edge_law(coeffs, n_samples, seed):
     ks_exact = float(np.max(np.abs(np.searchsorted(ordered, ells) / n_samples
                                    - exact_cdf(coeffs, ells))))
     profile = edge_profile(coeffs)
-    s_vals = (ordered - profile.b * coeffs.theta) / profile.scale(coeffs.theta)
+    s_vals = profile.s_of(ordered, coeffs.theta)
     s_grid = np.linspace(-6.0, 4.0, 201)
     limit = limiting_cdf(profile.principal.m, profile.n_cuts, s_grid)
     ks_limit = float(np.max(np.abs(np.searchsorted(s_vals, s_grid) / n_samples

@@ -3,13 +3,15 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from splitsea.cli import main, read_csv
+from splitsea.cli import (_apply_config, _merge_negative_values, build_parser,
+                          main, read_csv)
 
 
 def run(capsys, *argv):
@@ -104,6 +106,57 @@ def test_unitary_density_rejects_non_finite_x(capsys, x):
                          f"--x={x}", "--steps", "5")
     assert code == 2 and out == ""
     assert "x must be finite" in err
+
+
+@pytest.mark.parametrize("x", ["-inf", "-nan", "-Infinity"])
+def test_spaced_negative_non_finite_x_reaches_the_check(capsys, x):
+    # argparse read "--x -inf" as a flag without its value
+    code, out, err = run(capsys, "unitary-density", "--gamma", "1,-0.3333333333",
+                         "--x", x, "--steps", "5")
+    assert code == 2 and out == ""
+    assert "x must be finite" in err
+
+
+G = ("--gamma", "1,-0.3333333333")
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (("cdf",) + G + ("--theta", "2", "--ell-range", "1.5:4"), "--ell-range"),
+    (("cdf",) + G + ("--theta", "2", "--ell-range", "1:4:2"), "--ell-range"),
+    (("airy", "--s", "-6:4:0"), "--s"),
+    (("airy", "--s", "-6:4:-0.1"), "--s"),
+    (("airy", "--s", "4:-6"), "--s"),
+    (("airy", "--s", "-inf:4"), "--s"),
+    (("density",) + G + ("--xmin", "-1", "--xmax", "1", "--steps", "0"),
+     "--steps"),
+    (("unitary-density",) + G + ("--x", "2", "--steps", "0"), "--steps"),
+    (("kernel-profile", "--gamma", "1", "--theta", "2", "--window", "3:1"),
+     "--window"),
+    (("kernel-profile", "--gamma", "1", "--theta", "2", "--window", "a:b"),
+     "--window"),
+])
+def test_malformed_or_empty_grid_is_config_error(capsys, argv, flag):
+    # these truncated, replaced a zero step, or printed a bare header
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("config error") and flag in err
+
+
+def test_readme_command_lines_parse():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        lines = [line.strip() for line in fh
+                 if line.strip().startswith("splitsea ")]
+    assert len(lines) >= 10
+    parser = build_parser()
+    for line in lines:
+        argv = _merge_negative_values(
+            _apply_config(shlex.split(line, comments=True)[1:]))
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README line does not parse: {line}")
+        assert args.command == argv[0]
 
 
 def test_density_csv_roundtrip(tmp_path, capsys):
@@ -253,6 +306,13 @@ MC = ("unitary-mc", "--gamma", "1,-0.3333333333")
      "theta must be a nonnegative real"),
     (("converge", "--gamma", "1,-0.3333333333", "--thetas", "10,-3"),
      "theta must be a nonnegative real"),
+    # theta = 0 has no edge scaling: a ZeroDivisionError, LeakageTooLarge
+    # and a sup distance of 0.99999 before
+    (("cdf", "--gamma", "1,-0.3333333333", "--theta", "0", "--ell-range", "0:3"),
+     "theta > 0"),
+    (("sample", "--gamma", "1,-0.3333333333", "--theta", "0", "-n", "3"),
+     "theta > 0"),
+    (("converge", "--gamma", "1,-0.3333333333", "--thetas", "0"), "theta > 0"),
 ])
 def test_bad_coupling_or_chain_length_is_config_error(capsys, argv, message):
     code, out, err = run(capsys, *argv)

@@ -8,9 +8,9 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splitsea.edge import (CdfTable, cdf_table, exact_cdf, fredholm_cdf_check,
-                           oscillation_average, scaled_convergence_study,
-                           symbol_coeffs, table_for_srange, toeplitz_cdf)
+from splitsea.edge import (exact_cdf, fredholm_cdf_check, oscillation_average,
+                           scaled_convergence_study, symbol_coeffs,
+                           toeplitz_cdf)
 from splitsea.errors import NotPositiveDefinite, WindowTooSmall
 from splitsea.kernel import coefficient_band, kernel_matrix
 from splitsea.potential import HoppingCoefficients, edge_profile
@@ -162,32 +162,47 @@ def test_fredholm_rows_below_zero_match_toeplitz():
     assert np.max(np.abs(p - toeplitz_cdf(c, ells))) < 1e-11
 
 
-def test_cdf_at_raises_outside_the_rows():
-    c = HoppingCoefficients((1.0, -1.0 / 3.0), theta=2.0)
-    table = cdf_table(c, 3, 8)
-    assert table.fluct_scale == edge_profile(c).scale(2.0)
-    assert table.cdf_at(table.s_of_ell(3)) == table.rows[0][1]
-    assert table.cdf_at(table.s_of_ell(8)) == table.rows[-1][1]
-    for ell in (2, 9):
-        with pytest.raises(ValueError):
-            table.cdf_at(table.s_of_ell(ell))
-    with pytest.raises(ValueError):
-        cdf_table(c, 5, 3)
+def test_scaling_map_round_trips_the_lattice():
+    profile = edge_profile(HoppingCoefficients((1.0, -1.0 / 3.0)))
+    scale = profile.scale(2.0)
+    ells = np.arange(3, 9)
+    s = profile.s_of(ells, 2.0)
+    assert s[0] == profile.s_of(3, 2.0) == (3 - 2.0 * profile.b) / scale
+    assert np.diff(s) == pytest.approx(np.full(5, 1.0 / scale), rel=1e-12)
+    back = profile.lattice_of(s, 2.0)
+    assert back.dtype == np.int64 and list(back) == list(ells)
+    assert type(profile.lattice_of(s[0], 2.0)) is int
+    for theta in (0.0, -1.0, math.nan):  # no edge scaling without coupling
+        with pytest.raises(ValueError, match="theta > 0"):
+            profile.s_of(3, theta)
+        with pytest.raises(ValueError, match="theta > 0"):
+            profile.lattice_of(0.0, theta)
 
 
-def test_cdf_table_scaling_map():
-    c = HoppingCoefficients((1.0, -1.0 / 3.0), theta=20.0)
-    table = table_for_srange(c, -4.0, 3.0)
-    assert table.n_cuts == 2 and table.m == 1
-    # rows nondecreasing, in [0,1]
-    ps = [p for _, p in table.rows]
-    assert all(0.0 <= p <= 1.0 for p in ps)
-    assert all(a <= b + 1e-12 for a, b in zip(ps, ps[1:]))
-    # the step function jumps at the images of the half-integer atoms
-    ell0 = table.rows[5][0]
-    s_jump = table.s_of_ell(ell0 - 0.5)
-    assert table.cdf_at(s_jump - 0.4 / table.fluct_scale) == table.rows[4][1]
-    assert table.cdf_at(s_jump + 0.4 / table.fluct_scale) == table.rows[5][1]
+def test_scaled_law_steps_at_the_half_integer_atoms():
+    gam, theta = (1.0, -1.0 / 3.0), 20.0
+    c = HoppingCoefficients(gam, theta=theta)
+    profile = edge_profile(c)
+    assert profile.n_cuts == 2 and profile.principal.m == 1
+    ells = np.arange(profile.lattice_of(-4.0, theta),
+                     profile.lattice_of(3.0, theta) + 1)
+    ps = exact_cdf(c, ells)
+    assert np.all(ps >= 0.0) and np.all(ps <= 1.0)
+    assert np.all(np.diff(ps) >= -1e-12)
+    # the law at s is the row of lattice_of(s): it steps up at the image of
+    # the half-integer atom ell - 1/2 from row ell - 1 to row ell
+    scale = profile.scale(theta)
+    for ell in ells[1:]:
+        s_jump = profile.s_of(ell - 0.5, theta)
+        assert profile.lattice_of(s_jump - 0.4 / scale, theta) == ell - 1
+        assert profile.lattice_of(s_jump + 0.4 / scale, theta) == ell
+    s_jump = profile.s_of(ells[5] - 0.5, theta)
+    report = scaled_convergence_study(
+        gam, [theta], s_grid=[s_jump - 0.4 / scale, s_jump + 0.4 / scale],
+        limit=np.zeros(2))[0]
+    # rows of tables over other ell ranges agree to roundoff
+    assert report["cdf"] == pytest.approx([ps[4], ps[5]], abs=1e-14)
+    assert ps[5] - ps[4] > 1e-3
 
 
 def test_convergence_study_two_cut():

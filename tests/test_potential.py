@@ -166,6 +166,22 @@ def test_edge_profile_degenerate():
         edge_profile(HoppingCoefficients((0.0, 0.0)))
 
 
+def test_edge_profile_root_finding_runs_once_per_weight_sequence(monkeypatch):
+    import splitsea.potential as potential
+
+    seas = []
+    fermi_sea_ = potential.fermi_sea
+    monkeypatch.setattr(potential, "fermi_sea",
+                        lambda c, x: seas.append(x) or fermi_sea_(c, x))
+    potential._edge_profile.cache_clear()
+    profiles = [edge_profile(HoppingCoefficients((1.0, -1.0 / 3.0), theta=t))
+                for t in (0.5, 20.0, 40.0)]
+    assert len(seas) == 1  # the cut count's sea at b - eps, theta-free
+    assert all(p is profiles[0] for p in profiles)
+    edge_profile(HoppingCoefficients((1.0, 0.1), theta=20.0))
+    assert len(seas) == 2
+
+
 def test_limit_density_values():
     assert limit_density(HoppingCoefficients((1.0,)), 0.0) == pytest.approx(0.5)
     c = HoppingCoefficients((1.0, -1.0 / 3.0))
