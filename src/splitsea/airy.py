@@ -256,17 +256,22 @@ def _kernel_factor(m, xs):
     B_ik = Ai_{2m+1}(x_i + v_k) sqrt(w_k) over the v-quadrature, from the
     Chebyshev cache in row chunks that keep the temporaries small.  The rule
     reaches V >= (decay point - min x), so both Airy factors are below
-    KERNEL_FACTOR_FLOOR at its end for every argument.
+    KERNEL_FACTOR_FLOOR at its end for every argument.  By the same bound a
+    chunk evaluates only the nodes with min x + v_k <= decay point and
+    leaves the rest of its row block exactly 0.
     """
     lo = _CACHE_DOMAIN[0]
     x_floor = float(np.min(xs))
     if x_floor < lo:
         raise ValueError(f"Airy kernel arguments >= {lo} supported; got {x_floor!r}")
-    panels = math.ceil((_decay_point(m) - x_floor) / 2.0)
+    decay = _decay_point(m)
+    panels = math.ceil((decay - x_floor) / 2.0)
     vs, ws = _v_quadrature(max(panels, 2))
-    factor = np.empty((len(xs), len(vs)))
+    factor = np.zeros((len(xs), len(vs)))
     for i in range(0, len(xs), 128):
-        factor[i:i + 128] = _airy_cached(m, xs[i:i + 128, None] + vs)
+        chunk = xs[i:i + 128, None]
+        live = int(np.searchsorted(vs, decay - np.min(chunk), side="right"))
+        factor[i:i + 128, :live] = _airy_cached(m, chunk + vs[:live])
     factor *= np.sqrt(ws)
     return factor
 
@@ -398,33 +403,49 @@ def _pd_det(mat):
 def _leading_minors(p, above):
     """det(I - P_k P_k^T) for the leading row blocks P_k = p[:k], k in above.
 
-    By Sylvester each is det(I_r - P_k^T P_k), from a Cholesky factor of the
-    running r x r complement.  From a breakpoint where it is not positive
-    definite on, the minors are 0.0 when the last positive minor, taken node
-    by node, is under TABLE_TOL (F is monotone, so 0 is then within it);
-    otherwise NodeCountInsufficient.
+    By Sylvester each is det(I_r - P_k^T P_k): the running r x r
+    complements I_r - P_k^T P_k are stacked and factored by one stacked
+    Cholesky.  If one is not positive definite, the minors are taken one by
+    one up to it, and from it on they are 0.0 when the last positive minor,
+    taken node by node, is under TABLE_TOL (F is monotone, so 0 is then
+    within it); otherwise NodeCountInsufficient.
     """
+    blocks = np.split(p[:above[-1]], above[:-1])
+    comps = np.empty((len(blocks), p.shape[1], p.shape[1]))
     comp = np.eye(p.shape[1])
-    minors = np.zeros(len(above))
-    start, last = 0, 1.0
-    for j, stop in enumerate(above):
-        block = p[start:stop]
-        gram = block.T @ block
-        value = _pd_det(comp - gram)
-        if value is None:
-            for row in block:
-                comp -= np.outer(row, row)
-                value = _pd_det(comp)
-                if value is None:
-                    break
-                last = value
-            if last >= TABLE_TOL:
-                raise NodeCountInsufficient(
-                    f"I - A not positive definite on {stop} nodes at a minor "
-                    f"of {last:.2e}")
-            break
-        comp -= gram
-        start, last, minors[j] = stop, value, value
+    for block, out in zip(blocks, comps):
+        comp = np.subtract(comp, block.T @ block, out=out)
+    try:
+        chol = np.linalg.cholesky(comps)
+    except np.linalg.LinAlgError:
+        return _minors_past_failure(comps, blocks, above)
+    return np.exp(2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)),
+                               axis=1))
+
+
+def _minors_past_failure(comps, blocks, above):
+    """``_leading_minors`` from its stacked complements ``comps`` when one is
+    not positive definite: minor by minor up to the first such block, then
+    node by node inside it."""
+    minors = np.zeros(len(comps))
+    last = 1.0
+    for j, (block, stop) in enumerate(zip(blocks, above)):
+        value = _pd_det(comps[j])
+        if value is not None:
+            last = minors[j] = value
+            continue
+        comp = comps[j - 1].copy() if j else np.eye(comps.shape[1])
+        for row in block:
+            comp -= np.outer(row, row)
+            value = _pd_det(comp)
+            if value is None:
+                break
+            last = value
+        if last >= TABLE_TOL:
+            raise NodeCountInsufficient(
+                f"I - A not positive definite on {stop} nodes at a minor "
+                f"of {last:.2e}")
+        break
     return minors
 
 
@@ -447,9 +468,10 @@ def _law_table(m, s):
     RANK_DROP_TOL raises NodeCountInsufficient.  By Sylvester each minor is
     det(I_r - P_k^T P_k), from a running r x r Gram.
 
-    Cost per table: N V Airy factor values, the V x V Gram and the
-    projection (N V^2 each), one V x V eigh and one r x r Cholesky per s_j;
-    memory is O(N V).  The products stay in numpy's BLAS: interleaving them
+    Cost per table: the live Airy factor values (at most N V), the V x V
+    Gram and the projection (N V^2 each), one V x V eigh and one stacked
+    Cholesky of the r x r complements of all s_j; memory is O(N V + J r^2)
+    for J grid points.  The products stay in numpy's BLAS: interleaving them
     with scipy's, a second OpenBLAS thread pool, doubled the CPU time of
     ``sample`` on two cores.
     """

@@ -30,6 +30,8 @@ from .potential import (HoppingCoefficients, edge_profile, global_extrema,
                         limit_density, limit_shape)
 from .svgplot import Panel, render_panels
 
+AIRY_GRID_POINTS = 10_000  # desk scale of `airy --s`: 40 limit-law tables
+
 
 def _parse_gammas(text):
     try:
@@ -165,6 +167,10 @@ def _cmd_oracle(args):
 
 def _cmd_airy(args):
     lo, hi, step = _parse_range("--s", args.s, "s", step=0.1)
+    points = (hi - lo) / step + 1.0
+    if points > AIRY_GRID_POINTS:
+        raise ValueError(f"--s grid {args.s} has {points:.6g} points, more "
+                         f"than {AIRY_GRID_POINTS}")
     ss = np.arange(lo, hi + 0.5 * step, step)
     rows = list(zip(ss.tolist(),
                     airy_mod.limiting_cdf(args.m, args.power, ss).tolist()))

@@ -19,7 +19,11 @@ the selected frame orthogonalised against each chosen site's coordinate;
 each site is one uniform located in the cumulative site weights).
 Randomness comes from counter-based Philox streams keyed by
 (seed, sample index), so results are reproducible regardless of how samples
-are distributed over workers.
+are distributed over workers.  Every draw fixes its uniforms up front, so
+``sample_many`` advances a whole batch together: ordered by rank, the draws
+still running at a step are a prefix, and each step is one cumulative sum,
+one count and two stacked products over padded frames (``_sample_batch``;
+``sample`` is a batch of one).
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from .kernel import kernel_eval  # noqa: F401  (bench/tracer.py patches it here)
 from .potential import edge_profile, limit_density
 
 EIG_CLIP_TOL = 1e-9
+FRAME_BUDGET = 2 ** 21  # bytes of padded frames one batch chunk may hold
 
 
 @dataclass(frozen=True)
@@ -104,7 +109,7 @@ def windowed_kernel(coeffs, window=None, leakage_tol=1e-6, edge=False):
                           leakage=leakage)
 
 
-_LOCAL = threading.local()  # one Generator per thread, re-keyed by sample()
+_LOCAL = threading.local()  # one Generator per thread, re-keyed per draw
 
 
 def _rng_for(seed, index, rng=None):
@@ -127,45 +132,102 @@ def _rng_for(seed, index, rng=None):
     return rng
 
 
-def _sample_projection(vectors, rng):
-    """Sites of one projection-DPP draw for the orthonormal frame ``vectors``.
+def _selections(wk, seed, indices):
+    """Selected eigenvectors and site uniforms of the draws (seed, index).
 
-    Sequential conditional sampling: site probabilities are the squared row
-    norms of the frame projected away from the rows already chosen, updated
-    by one Gram-Schmidt column per step (O(N k) per step, O(N k^2) total).
+    Each keyed stream gives first one Bernoulli uniform per eigenvalue, then
+    one uniform per selected eigenvector (the site of each step), so the
+    whole draw is fixed before any projection runs.  Returns the (B, n_eig)
+    selection mask and the list of site-uniform arrays.
     """
-    v = vectors
-    n, rank = v.shape
-    c = np.zeros((n, rank))
-    norms2 = np.sum(v * v, axis=1)
-    cdf = np.empty(n)
-    chosen = np.empty(rank, dtype=np.int64)
-    for it in range(rank):
-        np.maximum(norms2, 0.0, out=cdf)
-        cdf.cumsum(out=cdf)
-        cdf /= cdf[-1]
-        site = int(cdf.searchsorted(rng.random(), side="right"))
-        chosen[it] = site
-        denom = math.sqrt(max(norms2[site], 1e-300))
-        c[:, it] = (v @ v[site] - c[:, :it] @ c[site, :it]) / denom
-        norms2 -= c[:, it] ** 2
-        norms2[site] = 0.0  # chosen: only rounding residue is left
+    if not hasattr(_LOCAL, "rng"):
+        _LOCAL.rng = _rng_for(0, 0)
+    rng = _LOCAL.rng
+    lam = wk.eigenvalues
+    keep = np.empty((len(indices), len(lam)), dtype=bool)
+    uniforms = []
+    for row, index in enumerate(indices):
+        _rng_for(seed, index, rng)
+        np.less(rng.random(len(lam)), lam, out=keep[row])
+        uniforms.append(rng.random(np.count_nonzero(keep[row])))
+    return keep, uniforms
+
+
+def _project_chunk(rows, keep, uniforms, ranks):
+    """Chosen site indices of draws of descending ``ranks``, sorted per row.
+
+    ``rows`` holds the eigenvectors as rows plus a zero row that pads every
+    frame to the first (largest) rank.  Row j of the result holds the
+    ranks[j] sites of draw j, then padding indices past the last site.
+    """
+    size, rank = len(ranks), int(ranks[0])
+    n_sites = rows.shape[1]
+    live = np.arange(rank) < ranks[:, None]
+    cols = np.full((size, rank), len(rows) - 1)
+    cols[live] = np.nonzero(keep)[1]
+    u = np.zeros((size, rank))
+    u[live] = np.concatenate(uniforms)
+    v = rows[cols]  # (size, rank, sites): draw b's frame, one row per vector
+    c = np.zeros_like(v)  # its Gram-Schmidt columns, also as rows
+    norms2 = np.einsum("bjn,bjn->bn", v, v)
+    chosen = np.full((size, rank), n_sites)
+    for t, active in enumerate(np.count_nonzero(live, axis=0)):
+        b = np.arange(active)  # the draws of rank > t lead the chunk
+        left = norms2[:active]
+        cdf = np.maximum(left, 0.0)
+        cdf.cumsum(axis=1, out=cdf)
+        cdf /= cdf[:, -1:]
+        site = np.count_nonzero(cdf <= u[:active, t, None], axis=1)
+        chosen[:active, t] = site
+        denom = np.sqrt(np.maximum(left[b, site], 1e-300))
+        col = (v[b, :, site][:, None] @ v[:active])[:, 0]
+        col -= (c[b, :t, site][:, None] @ c[:active, :t])[:, 0]
+        col /= denom[:, None]
+        c[:active, t] = col
+        left -= col * col
+        left[b, site] = 0.0  # chosen: only rounding residue is left
+    chosen.sort(axis=1)
     return chosen
+
+
+def _sample_batch(wk, seed, indices):
+    """Sorted occupied sites of the draws (seed, index), one per index.
+
+    Each draw selects eigenvectors by independent Bernoulli draws and then
+    samples the induced projection process site by site: the site of step t
+    is its uniform located in the cumulative squared row norms of the frame
+    projected away from the sites already chosen, and the projection grows
+    by one Gram-Schmidt column per step (O(N k) per step).  The draws run
+    together in order of descending rank, so those still running at step t
+    lead the batch; chunks of at most FRAME_BUDGET bytes of padded frames
+    advance one step per stacked product.  A draw depends only on its keyed
+    stream, not on the batch, its order or its chunk.
+    """
+    keep, uniforms = _selections(wk, seed, indices)
+    ranks = np.count_nonzero(keep, axis=1)
+    order = np.argsort(-ranks, kind="stable")
+    rows = np.vstack([wk.eigenvectors.T, np.zeros(len(wk.eigenvectors))])
+    out = [np.empty(0)] * len(order)
+    start = 0
+    while start < len(order) and ranks[order[start]] > 0:
+        per_draw = 16 * rows.shape[1] * int(ranks[order[start]])
+        chunk = order[start:start + max(1, FRAME_BUDGET // per_draw)]
+        sites = wk.k_lo_int + 0.5 + _project_chunk(
+            rows, keep[chunk], [uniforms[d] for d in chunk], ranks[chunk])
+        for row, d in zip(sites, chunk):
+            out[d] = row[:ranks[d]]
+        start += len(chunk)
+    return out
 
 
 def sample(wk, rng_seed, sample_index=0):
     """One configuration: sorted array of occupied half-integer sites."""
-    if not hasattr(_LOCAL, "rng"):
-        _LOCAL.rng = _rng_for(0, 0)
-    rng = _rng_for(rng_seed, sample_index, _LOCAL.rng)
-    keep = rng.random(len(wk.eigenvalues)) < wk.eigenvalues
-    idx = _sample_projection(wk.eigenvectors[:, keep], rng)
-    return wk.k_lo_int + 0.5 + np.sort(idx)
+    return _sample_batch(wk, rng_seed, [sample_index])[0]
 
 
 def sample_many(wk, n_samples, seed):
-    """Independent configurations with per-sample keyed streams."""
-    return [sample(wk, seed, i) for i in range(int(n_samples))]
+    """Independent configurations (seed, 0..n-1), drawn as one batch."""
+    return _sample_batch(wk, seed, range(int(n_samples)))
 
 
 @dataclass(frozen=True)
@@ -189,10 +251,8 @@ def empirical_edge_law(coeffs, n_samples, seed):
     if n_samples < 1:
         raise ValueError(f"n_samples must be a positive integer, got {n_samples}")
     wk = windowed_kernel(coeffs, edge=True)
-    kmax = np.empty(n_samples)
-    for i in range(n_samples):
-        conf = sample(wk, seed, i)
-        kmax[i] = conf[-1] if len(conf) else wk.k_lo_int - 0.5
+    kmax = np.array([conf[-1] if len(conf) else wk.k_lo_int - 0.5
+                     for conf in sample_many(wk, n_samples, seed)])
     ordered = np.sort(kmax)  # searchsorted counts the draws below a point
     ells = np.arange(int(ordered[0] - 0.5), int(ordered[-1] + 0.5) + 2)
     ks_exact = float(np.max(np.abs(np.searchsorted(ordered, ells) / n_samples
@@ -230,8 +290,8 @@ def limit_shape_deviation(coeffs, n_samples, seed, percentile=90.0):
     steps = 0.5 * (dens[:-1] + dens[1:]) / theta
     tail = np.append(np.cumsum(steps[::-1])[::-1], 0.0)
     sups = np.empty(int(n_samples))
-    for i in range(int(n_samples)):
-        conf = sample(wk, seed, i)  # sorted: count sites above each k
+    for i, conf in enumerate(sample_many(wk, n_samples, seed)):
+        # conf is sorted: count its sites above each k
         counts = len(conf) - np.searchsorted(conf, sites, side="right")
         sups[i] = float(np.max(np.abs(counts / theta - tail)))
     return ShapeDeviationReport(

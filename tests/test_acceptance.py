@@ -19,7 +19,7 @@ from splitsea.kernel import (coefficient_band, edge_prediction, kernel_eval,
                              local_sine_prediction)
 from splitsea.potential import (HoppingCoefficients, edge_profile, fermi_sea,
                                 global_extrema)
-from splitsea.sampler import WindowedKernel, empirical_edge_law, sample
+from splitsea.sampler import WindowedKernel, empirical_edge_law, sample_many
 from splitsea.schur import measure_weight, partitions_upto
 from splitsea.unitary import (angle_histogram, density_support_cuts,
                               eigen_density_supercritical, metropolis_chain,
@@ -200,8 +200,8 @@ def test_criterion_09_sampler_exactness():
              for s in itertools.combinations(range(6), 2)}
     n_toy = 200000
     counts = {}
-    for i in range(n_toy):
-        key = tuple(int(v - 0.5) for v in sample(wk, 7, i))
+    for conf in sample_many(wk, n_toy, 7):
+        key = tuple(int(v - 0.5) for v in conf)
         counts[key] = counts.get(key, 0) + 1
     tv = 0.5 * sum(abs(counts.get(s, 0) / n_toy - p) for s, p in exact.items())
 

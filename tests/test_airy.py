@@ -281,6 +281,19 @@ def test_leading_minors_past_a_failed_pivot():
     assert got[0] == pytest.approx(0.75, abs=1e-15) and got[1] == 0.0
 
 
+def test_leading_minors_stacked_and_past_a_failed_first_block():
+    # the stacked Cholesky agrees with minors taken one by one, and a failure
+    # in the first block is resolved node by node from the identity
+    p = np.random.default_rng(2).normal(size=(30, 4)) * 0.1
+    above = [3, 10, 11, 30]
+    want = [np.linalg.det(np.eye(30)[:k, :k] - p[:k] @ p[:k].T) for k in above]
+    assert np.max(np.abs(_leading_minors(p, above) - want)) < 1e-14
+    with pytest.raises(NodeCountInsufficient):
+        _leading_minors(np.full((3, 1), 0.6), [3])
+    got = _leading_minors(np.array([[math.sqrt(1.0 - 1e-10)], [1e-3]]), [2])
+    assert list(got) == [0.0]
+
+
 def test_limit_table_below_roundoff_is_zero_not_an_error():
     # F(-10.4583) is about 1e-41: the coarse table's last pivot fails there,
     # which used to raise although the rows above are certified

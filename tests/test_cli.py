@@ -134,6 +134,8 @@ G = ("--gamma", "1,-0.3333333333")
      "--window"),
     (("kernel-profile", "--gamma", "1", "--theta", "2", "--window", "a:b"),
      "--window"),
+    (("airy", "--s", "-6:4:1e-9"), "--s"),  # was a 74.5 GiB allocation
+    (("airy", "--s", "-6:4:1e-300"), "--s"),
 ])
 def test_malformed_or_empty_grid_is_config_error(capsys, argv, flag):
     # these truncated, replaced a zero step, or printed a bare header

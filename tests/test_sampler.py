@@ -12,7 +12,8 @@ from splitsea.edge import fredholm_cdf_check
 from splitsea.errors import LeakageTooLarge
 from splitsea.kernel import coefficient_band, tail_trace
 from splitsea.potential import HoppingCoefficients, global_extrema
-from splitsea.sampler import (WindowedKernel, _rng_for, _sample_projection,
+from splitsea import sampler as sampler_mod
+from splitsea.sampler import (WindowedKernel, _rng_for, _sample_batch,
                               auto_window, empirical_edge_law,
                               limit_shape_deviation, sample, sample_many,
                               windowed_kernel)
@@ -34,9 +35,9 @@ def test_projection_toy_distribution():
     assert sum(exact.values()) == pytest.approx(1.0, abs=1e-12)
     n = 30000
     counts = {}
-    for i in range(n):
-        conf = tuple(int(v - 0.5) for v in sample(wk, 7, i))
-        counts[conf] = counts.get(conf, 0) + 1
+    for conf in sample_many(wk, n, 7):
+        key = tuple(int(v - 0.5) for v in conf)
+        counts[key] = counts.get(key, 0) + 1
     tv = 0.5 * sum(abs(counts.get(s, 0) / n - p) for s, p in exact.items())
     assert tv < 0.02
 
@@ -64,6 +65,35 @@ def test_windowed_kernel_leakage_guard():
         windowed_kernel(c, window=None, leakage_tol=1e-30)
 
 
+def _loop_projection(vectors, rng):
+    """Reference: one projection-DPP draw as a per-site loop on one frame."""
+    v = vectors
+    n, rank = v.shape
+    c = np.zeros((n, rank))
+    norms2 = np.sum(v * v, axis=1)
+    cdf = np.empty(n)
+    chosen = np.empty(rank, dtype=np.int64)
+    for it in range(rank):
+        np.maximum(norms2, 0.0, out=cdf)
+        cdf.cumsum(out=cdf)
+        cdf /= cdf[-1]
+        site = int(cdf.searchsorted(rng.random(), side="right"))
+        chosen[it] = site
+        denom = math.sqrt(max(norms2[site], 1e-300))
+        c[:, it] = (v @ v[site] - c[:, :it] @ c[site, :it]) / denom
+        norms2 -= c[:, it] ** 2
+        norms2[site] = 0.0
+    return chosen
+
+
+def _loop_sample(wk, seed, index):
+    """Reference: the draw (seed, index) taken on its own by the loop above."""
+    rng = _rng_for(seed, index)
+    keep = rng.random(len(wk.eigenvalues)) < wk.eigenvalues
+    idx = _loop_projection(wk.eigenvectors[:, keep], rng)
+    return wk.k_lo_int + 0.5 + np.sort(idx)
+
+
 def _choice_projection(vectors, rng):
     """Reference: the projection sampler drawing each site with rng.choice."""
     n, rank = vectors.shape
@@ -86,14 +116,51 @@ def test_projection_draw_matches_choice_reference():
     # one uniform located in the cumulative weights is what rng.choice does;
     # the sums differ only in rounding, so the drawn sites agree
     wk = windowed_kernel(HoppingCoefficients((1.0, -1.0 / 3.0), theta=8.0))
+    drawn = _sample_batch(wk, 3, range(200))
     for i in range(200):
         rng = _rng_for(3, i)
         keep = rng.random(len(wk.eigenvalues)) < wk.eigenvalues
-        ref_rng = _rng_for(3, i)
-        ref_rng.random(len(wk.eigenvalues))
-        vectors = wk.eigenvectors[:, keep]
-        assert list(_sample_projection(vectors, rng)) == \
-            _choice_projection(vectors, ref_rng)
+        want = sorted(_choice_projection(wk.eigenvectors[:, keep], rng))
+        assert list(drawn[i] - wk.k_lo_int - 0.5) == want
+
+
+@pytest.mark.parametrize("case,n", [("toy", 5000), ("edge-window", 100),
+                                    ("full-window", 300)])
+def test_batched_draws_equal_the_per_draw_loop(case, n):
+    if case == "toy":
+        wk = _projection_toy()
+    elif case == "edge-window":
+        wk = windowed_kernel(HoppingCoefficients((1.0, -1.0 / 3.0), theta=40.3),
+                             edge=True)
+    else:
+        wk = windowed_kernel(HoppingCoefficients((1.0,), theta=12.0))
+    batched = sample_many(wk, n, 7)
+    assert len(batched) == n
+    for i, conf in enumerate(batched):
+        assert np.array_equal(conf, _loop_sample(wk, 7, i))
+
+
+def test_batched_draws_ignore_chunks_order_and_threads(monkeypatch):
+    wk = windowed_kernel(HoppingCoefficients((1.0,), theta=12.0))
+    want = sample_many(wk, 60, 4)
+    shuffled = np.random.default_rng(1).permutation(60)
+    got = _sample_batch(wk, 4, shuffled)
+    assert all(np.array_equal(got[j], want[i]) for j, i in enumerate(shuffled))
+    for budget in (1, 50_000, 2 ** 30):  # one draw per chunk up to one chunk
+        monkeypatch.setattr(sampler_mod, "FRAME_BUDGET", budget)
+        got = sample_many(wk, 60, 4)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    monkeypatch.undo()
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(_sample_batch, wk, 4, range(lo, lo + 15))
+                       for lo in (0, 15, 30, 45) * 2]
+            drawn = [d for f in futures for d in f.result(timeout=120)]
+    finally:
+        sys.setswitchinterval(switch)
+    assert all(np.array_equal(a, b) for a, b in zip(drawn, want * 2))
 
 
 @pytest.mark.parametrize("theta", [20.0, 40.0])
@@ -146,8 +213,8 @@ def test_sampler_marginals_match_diagonal():
     wk = windowed_kernel(c)
     n = 8000
     occ = np.zeros(len(wk.sites))
-    for i in range(n):
-        occ += np.isin(wk.sites, sample(wk, 11, i))
+    for conf in sample_many(wk, n, 11):
+        occ += np.isin(wk.sites, conf)
     emp = occ / n
     diag = np.diag(wk.matrix)
     se = np.sqrt(np.maximum(diag * (1.0 - diag), 1e-12) / n)
@@ -163,8 +230,7 @@ def test_pair_correlation_matches_minor():
     want = float(np.linalg.det(wk.matrix[np.ix_([i, j], [i, j])]))
     n = 12000
     hits = 0
-    for t in range(n):
-        conf = sample(wk, 19, t)
+    for conf in sample_many(wk, n, 19):
         hits += (0.5 in conf) and (1.5 in conf)
     emp = hits / n
     se = math.sqrt(want * (1 - want) / n)
@@ -175,7 +241,7 @@ def test_number_variance_bounded_by_mean():
     c = HoppingCoefficients((1.0, -1.0 / 3.0), theta=8.0)
     wk = windowed_kernel(c)
     n = 3000
-    counts = np.array([np.sum(sample(wk, 21, i) > 0.5) for i in range(n)])
+    counts = np.array([np.sum(conf > 0.5) for conf in sample_many(wk, n, 21)])
     mean, var = float(np.mean(counts)), float(np.var(counts, ddof=1))
     se_var = var * math.sqrt(2.0 / (n - 1))
     assert var <= mean + 4.0 * se_var
