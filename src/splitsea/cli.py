@@ -125,6 +125,9 @@ def _cmd_analyze(args):
 
 def _cmd_density(args):
     coeffs = HoppingCoefficients(args.gamma)
+    for flag, x in (("--xmin", args.xmin), ("--xmax", args.xmax)):
+        if not math.isfinite(x):
+            raise ValueError(f"{flag} must be finite, got {x!r}")
     xs = np.linspace(args.xmin, args.xmax, _steps(args))
     rows = [(float(x), limit_density(coeffs, x), limit_shape(coeffs, x))
             for x in xs]

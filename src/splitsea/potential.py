@@ -23,9 +23,14 @@ Conventions for degenerate levels:
   the interval connected; the pinch angle is likewise recorded as tangential.
 
 Root finding works on the monotone segments cut out by the critical points of
-D, which are themselves located by a dense sign scan of D' (4096*R points on
-[0, pi]) followed by bracketed refinement, so roots cannot be missed for the
-finite-degree dispersions handled here.
+D.  With y = cos(phi), D(phi) = p(y) for the Chebyshev series
+p = sum_r 2 r gamma_r T_r, so D'(phi) = -sin(phi) p'(y): the critical points
+are 0, pi and the arccos of the real roots of p' in (-1, 1), all of them
+eigenvalues of one colleague matrix (Trefethen, ATAP, ch. 18), so none can be
+missed.  Roots near y = +-1 whose D value equals the endpoint's to roundoff
+merge into the endpoint: arccos magnifies a root at 1 - 1e-16 into an angle of
+1.5e-8, and the roundoff split of a multiple root at y = 1 (a maximizer of
+order m >= 3 at phi = 0) into one near 1e-4.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
+from numpy.polynomial.chebyshev import chebder, chebroots, chebtrim
 from scipy.optimize import brentq
 
 from .errors import DegenerateEdge, SolverFailure
@@ -43,6 +48,7 @@ from .errors import DegenerateEdge, SolverFailure
 ROOT_RESIDUAL_TOL = 1e-12      # |D(chi) - x| after polishing
 TANGENT_SLOPE_TOL = 1e-8       # |D'(chi)| below this marks a tangential root
 DERIV_ZERO_REL_TOL = 1e-9      # relative tolerance for "derivative vanishes"
+CRIT_MERGE_REL_TOL = 1e-14     # |D(c) - D(endpoint)| that merges c into the endpoint
 
 
 @dataclass(frozen=True)
@@ -210,44 +216,41 @@ def _derivative_scale(coeffs, order):
 
 @lru_cache(maxsize=None)
 def _critical_points(gammas):
-    """Sorted roots of D' on [0, pi], endpoints included (D' vanishes there)."""
-    coeffs = HoppingCoefficients(gammas)
-    if not gammas:
-        return (0.0, math.pi)
-    n = 4096 * len(gammas)
-    grid = np.linspace(0.0, math.pi, n + 1)
-    dvals = eval_dispersion(coeffs, grid, order=1)
-    pts = [0.0]
-    for i in range(n):
-        a, b = grid[i], grid[i + 1]
-        fa, fb = dvals[i], dvals[i + 1]
-        if fa == 0.0 and 0.0 < a < math.pi:
-            pts.append(a)
-        elif fa * fb < 0.0:
-            root = brentq(lambda t: eval_dispersion(coeffs, t, order=1),
-                          a, b, xtol=1e-15, rtol=8.9e-16)
-            if 0.0 < root < math.pi:
-                pts.append(root)
-    pts.append(math.pi)
-    # dedupe near-coincident refinements
-    out = [pts[0]]
-    for p in sorted(pts[1:]):
-        if p - out[-1] > 1e-12:
-            out.append(p)
-    return tuple(out)
+    """Sorted critical points of D on [0, pi], endpoints included, and D there.
 
-
-@lru_cache(maxsize=None)
-def _extrema(gammas):
+    The interior points are the arccos of the real roots of p' in (-1, 1)
+    (see the module docstring) after one Newton step on D' in phi, which
+    undoes the magnification by arccos.  Chebyshev coefficients under
+    roundoff are chopped first: a tiny leading one wrecks the colleague
+    matrix.
+    """
     coeffs = HoppingCoefficients(gammas)
-    crit = _critical_points(gammas)
-    vals = [eval_dispersion(coeffs, c) for c in crit]
-    return max(vals), -min(vals)
+    scale = _derivative_scale(coeffs, 0)
+    series = chebtrim([0.0] + [2.0 * r * g for r, g in enumerate(gammas, start=1)],
+                      np.finfo(float).eps * scale)
+    ys = chebroots(chebder(series))
+    phis = np.arccos(ys[(ys.imag == 0.0) & (np.abs(ys) < 1.0)].real)
+    d2 = eval_dispersion(coeffs, phis, order=2)
+    step = np.divide(eval_dispersion(coeffs, phis, order=1), d2,
+                     out=np.zeros_like(phis), where=d2 != 0.0)
+    phis = np.unique(np.clip(np.concatenate(([0.0, math.pi], phis - step)), 0.0, math.pi))
+    vals = eval_dispersion(coeffs, phis)
+    # D is monotone between neighbouring critical points, so a run of them
+    # next to an endpoint with its value to roundoff lies on a flat stretch
+    tol = CRIT_MERGE_REL_TOL * scale
+    lo, hi = 1, len(phis) - 1
+    while lo < hi and abs(vals[lo] - vals[0]) <= tol:
+        lo += 1
+    while hi > lo and abs(vals[hi - 1] - vals[-1]) <= tol:
+        hi -= 1
+    keep = [0, *range(lo, hi), len(phis) - 1]
+    return tuple(phis[keep].tolist()), tuple(vals[keep].tolist())
 
 
 def global_extrema(coeffs):
     """(b, b_tilde) with b = max D and b_tilde = -min D over [0, pi]."""
-    return _extrema(coeffs.gammas)
+    _, vals = _critical_points(coeffs.gammas)
+    return max(vals), -min(vals)
 
 
 def _polish_root(coeffs, x, lo, hi):
@@ -291,11 +294,13 @@ def fermi_sea(coeffs, x):
     Returns the empty sea for x above max D and the full circle for x below
     min D; otherwise solves D(chi) = x on every monotone segment of D and
     assembles the intervals by the sign of D - x between consecutive roots.
+    A non-finite x raises ValueError.
     """
     x = float(x)
-    crit = _critical_points(coeffs.gammas)
-    crit_vals = [eval_dispersion(coeffs, c) for c in crit]
-    scale = max(1.0, max(abs(v) for v in crit_vals)) if crit_vals else 1.0
+    if not math.isfinite(x):
+        raise ValueError(f"the level x must be finite, got {x!r}")
+    crit, crit_vals = _critical_points(coeffs.gammas)
+    scale = max(1.0, max(abs(v) for v in crit_vals))
     touch_tol = 1e-10 * scale
 
     roots = []
@@ -338,29 +343,22 @@ def limit_density(coeffs, x):
     return min(max(rho, 0.0), 1.0)
 
 
-def _kink_levels(gammas):
-    """Critical values of D: the x where the cut structure can change."""
-    coeffs = HoppingCoefficients(gammas)
-    return sorted(set(eval_dispersion(coeffs, c)
-                      for c in _critical_points(gammas)))
-
-
 def limit_shape(coeffs, x):
     """Rescaled limit-shape profile Omega(x) = x + 2 * integral_x^b of the density.
 
-    The quadrature runs over the whole requested range (including any frozen
-    stretch where the density is exactly 1), so the known frozen-side identity
-    Omega(x) = -x for x <= -b_tilde doubles as a consistency check in tests.
+    By the layer-cake identity the integral is (1/pi) int_0^pi (D - x)_+, and
+    G(phi) = sum_r 2 gamma_r sin(r phi) is an antiderivative of D, so
+
+        Omega(x) = x + (2/pi) sum_{(a, c) in sea(x)} [G(c) - G(a) - x (c - a)]
+
+    exactly.  An empty sea gives Omega(x) = x, and the full sea below
+    -b_tilde gives the frozen-side identity Omega(x) = -x by construction.
     """
-    x = float(x)
-    b, _ = global_extrema(coeffs)
-    if x >= b:
-        return x
-    kinks = [v for v in _kink_levels(coeffs.gammas) if x < v < b]
-    integral, _err = quad(lambda t: limit_density(coeffs, t), x, b,
-                          points=kinks or None, limit=200,
-                          epsabs=1e-11, epsrel=1e-11)
-    return x + 2.0 * integral
+    sea = fermi_sea(coeffs, x)
+    G = lambda t: sum(2.0 * g * math.sin(r * t)
+                      for r, g in enumerate(coeffs.gammas, start=1))
+    area = sum(G(c) - G(a) - sea.x * (c - a) for a, c in sea.intervals)
+    return sea.x + 2.0 * area / math.pi
 
 
 def edge_profile(coeffs):
@@ -381,10 +379,9 @@ def _edge_profile(gammas):
         raise DegenerateEdge("dispersion is constant; no edge to analyse")
     coeffs = HoppingCoefficients(gammas)
     b, b_tilde = global_extrema(coeffs)
-    crit = _critical_points(coeffs.gammas)
+    crit, crit_vals = _critical_points(coeffs.gammas)
     scale_b = max(1.0, abs(b))
-    maxima = [c for c in crit
-              if abs(eval_dispersion(coeffs, c) - b) <= 1e-9 * scale_b]
+    maxima = [c for c, v in zip(crit, crit_vals) if abs(v - b) <= 1e-9 * scale_b]
 
     maximizers = []
     for chi in maxima:

@@ -39,7 +39,7 @@ from .edge import exact_cdf
 from .errors import LeakageTooLarge
 from .kernel import coefficient_band, kernel_matrix, tail_trace
 from .kernel import kernel_eval  # noqa: F401  (bench/tracer.py patches it here)
-from .potential import edge_profile, limit_density
+from .potential import edge_profile, limit_shape
 
 EIG_CLIP_TOL = 1e-9
 FRAME_BUDGET = 2 ** 21  # bytes of padded frames one batch chunk may hold
@@ -278,17 +278,16 @@ def limit_shape_deviation(coeffs, n_samples, seed, percentile=90.0):
     """Empirical sup-distance between N(x theta)/theta and its limit.
 
     For each sampled configuration the count of occupied sites above every
-    window lattice point is compared with theta * integral of the density;
-    reports the requested percentile of the per-sample sup.
+    window lattice point k, over theta, is compared with its limit
+    int_{k/theta}^b rho = (Omega(k/theta) - k/theta)/2, exact from the closed
+    form of :func:`limit_shape`; reports the requested percentile of the
+    per-sample sup.
     """
     wk = windowed_kernel(coeffs)
     theta = coeffs.theta
     sites = wk.sites
-    # limiting counts above each site: theta * int_{k/theta}^inf density
-    dens = np.array([limit_density(coeffs, k / theta) for k in sites])
-    # right-to-left trapezoid accumulation on the lattice (spacing 1/theta)
-    steps = 0.5 * (dens[:-1] + dens[1:]) / theta
-    tail = np.append(np.cumsum(steps[::-1])[::-1], 0.0)
+    tail = np.array([0.5 * (limit_shape(coeffs, k / theta) - k / theta)
+                     for k in sites])
     sups = np.empty(int(n_samples))
     for i, conf in enumerate(sample_many(wk, n_samples, seed)):
         # conf is sorted: count its sites above each k

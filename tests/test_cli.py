@@ -12,6 +12,7 @@ import pytest
 
 from splitsea.cli import (_apply_config, _merge_negative_values, build_parser,
                           main, read_csv)
+from splitsea.potential import HoppingCoefficients, global_extrema
 
 
 def run(capsys, *argv):
@@ -136,6 +137,8 @@ G = ("--gamma", "1,-0.3333333333")
      "--window"),
     (("airy", "--s", "-6:4:1e-9"), "--s"),  # was a 74.5 GiB allocation
     (("airy", "--s", "-6:4:1e-300"), "--s"),
+    (("density",) + G + ("--xmin", "nan", "--xmax", "1"), "--xmin must be finite, got nan"),
+    (("density",) + G + ("--xmin", "-1", "--xmax", "inf"), "--xmax must be finite, got inf"),
 ])
 def test_malformed_or_empty_grid_is_config_error(capsys, argv, flag):
     # these truncated, replaced a zero step, or printed a bare header
@@ -159,6 +162,26 @@ def test_readme_command_lines_parse():
         except SystemExit:
             pytest.fail(f"README line does not parse: {line}")
         assert args.command == argv[0]
+
+
+def test_readme_density_line_runs(tmp_path, capsys):
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        line, = [ln.strip() for ln in fh if ln.startswith("splitsea density ")]
+    argv = shlex.split(line)[1:]
+    out = tmp_path / "density.csv"
+    argv[argv.index("--out") + 1] = str(out)
+    assert run(capsys, *argv)[0] == 0
+    header, rows = read_csv(str(out))
+    assert header == ["x", "rho", "Omega"] and len(rows) == 400
+    x, rho, omega = np.array(rows, dtype=float).T
+    gammas = [float(v) for v in argv[argv.index("--gamma") + 1].split(",")]
+    b, b_tilde = global_extrema(HoppingCoefficients(gammas))
+    frozen, empty = x <= -b_tilde, x >= b
+    assert frozen.any() and empty.any()
+    assert np.all((rho >= 0.0) & (rho <= 1.0))
+    assert np.max(np.abs(omega[frozen] + x[frozen])) <= 1e-12
+    assert np.max(np.abs(omega[empty] - x[empty])) <= 1e-12
 
 
 def test_density_csv_roundtrip(tmp_path, capsys):

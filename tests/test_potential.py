@@ -6,14 +6,60 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from splitsea.errors import DegenerateEdge
-from splitsea.potential import (HoppingCoefficients, edge_profile, eval_dispersion,
-                                fermi_sea, global_extrema, limit_density,
-                                limit_shape, quadratic_fermi_sea_oracle)
+from splitsea.potential import (HoppingCoefficients, _critical_points, edge_profile,
+                                eval_dispersion, fermi_sea, global_extrema,
+                                limit_density, limit_shape,
+                                quadratic_fermi_sea_oracle)
 from conftest import central_derivative
 
 GAMMA_SETS = [(1.0, 1.0 / 3.0), (1.0, 0.1), (1.0, -0.125), (1.0, -1.0 / 3.0)]
+
+
+def _scan_critical_points(gammas):
+    """Roots of D' on [0, pi], endpoints included, by a dense sign scan.
+
+    4096 R cells, a sign change refined by brentq, an exact zero at a node
+    kept as it is; refinements closer than 1e-12 are merged.  Independent of
+    the Chebyshev colleague-matrix route in the library.
+    """
+    coeffs = HoppingCoefficients(gammas)
+    if not coeffs.gammas:
+        return (0.0, math.pi)
+    grid = np.linspace(0.0, math.pi, 4096 * coeffs.degree + 1)
+    sign = np.sign(eval_dispersion(coeffs, grid, order=1))
+    pts = [0.0, math.pi] + [grid[i] for i in np.flatnonzero(sign[1:-1] == 0.0) + 1]
+    for i in np.flatnonzero(sign[:-1] * sign[1:] < 0.0):
+        pts.append(brentq(lambda t: eval_dispersion(coeffs, t, order=1),
+                          grid[i], grid[i + 1], xtol=1e-15, rtol=8.9e-16))
+    out = [0.0]
+    for p in sorted(pts[1:]):
+        if p - out[-1] > 1e-12:
+            out.append(p)
+    return tuple(out)
+
+
+def _quad_limit_shape(coeffs, xs):
+    """Omega at ascending levels xs by adaptive quadrature of the density.
+
+    The density is integrated between consecutive levels up to b, with the
+    critical values of D (where the sea changes shape) as breakpoints, and
+    the pieces are summed from the top.
+    """
+    kinks = sorted(eval_dispersion(coeffs, c)
+                   for c in _scan_critical_points(coeffs.gammas))
+    edges = [min(float(x), kinks[-1]) for x in xs] + [kinks[-1]]
+    pieces = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        inner = [v for v in kinks if lo < v < hi]
+        val, _err = quad(lambda t: limit_density(coeffs, t), lo, hi,
+                         points=inner or None, limit=200,
+                         epsabs=1e-11, epsrel=1e-11)
+        pieces.append(val)
+    return np.asarray(xs) + 2.0 * np.cumsum(pieces[::-1])[::-1]
 
 
 def test_package_exports_resolve():
@@ -144,6 +190,9 @@ def test_fermi_sea_sign_pattern():
     ((1.0, -0.125), 0.0, 2, 0.25, 1),
     ((1.0, 0.1), 0.0, 1, None, 1),
     ((1.0, 1.0 / 3.0), 0.0, 1, None, 1),
+    # a roundoff split of the double root of p' at y = 1 must not add a
+    # second maximizer near phi = 1.9e-4
+    ((1.0, -0.2, 1.0 / 45.0), 0.0, 3, 1.0 / 15.0, 1),
 ])
 def test_edge_profile_constants(gammas, chi_b, m, d, n_cuts):
     profile = edge_profile(HoppingCoefficients(gammas))
@@ -249,6 +298,47 @@ def test_limit_shape_lipschitz():
     vals = [limit_shape(c, float(x)) for x in xs]
     for (x1, v1), (x2, v2) in zip(zip(xs, vals), zip(xs[1:], vals[1:])):
         assert abs(v2 - v1) <= abs(x2 - x1) + 1e-9
+
+
+@pytest.mark.parametrize("gammas", GAMMA_SETS + [(1.0,), (1.0, -1.0 / 3.0, 0.2)])
+def test_limit_shape_closed_form_matches_quadrature(gammas):
+    c = HoppingCoefficients(gammas)
+    b, bt = global_extrema(c)
+    xs = np.linspace(-bt - 0.5, b + 0.5, 40)
+    want = _quad_limit_shape(c, xs)
+    got = np.array([limit_shape(c, x) for x in xs])
+    assert np.max(np.abs(got - want)) <= 1e-10
+
+
+@given(st.lists(st.floats(-1.0, 1.0, allow_subnormal=False), min_size=1, max_size=5))
+@settings(max_examples=150, deadline=None)
+def test_critical_points_match_sign_scan(gammas):
+    c = HoppingCoefficients(tuple(gammas))
+    crit, vals = _critical_points(c.gammas)
+    want = _scan_critical_points(c.gammas)
+    assert len(crit) == len(want)
+    assert crit == pytest.approx(want, abs=1e-12)
+    assert vals == tuple(eval_dispersion(c, np.array(crit)))
+
+
+@pytest.mark.parametrize("gammas", [
+    (1.0, -0.125),             # p' has its root exactly at y = 1
+    (0.0, 1.0),                # a root at y = 0, phi = pi/2
+    (1.0, 0.0, 1.0 / 27.0),    # p' has only complex roots
+    (1.0, -0.2, 1.0 / 45.0),   # double root of p' at y = 1 (m = 3 at phi = 0)
+])
+def test_critical_points_fixed_cases(gammas):
+    crit, _ = _critical_points(gammas)
+    assert crit == pytest.approx(_scan_critical_points(gammas), abs=1e-12)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_non_finite_level_is_rejected(x):
+    # limit_density and limit_shape used to return nan, 0.0 or inf
+    c = HoppingCoefficients((1.0, -1.0 / 3.0))
+    for fn in (fermi_sea, limit_density, limit_shape):
+        with pytest.raises(ValueError, match="must be finite"):
+            fn(c, x)
 
 
 @pytest.mark.parametrize("gamma2", [1.0 / 3.0, 0.1, -0.125, -1.0 / 3.0, 0.0, 0.2, -0.6])
