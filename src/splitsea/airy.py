@@ -20,7 +20,9 @@ F_{2m+1}^n are the edge laws of n-cut seas.
 Evaluation: ``airy_values`` is the one contour evaluator (vectorised, and it
 takes scalars too); ``airy_fn`` is its guarded public scalar form, and
 ``_airy_cache`` holds its degree-16 Chebyshev interpolants on the unit panels
-of [-14.5, 52] (1139 contour points) for the kernel assembly.
+of [-14.5, 52] (1139 contour points) for the kernel assembly.  The law cache
+below shares that panel-Chebyshev build (``_cheb_points``,
+``_cheb_coefficients``) and its Clenshaw evaluator (``_clenshaw``).
 
 Contour choice: along the vertical line Re z = sigma the integrand decays
 like exp(-sigma t^{2m}); for x < 0 the linear term adds a bump of
@@ -36,7 +38,7 @@ sigma, which keeps the off-saddle bump below e.
 Fredholm determinants use a Nystrom discretisation with Gauss-Legendre nodes;
 the kernel matrix is assembled as a Gram matrix B B^T over a v-quadrature,
 which keeps it symmetric positive semi-definite by construction.
-``limiting_cdf`` computes F on a whole s-grid as one table: composite panels
+``_law_table`` computes F on a whole s-grid as one table: composite panels
 whose edges are the grid points, plus the tail [s_max, s_max + L] in unit
 panels, with the nodes ordered from the top down so that every F(s_j) is a
 leading minor of I - W^1/2 A W^1/2.  That kernel has low numerical rank
@@ -46,6 +48,15 @@ determinant of one r x r matrix, with the dropped trace bounding the error.
 A second table with twice the nodes on every panel and twice L certifies it
 to TABLE_TOL, and the finer one is returned.  ``fredholm_F`` (one panel on
 [s, s + L], node doubling) stays as the independent per-point oracle.
+
+F is analytic in s (Bornemann 2010), so ``limiting_cdf`` serves s in
+[-9, 6] from ``_law_cache(m)``: degree-16 Chebyshev interpolants of
+F_{2m+1} on the unit panels, built once per order and process from such
+tables, five panels per table.  The build is certified: every panel's last
+three coefficients (the chopping rule of Aurentz and Trefethen 2017) must be
+under LAW_TAIL_TOL, and the interpolant must reproduce the tables at two
+check points per panel to LAW_CHECK_TOL, or it raises NodeCountInsufficient.
+An s outside [-9, 6] is computed by tables, as before.
 """
 
 from __future__ import annotations
@@ -63,7 +74,9 @@ INTEGRAND_FLOOR = 1e-18      # tail magnitude required at the truncation point
 KERNEL_FACTOR_FLOOR = 1e-16  # Ai factor size ending the v-integration
 AIRY_NODE_BUDGET = 65536     # most trapezoid nodes one contour batch may use
 TABLE_TOL = 1e-8             # certification tolerance of the F_{2m+1} laws
-TABLE_POINTS = 256           # most s values per table: bounds its N x V factor
+TABLE_POINTS = 95            # most s per table (5 law-cache panels): bounds N x V
+LAW_TAIL_TOL = 1e-11         # most a cached F panel's last 3 coefficients reach
+LAW_CHECK_TOL = 1e-12        # most the cached F may miss a table off its nodes
 RANK_RTOL = 1e-17            # kept eigenvalues of the table's Gram, relative
 RANK_DROP_TOL = 1e-12        # most kernel trace the compressed table may drop
 _MAX_ARG = 40.0        # public argument guard
@@ -166,47 +179,70 @@ def airy_fn(order, x):
 
 
 _CACHE_DOMAIN = (-14.5, 52.0)
+_LAW_DOMAIN = (-9.0, 6.0)
 _CHEB_DEGREE = 16
 
 
-@lru_cache(maxsize=8)
-def _airy_cache(m):
-    """Chebyshev coefficients of Ai_{2m+1} on the unit panels of the domain.
+def _cheb_points(lo, panels):
+    """First-kind Chebyshev points of the unit panels [lo + p, lo + p + 1].
 
-    Column p holds the degree-16 interpolant on [lo + p, lo + p + 1] through
-    its 17 first-kind Chebyshev points (row k its degree-k coefficients).
-    Coefficients past degree 16 are at the contour evaluator's own noise (a
-    few 1e-12), so the interpolant is as accurate as the evaluator; above the
-    domain the function is below the kernel truncation floor and treated as
-    zero.
+    Row p holds the _CHEB_DEGREE + 1 points of panel p.
     """
-    lo, hi = _CACHE_DOMAIN
     n = _CHEB_DEGREE + 1
     angles = math.pi * (np.arange(n) + 0.5) / n
-    panels = lo + np.arange(math.ceil(hi - lo))
-    vals = airy_values(m, panels[:, None] + 0.5 * (np.cos(angles) + 1.0))
-    coef = vals @ (np.cos(np.outer(angles, np.arange(n))) * (2.0 / n))
+    return (lo + np.arange(panels))[:, None] + 0.5 * (np.cos(angles) + 1.0)
+
+
+def _cheb_coefficients(values):
+    """Read-only Chebyshev coefficients from values at ``_cheb_points``.
+
+    Column p holds the interpolant on panel p, row k its degree-k
+    coefficients.
+    """
+    n = values.shape[1]
+    angles = math.pi * (np.arange(n) + 0.5) / n
+    coef = values @ (np.cos(np.outer(angles, np.arange(n))) * (2.0 / n))
     coef[:, 0] *= 0.5
     coef = np.ascontiguousarray(coef.T)
     coef.flags.writeable = False
     return coef
 
 
-def _airy_cached(m, xs):
-    """Ai_{2m+1} at arguments lo <= xs from the cache (Clenshaw recurrence)."""
-    coef = _airy_cache(m)
-    lo, hi = _CACHE_DOMAIN
+def _clenshaw(coef, lo, xs):
+    """Panel-Chebyshev interpolant ``coef`` on unit panels from lo, at xs >= lo.
+
+    The last panel's interpolant continues past its end.
+    """
     u = xs - lo
     panel = np.minimum(u.astype(np.intp), coef.shape[1] - 1)
     t2 = 4.0 * (u - panel) - 2.0  # twice the local argument in [-1, 1]
     b1, b2, ck = np.zeros(xs.shape), np.zeros(xs.shape), np.empty(xs.shape)
-    for k in range(_CHEB_DEGREE, 0, -1):  # b_k = c_k + 2t b_{k+1} - b_{k+2}
+    for k in range(coef.shape[0] - 1, 0, -1):  # b_k = c_k + 2t b_{k+1} - b_{k+2}
         np.take(coef[k], panel, out=ck)
         ck -= b2
         np.multiply(t2, b1, out=b2)
         b2 += ck
         b1, b2 = b2, b1
-    out = np.take(coef[0], panel) + 0.5 * t2 * b1 - b2
+    return np.take(coef[0], panel) + 0.5 * t2 * b1 - b2
+
+
+@lru_cache(maxsize=8)
+def _airy_cache(m):
+    """Chebyshev coefficients of Ai_{2m+1} on the unit panels of the domain.
+
+    Coefficients past degree 16 are at the contour evaluator's own noise (a
+    few 1e-12), so the interpolant is as accurate as the evaluator; above the
+    domain the function is below the kernel truncation floor and treated as
+    zero.
+    """
+    lo, hi = _CACHE_DOMAIN
+    return _cheb_coefficients(airy_values(m, _cheb_points(lo, math.ceil(hi - lo))))
+
+
+def _airy_cached(m, xs):
+    """Ai_{2m+1} at arguments lo <= xs from the cache (Clenshaw recurrence)."""
+    lo, hi = _CACHE_DOMAIN
+    out = _clenshaw(_airy_cache(m), lo, xs)
     out[xs > hi] = 0.0
     return out
 
@@ -493,15 +529,55 @@ def _law_table(m, s):
     return tables[0]
 
 
+def _law_tables(m, grid):
+    """``_law_table`` on an ascending grid, TABLE_POINTS points at a time."""
+    return np.concatenate([_law_table(m, chunk) for chunk in
+                           np.array_split(grid, math.ceil(grid.size / TABLE_POINTS))])
+
+
+@lru_cache(maxsize=8)
+def _law_cache(m):
+    """Chebyshev coefficients of F_{2m+1} on the unit panels of _LAW_DOMAIN.
+
+    Filled from certified ``_law_tables`` at the panels' Chebyshev points and
+    at two check points per panel, its quarter points (the midpoint is a node
+    when the point count is odd); TABLE_POINTS holds five panels per table.
+    Every panel's last three coefficients must be under LAW_TAIL_TOL, and the
+    interpolant must reproduce the tables at the check points to
+    LAW_CHECK_TOL; NodeCountInsufficient otherwise.
+    """
+    lo, hi = _LAW_DOMAIN
+    panels = math.ceil(hi - lo)
+    nodes = _cheb_points(lo, panels)
+    checks = ((lo + np.arange(panels))[:, None] + np.array([0.25, 0.75])).ravel()
+    points = np.concatenate((nodes.ravel(), checks))
+    order = np.argsort(points)
+    values = np.empty(points.size)
+    values[order] = _law_tables(m, points[order])
+    coef = _cheb_coefficients(values[:nodes.size].reshape(nodes.shape))
+    tail = float(np.max(np.abs(coef[-3:])))
+    if tail >= LAW_TAIL_TOL:
+        raise NodeCountInsufficient(
+            f"F_{2 * m + 1} panel coefficients end at {tail:.2e}, not under "
+            f"{LAW_TAIL_TOL:.0e}")
+    miss = float(np.max(np.abs(_clenshaw(coef, lo, checks) - values[nodes.size:])))
+    if miss >= LAW_CHECK_TOL:
+        raise NodeCountInsufficient(
+            f"F_{2 * m + 1} interpolant misses its check points by {miss:.2e}")
+    return coef
+
+
 def limiting_cdf(order, n_cuts, s):
     """Edge law F_{2m+1}(s)^n of an n-cut sea at scalar or array s >= -12.
 
-    A scalar gives a float, an array a table of its shape.  Distinct s are
-    computed TABLE_POINTS at a time as one table, certified against a second
-    table with twice the nodes on every panel and twice the cut L: the two
-    must agree to TABLE_TOL (NodeCountInsufficient otherwise), and the finer
-    one is returned.  An s above the decay point of Ai_{2m+1} is computed
-    there, where 1 - F is below 1e-30.
+    A scalar gives a float, an array a table of its shape.  On [-9, 6] F is
+    the per-order ``_law_cache`` interpolant, built on first use and
+    certified there against the tables it was filled from.  Other distinct s
+    are computed TABLE_POINTS at a time as one table, certified against a
+    second table with twice the nodes on every panel and twice the cut L:
+    the two must agree to TABLE_TOL (NodeCountInsufficient otherwise), and
+    the finer one is returned.  An s above the decay point of Ai_{2m+1} is
+    computed there, where 1 - F is below 1e-30.
     """
     m = _order(order)
     n = int(n_cuts)
@@ -512,7 +588,14 @@ def limiting_cdf(order, n_cuts, s):
         raise ValueError("s must be finite and >= -12 (desk range)")
     grid, inverse = np.unique(np.minimum(s_arr.ravel(), _decay_point(m)),
                               return_inverse=True)
-    tables = [_law_table(m, chunk) for chunk in
-              np.array_split(grid, math.ceil(grid.size / TABLE_POINTS))]
-    law = np.concatenate(tables)[inverse].reshape(s_arr.shape) ** n
+    lo, hi = _LAW_DOMAIN
+    inside = (grid >= lo) & (grid <= hi)
+    law = np.empty(grid.shape)
+    if np.any(inside):
+        law[inside] = _clenshaw(_law_cache(m), lo, grid[inside])
+    if not np.all(inside):
+        law[~inside] = _law_tables(m, grid[~inside])
+    # F is a law; the interpolant's roundoff may step out of [0, 1] by 1e-27
+    # near s = -9 (m = 1), where F itself is 1e-26
+    law = np.clip(law, 0.0, 1.0)[inverse].reshape(s_arr.shape) ** n
     return float(law) if law.ndim == 0 else law

@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -415,6 +416,12 @@ def build_parser():
     return ap
 
 
+@lru_cache(maxsize=1)
+def _parser():
+    """The parser, built once per process: ``parse_args`` leaves it as it was."""
+    return build_parser()
+
+
 def _apply_config(argv):
     """Inject key=value pairs from --config as defaults (flags override).
 
@@ -476,9 +483,8 @@ def main(argv=None):
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     argv = _merge_negative_values(argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:

@@ -20,7 +20,9 @@ Conventions for degenerate levels:
   zero-width interval; it is recorded in ``FermiSea.tangential`` and opens no
   cut;
 * a level touching a local minimum from inside (a sea about to split) leaves
-  the interval connected; the pinch angle is likewise recorded as tangential.
+  the interval connected; the pinch angle is likewise recorded as tangential;
+* a level through an inflection critical point (D' vanishing without changing
+  sign) crosses there: the point is a boundary, not a tangency.
 
 Root finding works on the monotone segments cut out by the critical points of
 D.  With y = cos(phi), D(phi) = p(y) for the Chebyshev series
@@ -288,6 +290,20 @@ def _count_cuts(intervals):
     return n
 
 
+def _is_extremum(crit_vals, i, tol):
+    """Whether D' changes sign at critical point i.
+
+    D is monotone between critical points, so D' keeps its sign exactly when
+    the nearest critical values more than ``tol`` from D there, one on each
+    side, lie on opposite sides of it.  The endpoints 0 and pi are always
+    extrema, by evenness.
+    """
+    v = crit_vals[i]
+    left = [u - v for u in crit_vals[:i] if abs(u - v) > tol]
+    right = [u - v for u in crit_vals[i + 1:] if abs(u - v) > tol]
+    return not (left and right and left[-1] * right[0] < 0.0)
+
+
 def fermi_sea(coeffs, x):
     """Fermi sea {D >= x} at level x.
 
@@ -304,20 +320,20 @@ def fermi_sea(coeffs, x):
     touch_tol = 1e-10 * scale
 
     roots = []
-    tangential = []
     for i in range(len(crit) - 1):
         a, b = crit[i], crit[i + 1]
         fa, fb = crit_vals[i] - x, crit_vals[i + 1] - x
         if fa * fb < 0.0:
             roots.append(_polish_root(coeffs, x, a, b))
-    for c, v in zip(crit, crit_vals):
-        if abs(v - x) <= touch_tol:
-            tangential.append(c)
 
-    # A critical point at the level itself is not a crossing; drop crossings
-    # that collapsed onto a tangential point.
-    roots = [r for r in roots
-             if all(abs(r - t) > 1e-10 for t in tangential)]
+    # Drop crossings that collapsed onto a critical point at the level.  An
+    # extremum there only touches the level; through an inflection D crosses
+    # it, and the critical point itself is the boundary.
+    at_level = [i for i, v in enumerate(crit_vals) if abs(v - x) <= touch_tol]
+    roots = [r for r in roots if all(abs(r - crit[i]) > 1e-10 for i in at_level)]
+    tangential = []
+    for i in at_level:
+        (tangential if _is_extremum(crit_vals, i, touch_tol) else roots).append(crit[i])
     points = sorted(set([0.0] + roots + [math.pi]))
 
     intervals = []

@@ -258,7 +258,16 @@ def test_rank_compressed_table_matches_dense_cholesky(m, points):
     assert np.max(np.abs(limiting_cdf(m, 1, s) - _dense_law_table(m, s))) < 1e-13
 
 
-def test_limit_table_refuses_a_lossy_compression(monkeypatch):
+@pytest.fixture
+def cold_law_cache():
+    # a law cache filled by an earlier test would serve the call below
+    # without building a table
+    airy_mod._law_cache.cache_clear()
+    yield
+    airy_mod._law_cache.cache_clear()
+
+
+def test_limit_table_refuses_a_lossy_compression(monkeypatch, cold_law_cache):
     # keeping only eigenvalues above 1e-3 lambda_max drops far more than the
     # 1e-12 of kernel trace a table may lose
     monkeypatch.setattr(airy_mod, "RANK_RTOL", 1e-3)
@@ -309,15 +318,62 @@ def test_limit_table_makes_two_kernel_assemblies(monkeypatch):
     factor = airy_mod._kernel_factor
     monkeypatch.setattr(airy_mod, "_kernel_factor",
                         lambda m, xs: calls.append(len(xs)) or factor(m, xs))
-    limiting_cdf(1, 2, np.linspace(-6.0, 4.0, 201))
+    grid = np.linspace(-6.0, 4.0, 201)
+    airy_mod._law_table(1, grid)
     assert len(calls) == 2  # the table and its refinement
+    airy_mod._law_cache(1)
+    calls.clear()
+    limiting_cdf(1, 2, grid)
+    assert calls == []  # the warm law cache serves the whole grid
 
 
-def test_limit_table_refuses_an_uncertified_table(monkeypatch):
-    # one node per panel leaves the coarse table far from the refined one
+def test_limit_table_refuses_an_uncertified_table(monkeypatch, cold_law_cache):
+    # one node per panel leaves the coarse table far from the refined one;
+    # on the law cache's grid, down to -9, it is not even positive definite
     monkeypatch.setattr(airy_mod, "_panel_nodes", lambda width: 1)
     with pytest.raises(NodeCountInsufficient, match="moved by"):
+        airy_mod._law_table(1, np.linspace(-3.0, 2.0, 11))
+    with pytest.raises(NodeCountInsufficient):
         limiting_cdf(1, 1, np.linspace(-3.0, 2.0, 11))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_law_cache_matches_tables_and_per_point_fredholm(m):
+    # the interpolant against a direct certified table and against the
+    # independent per-point oracle, off the cache's nodes and check points
+    s = np.sort(np.random.default_rng(10 + m).uniform(-9.0, 6.0, 40))
+    got = limiting_cdf(m, 1, s)
+    assert np.max(np.abs(got - airy_mod._law_table(m, s))) < 1e-13
+    ref = np.array([fredholm_F(m, None, float(v), check=True) for v in s[::4]])
+    assert np.max(np.abs(got[::4] - ref)) < 1e-12
+
+
+def test_limit_law_outside_the_cache_domain_is_the_direct_table():
+    s = np.array([-10.4583, -9.0 - 1e-9, 6.0 + 1e-9, 8.0])
+    got = limiting_cdf(1, 1, np.concatenate((s, [0.5])))
+    assert np.array_equal(got[:4], airy_mod._law_table(1, s))
+    assert got[4] == airy_mod._clenshaw(airy_mod._law_cache(1), -9.0,
+                                        np.array([0.5]))[0]
+
+
+def test_law_cache_refuses_a_low_degree(monkeypatch, cold_law_cache):
+    # degree 4 on unit panels leaves coefficients far above the chopping
+    # tolerance and misses the check points by far more than 1e-12
+    airy_mod._airy_cache(1)  # built at degree 16 before the patch
+    monkeypatch.setattr(airy_mod, "_CHEB_DEGREE", 4)
+    with pytest.raises(NodeCountInsufficient, match="coefficients end"):
+        limiting_cdf(1, 1, 0.0)
+    monkeypatch.setattr(airy_mod, "LAW_TAIL_TOL", 1.0)
+    with pytest.raises(NodeCountInsufficient, match="check points"):
+        limiting_cdf(1, 1, 0.0)
+
+
+def test_law_cache_is_read_only_and_built_once():
+    coef = airy_mod._law_cache(2)
+    assert airy_mod._law_cache(2) is coef
+    assert coef.shape == (airy_mod._CHEB_DEGREE + 1, 15)
+    with pytest.raises(ValueError):
+        coef[0, 0] = 0.0
 
 
 def test_gauss_legendre_cache_is_exact_and_read_only():

@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+from splitsea import cli
 from splitsea.cli import (_apply_config, _merge_negative_values, build_parser,
                           main, read_csv)
 from splitsea.potential import HoppingCoefficients, global_extrema
@@ -258,6 +259,39 @@ def test_each_command_computes_one_limit_table(monkeypatch, capsys, argv):
         monkeypatch.setattr(f"{module}.limiting_cdf", counted)
     assert run(capsys, *argv)[0] == 0
     assert len(calls) == 1 and np.ndim(calls[0][2]) == 1
+
+
+def test_the_one_parser_carries_nothing_between_calls(monkeypatch, capsys):
+    # the per-process parser must parse every line as a fresh one does:
+    # a flag given once must not become the next call's default
+    sample = ("sample", "--gamma", "1,-0.3333333333", "--theta", "4.0", "-n", "20")
+    argvs = [sample + ("--seed", "3"), sample,
+             ("analyze", "--gamma", "1,-0.3333333333", "--json"),
+             ("analyze", "--gamma", "1,0.1"),
+             ("airy", "--m", "2", "--s", "0:1:0.5"), ("airy", "--s", "0:1:0.5")]
+    for argv in argvs:
+        assert vars(cli._parser().parse_args(argv)) == \
+            vars(build_parser().parse_args(argv))
+    once = [run(capsys, *argv) for argv in argvs]
+    assert cli._parser() is cli._parser()
+    assert json.loads(once[1][1])["seed"] == 0
+    monkeypatch.setattr(cli, "_parser", build_parser)
+    assert [run(capsys, *argv) for argv in argvs] == once
+
+
+@pytest.mark.parametrize("argv,builds", [
+    (("cdf", "--gamma", "1,-0.3333333333", "--theta", "2.0", "--ell-range", "1:8"), 0),
+    (("unitary-mc", "--gamma", "1,-0.3333333333", "--theta", "10.9", "--ell",
+      "24", "--sweeps", "20"), 0),
+    (("airy", "--s", "-2:0:1"), 1),
+])
+def test_only_commands_using_the_limit_law_build_its_cache(capsys, argv, builds):
+    import splitsea.airy as airy_mod
+
+    airy_mod._law_cache.cache_clear()
+    assert run(capsys, *argv)[0] == 0
+    info = airy_mod._law_cache.cache_info()
+    assert (info.misses, info.currsize) == (builds, builds)
 
 
 def test_cdf_command(capsys):

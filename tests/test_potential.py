@@ -185,6 +185,22 @@ def test_fermi_sea_sign_pattern():
                 assert eval_dispersion(c, mid) - x < 0.0
 
 
+def test_fermi_sea_crosses_at_an_inflection():
+    # D = -(8/15) cos^3 phi: D' vanishes at pi/2 without changing sign, so
+    # the level 0 crosses there; the crossing once fell within 1e-10 of the
+    # (roundoff-split) critical pair, was dropped as tangential and left an
+    # empty sea
+    c = HoppingCoefficients((-0.2, 0.0, -1.0 / 45.0))
+    sea = fermi_sea(c, 0.0)
+    assert sea.cuts == 1 and sea.tangential == ()
+    assert sea.boundaries == (pytest.approx(math.pi / 2.0, abs=1e-8), math.pi)
+    rho = limit_density(c, 0.0)
+    assert rho == pytest.approx(0.5, abs=1e-8)
+    for x in (-1e-12, 1e-12):
+        assert limit_density(c, x) == pytest.approx(rho, abs=1e-4)
+        assert fermi_sea(c, x).cuts == 1
+
+
 @pytest.mark.parametrize("gammas,chi_b,m,d,n_cuts", [
     ((1.0, -1.0 / 3.0), math.acos(3.0 / 8.0), 1, 55.0 / 24.0, 2),
     ((1.0, -0.125), 0.0, 2, 0.25, 1),
