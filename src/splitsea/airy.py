@@ -20,8 +20,8 @@ F_{2m+1}^n are the edge laws of n-cut seas.
 Evaluation: ``airy_values`` is the one contour evaluator (vectorised, and it
 takes scalars too); ``airy_fn`` is its guarded public scalar form, and
 ``_airy_cache`` holds its degree-16 Chebyshev interpolants on the unit panels
-of [-14.5, 52] (1139 contour points) for the kernel assembly.  The law cache
-below shares that panel-Chebyshev build (``_cheb_points``,
+of [-14.5, 52] (1139 contour points) for the kernel assembly.  The law blocks
+below share that panel-Chebyshev build (``_cheb_points``,
 ``_cheb_coefficients``) and its Clenshaw evaluator (``_clenshaw``).
 
 Contour choice: along the vertical line Re z = sigma the integrand decays
@@ -33,7 +33,9 @@ the price of a slower decay and a longer line; sigma = 1 is kept on [-2, 1].
 For m = 1 and x > 1 the line moves towards the saddle abscissa sqrt(x) - the
 saddle's descent direction is vertical - which removes the cancellation on
 the decaying side.  Arguments sharing ceil(sqrt(x)) share that line as
-sigma, which keeps the off-saddle bump below e.
+sigma, which keeps the off-saddle bump below e.  Where the integrand's peak
+on its line sets a roundoff floor above _AIRY_FLOOR_TOL (every m >= 4 near
+x = 0: e^241 at m = 4) the evaluator raises NoConvergence.
 
 Fredholm determinants use a Nystrom discretisation with Gauss-Legendre nodes;
 the kernel matrix is assembled as a Gram matrix B B^T over a v-quadrature,
@@ -49,14 +51,14 @@ A second table with twice the nodes on every panel and twice L certifies it
 to TABLE_TOL, and the finer one is returned.  ``fredholm_F`` (one panel on
 [s, s + L], node doubling) stays as the independent per-point oracle.
 
-F is analytic in s (Bornemann 2010), so ``limiting_cdf`` serves s in
-[-9, 6] from ``_law_cache(m)``: degree-16 Chebyshev interpolants of
-F_{2m+1} on the unit panels, built once per order and process from such
-tables, five panels per table.  The build is certified: every panel's last
-three coefficients (the chopping rule of Aurentz and Trefethen 2017) must be
-under LAW_TAIL_TOL, and the interpolant must reproduce the tables at two
-check points per panel to LAW_CHECK_TOL, or it raises NodeCountInsufficient.
-An s outside [-9, 6] is computed by tables, as before.
+F is analytic in s (Bornemann 2010), so ``limiting_cdf`` serves every s
+of the desk range [-12, decay point] from ``_law_block(m, k)``: degree-16
+Chebyshev interpolants of F_{2m+1} on the five unit panels from -12 + 5k,
+each block built on first use from one such table.  The build is
+certified: every panel's last three coefficients (the chopping rule of
+Aurentz and Trefethen 2017) must be under LAW_TAIL_TOL, and the
+interpolant must reproduce the table at two check points per panel to
+LAW_CHECK_TOL, or it raises NodeCountInsufficient.
 """
 
 from __future__ import annotations
@@ -74,11 +76,12 @@ INTEGRAND_FLOOR = 1e-18      # tail magnitude required at the truncation point
 KERNEL_FACTOR_FLOOR = 1e-16  # Ai factor size ending the v-integration
 AIRY_NODE_BUDGET = 65536     # most trapezoid nodes one contour batch may use
 TABLE_TOL = 1e-8             # certification tolerance of the F_{2m+1} laws
-TABLE_POINTS = 95            # most s per table (5 law-cache panels): bounds N x V
-LAW_TAIL_TOL = 1e-11         # most a cached F panel's last 3 coefficients reach
-LAW_CHECK_TOL = 1e-12        # most the cached F may miss a table off its nodes
+LAW_TAIL_TOL = 1e-11         # most a law block panel's last 3 coefficients reach
+LAW_CHECK_TOL = 1e-12        # most a law block may miss its table off its nodes
 RANK_RTOL = 1e-17            # kept eigenvalues of the table's Gram, relative
 RANK_DROP_TOL = 1e-12        # most kernel trace the compressed table may drop
+_AIRY_FLOOR_TOL = 1e-10  # most roundoff floor an Airy value may carry
+_DESK_FLOOR = -12.0    # least s of the limit law (the desk range)
 _MAX_ARG = 40.0        # public argument guard
 _SCAN_MAX = 80.0       # internal decay scans may go further
 
@@ -124,8 +127,9 @@ def _airy_batch(m, xs, sigma, t_max):
     The integrand at -t is the conjugate of the integrand at t (x real), so
     the integral reduces to the real part over the half line, which is real
     by construction; node count doubles until the difference hits the
-    roundoff floor set by the largest integrand magnitude encountered, and
-    NoConvergence is raised if it does not within AIRY_NODE_BUDGET nodes.
+    roundoff floor set by the largest integrand magnitude encountered.
+    NoConvergence is raised if it does not within AIRY_NODE_BUDGET nodes, or
+    if that floor passes _AIRY_FLOOR_TOL (checked before exponentiating).
     """
     xs = np.asarray(xs, dtype=float)
     peak = [1.0]
@@ -134,11 +138,16 @@ def _airy_batch(m, xs, sigma, t_max):
         t = np.linspace(0.0, t_max, n + 1)
         z = sigma + 1j * t
         base = (-1.0) ** (m - 1) * z ** (2 * m + 1) / (2 * m + 1)
+        # |integrand| = exp(Re base - x sigma) is largest at the least x
+        expo = float(np.max(base.real) - sigma * np.min(xs))
+        peak[0] = max(peak[0], math.exp(min(expo, 700.0)))
+        if 3e-16 * peak[0] > _AIRY_FLOOR_TOL:
+            raise NoConvergence(f"Airy roundoff floor {3e-16 * peak[0]:.1e} (m={m}, "
+                                f"sigma={sigma}) above {_AIRY_FLOOR_TOL:.0e}")
         out = np.empty(len(xs))
         for j0 in range(0, len(xs), 128):  # chunk: keep the node matrix small
             chunk = xs[j0:j0 + 128, None]
             vals = np.exp(base[None, :] - chunk * z[None, :])
-            peak[0] = max(peak[0], float(np.max(np.abs(vals))))
             out[j0:j0 + 128] = np.trapezoid(vals.real, t, axis=-1)
         return out / math.pi
 
@@ -179,8 +188,8 @@ def airy_fn(order, x):
 
 
 _CACHE_DOMAIN = (-14.5, 52.0)
-_LAW_DOMAIN = (-9.0, 6.0)
 _CHEB_DEGREE = 16
+_LAW_PANELS = 5  # unit panels per law block: a 95-point table fills one
 
 
 def _cheb_points(lo, panels):
@@ -208,15 +217,12 @@ def _cheb_coefficients(values):
     return coef
 
 
-def _clenshaw(coef, lo, xs):
-    """Panel-Chebyshev interpolant ``coef`` on unit panels from lo, at xs >= lo.
+def _clenshaw(coef, panel, t2):
+    """Panel-Chebyshev interpolant ``coef`` on panels ``panel`` at ``t2``.
 
-    The last panel's interpolant continues past its end.
+    ``t2`` is twice the local argument, in [-2, 2] on the panel.
     """
-    u = xs - lo
-    panel = np.minimum(u.astype(np.intp), coef.shape[1] - 1)
-    t2 = 4.0 * (u - panel) - 2.0  # twice the local argument in [-1, 1]
-    b1, b2, ck = np.zeros(xs.shape), np.zeros(xs.shape), np.empty(xs.shape)
+    b1, b2, ck = np.zeros(t2.shape), np.zeros(t2.shape), np.empty(t2.shape)
     for k in range(coef.shape[0] - 1, 0, -1):  # b_k = c_k + 2t b_{k+1} - b_{k+2}
         np.take(coef[k], panel, out=ck)
         ck -= b2
@@ -242,7 +248,10 @@ def _airy_cache(m):
 def _airy_cached(m, xs):
     """Ai_{2m+1} at arguments lo <= xs from the cache (Clenshaw recurrence)."""
     lo, hi = _CACHE_DOMAIN
-    out = _clenshaw(_airy_cache(m), lo, xs)
+    coef = _airy_cache(m)
+    u = xs - lo
+    panel = np.minimum(u.astype(np.intp), coef.shape[1] - 1)
+    out = _clenshaw(coef, panel, 4.0 * (u - panel) - 2.0)
     out[xs > hi] = 0.0
     return out
 
@@ -366,8 +375,8 @@ def fredholm_F(order, config=None, s=0.0, check=True):
     """
     m = _order(order)
     cfg = config or FredholmConfig()
-    if s < -12.0:
-        raise ValueError("desk range is s >= -12")
+    if s < _DESK_FLOOR:
+        raise ValueError(f"desk range is s >= {_DESK_FLOOR:g}")
     L = cfg.cut_for(m)
     val = _fredholm_once(m, s, L, cfg.n_nodes)
     if not check:
@@ -529,38 +538,34 @@ def _law_table(m, s):
     return tables[0]
 
 
-def _law_tables(m, grid):
-    """``_law_table`` on an ascending grid, TABLE_POINTS points at a time."""
-    return np.concatenate([_law_table(m, chunk) for chunk in
-                           np.array_split(grid, math.ceil(grid.size / TABLE_POINTS))])
+@lru_cache(maxsize=64)
+def _law_block(m, k):
+    """Chebyshev coefficients of F_{2m+1} on the _LAW_PANELS unit panels from
+    _DESK_FLOOR + _LAW_PANELS k.
 
-
-@lru_cache(maxsize=8)
-def _law_cache(m):
-    """Chebyshev coefficients of F_{2m+1} on the unit panels of _LAW_DOMAIN.
-
-    Filled from certified ``_law_tables`` at the panels' Chebyshev points and
-    at two check points per panel, its quarter points (the midpoint is a node
-    when the point count is odd); TABLE_POINTS holds five panels per table.
-    Every panel's last three coefficients must be under LAW_TAIL_TOL, and the
-    interpolant must reproduce the tables at the check points to
-    LAW_CHECK_TOL; NodeCountInsufficient otherwise.
+    Filled from one certified ``_law_table`` at the panels' Chebyshev points
+    and at two check points per panel, its quarter points (the midpoint is a
+    node when the point count is odd).  Every panel's last three
+    coefficients must be under LAW_TAIL_TOL, and the interpolant must
+    reproduce the table at the check points to LAW_CHECK_TOL;
+    NodeCountInsufficient otherwise.
     """
-    lo, hi = _LAW_DOMAIN
-    panels = math.ceil(hi - lo)
-    nodes = _cheb_points(lo, panels)
-    checks = ((lo + np.arange(panels))[:, None] + np.array([0.25, 0.75])).ravel()
+    lo = _DESK_FLOOR + _LAW_PANELS * k
+    nodes = _cheb_points(lo, _LAW_PANELS)
+    checks = ((lo + np.arange(_LAW_PANELS))[:, None] + np.array([0.25, 0.75])).ravel()
     points = np.concatenate((nodes.ravel(), checks))
     order = np.argsort(points)
     values = np.empty(points.size)
-    values[order] = _law_tables(m, points[order])
+    values[order] = _law_table(m, points[order])
     coef = _cheb_coefficients(values[:nodes.size].reshape(nodes.shape))
     tail = float(np.max(np.abs(coef[-3:])))
     if tail >= LAW_TAIL_TOL:
         raise NodeCountInsufficient(
             f"F_{2 * m + 1} panel coefficients end at {tail:.2e}, not under "
             f"{LAW_TAIL_TOL:.0e}")
-    miss = float(np.max(np.abs(_clenshaw(coef, lo, checks) - values[nodes.size:])))
+    fit = _clenshaw(coef, np.repeat(np.arange(_LAW_PANELS), 2),
+                    np.tile([-1.0, 1.0], _LAW_PANELS))
+    miss = float(np.max(np.abs(fit - values[nodes.size:])))
     if miss >= LAW_CHECK_TOL:
         raise NodeCountInsufficient(
             f"F_{2 * m + 1} interpolant misses its check points by {miss:.2e}")
@@ -570,32 +575,27 @@ def _law_cache(m):
 def limiting_cdf(order, n_cuts, s):
     """Edge law F_{2m+1}(s)^n of an n-cut sea at scalar or array s >= -12.
 
-    A scalar gives a float, an array a table of its shape.  On [-9, 6] F is
-    the per-order ``_law_cache`` interpolant, built on first use and
-    certified there against the tables it was filled from.  Other distinct s
-    are computed TABLE_POINTS at a time as one table, certified against a
-    second table with twice the nodes on every panel and twice the cut L:
-    the two must agree to TABLE_TOL (NodeCountInsufficient otherwise), and
-    the finer one is returned.  An s above the decay point of Ai_{2m+1} is
-    computed there, where 1 - F is below 1e-30.
+    A scalar gives a float, an array a table of its shape.  F is the
+    interpolant of the ``_law_block`` holding s, built on first use and
+    certified there against the table it was filled from; the blocks an
+    s-grid needs are stacked and evaluated by one Clenshaw recurrence.  An s
+    above the decay point of Ai_{2m+1} is taken there, where 1 - F is below
+    1e-30.
     """
     m = _order(order)
     n = int(n_cuts)
     if n < 1:
         raise ValueError("n_cuts must be >= 1")
     s_arr = np.asarray(s, dtype=float)
-    if not (s_arr.size and np.all(np.isfinite(s_arr)) and np.min(s_arr) >= -12.0):
-        raise ValueError("s must be finite and >= -12 (desk range)")
-    grid, inverse = np.unique(np.minimum(s_arr.ravel(), _decay_point(m)),
-                              return_inverse=True)
-    lo, hi = _LAW_DOMAIN
-    inside = (grid >= lo) & (grid <= hi)
-    law = np.empty(grid.shape)
-    if np.any(inside):
-        law[inside] = _clenshaw(_law_cache(m), lo, grid[inside])
-    if not np.all(inside):
-        law[~inside] = _law_tables(m, grid[~inside])
-    # F is a law; the interpolant's roundoff may step out of [0, 1] by 1e-27
-    # near s = -9 (m = 1), where F itself is 1e-26
-    law = np.clip(law, 0.0, 1.0)[inverse].reshape(s_arr.shape) ** n
+    if not (s_arr.size and np.all(np.isfinite(s_arr)) and np.min(s_arr) >= _DESK_FLOOR):
+        raise ValueError(f"s must be finite and >= {_DESK_FLOOR:g} (desk range)")
+    u = np.minimum(s_arr.ravel(), _decay_point(m)) - _DESK_FLOOR
+    block, local = np.divmod(u, _LAW_PANELS)  # fmod: exact, 0 <= local < 5
+    blocks, slot = np.unique(block, return_inverse=True)
+    coef = np.hstack([_law_block(m, int(k)) for k in blocks])
+    panel = local.astype(np.intp)
+    law = _clenshaw(coef, _LAW_PANELS * slot + panel, 4.0 * (local - panel) - 2.0)
+    # F is a law; the interpolant's roundoff steps out of [0, 1] to -9e-28
+    # near s = -9 (m = 1), where F itself is 1e-26, and to 1 + 1.6e-15
+    law = np.clip(law, 0.0, 1.0).reshape(s_arr.shape) ** n
     return float(law) if law.ndim == 0 else law

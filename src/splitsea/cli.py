@@ -31,7 +31,7 @@ from .potential import (HoppingCoefficients, edge_profile, global_extrema,
                         limit_density, limit_shape)
 from .svgplot import Panel, render_panels
 
-AIRY_GRID_POINTS = 10_000  # desk scale of `airy --s`: 40 limit-law tables
+AIRY_GRID_POINTS = 10_000  # desk scale of `airy --s`: bounds its output rows
 
 
 def _parse_gammas(text):

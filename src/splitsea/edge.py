@@ -38,7 +38,7 @@ from .kernel import (_fourier_band, coefficient_band, kernel_matrix,
                      tail_trace)
 from .potential import HoppingCoefficients, edge_profile
 
-MAX_TOEPLITZ_DIM = 4096
+MAX_TABLE_DIM = 4096  # desk-scale cap on a Toeplitz or Fredholm matrix's order
 
 
 def symbol_coeffs(coeffs, n_max):
@@ -70,8 +70,8 @@ def toeplitz_cdf(coeffs, ell):
     """
     ells = np.atleast_1d(ell).astype(np.int64)
     top = max(int(ells.max()), 0)
-    if top > MAX_TOEPLITZ_DIM:
-        raise ValueError(f"ell capped at {MAX_TOEPLITZ_DIM} at desk scale")
+    if top > MAX_TABLE_DIM:
+        raise ValueError(f"ell capped at {MAX_TABLE_DIM} at desk scale")
     f = symbol_coeffs(coeffs, top)
     logdet = _log_minors(scipy.linalg.toeplitz(f[top:2 * top]))  # f_0 .. f_{top-1}
     if len(logdet) <= top:
@@ -95,6 +95,7 @@ def fredholm_cdf_check(coeffs, ell, trace_tol=1e-12, max_window=512):
     <= 1.  Rows past a pivot <= 0 (roundoff deep below the edge) lie in
     [0, last minor] and are 0.0 when that minor is under ``trace_tol``.
     P = 0 for ell < 0 because k_max >= -1/2; the window stops at site 1/2.
+    A window of more than MAX_TABLE_DIM sites is a ValueError.
     """
     ells = np.atleast_1d(ell).astype(np.int64)
     rows = np.maximum(ells, 0)
@@ -106,7 +107,10 @@ def fredholm_cdf_check(coeffs, ell, trace_tol=1e-12, max_window=512):
         raise WindowTooSmall(
             f"tail trace above ell+{max_window} still exceeds {trace_tol}")
     top = int(rows.max()) + w
-    sites = top - 0.5 - np.arange(top - int(rows.min()))
+    size = top - int(rows.min())
+    if size > MAX_TABLE_DIM:
+        raise ValueError(f"Fredholm window of {size} sites > {MAX_TABLE_DIM}")
+    sites = top - 0.5 - np.arange(size)
     logdet = _log_minors(np.eye(len(sites)) - kernel_matrix(band, sites))
     order = np.minimum(top - rows, len(logdet))
     if np.max(order) == len(logdet) and math.exp(logdet[-1]) >= trace_tol:

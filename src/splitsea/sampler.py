@@ -29,7 +29,6 @@ one count and two stacked products over padded frames (``_sample_batch``;
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,9 +108,6 @@ def windowed_kernel(coeffs, window=None, leakage_tol=1e-6, edge=False):
                           leakage=leakage)
 
 
-_LOCAL = threading.local()  # one Generator per thread, re-keyed per draw
-
-
 def _rng_for(seed, index, rng=None):
     """Generator on the Philox stream keyed by (seed, index), at counter 0.
 
@@ -140,9 +136,7 @@ def _selections(wk, seed, indices):
     whole draw is fixed before any projection runs.  Returns the (B, n_eig)
     selection mask and the list of site-uniform arrays.
     """
-    if not hasattr(_LOCAL, "rng"):
-        _LOCAL.rng = _rng_for(0, 0)
-    rng = _LOCAL.rng
+    rng = np.random.Generator(np.random.Philox(0))  # re-keyed per draw
     lam = wk.eigenvalues
     keep = np.empty((len(indices), len(lam)), dtype=bool)
     uniforms = []

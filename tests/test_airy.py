@@ -24,6 +24,14 @@ def test_classical_airy_against_series():
         assert airy_fn(1, x) == pytest.approx(airy_series(x), abs=1e-9)
 
 
+def test_airy_value_above_its_roundoff_target_raises():
+    # on Re z = 1 the m = 4 integrand peaks near e^241, so the doubling test
+    # accepted -5.7e88 at x = 0.3
+    for x in (0.3, 10.0):
+        with pytest.raises(NoConvergence, match="roundoff floor"):
+            airy_fn(4, x)
+
+
 def test_airy_values_and_spline_against_scipy():
     # independent oracle on the whole domain of the Chebyshev cache, which
     # must stay within 1e-10 of it
@@ -260,11 +268,11 @@ def test_rank_compressed_table_matches_dense_cholesky(m, points):
 
 @pytest.fixture
 def cold_law_cache():
-    # a law cache filled by an earlier test would serve the call below
+    # a law block filled by an earlier test would serve the call below
     # without building a table
-    airy_mod._law_cache.cache_clear()
+    airy_mod._law_block.cache_clear()
     yield
-    airy_mod._law_cache.cache_clear()
+    airy_mod._law_block.cache_clear()
 
 
 def test_limit_table_refuses_a_lossy_compression(monkeypatch, cold_law_cache):
@@ -313,7 +321,7 @@ def test_limit_table_below_roundoff_is_zero_not_an_error():
         assert got[i] == pytest.approx(fredholm_F(1, None, float(s[i])), abs=1e-12)
 
 
-def test_limit_table_makes_two_kernel_assemblies(monkeypatch):
+def test_limit_table_makes_two_kernel_assemblies(monkeypatch, cold_law_cache):
     calls = []
     factor = airy_mod._kernel_factor
     monkeypatch.setattr(airy_mod, "_kernel_factor",
@@ -321,10 +329,14 @@ def test_limit_table_makes_two_kernel_assemblies(monkeypatch):
     grid = np.linspace(-6.0, 4.0, 201)
     airy_mod._law_table(1, grid)
     assert len(calls) == 2  # the table and its refinement
-    airy_mod._law_cache(1)
+    calls.clear()
+    airy_mod._law_block(1, 2)
+    assert len(calls) == 2  # a block is filled by one table
+    limiting_cdf(1, 2, grid)
+    assert len(calls) == 6  # the two other blocks of [-6, 4], one table each
     calls.clear()
     limiting_cdf(1, 2, grid)
-    assert calls == []  # the warm law cache serves the whole grid
+    assert calls == []  # the warm blocks serve the whole grid
 
 
 def test_limit_table_refuses_an_uncertified_table(monkeypatch, cold_law_cache):
@@ -349,11 +361,13 @@ def test_law_cache_matches_tables_and_per_point_fredholm(m):
 
 
 def test_limit_law_outside_the_cache_domain_is_the_direct_table():
+    # outside [-9, 6], once served by tables, the blocks agree with a direct
+    # table, and a value does not depend on the other s asked with it
     s = np.array([-10.4583, -9.0 - 1e-9, 6.0 + 1e-9, 8.0])
     got = limiting_cdf(1, 1, np.concatenate((s, [0.5])))
-    assert np.array_equal(got[:4], airy_mod._law_table(1, s))
-    assert got[4] == airy_mod._clenshaw(airy_mod._law_cache(1), -9.0,
-                                        np.array([0.5]))[0]
+    assert np.max(np.abs(got[:4] - airy_mod._law_table(1, s))) < 1e-13
+    assert list(got) == [limiting_cdf(1, 1, float(v)) for v in s] + \
+        [limiting_cdf(1, 1, 0.5)]
 
 
 def test_law_cache_refuses_a_low_degree(monkeypatch, cold_law_cache):
@@ -369,11 +383,33 @@ def test_law_cache_refuses_a_low_degree(monkeypatch, cold_law_cache):
 
 
 def test_law_cache_is_read_only_and_built_once():
-    coef = airy_mod._law_cache(2)
-    assert airy_mod._law_cache(2) is coef
-    assert coef.shape == (airy_mod._CHEB_DEGREE + 1, 15)
+    coef = airy_mod._law_block(2, 1)
+    assert airy_mod._law_block(2, 1) is coef
+    assert coef.shape == (airy_mod._CHEB_DEGREE + 1, 5)
     with pytest.raises(ValueError):
         coef[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_limit_law_blocks_match_tables_and_fredholm_over_the_desk_range(m):
+    # the desk range [-12, decay point]: its floor, both sides of every
+    # block boundary, random s, and s at and above the decay point
+    decay = airy_mod._decay_point(m)
+    edges = np.arange(-7.0, decay, 5.0)
+    s = np.sort(np.concatenate((
+        [-12.0], edges - 1e-12, edges + 1e-12,
+        np.random.default_rng(20 + m).uniform(-12.0, decay, 12), [decay, decay + 3.0])))
+    got = limiting_cdf(m, 1, s)
+    assert got[-1] == got[-2]  # an s above the decay point is taken there
+    assert np.max(np.abs(got[:-1] - airy_mod._law_table(m, s[:-1]))) < 1e-13
+    ref = np.array([fredholm_F(m, None, float(v), check=True) for v in s])
+    assert np.max(np.abs(got - ref)) < 1e-12
+
+
+def test_low_grid_builds_one_law_block(cold_law_cache):
+    # the grid of `airy --s=-12:-9.01:0.001` once ran as 32 certified tables
+    limiting_cdf(1, 1, np.linspace(-12.0, -9.01, 2991))
+    assert airy_mod._law_block.cache_info().misses == 1
 
 
 def test_gauss_legendre_cache_is_exact_and_read_only():

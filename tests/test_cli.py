@@ -288,9 +288,9 @@ def test_the_one_parser_carries_nothing_between_calls(monkeypatch, capsys):
 def test_only_commands_using_the_limit_law_build_its_cache(capsys, argv, builds):
     import splitsea.airy as airy_mod
 
-    airy_mod._law_cache.cache_clear()
+    airy_mod._law_block.cache_clear()
     assert run(capsys, *argv)[0] == 0
-    info = airy_mod._law_cache.cache_info()
+    info = airy_mod._law_block.cache_info()
     assert (info.misses, info.currsize) == (builds, builds)
 
 
@@ -394,6 +394,28 @@ def test_python_dash_m_runs_the_cli():
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["n_cuts"] == 2
+
+
+def test_uncertified_airy_order_exits_3_without_numpy_warnings():
+    # m = 5 overflowed the contour integrand before the quadrature gave up
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [os.path.abspath(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "splitsea", "airy", "--m", "5",
+                           "--s", "0:1"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.startswith("NoConvergence:")
+    assert "RuntimeWarning" not in proc.stderr
+
+
+@pytest.mark.parametrize("theta,route", [(2.0, "ell capped"),
+                                         (20.0, "Fredholm window")])
+def test_cdf_over_the_table_cap_is_config_error(capsys, theta, route):
+    # the Fredholm route used to factor a dense window of 5064 sites
+    code, out, err = run(capsys, "cdf", "--gamma", "1", "--theta", str(theta),
+                         "--ell-range", "0:5000")
+    assert code == 2 and out == "" and route in err
 
 
 def test_figures_command(tmp_path, capsys):

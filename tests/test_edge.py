@@ -87,6 +87,18 @@ def test_fredholm_window_guard():
         fredholm_cdf_check(c, 1, max_window=8)
 
 
+def test_fredholm_window_is_capped_before_it_is_built(monkeypatch):
+    # 0:5000 at theta = 20 used to factor a dense window of 5064 sites
+    import splitsea.edge as edge_mod
+
+    def unbuilt(*args):
+        raise AssertionError("window matrix built past the cap")
+
+    monkeypatch.setattr(edge_mod, "kernel_matrix", unbuilt)
+    with pytest.raises(ValueError, match="Fredholm window of 4164 sites > 4096"):
+        fredholm_cdf_check(HoppingCoefficients((1.0,), theta=20.0), np.array([0, 4100]))
+
+
 @given(st.floats(-0.45, 0.45), st.sampled_from([10.0, 20.0, 40.0]))
 @settings(max_examples=15, deadline=None)
 def test_fredholm_table_matches_per_row_determinants(g2, theta):
