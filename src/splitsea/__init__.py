@@ -6,8 +6,8 @@ determinants, determinantal sampling, and the corresponding unitary matrix
 model, with a CLI (``splitsea``) orchestrating desk-scale studies.
 """
 
-from .airy import (AiryOrder, FredholmConfig, airy_fn, airy_kernel,
-                   fredholm_F, limiting_cdf)
+from .airy import (FredholmConfig, airy_fn, airy_kernel, fredholm_F,
+                   limiting_cdf)
 from .edge import (exact_cdf, fredholm_cdf_check, oscillation_average,
                    scaled_convergence_study, symbol_coeffs, toeplitz_cdf)
 from .kernel import (CoefficientBand, coefficient_band, edge_prediction,
@@ -27,7 +27,7 @@ from .unitary import (eigen_density_supercritical, log_joint_density,
                       metropolis_chain, partition_function_toeplitz)
 
 __all__ = [
-    "AiryOrder", "CoefficientBand", "EdgeProfile", "FermiSea",
+    "CoefficientBand", "EdgeProfile", "FermiSea",
     "FredholmConfig", "HoppingCoefficients", "WindowedKernel",
     "airy_fn", "airy_kernel", "brute_cdf_first_part", "brute_correlation",
     "coefficient_band", "complete_homogeneous",

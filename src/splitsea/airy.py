@@ -86,19 +86,8 @@ _MAX_ARG = 40.0        # public argument guard
 _SCAN_MAX = 80.0       # internal decay scans may go further
 
 
-@dataclass(frozen=True)
-class AiryOrder:
-    """Order m >= 1 of the Airy function; m = 1 is the classical one."""
-
-    m: int
-
-    def __post_init__(self):
-        _order(self.m)
-
-
-def _order(order):
-    """The integer m >= 1 of an AiryOrder or an int; ValueError otherwise."""
-    m = order.m if isinstance(order, AiryOrder) else order
+def _order(m):
+    """The order m as an int >= 1; ValueError otherwise."""
     if not isinstance(m, numbers.Integral) or m < 1:
         raise ValueError(f"order m must be a positive integer; got {m!r}")
     return int(m)
@@ -281,13 +270,13 @@ def _gauss_legendre(n):
 
 
 @lru_cache(maxsize=64)
-def _v_quadrature(panels, n_per_panel=24):
-    """Composite Gauss-Legendre rule on [0, 2 panels] for the v-integral.
+def _v_quadrature(panels):
+    """Composite 24-point Gauss-Legendre rule on [0, 2 panels] for the v-integral.
 
     The panels are 2 wide from v = 0, so a rule with fewer panels is a
     prefix of one with more.
     """
-    nodes_ref, weights_ref = _gauss_legendre(n_per_panel)
+    nodes_ref, weights_ref = _gauss_legendre(24)
     vs = (np.arange(panels)[:, None] * 2.0 + 1.0 + nodes_ref).ravel()
     ws = np.tile(weights_ref, panels)
     vs.flags.writeable = False
@@ -339,15 +328,12 @@ def airy_kernel(order, x, y):
 
 @dataclass(frozen=True)
 class FredholmConfig:
-    """Nystrom discretisation: node count and upper truncation above s."""
+    """Nystrom discretisation: node count; the upper cut above s is per order."""
 
     n_nodes: int = 64
-    upper_cut: float = 0.0  # 0 means: pick the per-order default
 
     def cut_for(self, m):
         """Upper cut L: 14 for m = 1, 20 above (10 is 1.8e-8 off at m = 2)."""
-        if self.upper_cut > 0.0:
-            return self.upper_cut
         return 14.0 if m == 1 else 20.0
 
 

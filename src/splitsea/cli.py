@@ -1,11 +1,12 @@
 """Command line interface: desk-scale studies behind one ``splitsea`` binary.
 
-Conventions: CSV rows are written with repr-roundtrip floats so re-reading
-them reproduces values bit for bit; ``--json`` summaries go to stdout; exit
-code 2 flags configuration errors, 3 numerical failures (the failing error
-class name is printed on stderr).  A flat key=value config file can seed any
-long option; explicit flags win.  --threads sizes the worker pool used by
-grid studies (reductions stay deterministic).
+Conventions: CSV cells are written with ``str``, which for floats is the
+shortest repr that round-trips, so re-reading them reproduces values bit for
+bit; ``--json`` summaries go to stdout; exit code 2 flags configuration
+errors, 3 numerical failures (the failing error class name is printed on
+stderr).  A flat key=value config file can seed any long option; explicit
+flags win.  --threads sizes the worker pool used by grid studies
+(reductions stay deterministic).
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from . import sampler as sampler_mod
 from . import unitary as unitary_mod
 from .schur import brute_cdf_first_part, total_weight
 from .errors import SplitSeaError
-from .potential import (HoppingCoefficients, edge_profile, global_extrema,
-                        limit_density, limit_shape)
+from .potential import (HoppingCoefficients, edge_profile, eval_dispersion,
+                        global_extrema, limit_density, limit_shape)
 from .svgplot import Panel, render_panels
 
 AIRY_GRID_POINTS = 10_000  # desk scale of `airy --s`: bounds its output rows
@@ -76,8 +77,7 @@ def _steps(args):
 def _csv_out(rows, header, out=None):
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(repr(v) if isinstance(v, float) else str(v)
-                              for v in row))
+        lines.append(",".join(map(str, row)))
     text = "\n".join(lines) + "\n"
     if out:
         with open(out, "w") as fh:
@@ -119,8 +119,7 @@ def _cmd_analyze(args):
                        for mx in profile.maximizers],
         "n_cuts": profile.n_cuts,
     }
-    json.dump(report, sys.stdout, indent=2 if args.json else None)
-    sys.stdout.write("\n")
+    print(json.dumps(report, indent=2 if args.json else None))
     return 0
 
 
@@ -141,9 +140,8 @@ def _cmd_kernel(args):
     band = kernel_mod.coefficient_band(coeffs)
     value = kernel_mod.kernel_eval(band, args.k, args.l)
     oracle = kernel_mod.kernel_eval_quadrature(coeffs, args.k, args.l)
-    json.dump({"value": value, "oracle_value": oracle,
-               "diff": value - oracle}, sys.stdout)
-    sys.stdout.write("\n")
+    print(json.dumps({"value": value, "oracle_value": oracle,
+                      "diff": value - oracle}))
     return 0
 
 
@@ -158,14 +156,11 @@ def _cmd_kernel_profile(args):
 
 
 def _cmd_oracle(args):
-    if args.what != "cdf":
-        raise argparse.ArgumentTypeError("supported oracle: cdf")
     coeffs = HoppingCoefficients(args.gamma, theta=args.theta)
     value = brute_cdf_first_part(coeffs, args.ell, args.cap)
     residual = 1.0 - total_weight(coeffs, args.cap)
-    json.dump({"value": value, "cap": args.cap,
-               "residual_bound": residual}, sys.stdout)
-    sys.stdout.write("\n")
+    print(json.dumps({"value": value, "cap": args.cap,
+                      "residual_bound": residual}))
     return 0
 
 
@@ -221,8 +216,7 @@ def _cmd_converge(args):
             panel.add(s_grid, r["cdf"], label=f"theta={r['theta']:g}")
         panel.add(s_grid, reports[0]["limit"], label="limit")
         render_panels([panel], args.svg)
-    json.dump({"sup_distance": summary}, sys.stdout)
-    sys.stdout.write("\n")
+    print(json.dumps({"sup_distance": summary}))
     return 0
 
 
@@ -233,10 +227,9 @@ def _cmd_sample(args):
     report = sampler_mod.empirical_edge_law(coeffs, args.n, args.seed)
     if args.out:
         _csv_out([(float(k),) for k in report.k_max], ["k_max"], args.out)
-    json.dump({"ks_exact": report.ks_exact, "ks_limit": report.ks_limit,
-               "n": report.n_samples, "seed": report.seed,
-               "scale": scale}, sys.stdout)
-    sys.stdout.write("\n")
+    print(json.dumps({"ks_exact": report.ks_exact, "ks_limit": report.ks_limit,
+                      "n": report.n_samples, "seed": report.seed,
+                      "scale": scale}))
     return 0
 
 
@@ -264,10 +257,9 @@ def _cmd_unitary_mc(args):
         dip = hist[np.argmin(np.abs(centers - (math.pi - chi_b)))]
         mid = hist[np.argmin(np.abs(centers))]
         dip_ratio = float(dip / mid) if mid > 0 else float("inf")
-    json.dump({"acceptance_rate": res.acceptance_rate,
-               "dip_ratio": dip_ratio,
-               "proposal_sigma": res.proposal_sigma}, sys.stdout)
-    sys.stdout.write("\n")
+    print(json.dumps({"acceptance_rate": res.acceptance_rate,
+                      "dip_ratio": dip_ratio,
+                      "proposal_sigma": res.proposal_sigma}))
     return 0
 
 
@@ -280,7 +272,6 @@ def _cmd_figures(args):
     tag = f"g2_{args.gamma2:+.4f}".replace("+", "p").replace("-", "m").replace(".", "_")
 
     phis = np.linspace(-math.pi, math.pi, 601)
-    from .potential import eval_dispersion
     d_rows = [(float(p), eval_dispersion(coeffs, float(p))) for p in phis]
     xs = np.linspace(-b_tilde - 0.4, b + 0.4, 401)
     rho_rows = [(float(x), limit_density(coeffs, float(x))) for x in xs]
@@ -304,8 +295,7 @@ def _cmd_figures(args):
         Panel(title="eigenvalue density at the critical coupling").add(
             *zip(*ev_rows)),
     ], svg)
-    json.dump({"csv": list(paths.values()), "svg": svg}, sys.stdout)
-    sys.stdout.write("\n")
+    print(json.dumps({"csv": list(paths.values()), "svg": svg}))
     return 0
 
 

@@ -56,8 +56,12 @@ def symbol_coeffs(coeffs, n_max):
 
 
 def _log_minors(mat):
-    """Log leading minors of orders 0, 1, ... up to the first pivot <= 0."""
-    chol, info = scipy.linalg.lapack.dpotrf(mat, lower=1)
+    """Log leading minors of orders 0, 1, ... up to the first pivot <= 0.
+
+    ``mat`` is symmetric and is factored in place: its transpose is the
+    Fortran-ordered array LAPACK overwrites.
+    """
+    chol, info = scipy.linalg.lapack.dpotrf(mat.T, lower=1, overwrite_a=1)
     n = len(mat) if info == 0 else info - 1
     return np.concatenate(([0.0], np.cumsum(2.0 * np.log(np.diag(chol)[:n]))))
 
@@ -111,7 +115,10 @@ def fredholm_cdf_check(coeffs, ell, trace_tol=1e-12, max_window=512):
     if size > MAX_TABLE_DIM:
         raise ValueError(f"Fredholm window of {size} sites > {MAX_TABLE_DIM}")
     sites = top - 0.5 - np.arange(size)
-    logdet = _log_minors(np.eye(len(sites)) - kernel_matrix(band, sites))
+    i_minus_k = kernel_matrix(band, sites)
+    np.negative(i_minus_k, out=i_minus_k)
+    i_minus_k.flat[::size + 1] += 1.0
+    logdet = _log_minors(i_minus_k)
     order = np.minimum(top - rows, len(logdet))
     if np.max(order) == len(logdet) and math.exp(logdet[-1]) >= trace_tol:
         raise NotPositiveDefinite(f"I - K pivot <= 0 at site {top - len(logdet) + 0.5}")
@@ -161,15 +168,17 @@ def scaled_convergence_study(gammas, theta_list, s_grid=None, n_cuts=None,
     return reports
 
 
-def oscillation_average(n, chi_b=1.0, nodes=256):
+def oscillation_average(n, chi_b=1.0):
     """Average of the cyclic product of n cosines over one oscillation period.
 
     The product cos(chi(x_1 - x_2)) ... cos(chi(x_n - x_1)) averaged over the
     period box equals tr(T^n) for the rank-two integral operator with kernel
     (chi/2 pi) cos(chi (x - y)); the periodic trapezoid discretisation of that
     trace is the full tensor-product quadrature reorganised, and is exact up
-    to roundoff for trigonometric polynomials.  Independent of chi_b.
+    to roundoff for trigonometric polynomials (256 nodes).  Independent of
+    chi_b.
     """
+    nodes = 256
     n = int(n)
     if not 2 <= n <= 4:
         raise ValueError("supported for 2 <= n <= 4")

@@ -9,9 +9,9 @@ k and l is the discrete-Bessel-type series
 
 which is the primary O(band) evaluation path; a block over many sites is one
 product H H^T with H a Hankel slice of the band.  An independent double-contour
-quadrature of the same kernel on circles |z| = 1+eps, |w| = 1-eps provides the
-oracle; both are exact representations of the same analytic object, so they
-must agree to quadrature accuracy.
+quadrature of the same kernel on circles |z| = 1 + eps, |w| = 1 - eps
+(eps = QUAD_EPS) provides the oracle; both are exact representations of the
+same analytic object, so they must agree to quadrature accuracy.
 
 Local predictions: in the bulk the kernel approaches an extended discrete sine
 kernel assembled from the Fermi-sea boundary angles; at a two-cut right edge
@@ -26,11 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .airy import airy_kernel
 from .errors import BandTooNarrow, NoConvergence, UnsupportedEdge
 from .potential import FermiSea
 
 BAND_TAIL_TOL = 1e-15
 QUAD_TOL = 1e-10
+QUAD_EPS = 0.05
 QUAD_MAX_NODES = 2 ** 18
 
 
@@ -150,15 +152,14 @@ def tail_trace(band, above, below=None):
     return float(np.dot(weight, band.coeffs * band.coeffs))
 
 
-def kernel_eval_quadrature(coeffs, k, ell, eps=0.05, tol=QUAD_TOL):
+def kernel_eval_quadrature(coeffs, k, ell):
     """Double-contour trapezoid quadrature of the exact kernel (oracle path).
 
-    Nodes are doubled until two successive evaluations agree to ``tol``;
-    exponentially convergent since the integrand is analytic in both annuli.
+    The circles have radii 1 + QUAD_EPS and 1 - QUAD_EPS.  Nodes are doubled
+    until two successive evaluations agree to QUAD_TOL; exponentially
+    convergent since the integrand is analytic in both annuli.
     """
     coeffs.require_theta()
-    if not 0.0 < eps <= 0.2:
-        raise ValueError("eps must lie in (0, 0.2]")
     n1 = -_half_int(k, "k")        # z-exponent: z^{1/2 - k}
     n2 = _half_int(ell, "ell") + 1  # w-exponent: w^{ell + 1/2}
     gam = coeffs.gammas
@@ -174,8 +175,8 @@ def kernel_eval_quadrature(coeffs, k, ell, eps=0.05, tol=QUAD_TOL):
     prev = None
     m = 64
     while m <= QUAD_MAX_NODES:
-        zs = (1.0 + eps) * np.exp(2j * np.pi * np.arange(m) / m)
-        ws = (1.0 - eps) * np.exp(2j * np.pi * np.arange(m) / m)
+        zs = (1.0 + QUAD_EPS) * np.exp(2j * np.pi * np.arange(m) / m)
+        ws = (1.0 - QUAD_EPS) * np.exp(2j * np.pi * np.arange(m) / m)
         az = np.exp(log_factor(zs)) * zs ** n1
         bw = np.exp(-log_factor(ws)) * ws ** n2
         # K = (1/m^2) sum_{j,l} az_j bw_l / (z_j - w_l); chunk rows to keep
@@ -185,7 +186,7 @@ def kernel_eval_quadrature(coeffs, k, ell, eps=0.05, tol=QUAD_TOL):
             zc = zs[j0:j0 + 8192]
             acc += az[j0:j0 + 8192] @ ((1.0 / (zc[:, None] - ws[None, :])) @ bw)
         val = float(np.real(acc)) / (m * m)
-        if prev is not None and abs(val - prev) < tol:
+        if prev is not None and abs(val - prev) < QUAD_TOL:
             return val
         prev = val
         m *= 2
@@ -223,7 +224,5 @@ def edge_prediction(profile, theta, k, ell):
     x, y = profile.s_of(float(k), theta), profile.s_of(float(ell), theta)
     if abs(x) > 6.0 or abs(y) > 6.0:
         raise ValueError("edge variables out of the calibrated window |x|,|y| <= 6")
-    from .airy import airy_kernel  # deferred: avoids a hard import cycle
-
     osc = 2.0 * math.cos(mx.chi_b * (float(k) - float(ell)))
     return osc * airy_kernel(mx.m, x, y) / profile.scale(theta)

@@ -32,7 +32,8 @@ eigenvalues of one colleague matrix (Trefethen, ATAP, ch. 18), so none can be
 missed.  Roots near y = +-1 whose D value equals the endpoint's to roundoff
 merge into the endpoint: arccos magnifies a root at 1 - 1e-16 into an angle of
 1.5e-8, and the roundoff split of a multiple root at y = 1 (a maximizer of
-order m >= 3 at phi = 0) into one near 1e-4.
+order m >= 3 at phi = 0) into one near 1e-4.  On each segment one guarded
+Newton iteration (``_polish_root``) finds the boundary.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebder, chebroots, chebtrim
-from scipy.optimize import brentq
 
 from .errors import DegenerateEdge, SolverFailure
 
@@ -51,6 +51,7 @@ ROOT_RESIDUAL_TOL = 1e-12      # |D(chi) - x| after polishing
 TANGENT_SLOPE_TOL = 1e-8       # |D'(chi)| below this marks a tangential root
 DERIV_ZERO_REL_TOL = 1e-9      # relative tolerance for "derivative vanishes"
 CRIT_MERGE_REL_TOL = 1e-14     # |D(c) - D(endpoint)| that merges c into the endpoint
+_MAX_SOLVER_STEPS = 200        # bisection alone ends well inside this
 
 
 @dataclass(frozen=True)
@@ -255,20 +256,33 @@ def global_extrema(coeffs):
     return max(vals), -min(vals)
 
 
-def _polish_root(coeffs, x, lo, hi):
-    """Bracketed root of D - x on [lo, hi], polished to ROOT_RESIDUAL_TOL."""
+def _polish_root(coeffs, x, lo, hi, rising):
+    """Root of D - x on [lo, hi], where D is monotone (increasing if ``rising``).
+
+    Guarded Newton from the midpoint: each iterate shrinks the bracket by
+    the sign of D - x there, and a step that leaves the bracket bisects it.
+    It stops once a step is a few ulps or the bracket ends are adjacent
+    doubles.  The root must meet ROOT_RESIDUAL_TOL unless D' is under
+    TANGENT_SLOPE_TOL there; SolverFailure otherwise.
+    """
     f = lambda t: eval_dispersion(coeffs, t) - x
-    root = brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
-    for _ in range(3):
-        if abs(f(root)) <= ROOT_RESIDUAL_TOL:
+    root = 0.5 * (lo + hi)
+    for _ in range(_MAX_SOLVER_STEPS):
+        value = f(root)
+        if value == 0.0:
             break
+        if (value > 0.0) == rising:
+            hi = root
+        else:
+            lo = root
         d1 = eval_dispersion(coeffs, root, order=1)
-        if abs(d1) < TANGENT_SLOPE_TOL:
+        newton = root - value / d1 if d1 != 0.0 else math.nan
+        if abs(newton - root) <= 4.0 * math.ulp(root):
+            root = min(max(newton, lo), hi)
             break
-        step = f(root) / d1
-        cand = root - step
-        if lo - 1e-12 <= cand <= hi + 1e-12:
-            root = min(max(cand, 0.0), math.pi)
+        root = newton if lo < newton < hi else 0.5 * (lo + hi)
+        if math.nextafter(lo, hi) >= hi:
+            break
     if abs(f(root)) > ROOT_RESIDUAL_TOL and \
             abs(eval_dispersion(coeffs, root, order=1)) > TANGENT_SLOPE_TOL:
         raise SolverFailure(
@@ -324,7 +338,7 @@ def fermi_sea(coeffs, x):
         a, b = crit[i], crit[i + 1]
         fa, fb = crit_vals[i] - x, crit_vals[i + 1] - x
         if fa * fb < 0.0:
-            roots.append(_polish_root(coeffs, x, a, b))
+            roots.append(_polish_root(coeffs, x, a, b, fb > 0.0))
 
     # Drop crossings that collapsed onto a critical point at the level.  An
     # extremum there only touches the level; through an inflection D crosses

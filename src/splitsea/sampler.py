@@ -268,13 +268,13 @@ class ShapeDeviationReport:
     n_samples: int
 
 
-def limit_shape_deviation(coeffs, n_samples, seed, percentile=90.0):
+def limit_shape_deviation(coeffs, n_samples, seed):
     """Empirical sup-distance between N(x theta)/theta and its limit.
 
     For each sampled configuration the count of occupied sites above every
     window lattice point k, over theta, is compared with its limit
     int_{k/theta}^b rho = (Omega(k/theta) - k/theta)/2, exact from the closed
-    form of :func:`limit_shape`; reports the requested percentile of the
+    form of :func:`limit_shape`; reports the 90th percentile of the
     per-sample sup.
     """
     wk = windowed_kernel(coeffs)
@@ -288,5 +288,5 @@ def limit_shape_deviation(coeffs, n_samples, seed, percentile=90.0):
         counts = len(conf) - np.searchsorted(conf, sites, side="right")
         sups[i] = float(np.max(np.abs(counts / theta - tail)))
     return ShapeDeviationReport(
-        percentile_90=float(np.percentile(sups, percentile)),
+        percentile_90=float(np.percentile(sups, 90.0)),
         leakage=wk.leakage, n_samples=int(n_samples))

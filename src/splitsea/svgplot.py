@@ -23,8 +23,9 @@ class Panel:
         return self
 
 
-def render_panels(panels, path, width=640, panel_height=200, margin=46):
+def render_panels(panels, path):
     """Stack panels vertically into one SVG file."""
+    width, panel_height, margin = 640, 200, 46  # pixels
     height = panel_height * len(panels)
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
              f'height="{height}" font-family="monospace" font-size="11">',

@@ -16,7 +16,8 @@ pair per cut of the sea at the edge.
 and allocates nothing: the chain caches the pair log-sines
 log|sin((alpha_j - alpha_k)/2)| as a symmetric matrix with a zero diagonal,
 always those of the current angles, and an accepted move rewrites one row
-and one column of it.
+and one column of it.  Its samples are one array, a row of sorted angles
+per post-burn-in sweep, which ``angle_histogram`` takes as it is.
 """
 
 from __future__ import annotations
@@ -47,15 +48,16 @@ def eigen_density_supercritical(gammas, x, alpha):
     return rho
 
 
-def density_support_cuts(gammas, x, rel_floor=1e-3, grid=4096):
+def density_support_cuts(gammas, x):
     """Intervals of [-pi, pi] where the supercritical density is near zero.
 
-    A "cut" is a maximal arc with rho < rel_floor * max(rho); arcs wrapping
-    +-pi are counted once.
+    A "cut" is a maximal arc of the 4096-point grid with rho < 1e-3 max(rho);
+    arcs wrapping +-pi are counted once.
     """
+    grid = 4096
     alphas = np.linspace(-math.pi, math.pi, grid, endpoint=False)
     rho = eigen_density_supercritical(gammas, x, alphas)
-    low = rho < rel_floor * float(np.max(rho))
+    low = rho < 1e-3 * float(np.max(rho))
     if not np.any(low):
         return []
     # group circularly contiguous low runs
@@ -90,13 +92,8 @@ def log_joint_density(gammas, theta, angles):
 
 
 @dataclass(frozen=True)
-class EigenSample:
-    angles: np.ndarray
-
-
-@dataclass(frozen=True)
 class ChainResult:
-    samples: list
+    samples: np.ndarray  # (n_kept, ell): sorted angles, one row per sweep
     acceptance_rate: float
     proposal_sigma: float
 
@@ -152,12 +149,13 @@ class _PairLogSines:
         self.pair[:, j] = self.buf
 
 
-def metropolis_chain(gammas, theta, ell, sweeps, seed, keep_every=1):
+def metropolis_chain(gammas, theta, ell, sweeps, seed):
     """Single-angle Metropolis sampling of the joint eigenvalue law.
 
     Proposals are Gaussian steps wrapped to [-pi, pi]; the step size is tuned
     during the first 20% of sweeps towards a 20-50% acceptance rate, then
-    frozen.  Returns the post-burn-in samples (every ``keep_every`` sweeps).
+    frozen.  The samples are the angles after every post-burn-in sweep, one
+    sorted row each.
 
     A proposal costs O(ell) and allocates nothing: its pair term is read off
     a cached matrix of pair log-sines (``_PairLogSines``), which an accepted
@@ -179,7 +177,7 @@ def metropolis_chain(gammas, theta, ell, sweeps, seed, keep_every=1):
     sigma = 0.5
     accepted = proposed = 0
     tune_acc = tune_prop = 0
-    samples = []
+    samples = np.empty((sweeps - burn, ell))
     with np.errstate(divide="ignore"):
         for sweep in range(sweeps):
             for j in range(ell):
@@ -202,19 +200,17 @@ def metropolis_chain(gammas, theta, ell, sweeps, seed, keep_every=1):
                         sigma *= 1.4
                     tune_acc = tune_prop = 0
                 continue
-            if (sweep - burn) % keep_every == 0:
-                samples.append(EigenSample(angles=np.sort(angles)))
+            samples[sweep - burn] = angles
+    samples.sort(axis=1)
     return ChainResult(samples=samples,
                        acceptance_rate=accepted / max(proposed, 1),
                        proposal_sigma=sigma)
 
 
 def angle_histogram(samples, bins=64):
-    """Normalised histogram of all eigenvalue angles over [-pi, pi]."""
-    all_angles = np.concatenate([s.angles for s in samples])
-    hist, edges = np.histogram(all_angles, bins=bins,
-                               range=(-math.pi, math.pi), density=True)
-    return hist, edges
+    """Normalised histogram of all eigenvalue angles (any array) over [-pi, pi]."""
+    return np.histogram(np.ravel(samples), bins=bins,
+                        range=(-math.pi, math.pi), density=True)
 
 
 def partition_function_toeplitz(gammas, theta, ell):
@@ -223,16 +219,17 @@ def partition_function_toeplitz(gammas, theta, ell):
     return math.exp(coeffs.szego_constant()) * exact_cdf(coeffs, ell)
 
 
-def partition_function_quadrature(gammas, theta, ell, nodes=512):
+def partition_function_quadrature(gammas, theta, ell):
     """Z_ell by direct angular quadrature (oracle; ell <= 2 practical).
 
-    Periodic trapezoid over the ell-torus of the Weyl-measure integrand
+    512-node periodic trapezoid over the ell-torus of the Weyl-measure integrand
     prod_j w(alpha_j) prod_{j<k} |e^{i a_j} - e^{i a_k}|^2 / ((2 pi)^ell ell!).
     """
     coeffs = HoppingCoefficients(gammas, theta=theta)
     ell = int(ell)
     if ell not in (1, 2):
         raise ValueError("direct quadrature oracle supports ell in {1, 2}")
+    nodes = 512
     alphas = 2.0 * math.pi * np.arange(nodes) / nodes - math.pi
     w = np.exp(coeffs.log_symbol(alphas))
     h = 2.0 * math.pi / nodes

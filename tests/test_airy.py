@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splitsea.airy import (AiryOrder, FredholmConfig, airy_fn, airy_kernel,
+from splitsea.airy import (FredholmConfig, airy_fn, airy_kernel,
                            airy_kernel_matrix, airy_values, fredholm_F,
                            limiting_cdf)
 from splitsea import airy as airy_mod
@@ -73,12 +73,11 @@ def test_airy_order_guard():
     with pytest.raises(ValueError):
         airy_fn(1, 41.0)
     with pytest.raises(ValueError):
-        AiryOrder(0)
+        airy_fn(0, 0.3)
     with pytest.raises(ValueError):
-        AiryOrder(1.5)
+        airy_fn(1.5, 0.3)
     with pytest.raises(ValueError):
         airy_fn(0, 0.0)
-    assert airy_fn(AiryOrder(2), 0.3) == airy_fn(2, 0.3)
 
 
 def test_airy_batch_raises_beyond_node_budget(monkeypatch):

@@ -396,6 +396,20 @@ def test_python_dash_m_runs_the_cli():
     assert json.loads(proc.stdout)["n_cuts"] == 2
 
 
+def test_cli_import_leaves_scipy_optimize_out():
+    # importing scipy.optimize cost a third of the CLI's start-up CPU, for
+    # one root solver that the Fermi-sea code now has built in
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [os.path.abspath(src), os.environ.get("PYTHONPATH")])))
+    probe = ("import sys, splitsea.cli; "
+             "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_uncertified_airy_order_exits_3_without_numpy_warnings():
     # m = 5 overflowed the contour integrand before the quadrature gave up
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")

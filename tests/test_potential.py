@@ -201,6 +201,56 @@ def test_fermi_sea_crosses_at_an_inflection():
         assert fermi_sea(c, x).cuts == 1
 
 
+SOLVER_MODELS = [(1.0, -1.0 / 3.0), (1.0, 0.1), (1.0, -0.125), (-0.2, 0.0, -1.0 / 45.0)]
+
+
+def _assert_boundaries_match_brentq(coeffs, x):
+    """Every solved boundary of the sea at x against a brentq root (xtol 1e-15).
+
+    The oracle brackets are the monotone segments between critical points.
+    Boundaries at a critical point are not solved and are skipped.  The
+    bound is 1e-14 plus the root's own conditioning: D is evaluated to
+    about eps times its coefficient sum, so a root with slope D' is only
+    defined to 4 eps scale / |D'|, which dominates within 1e-9 of a
+    critical value.
+    """
+    crit, _ = _critical_points(coeffs.gammas)
+    scale = sum(abs(2.0 * r * g) for r, g in enumerate(coeffs.gammas, start=1))
+    for chi in fermi_sea(coeffs, x).boundaries:
+        if chi in crit:
+            continue
+        i = int(np.searchsorted(crit, chi)) - 1
+        want = brentq(lambda t: eval_dispersion(coeffs, t) - x, crit[i], crit[i + 1],
+                      xtol=1e-15, rtol=8.9e-16)
+        slack = 4.0 * np.finfo(float).eps * scale / abs(eval_dispersion(coeffs, want, order=1))
+        assert abs(chi - want) <= 1e-14 + slack, (coeffs.gammas, x, chi, want)
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_fermi_sea_boundaries_match_brentq(data):
+    coeffs = HoppingCoefficients(data.draw(st.sampled_from(SOLVER_MODELS)))
+    _, vals = _critical_points(coeffs.gammas)
+    if data.draw(st.booleans()):
+        x = data.draw(st.sampled_from(vals)) + data.draw(st.floats(-1e-9, 1e-9))
+    else:
+        x = data.draw(st.floats(min(vals), max(vals)))
+    _assert_boundaries_match_brentq(coeffs, x)
+
+
+def test_fermi_sea_boundary_where_the_first_newton_step_leaves_the_bracket():
+    # D = 2 cos phi + 0.6 cos 3 phi falls on all of [0, pi], but D'(pi/2) is
+    # only -0.2: from the midpoint, Newton overshoots and the solver bisects
+    c = HoppingCoefficients((1.0, 0.0, 0.1))
+    assert _critical_points(c.gammas)[0] == (0.0, math.pi)
+    x = 1.0
+    mid = 0.5 * math.pi
+    first = mid - (eval_dispersion(c, mid) - x) / eval_dispersion(c, mid, order=1)
+    assert not 0.0 < first < math.pi
+    assert len(fermi_sea(c, x).boundaries) == 2
+    _assert_boundaries_match_brentq(c, x)
+
+
 @pytest.mark.parametrize("gammas,chi_b,m,d,n_cuts", [
     ((1.0, -1.0 / 3.0), math.acos(3.0 / 8.0), 1, 55.0 / 24.0, 2),
     ((1.0, -0.125), 0.0, 2, 0.25, 1),

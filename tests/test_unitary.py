@@ -12,7 +12,7 @@ from scipy import stats
 import splitsea.unitary as unitary_mod
 from splitsea.errors import CoincidentAngles, SubcriticalPhase
 from splitsea.potential import HoppingCoefficients, edge_profile, global_extrema
-from splitsea.unitary import (ChainResult, EigenSample, angle_histogram,
+from splitsea.unitary import (ChainResult, angle_histogram,
                               density_support_cuts,
                               eigen_density_supercritical, log_joint_density,
                               metropolis_chain, partition_function_quadrature,
@@ -40,7 +40,7 @@ def _reference_site_delta(gammas, theta, angles, j, new_angle):
     return delta
 
 
-def _reference_chain(gammas, theta, ell, sweeps, seed, keep_every=1):
+def _reference_chain(gammas, theta, ell, sweeps, seed):
     """The chain with a from-scratch pair term per proposal (O(ell) copies)."""
     gam = HoppingCoefficients(gammas).gammas
     rng = np.random.Generator(np.random.Philox(key=[int(seed), 0]))
@@ -71,9 +71,8 @@ def _reference_chain(gammas, theta, ell, sweeps, seed, keep_every=1):
                     sigma *= 1.4
                 tune_acc = tune_prop = 0
             continue
-        if (sweep - burn) % keep_every == 0:
-            samples.append(EigenSample(angles=np.sort(angles)))
-    return ChainResult(samples=samples, acceptance_rate=accepted / proposed,
+        samples.append(np.sort(angles))
+    return ChainResult(samples=np.array(samples), acceptance_rate=accepted / proposed,
                        proposal_sigma=sigma)
 
 
@@ -208,7 +207,7 @@ def test_metropolis_detailed_balance_three_state():
 def test_metropolis_single_angle_law():
     res = metropolis_chain((1.0,), 0.8, 1, 100000, seed=11)
     assert 0.2 <= res.acceptance_rate <= 0.55
-    angles = np.sort(np.concatenate([s.angles for s in res.samples]))
+    angles = np.sort(res.samples, axis=None)
     fine = np.linspace(-math.pi, math.pi, 32001)
     dens = np.exp(2.0 * 0.8 * np.cos(fine))
     dens /= np.trapezoid(dens, fine)
@@ -226,7 +225,7 @@ def test_metropolis_pair_moment():
     gam = (1.0,)
     theta = 0.6
     res = metropolis_chain(gam, theta, 2, 60000, seed=4)
-    vals = np.array([math.cos(s.angles[0] - s.angles[1]) for s in res.samples])
+    vals = np.array([math.cos(s[0] - s[1]) for s in res.samples])
     emp = float(np.mean(vals))
     nodes = 400
     a = 2.0 * math.pi * np.arange(nodes) / nodes - math.pi
@@ -255,9 +254,7 @@ def test_metropolis_chain_matches_reference(ell, theta, seed, sweeps):
     # the cached pair log-sines change no accept decision and no RNG draw
     got = metropolis_chain(TWO_CUT, theta, ell, sweeps, seed)
     want = _reference_chain(TWO_CUT, theta, ell, sweeps, seed)
-    assert len(got.samples) == len(want.samples)
-    assert all(np.array_equal(a.angles, b.angles)
-               for a, b in zip(got.samples, want.samples))
+    assert np.array_equal(got.samples, want.samples)  # shapes included
     assert got.acceptance_rate == want.acceptance_rate
     assert got.proposal_sigma == want.proposal_sigma
 
@@ -321,7 +318,7 @@ def test_coincident_proposal_is_rejected_without_warning(monkeypatch):
         res = metropolis_chain(TWO_CUT, 1.0, 2, 2, seed=0)
     assert deltas[0] == -math.inf
     assert draws[:3] == ["uniform", "normal", "random"]
-    assert res.samples[0].angles[0] == 0.0  # not moved by the first proposal
+    assert res.samples[0, 0] == 0.0  # not moved by the first proposal
 
 
 def test_arnoldi_density_small_ell_against_quadrature():
@@ -354,8 +351,8 @@ def test_metropolis_one_point_law_matches_arnoldi_oracle():
     res = metropolis_chain(TWO_CUT, theta, ell, 12000, seed=5)
     batches = np.array_split(np.arange(len(res.samples)), n_batches)
     assert len({len(b) for b in batches}) == 1
-    hists = np.array([angle_histogram([res.samples[i] for i in b],
-                                      bins=n_bins)[0] for b in batches])
+    hists = np.array([angle_histogram(res.samples[b], bins=n_bins)[0]
+                      for b in batches])
     mean = hists.mean(axis=0)
     se = hists.std(axis=0, ddof=1) / math.sqrt(n_batches)
     z_max = stats.t.ppf(1.0 - family_level / (2.0 * n_bins), n_batches - 1)
