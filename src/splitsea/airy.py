@@ -20,9 +20,11 @@ F_{2m+1}^n are the edge laws of n-cut seas.
 Evaluation: ``airy_values`` is the one contour evaluator (vectorised, and it
 takes scalars too); ``airy_fn`` is its guarded public scalar form, and
 ``_airy_cache`` holds its degree-16 Chebyshev interpolants on the unit panels
-of [-14.5, 52] (1139 contour points) for the kernel assembly.  The law blocks
-below share that panel-Chebyshev build (``_cheb_points``,
-``_cheb_coefficients``) and its Clenshaw evaluator (``_clenshaw``).
+of [-14.5, decay point + 1/2] (29, 41 and 57 panels, 493 to 969 contour
+points, for m = 1, 2, 3) for the kernel assembly; above the decay point
+``_airy_cached`` is exactly 0.  The law blocks below share that
+panel-Chebyshev build (``_cheb_points``, ``_cheb_coefficients``) and its
+Clenshaw evaluator (``_clenshaw``).
 
 Contour choice: along the vertical line Re z = sigma the integrand decays
 like exp(-sigma t^{2m}); for x < 0 the linear term adds a bump of
@@ -176,7 +178,7 @@ def airy_fn(order, x):
     return float(airy_values(order, float(x)))
 
 
-_CACHE_DOMAIN = (-14.5, 52.0)
+_CACHE_FLOOR = -14.5  # least argument of the Airy cache and the kernels
 _CHEB_DEGREE = 16
 _LAW_PANELS = 5  # unit panels per law block: a 95-point table fills one
 
@@ -223,25 +225,25 @@ def _clenshaw(coef, panel, t2):
 
 @lru_cache(maxsize=8)
 def _airy_cache(m):
-    """Chebyshev coefficients of Ai_{2m+1} on the unit panels of the domain.
+    """Chebyshev coefficients of Ai_{2m+1} on the unit panels from
+    _CACHE_FLOOR that cover the decay point.
 
     Coefficients past degree 16 are at the contour evaluator's own noise (a
-    few 1e-12), so the interpolant is as accurate as the evaluator; above the
-    domain the function is below the kernel truncation floor and treated as
-    zero.
+    few 1e-12), so the interpolant is as accurate as the evaluator.
     """
-    lo, hi = _CACHE_DOMAIN
-    return _cheb_coefficients(airy_values(m, _cheb_points(lo, math.ceil(hi - lo))))
+    panels = math.ceil(_decay_point(m) - _CACHE_FLOOR)
+    return _cheb_coefficients(airy_values(m, _cheb_points(_CACHE_FLOOR, panels)))
 
 
 def _airy_cached(m, xs):
-    """Ai_{2m+1} at arguments lo <= xs from the cache (Clenshaw recurrence)."""
-    lo, hi = _CACHE_DOMAIN
+    """Ai_{2m+1} at arguments xs >= _CACHE_FLOOR from the cache (Clenshaw
+    recurrence); exactly 0 above the decay point, where |Ai| is below
+    KERNEL_FACTOR_FLOOR."""
     coef = _airy_cache(m)
-    u = xs - lo
+    u = xs - _CACHE_FLOOR
     panel = np.minimum(u.astype(np.intp), coef.shape[1] - 1)
     out = _clenshaw(coef, panel, 4.0 * (u - panel) - 2.0)
-    out[xs > hi] = 0.0
+    out[xs > _decay_point(m)] = 0.0
     return out
 
 
@@ -294,10 +296,10 @@ def _kernel_factor(m, xs):
     chunk evaluates only the nodes with min x + v_k <= decay point and
     leaves the rest of its row block exactly 0.
     """
-    lo = _CACHE_DOMAIN[0]
     x_floor = float(np.min(xs))
-    if x_floor < lo:
-        raise ValueError(f"Airy kernel arguments >= {lo} supported; got {x_floor!r}")
+    if x_floor < _CACHE_FLOOR:
+        raise ValueError(f"Airy kernel arguments >= {_CACHE_FLOOR} supported; "
+                         f"got {x_floor!r}")
     decay = _decay_point(m)
     panels = math.ceil((decay - x_floor) / 2.0)
     vs, ws = _v_quadrature(max(panels, 2))
@@ -422,13 +424,27 @@ def _law_factor(m, s, refine):
     return factor, above
 
 
-def _pd_det(mat):
-    """det(mat) from its Cholesky factor; None if it is not positive definite."""
-    try:
-        chol = np.linalg.cholesky(mat)
-    except np.linalg.LinAlgError:
-        return None
-    return math.exp(2.0 * float(np.sum(np.log(np.diagonal(chol)))))
+def _log_minors(mat, orders, tol):
+    """Log leading minors of the symmetric ``mat`` at ``orders``, from one
+    Cholesky factor, and LAPACK's ``info`` (the order of the first pivot <= 0,
+    0 if there is none).
+
+    ``mat`` is factored in place: its transpose is the Fortran-ordered array
+    LAPACK overwrites.  Past the first pivot <= 0 the minors are -inf when
+    the last minor before it is under ``tol``; otherwise the log minors are
+    None and the caller raises.  The minor is compared as exp(min(log, 0)),
+    so log minors above 0 (a Toeplitz table's run up to the Szego constant)
+    cannot overflow.
+    """
+    from scipy.linalg.lapack import dpotrf
+
+    chol, info = dpotrf(mat.T, lower=1, overwrite_a=1)
+    n = info - 1 if info else len(mat)
+    logdet = np.concatenate(([0.0], np.cumsum(2.0 * np.log(np.diag(chol)[:n]))))
+    orders = np.minimum(orders, n + 1)
+    if np.max(orders) > n and math.exp(min(logdet[-1], 0.0)) >= tol:
+        return None, info
+    return np.append(logdet, -np.inf)[orders], info
 
 
 def _leading_minors(p, above):
@@ -436,10 +452,11 @@ def _leading_minors(p, above):
 
     By Sylvester each is det(I_r - P_k^T P_k): the running r x r
     complements I_r - P_k^T P_k are stacked and factored by one stacked
-    Cholesky.  If one is not positive definite, the minors are taken one by
-    one up to it, and from it on they are 0.0 when the last positive minor,
-    taken node by node, is under TABLE_TOL (F is monotone, so 0 is then
-    within it); otherwise NodeCountInsufficient.
+    Cholesky.  If one is not positive definite, the minors come from
+    ``_log_minors`` of the dense I - P P^T over the rows p[:above[-1]]: 0.0
+    past its first pivot <= 0 when the minor before it is under TABLE_TOL
+    (F is monotone, so 0 is then within it), NodeCountInsufficient
+    otherwise.
     """
     blocks = np.split(p[:above[-1]], above[:-1])
     comps = np.empty((len(blocks), p.shape[1], p.shape[1]))
@@ -449,35 +466,16 @@ def _leading_minors(p, above):
     try:
         chol = np.linalg.cholesky(comps)
     except np.linalg.LinAlgError:
-        return _minors_past_failure(comps, blocks, above)
+        rows = p[:above[-1]]
+        dense = rows @ -rows.T
+        dense.flat[::len(rows) + 1] += 1.0
+        logdet, failed = _log_minors(dense, above, TABLE_TOL)
+        if logdet is None:
+            raise NodeCountInsufficient(
+                f"I - A not positive definite at node {failed} of {len(rows)}")
+        return np.exp(logdet)
     return np.exp(2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)),
                                axis=1))
-
-
-def _minors_past_failure(comps, blocks, above):
-    """``_leading_minors`` from its stacked complements ``comps`` when one is
-    not positive definite: minor by minor up to the first such block, then
-    node by node inside it."""
-    minors = np.zeros(len(comps))
-    last = 1.0
-    for j, (block, stop) in enumerate(zip(blocks, above)):
-        value = _pd_det(comps[j])
-        if value is not None:
-            last = minors[j] = value
-            continue
-        comp = comps[j - 1].copy() if j else np.eye(comps.shape[1])
-        for row in block:
-            comp -= np.outer(row, row)
-            value = _pd_det(comp)
-            if value is None:
-                break
-            last = value
-        if last >= TABLE_TOL:
-            raise NodeCountInsufficient(
-                f"I - A not positive definite on {stop} nodes at a minor "
-                f"of {last:.2e}")
-        break
-    return minors
 
 
 def _law_table(m, s):
@@ -503,8 +501,8 @@ def _law_table(m, s):
     Gram and the projection (N V^2 each), one V x V eigh and one stacked
     Cholesky of the r x r complements of all s_j; memory is O(N V + J r^2)
     for J grid points.  The products stay in numpy's BLAS: interleaving them
-    with scipy's, a second OpenBLAS thread pool, doubled the CPU time of
-    ``sample`` on two cores.
+    with a second OpenBLAS thread pool (the one behind ``_log_minors``)
+    doubled the CPU time of ``sample`` on two cores.
     """
     fine, fine_above = _law_factor(m, s, 2)
     lam, vecs = np.linalg.eigh(fine.T @ fine)

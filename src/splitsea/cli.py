@@ -149,7 +149,9 @@ def _cmd_kernel_profile(args):
     coeffs = HoppingCoefficients(args.gamma, theta=args.theta)
     band = kernel_mod.coefficient_band(coeffs)
     lo, hi, _ = _parse_range("--window", args.window, "site")
-    ks = np.arange(math.floor(lo), math.ceil(hi) + 1) + 0.5
+    ks = np.arange(math.ceil(lo - 0.5), math.floor(hi - 0.5) + 1) + 0.5
+    if not ks.size:
+        raise ValueError(f"--window {args.window} holds no half-integer site")
     rows = [(float(k), kernel_mod.kernel_eval(band, k, k)) for k in ks]
     _csv_out(rows, ["k", "Kkk"], args.out)
     return 0

@@ -30,9 +30,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.linalg
 
-from .airy import limiting_cdf
+from .airy import _log_minors, limiting_cdf
 from .errors import NotPositiveDefinite, WindowTooSmall
 from .kernel import (_fourier_band, coefficient_band, kernel_matrix,
                      tail_trace)
@@ -55,17 +54,6 @@ def symbol_coeffs(coeffs, n_max):
     return out
 
 
-def _log_minors(mat):
-    """Log leading minors of orders 0, 1, ... up to the first pivot <= 0.
-
-    ``mat`` is symmetric and is factored in place: its transpose is the
-    Fortran-ordered array LAPACK overwrites.
-    """
-    chol, info = scipy.linalg.lapack.dpotrf(mat.T, lower=1, overwrite_a=1)
-    n = len(mat) if info == 0 else info - 1
-    return np.concatenate(([0.0], np.cumsum(2.0 * np.log(np.diag(chol)[:n]))))
-
-
 def toeplitz_cdf(coeffs, ell):
     """P(k_max < ell) from the first ell log-pivots of one Cholesky factor.
 
@@ -77,10 +65,14 @@ def toeplitz_cdf(coeffs, ell):
     if top > MAX_TABLE_DIM:
         raise ValueError(f"ell capped at {MAX_TABLE_DIM} at desk scale")
     f = symbol_coeffs(coeffs, top)
-    logdet = _log_minors(scipy.linalg.toeplitz(f[top:2 * top]))  # f_0 .. f_{top-1}
-    if len(logdet) <= top:
-        raise NotPositiveDefinite(f"T_ell not positive definite at ell={len(logdet)}")
-    p = np.exp(logdet[np.maximum(ells, 0)] - coeffs.szego_constant())
+    # T_ij = f_{|i - j|}: row i is the window of f_{|k|}, |k| < top, from
+    # k = -i; the slice leaves T 0 x 0 at top = 0
+    line = f[top + np.abs(np.arange(1 - top, top))]
+    windows = np.lib.stride_tricks.sliding_window_view(line, top)[::-1]
+    logdet, failed = _log_minors(windows[:top].copy(), np.maximum(ells, 0), 0.0)
+    if logdet is None:
+        raise NotPositiveDefinite(f"T_ell not positive definite at ell={failed}")
+    p = np.exp(logdet - coeffs.szego_constant())
     p[ells < 0] = 0.0
     if np.max(p) > 1.0 + 1e-9:
         raise NotPositiveDefinite(
@@ -118,11 +110,10 @@ def fredholm_cdf_check(coeffs, ell, trace_tol=1e-12, max_window=512):
     i_minus_k = kernel_matrix(band, sites)
     np.negative(i_minus_k, out=i_minus_k)
     i_minus_k.flat[::size + 1] += 1.0
-    logdet = _log_minors(i_minus_k)
-    order = np.minimum(top - rows, len(logdet))
-    if np.max(order) == len(logdet) and math.exp(logdet[-1]) >= trace_tol:
-        raise NotPositiveDefinite(f"I - K pivot <= 0 at site {top - len(logdet) + 0.5}")
-    p = np.exp(np.append(logdet, -np.inf)[order])  # uncertified rows: 0.0
+    logdet, failed = _log_minors(i_minus_k, top - rows, trace_tol)
+    if logdet is None:
+        raise NotPositiveDefinite(f"I - K pivot <= 0 at site {top - failed + 0.5}")
+    p = np.exp(logdet)  # rows past a pivot <= 0: 0.0
     p[ells < 0] = 0.0
     return float(p[0]) if np.ndim(ell) == 0 else p
 

@@ -39,7 +39,8 @@ class UnsupportedEdge(SplitSeaError):
 
 
 class NotPositiveDefinite(SplitSeaError):
-    """Toeplitz matrix of the symbol failed Cholesky; symbol/band error upstream."""
+    """A CDF table's determinant matrix (the Toeplitz T_ell or the Fredholm
+    I - K) failed Cholesky above its tolerance, or a Toeplitz row overshoots 1."""
 
 
 class WindowTooSmall(SplitSeaError):

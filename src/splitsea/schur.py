@@ -34,13 +34,13 @@ def complete_homogeneous(times, n_max):
     """h_0..h_{n_max} for the generating function exp(sum_r t_r z^r).
 
     Uses the recurrence n h_n = sum_{r<=min(R,n)} r t_r h_{n-r} obtained by
-    differentiating the generating function; O(n R) and exact in floating
-    point at desk scale.
+    differentiating the generating function; O(n R).  The arithmetic is that
+    of ``times``, so Fraction times give exact rationals.
     """
     t = list(times)
-    h = [1.0] + [0.0] * int(n_max)
+    h = [1] + [0] * int(n_max)
     for n in range(1, int(n_max) + 1):
-        acc = 0.0
+        acc = 0
         for r in range(1, min(len(t), n) + 1):
             acc += r * t[r - 1] * h[n - r]
         h[n] = acc / n
@@ -51,17 +51,6 @@ def elementary(times, n_max):
     """e_0..e_{n_max}: coefficients of exp(-sum_r (-1)^r t_r z^r)."""
     flipped = [(-1.0) ** (r + 1) * t for r, t in enumerate(times, start=1)]
     return complete_homogeneous(flipped, n_max)
-
-
-def _hom_fractions(times, n_max):
-    t = [Fraction(v) for v in times]
-    h = [Fraction(1)] + [Fraction(0)] * int(n_max)
-    for n in range(1, int(n_max) + 1):
-        acc = Fraction(0)
-        for r in range(1, min(len(t), n) + 1):
-            acc += r * t[r - 1] * h[n - r]
-        h[n] = acc / n
-    return h
 
 
 def conjugate(parts):
@@ -116,7 +105,7 @@ def schur_exact(parts, times):
     parts = tuple(int(p) for p in parts if p > 0)
     if not parts:
         return Fraction(1)
-    h = _hom_fractions(times, parts[0] + len(parts))
+    h = complete_homogeneous([Fraction(v) for v in times], parts[0] + len(parts))
 
     def entry(i, j):
         idx = parts[i] - (i + 1) + (j + 1)

@@ -11,9 +11,10 @@ from splitsea.airy import (FredholmConfig, airy_fn, airy_kernel,
                            airy_kernel_matrix, airy_values, fredholm_F,
                            limiting_cdf)
 from splitsea import airy as airy_mod
-from splitsea.airy import (TABLE_TOL, _airy_cached, _fredholm_once,
-                           _gauss_legendre, _kernel_factor, _law_nodes,
-                           _leading_minors, _v_quadrature)
+from splitsea.airy import (KERNEL_FACTOR_FLOOR, TABLE_TOL, _airy_cached,
+                           _fredholm_once, _gauss_legendre, _kernel_factor,
+                           _law_nodes, _leading_minors, _log_minors,
+                           _v_quadrature)
 from splitsea.errors import NoConvergence, NodeCountInsufficient
 from conftest import airy_series
 
@@ -308,6 +309,51 @@ def test_leading_minors_stacked_and_past_a_failed_first_block():
         _leading_minors(np.full((3, 1), 0.6), [3])
     got = _leading_minors(np.array([[math.sqrt(1.0 - 1e-10)], [1e-3]]), [2])
     assert list(got) == [0.0]
+
+
+def test_log_minors_of_a_positive_definite_matrix():
+    a = np.random.default_rng(3).normal(size=(12, 12))
+    mat = a @ a.T + 12.0 * np.eye(12)
+    orders = np.array([0, 1, 5, 12, 5])
+    want = [np.linalg.slogdet(mat[:k, :k])[1] for k in orders]
+    got, info = _log_minors(mat.copy(), orders, TABLE_TOL)
+    assert info == 0 and np.max(np.abs(got - want)) < 1e-12
+
+
+def test_log_minors_past_a_failed_pivot():
+    # minors 1e-10, then 1e-10 - 1e-6 < 0 at order 2: the orders past it
+    # are -inf under a tolerance above 1e-10 and uncertified below it
+    p = np.array([math.sqrt(1.0 - 1e-10), 1e-3, 0.5])
+    orders = np.array([3, 0, 1, 2])
+    got, info = _log_minors(np.eye(3) - np.outer(p, p), orders, 1e-8)
+    assert info == 2 and list(got[[0, 1, 3]]) == [-np.inf, 0.0, -np.inf]
+    assert math.exp(got[2]) == pytest.approx(1e-10, rel=1e-5)
+    assert _log_minors(np.eye(3) - np.outer(p, p), orders, 1e-12) == (None, 2)
+    # orders before the failed pivot need no tolerance
+    got, info = _log_minors(np.eye(3) - np.outer(p, p), [0, 1], 1.0)
+    assert info == 2 and got[0] == 0.0
+
+
+def test_log_minors_at_zero_tolerance_with_positive_logs():
+    # log minors up to 921 (a Toeplitz table's run up to its Szego constant)
+    # neither overflow nor certify the rows past a failed pivot
+    big = np.diag([1e200, 1e200, -1.0])
+    assert _log_minors(big.copy(), [3, 1], 0.0) == (None, 3)
+    got, info = _log_minors(big.copy(), [2, 1], 0.0)
+    assert info == 3
+    assert list(got) == pytest.approx([4.0 * 100 * math.log(10.0),
+                                       2.0 * 100 * math.log(10.0)], rel=1e-15)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_airy_cache_ends_at_the_decay_point(m):
+    decay = airy_mod._decay_point(m)
+    assert airy_mod._airy_cache(m).shape[1] == math.ceil(decay + 14.5)
+    xs = np.array([decay - 0.5, decay, np.nextafter(decay, np.inf),
+                   decay + 0.5, decay + 40.0])
+    got = _airy_cached(m, xs)
+    assert got[0] != 0.0 and abs(got[1]) < KERNEL_FACTOR_FLOOR
+    assert list(got[2:]) == [0.0, 0.0, 0.0]
 
 
 def test_limit_table_below_roundoff_is_zero_not_an_error():

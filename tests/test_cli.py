@@ -140,6 +140,10 @@ G = ("--gamma", "1,-0.3333333333")
     (("airy", "--s", "-6:4:1e-300"), "--s"),
     (("density",) + G + ("--xmin", "nan", "--xmax", "1"), "--xmin must be finite, got nan"),
     (("density",) + G + ("--xmin", "-1", "--xmax", "inf"), "--xmax must be finite, got inf"),
+    (("kernel-profile", "--gamma", "1", "--theta", "2", "--window", "3:3"),
+     "--window"),  # holds no half-integer site
+    (("kernel-profile", "--gamma", "1", "--theta", "2", "--window", "0.6:0.9"),
+     "--window"),
 ])
 def test_malformed_or_empty_grid_is_config_error(capsys, argv, flag):
     # these truncated, replaced a zero step, or printed a bare header
@@ -219,6 +223,18 @@ def test_kernel_profile(tmp_path, capsys):
     assert header == ["k", "Kkk"]
     vals = [r[1] for r in rows]
     assert vals[0] > 0.95 and vals[-1] < 0.05
+
+
+@pytest.mark.parametrize("window,sites", [
+    ("-3:3", [-2.5, -1.5, -0.5, 0.5, 1.5, 2.5]),  # once ran on to 3.5
+    ("3:3.5", [3.5]),
+    ("-0.5:0.4", [-0.5]),
+])
+def test_kernel_profile_sites_lie_in_the_window(capsys, window, sites):
+    code, out, _ = run(capsys, "kernel-profile", "--gamma", "1", "--theta", "2",
+                       f"--window={window}")
+    assert code == 0
+    assert [float(line.split(",")[0]) for line in out.splitlines()[1:]] == sites
 
 
 def test_oracle_cdf(capsys):

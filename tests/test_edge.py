@@ -154,6 +154,20 @@ def test_fredholm_first_pivot_failure_raises(monkeypatch):
         fredholm_cdf_check(c, np.arange(1, 5))
 
 
+def test_indefinite_toeplitz_symbol_raises(monkeypatch):
+    # f(phi) = 1 + 4 cos(phi) is negative near pi: T_2 = [[1, 2], [2, 1]]
+    # has a pivot of -3, and no tolerance certifies the rows past it
+    def indefinite(coeffs, n_max):
+        f = np.zeros(2 * n_max + 1)
+        f[n_max - 1:n_max + 2] = (2.0, 1.0, 2.0)
+        return f
+
+    monkeypatch.setattr("splitsea.edge.symbol_coeffs", indefinite)
+    c = HoppingCoefficients((1.0, -1.0 / 3.0), theta=2.0)
+    with pytest.raises(NotPositiveDefinite, match="ell=2"):
+        toeplitz_cdf(c, np.arange(0, 5))
+
+
 def test_toeplitz_rows_at_and_below_zero():
     # k_max >= -1/2: P(k_max < 0) = exp(-theta^2 sum r gamma_r^2), and 0 below
     c = HoppingCoefficients((1.0, -1.0 / 3.0), theta=2.0)

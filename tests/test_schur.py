@@ -19,6 +19,13 @@ def test_complete_homogeneous_series():
     assert complete_homogeneous((2.0, -1.0), 2) == pytest.approx([1, 2, 1])
 
 
+def test_complete_homogeneous_is_exact_on_fractions():
+    h = complete_homogeneous((Fraction(1, 3), Fraction(-1, 2)), 3)
+    assert h == [1, Fraction(1, 3), Fraction(1, 18) - Fraction(1, 2),
+                 Fraction(1, 162) - Fraction(1, 6)]
+    assert all(type(v) is Fraction for v in h[1:])
+
+
 def test_elementary_series():
     assert elementary((1.0,), 2) == pytest.approx([1, 1, 0.5])
     assert elementary((0.0, 1.0), 2) == pytest.approx([1, 0, -1])
