@@ -82,6 +82,7 @@ LAW_TAIL_TOL = 1e-11         # most a law block panel's last 3 coefficients reac
 LAW_CHECK_TOL = 1e-12        # most a law block may miss its table off its nodes
 RANK_RTOL = 1e-17            # kept eigenvalues of the table's Gram, relative
 RANK_DROP_TOL = 1e-12        # most kernel trace the compressed table may drop
+_CHOLESKY_BLOCK = 256  # columns per np.linalg.cholesky call in _log_minors
 _AIRY_FLOOR_TOL = 1e-10  # most roundoff floor an Airy value may carry
 _DESK_FLOOR = -12.0    # least s of the limit law (the desk range)
 _MAX_ARG = 40.0        # public argument guard
@@ -424,23 +425,64 @@ def _law_factor(m, s, refine):
     return factor, above
 
 
+def _swept_factor(block):
+    """Column-by-column Cholesky factor of the symmetric ``block`` (its lower
+    triangle), and the index of its first pivot <= 0 (None if there is none).
+
+    The fallback for a block ``np.linalg.cholesky`` refuses, which does not
+    say where.  A pivot that is all roundoff can take either sign: OpenBLAS
+    scales each column by the reciprocal of its pivot's root where this
+    sweep divides by it, and refuses some blocks whose sweep ends on a
+    pivot of 5.6e-17.  The sweep decides.
+    """
+    low = np.tril(block)
+    for j in range(len(low)):
+        pivot = low[j, j] - low[j, :j] @ low[j, :j]
+        if not pivot > 0.0:
+            return low, j
+        low[j, j] = root = math.sqrt(pivot)
+        low[j + 1:, j] -= low[j + 1:, :j] @ low[j, :j]
+        low[j + 1:, j] /= root
+    return low, None
+
+
 def _log_minors(mat, orders, tol):
     """Log leading minors of the symmetric ``mat`` at ``orders``, from one
-    Cholesky factor, and LAPACK's ``info`` (the order of the first pivot <= 0,
-    0 if there is none).
+    Cholesky factor, and the order of its first pivot <= 0 (0 if there is
+    none).
 
-    ``mat`` is factored in place: its transpose is the Fortran-ordered array
-    LAPACK overwrites.  Past the first pivot <= 0 the minors are -inf when
-    the last minor before it is under ``tol``; otherwise the log minors are
-    None and the caller raises.  The minor is compared as exp(min(log, 0)),
-    so log minors above 0 (a Toeplitz table's run up to the Szego constant)
-    cannot overflow.
+    The factor is left-looking by blocks of _CHOLESKY_BLOCK columns, each
+    diagonal block one ``np.linalg.cholesky`` (``_swept_factor`` where that
+    refuses); a table of at most that order is one call.  A larger ``mat``
+    is the factor's scratch, so the only temporaries are one block column
+    and one diagonal block.  Past the first pivot <= 0 the minors
+    are -inf when the last minor before it is under ``tol``; otherwise the
+    log minors are None and the caller raises.  The minor is compared as
+    exp(min(log, 0)), so log minors above 0 (a Toeplitz table's run up to
+    the Szego constant) cannot overflow.
     """
-    from scipy.linalg.lapack import dpotrf
-
-    chol, info = dpotrf(mat.T, lower=1, overwrite_a=1)
-    n = info - 1 if info else len(mat)
-    logdet = np.concatenate(([0.0], np.cumsum(2.0 * np.log(np.diag(chol)[:n]))))
+    size = len(mat)
+    diag = np.empty(size)
+    info = 0
+    for k0 in range(0, size, _CHOLESKY_BLOCK):
+        k1 = min(k0 + _CHOLESKY_BLOCK, size)
+        if k0:
+            mat[k0:, k0:k1] -= mat[k0:, :k0] @ mat[k0:k1, :k0].T
+        try:
+            low = np.linalg.cholesky(mat[k0:k1, k0:k1])
+        except np.linalg.LinAlgError:
+            low, failed = _swept_factor(mat[k0:k1, k0:k1])
+            if failed is not None:
+                info = k0 + failed + 1
+                diag[k0:info - 1] = low.diagonal()[:failed]
+                break
+        diag[k0:k1] = low.diagonal()
+        if k1 < size:
+            # L21 = A21 L11^-T; numpy has no triangular solve, and its pivoted
+            # one took twice the time of this inverse on 4 064 sites
+            mat[k1:, k0:k1] = mat[k1:, k0:k1] @ np.linalg.inv(low).T
+    n = info - 1 if info else size
+    logdet = np.concatenate(([0.0], np.cumsum(2.0 * np.log(diag[:n]))))
     orders = np.minimum(orders, n + 1)
     if np.max(orders) > n and math.exp(min(logdet[-1], 0.0)) >= tol:
         return None, info
@@ -500,8 +542,8 @@ def _law_table(m, s):
     Cost per table: the live Airy factor values (at most N V), the V x V
     Gram and the projection (N V^2 each), one V x V eigh and one stacked
     Cholesky of the r x r complements of all s_j; memory is O(N V + J r^2)
-    for J grid points.  The products stay in numpy's BLAS: interleaving them
-    with a second OpenBLAS thread pool (the one behind ``_log_minors``)
+    for J grid points.  Every product and factor runs in numpy's BLAS, the
+    package's one thread pool: interleaving them with a second BLAS pool
     doubled the CPU time of ``sample`` on two cores.
     """
     fine, fine_above = _law_factor(m, s, 2)

@@ -345,6 +345,65 @@ def test_log_minors_at_zero_tolerance_with_positive_logs():
                                        2.0 * 100 * math.log(10.0)], rel=1e-15)
 
 
+def _planted_pivot_cases():
+    block = airy_mod._CHOLESKY_BLOCK
+    for n in (1, 2, block - 1, block, block + 1, 600):
+        for order in [None] + sorted({o for o in (1, block, block + 1, n)
+                                      if o <= n}):
+            yield n, order
+
+
+@pytest.mark.parametrize("n,order", list(_planted_pivot_cases()))
+def test_log_minors_match_lapack_dpotrf(n, order):
+    # A = L L^T with pivots L_jj^2 in [1, 4]; lowering A_pp by L_pp^2 + 1
+    # plants a pivot of -1 at order p and leaves the pivots before it alone
+    from scipy.linalg.lapack import dpotrf
+
+    rng = np.random.default_rng(n)
+    low = np.tril(rng.normal(size=(n, n)), -1) * (0.5 / math.sqrt(n))
+    low.flat[::n + 1] = rng.uniform(1.0, 2.0, size=n)
+    mat = low @ low.T
+    if order is not None:
+        mat[order - 1, order - 1] -= low[order - 1, order - 1] ** 2 + 1.0
+    chol, want_info = dpotrf(mat, lower=1)
+    assert want_info == (order or 0)
+    top = order - 1 if order else n
+    want = np.concatenate(([0.0], np.cumsum(2.0 * np.log(np.diag(chol)[:top]))))
+    orders = np.arange(n + 1)
+    got, info = _log_minors(mat.copy(), orders, 0.0)
+    if order is None:
+        assert info == 0 and np.max(np.abs(got - want)) < 1e-12
+        return
+    assert info == want_info and got is None
+    last = math.exp(min(want[-1], 0.0))
+    got, info = _log_minors(mat.copy(), orders, 2.0 * last)
+    assert info == want_info
+    assert np.max(np.abs(got[:order] - want)) < 1e-12
+    assert np.all(got[order:] == -np.inf)
+    assert _log_minors(mat.copy(), orders, 0.5 * last) == (None, want_info)
+
+
+def test_log_minors_keep_a_block_numpy_refuses_but_the_sweep_factors():
+    # OpenBLAS takes l_21 = b * (1/5), rounding its pivot c - l_21^2 to 0;
+    # dividing gives a pivot of 5.6e-17, and the factor goes on to the
+    # identity block after it
+    b, c = 1.9772810662190627, 0.15638561659313577
+    block = airy_mod._CHOLESKY_BLOCK
+    mat = np.eye(block + 4)
+    mat[block - 2:block, block - 2:block] = [[25.0, b], [b, c]]
+    try:
+        np.linalg.cholesky(mat[:block, :block])
+    except np.linalg.LinAlgError:
+        pass
+    else:
+        pytest.skip("this LAPACK factors the block")
+    got, info = _log_minors(mat.copy(), np.arange(block + 5), 0.0)
+    assert info == 0 and np.all(np.isfinite(got))
+    assert np.all(got[:block - 1] == 0.0)
+    assert got[block - 1] == pytest.approx(math.log(25.0), rel=1e-15)
+    assert np.all(got[block:] == got[block]) and got[block] < -30.0
+
+
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_airy_cache_ends_at_the_decay_point(m):
     decay = airy_mod._decay_point(m)

@@ -426,6 +426,28 @@ def test_cli_import_leaves_scipy_optimize_out():
     assert proc.stdout.strip() == "[]"
 
 
+def test_table_building_commands_load_no_scipy():
+    # importing scipy.linalg for one Cholesky factor cost 0.3 s of CPU in
+    # every command that builds a determinant table
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [os.path.abspath(src), os.environ.get("PYTHONPATH")])))
+    gamma = ["--gamma", "1,-0.3333333333"]
+    runs = [["cdf", *gamma, "--theta", "2", "--ell-range", "0:12"],
+            ["cdf", *gamma, "--theta", "10", "--ell-range", "0:40"],
+            ["converge", *gamma, "--thetas", "20"],
+            ["sample", *gamma, "--theta", "40", "-n", "20"]]
+    probe = ("import contextlib, io, sys, splitsea.cli\n"
+             f"for argv in {runs!r}:\n"
+             "    with contextlib.redirect_stdout(io.StringIO()):\n"
+             "        assert splitsea.cli.main(argv) == 0, argv\n"
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_uncertified_airy_order_exits_3_without_numpy_warnings():
     # m = 5 overflowed the contour integrand before the quadrature gave up
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")

@@ -146,6 +146,14 @@ def test_deep_fredholm_rows_are_a_cdf():
     assert np.all(p >= 0.0) and np.all(np.diff(p) >= 0.0) and np.all(p <= 1.0)
 
 
+def test_fredholm_window_numpy_refuses_is_a_zero_row():
+    # np.linalg.cholesky refuses this 64-site window (least eigenvalue
+    # -1.1e-16), where LAPACK's dpotrf fails at order 64: the row is 0 up to
+    # roundoff, and it must not raise
+    c = HoppingCoefficients((1.0, -0.3333333333), theta=11.86853280802323)
+    assert 0.0 <= fredholm_cdf_check(c, 1) <= 1e-14
+
+
 def test_fredholm_first_pivot_failure_raises(monkeypatch):
     monkeypatch.setattr("splitsea.edge.kernel_matrix",
                         lambda band, sites: 2.0 * np.eye(len(sites)))
