@@ -251,17 +251,20 @@ def _cmd_unitary_mc(args):
     if args.out:
         _csv_out(list(zip(map(float, centers), map(float, hist))),
                  ["alpha", "density"], args.out)
+    # the larger of the two mirror dips at pi -+ chi_b over the middle bin,
+    # as criterion 10 reads it; null for a one-cut sea or an empty middle
     profile = edge_profile(HoppingCoefficients(args.gamma))
-    dip_ratio = float("nan")
+    dip_ratio = None
     interior = [mx for mx in profile.maximizers if mx.interior]
-    if interior:
-        chi_b = interior[0].chi_b
-        dip = hist[np.argmin(np.abs(centers - (math.pi - chi_b)))]
-        mid = hist[np.argmin(np.abs(centers))]
-        dip_ratio = float(dip / mid) if mid > 0 else float("inf")
+    mid = hist[np.argmin(np.abs(centers))]
+    if interior and mid > 0:
+        zero = math.pi - interior[0].chi_b
+        dip = max(hist[np.argmin(np.abs(centers - zero))],
+                  hist[np.argmin(np.abs(centers + zero))])
+        dip_ratio = float(dip / mid)
     print(json.dumps({"acceptance_rate": res.acceptance_rate,
                       "dip_ratio": dip_ratio,
-                      "proposal_sigma": res.proposal_sigma}))
+                      "proposal_sigma": res.proposal_sigma}, allow_nan=False))
     return 0
 
 

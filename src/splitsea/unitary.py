@@ -12,12 +12,15 @@ density is rho(alpha) = (1 - D(alpha - pi)/x) / (2 pi); it touches zero at
 alpha = pi +- chi_b for each maximizer chi_b of D when x = max D, one zero
 pair per cut of the sea at the edge.
 
-``metropolis_chain`` moves one angle at a time.  A proposal costs O(ell)
-and allocates nothing: the chain caches the pair log-sines
-log|sin((alpha_j - alpha_k)/2)| as a symmetric matrix with a zero diagonal,
-always those of the current angles, and an accepted move rewrites one row
-and one column of it.  Its samples are one array, a row of sorted angles
-per post-burn-in sweep, which ``angle_histogram`` takes as it is.
+``metropolis_chain`` moves one angle at a time, in sweeps over all ell
+angles.  Angle j does not move before its turn, so a sweep's proposals are
+known once its normals are drawn, and the sweep is one numpy block: every
+proposal is scored against the sweep-start angles from the cached pair
+terms log sin^2((alpha_j - alpha_k)/2) of the current angles and their row
+sums, each accepted move adds exact corrections, O(ell), to the later
+proposals, and the next pair matrix is assembled from the blocks already
+computed.  Its samples are one array, a row of sorted angles per
+post-burn-in sweep, which ``angle_histogram`` takes as it is.
 """
 
 from __future__ import annotations
@@ -98,69 +101,130 @@ class ChainResult:
     proposal_sigma: float
 
 
-class _PairLogSines:
-    """Metropolis state: the angles and a cache of their pair log-sines.
+def _pair_terms(half_a, half_b, out=None):
+    """Matrix log sin^2(half_a[i] - half_b[k]) of half-angles; log 0 is -inf.
 
-    Keeps the half-angles h = alpha/2 and the symmetric ell x ell matrix
-    ``pair[j, k] = log|sin(h_j - h_k)|`` with a zero diagonal, so that the
-    change of the log weight when angle j moves costs O(ell): one buffer of
-    new log-sines against row j.  ``accept`` rewrites row and column j, also
-    O(ell); no cached row sums, which would cost O(ell^2) per accepted move.
-    ``delta`` writes log(0) = -inf for a proposal on top of another angle,
-    so callers silence numpy's divide warning around it.
+    Entry (i, k) is the pair term log|e^{i a} - e^{i b}|^2 - log 4 of the
+    log weight for angles a = 2 half_a[i] and b = 2 half_b[k].
+    """
+    out = np.subtract(half_a[:, None], half_b, out=out)
+    np.sin(out, out=out)
+    np.square(out, out=out)
+    return np.log(out, out=out)
+
+
+class _SweepState:
+    """Metropolis state: the angles, their potential terms and pair terms.
+
+    Keeps, always for the current angles, the one-angle log weights ``pot``,
+    the symmetric ell x ell matrix ``pair[j, k] = log sin^2((alpha_j -
+    alpha_k)/2)`` with a zero diagonal, and its row sums ``rows``.
+    ``sweep`` scores a whole systematic scan as one numpy block.
     """
 
     def __init__(self, coeffs, angles):
+        ell = len(angles)
+        # log_symbol's potential, 2 theta (-1)^(r-1) gamma_r cos(r alpha),
+        # as one matrix product: a quarter of log_symbol's cost per sweep
+        self.orders = np.arange(1.0, len(coeffs.gammas) + 1.0)
+        self.weights = np.array([2.0 * coeffs.theta * (-1.0) ** (r - 1) * g
+                                 for r, g in enumerate(coeffs.gammas, start=1)])
         self.angles = angles
-        self.half = 0.5 * angles
-        # potential coefficients 2 theta (-1)^(r-1) gamma_r of cos(r alpha)
-        self.coef = tuple(2.0 * coeffs.theta * (-1.0) ** (r - 1) * g
-                          for r, g in enumerate(coeffs.gammas, start=1))
+        self.pot = self._potential(angles)
+        # current half-angles, then the proposals' half-angles of a sweep
+        self.halves = np.concatenate([0.5 * angles, 0.5 * angles])
+        # a sweep's pair terms [P(n_i, o_k) | P(n_i, n_k)] of the proposals
+        # n against the current angles o and each other, and the flat
+        # indices of the block's two diagonals
+        self.block = np.empty((ell, 2 * ell))
+        self.p_no, self.p_nn = self.block[:, :ell], self.block[:, ell:]
+        self.diagonals = np.concatenate([np.arange(ell) * (2 * ell + 1),
+                                         np.arange(ell) * (2 * ell + 1) + ell])
         with np.errstate(divide="ignore"):
-            self.pair = np.log(np.abs(np.sin(
-                self.half[:, None] - self.half[None, :])))
+            self.pair = _pair_terms(self.halves[:ell], self.halves[:ell])
         np.fill_diagonal(self.pair, 0.0)
-        self.rows = list(self.pair)     # row views, built once
-        self.buf = np.empty_like(angles)
+        self.rows = self.pair.sum(axis=1)
 
-    def delta(self, j, new_angle):
-        """Change of the log weight when angle j moves to ``new_angle``."""
-        old = self.angles[j]
-        delta = 0.0
-        # scalar math.cos: numpy's per-call overhead on scalars would
-        # dominate this once-per-proposal term
-        for r, c in enumerate(self.coef, start=1):
-            delta += c * (math.cos(r * new_angle) - math.cos(r * old))
-        if len(self.rows) > 1:
-            buf = self.buf
-            np.subtract(0.5 * new_angle, self.half, out=buf)
-            np.sin(buf, out=buf)
-            np.abs(buf, out=buf)
-            buf[j] = 1.0
-            np.log(buf, out=buf)
-            delta += 2.0 * (buf.sum() - self.rows[j].sum())
-        return delta
+    def _potential(self, angles):
+        return np.cos(angles[:, None] * self.orders) @ self.weights
 
-    def accept(self, j, new_angle):
-        """Move angle j; ``delta(j, new_angle)`` must be the last call."""
-        self.angles[j] = new_angle
-        self.half[j] = 0.5 * new_angle
-        self.pair[j] = self.buf
-        self.pair[:, j] = self.buf
+    def sweep(self, new, uniforms):
+        """Offer angle j the move to ``new[j]``, for j = 0, 1, ... in turn.
+
+        A move with log-weight change d is taken when d >= 0 or
+        ``uniforms[j] < exp(max(d, -700))``; a move onto another angle has
+        d = -inf.  Angle j has not moved before its turn, so every change
+        against the sweep-start angles o comes from one block of pair terms
+        P(a, b) = log sin^2((a - b)/2) of the proposals n, and each taken
+        move m adds to every later change j its exact correction
+        P(n_j, n_m) - P(n_j, o_m) - P(o_j, n_m) + P(o_j, o_m).  Returns the
+        changes, each as the chain stood at its turn, and the moved sites in
+        order.  Callers silence numpy's divide and invalid warnings.
+        """
+        ell = len(new)
+        new_pot = self._potential(new)
+        dpot = new_pot - self.pot
+        delta = dpot
+        if ell > 1:
+            halves, p_no = self.halves, self.p_no
+            np.multiply(new, 0.5, out=halves[ell:])
+            _pair_terms(halves[ell:], halves, out=self.block)
+            self.block.ravel()[self.diagonals] = 0.0
+            delta = dpot + p_no.sum(axis=1)
+            delta -= self.rows
+            corr = self.p_nn - p_no
+            corr -= p_no.T
+            corr += self.pair
+        # a taken move adds its whole correction row, cheaper than the tail;
+        # the changes already decided are kept in ``scores``
+        scores, moved, taken = [], [], [False] * ell
+        for j, u in enumerate(uniforms.tolist()):
+            d = delta.item(j)
+            if d != d:  # -inf + inf: n_j is where a moved angle was
+                d = self._direct_delta(j, new, moved, dpot.item(j))
+            scores.append(d)
+            if d >= 0.0 or u < math.exp(max(d, -700.0)):
+                moved.append(j)
+                taken[j] = True
+                if j + 1 < ell:
+                    delta += corr[j]
+        if moved:
+            col = np.array(taken)
+            np.copyto(self.angles, new, where=col)
+            np.copyto(self.pot, new_pot, where=col)
+            if ell > 1:
+                np.copyto(halves[:ell], halves[ell:], where=col)
+                row = col[:, None]
+                np.copyto(self.pair, p_no.T, where=col)
+                np.copyto(self.pair, p_no, where=row)
+                np.copyto(self.pair, self.p_nn, where=row & col)
+                self.rows = self.pair.sum(axis=1)
+        return scores, moved
+
+    def _direct_delta(self, j, new, moved, dpot):
+        """Log-weight change of moving angle j to ``new[j]``, pair terms afresh."""
+        current = self.angles.copy()
+        current[moved] = new[moved]
+        others = 0.5 * np.delete(current, j)
+        terms = _pair_terms(0.5 * np.array([new[j], current[j]]), others)
+        return dpot + float(np.sum(terms[0]) - np.sum(terms[1]))
 
 
 def metropolis_chain(gammas, theta, ell, sweeps, seed):
     """Single-angle Metropolis sampling of the joint eigenvalue law.
 
-    Proposals are Gaussian steps wrapped to [-pi, pi]; the step size is tuned
-    during the first 20% of sweeps towards a 20-50% acceptance rate, then
-    frozen.  The samples are the angles after every post-burn-in sweep, one
-    sorted row each.
+    Each sweep offers every angle, in order, a Gaussian step wrapped to
+    [-pi, pi].  It draws its ell standard normals with one call, then its
+    ell uniforms (one per accept test) with one call, on the Philox stream
+    keyed by (seed mod 2^64, 0).  The step size is tuned during the first
+    20% of sweeps towards a 20-50% acceptance rate, then frozen.  The samples
+    are the angles after every post-burn-in sweep, one sorted row each.
 
-    A proposal costs O(ell) and allocates nothing: its pair term is read off
-    a cached matrix of pair log-sines (``_PairLogSines``), which an accepted
-    move updates in O(ell).  Samples, acceptance rate and step size are
-    bit-for-bit those of a direct recomputation of every pair term.
+    A sweep is one numpy block (``_SweepState.sweep``): all ell proposals
+    are scored at once against the sweep-start angles from the cached pair
+    terms and their row sums, and each accepted move corrects the later
+    proposals exactly, in O(ell).  Samples, acceptance rate and step size
+    are bit-for-bit those of a direct recomputation of every pair term.
     """
     coeffs = HoppingCoefficients(gammas, theta=theta)
     coeffs.require_theta()
@@ -171,26 +235,24 @@ def metropolis_chain(gammas, theta, ell, sweeps, seed):
     if sweeps <= burn:
         raise ValueError(f"sweeps={sweeps} keeps no sample after the "
                          f"{burn}-sweep burn-in; use at least 2")
-    rng = np.random.Generator(np.random.Philox(key=[int(seed), 0]))
+    key = np.array([int(seed) % 2 ** 64, 0], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
     angles = rng.uniform(-math.pi, math.pi, size=ell)
-    state = _PairLogSines(coeffs, angles)
+    state = _SweepState(coeffs, angles)
     sigma = 0.5
-    accepted = proposed = 0
+    accepted = 0
     tune_acc = tune_prop = 0
     samples = np.empty((sweeps - burn, ell))
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         for sweep in range(sweeps):
-            for j in range(ell):
-                new_angle = angles[j] + sigma * rng.normal()
-                new_angle = math.remainder(new_angle, 2.0 * math.pi)
-                delta = state.delta(j, new_angle)
-                take = delta >= 0.0 or rng.random() < math.exp(max(delta, -700.0))
-                proposed += 1
-                tune_prop += 1
-                if take:
-                    state.accept(j, new_angle)
-                    accepted += 1
-                    tune_acc += 1
+            steps = rng.normal(size=ell)
+            uniforms = rng.random(size=ell)
+            new = np.array([math.remainder(a, 2.0 * math.pi)
+                            for a in (angles + sigma * steps).tolist()])
+            moves = len(state.sweep(new, uniforms)[1])
+            accepted += moves
+            tune_acc += moves
+            tune_prop += ell
             if sweep < burn:
                 if tune_prop >= 50 * ell:
                     rate = tune_acc / tune_prop
@@ -203,7 +265,7 @@ def metropolis_chain(gammas, theta, ell, sweeps, seed):
             samples[sweep - burn] = angles
     samples.sort(axis=1)
     return ChainResult(samples=samples,
-                       acceptance_rate=accepted / max(proposed, 1),
+                       acceptance_rate=accepted / (sweeps * ell),
                        proposal_sigma=sigma)
 
 

@@ -364,6 +364,45 @@ def test_unitary_mc_command(capsys):
     assert 0.0 < report["acceptance_rate"] < 1.0
 
 
+def test_unitary_mc_dip_ratio_is_the_larger_mirror_dip(tmp_path, capsys):
+    out = tmp_path / "hist.csv"
+    code, stdout, _ = run(capsys, "unitary-mc", "--gamma", "1,-0.3333333333",
+                          "--theta", "10.9", "--ell", "24", "--sweeps", "200",
+                          "--seed", "3", "--out", str(out))
+    assert code == 0
+    header, rows = read_csv(str(out))
+    assert header == ["alpha", "density"]
+    centers, hist = np.array(rows).T
+    zero = math.pi - math.acos(3.0 / 8.0)
+    dip = max(hist[np.argmin(np.abs(centers - zero))],
+              hist[np.argmin(np.abs(centers + zero))])
+    assert json.loads(stdout)["dip_ratio"] == dip / hist[np.argmin(np.abs(centers))]
+
+
+def test_unitary_mc_one_cut_dip_ratio_is_null(capsys):
+    # it printed NaN, which strict JSON readers refuse
+    code, out, _ = run(capsys, "unitary-mc", "--gamma", "1,0.1", "--theta",
+                       "5.0", "--ell", "6", "--sweeps", "50")
+    assert code == 0
+    assert '"dip_ratio": null' in out
+    assert json.loads(out)["dip_ratio"] is None
+
+
+def test_unitary_mc_seed_wraps_modulo_2_64(capsys):
+    # seeds past the 64-bit range exited 1 with an OverflowError traceback
+    argv = ("unitary-mc", "--gamma", "1,-0.3333333333", "--theta", "5.0",
+            "--ell", "4", "--sweeps", "30")
+    lines = {}
+    for seed in (0, 2 ** 64, -1, 2 ** 64 - 1, -2 ** 63 - 1, 2 ** 63 - 1):
+        code, out, _ = run(capsys, *argv, f"--seed={seed}")
+        assert code == 0, seed
+        lines[seed] = out
+    assert lines[0] == lines[2 ** 64]
+    assert lines[-1] == lines[2 ** 64 - 1]
+    assert lines[-2 ** 63 - 1] == lines[2 ** 63 - 1]
+    assert lines[0] != lines[-1]
+
+
 MC = ("unitary-mc", "--gamma", "1,-0.3333333333")
 
 

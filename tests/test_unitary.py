@@ -41,9 +41,13 @@ def _reference_site_delta(gammas, theta, angles, j, new_angle):
 
 
 def _reference_chain(gammas, theta, ell, sweeps, seed):
-    """The chain with a from-scratch pair term per proposal (O(ell) copies)."""
+    """The chain with a from-scratch pair term per proposal (O(ell) copies).
+
+    Each sweep draws its ell normals, then its ell uniforms, in one call each.
+    """
     gam = HoppingCoefficients(gammas).gammas
-    rng = np.random.Generator(np.random.Philox(key=[int(seed), 0]))
+    key = np.array([int(seed) % 2 ** 64, 0], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
     angles = rng.uniform(-math.pi, math.pi, size=ell)
     sigma = 0.5
     burn = max(1, int(0.2 * sweeps))
@@ -51,11 +55,13 @@ def _reference_chain(gammas, theta, ell, sweeps, seed):
     tune_acc = tune_prop = 0
     samples = []
     for sweep in range(sweeps):
+        steps = rng.normal(size=ell)
+        uniforms = rng.random(size=ell)
         for j in range(ell):
-            new_angle = angles[j] + sigma * rng.normal()
+            new_angle = angles[j] + sigma * steps[j]
             new_angle = math.remainder(new_angle, 2.0 * math.pi)
             delta = _reference_site_delta(gam, theta, angles, j, new_angle)
-            take = delta >= 0.0 or rng.random() < math.exp(max(delta, -700.0))
+            take = delta >= 0.0 or uniforms[j] < math.exp(max(delta, -700.0))
             proposed += 1
             tune_prop += 1
             if take:
@@ -76,11 +82,11 @@ def _reference_chain(gammas, theta, ell, sweeps, seed):
                        proposal_sigma=sigma)
 
 
-def _pair_log_sines(angles):
-    """Fresh log|sin((a_j - a_k)/2)| matrix with a zero diagonal."""
+def _fresh_pair_terms(angles):
+    """Fresh log sin^2((a_j - a_k)/2) matrix with a zero diagonal."""
     diff = np.subtract.outer(angles, angles)
     np.fill_diagonal(diff, math.pi)
-    return np.log(np.abs(np.sin(0.5 * diff)))
+    return 2.0 * np.log(np.abs(np.sin(0.5 * diff)))
 
 
 def _arnoldi_density(gammas, theta, ell, n=2048):
@@ -249,9 +255,10 @@ def test_metropolis_two_cut_dips():
 
 
 @pytest.mark.parametrize("ell,theta,seed,sweeps", [
-    (1, 0.8, 11, 1000), (2, 3.0, 4, 1000), (24, 24.0 / 2.2, 5, 300)])
+    (1, 0.8, 11, 1000), (2, 3.0, 4, 1000), (24, 24.0 / 2.2, 5, 300),
+    (48, 48.0 / 2.2, 6, 300)])
 def test_metropolis_chain_matches_reference(ell, theta, seed, sweeps):
-    # the cached pair log-sines change no accept decision and no RNG draw
+    # the one-block sweep changes no accept decision and no RNG draw
     got = metropolis_chain(TWO_CUT, theta, ell, sweeps, seed)
     want = _reference_chain(TWO_CUT, theta, ell, sweeps, seed)
     assert np.array_equal(got.samples, want.samples)  # shapes included
@@ -263,31 +270,45 @@ def test_metropolis_chain_matches_reference(ell, theta, seed, sweeps):
 @given(ell=st.sampled_from([1, 2, 3, 24]), g2=st.floats(-0.45, 0.45),
        theta=st.floats(0.0, 12.0), seed=st.integers(0, 2 ** 32 - 1))
 def test_pair_cache_tracks_moves(ell, g2, theta, seed):
+    # every proposal's change, also after moves taken earlier in its sweep,
+    # is the difference of the log weight at the angles of its turn
     gam = (1.0, g2)
     rng = np.random.default_rng(seed)
     angles = rng.uniform(-math.pi, math.pi, size=ell)
-    state = unitary_mod._PairLogSines(HoppingCoefficients(gam, theta=theta),
-                                      angles.copy())
-    for _ in range(40):
-        j = int(rng.integers(ell))
-        new_angle = float(rng.uniform(-math.pi, math.pi))
-        moved = angles.copy()
-        moved[j] = new_angle
-        delta = state.delta(j, new_angle)
-        want = (log_joint_density(gam, theta, moved)
-                - log_joint_density(gam, theta, angles))
-        assert abs(delta - want) <= 1e-10 * (1.0 + abs(want))
-        if rng.random() < 0.5:      # rejected proposals must leave no trace
-            state.accept(j, new_angle)
-            angles = moved
+    state = unitary_mod._SweepState(HoppingCoefficients(gam, theta=theta),
+                                    angles.copy())
+    after_a_move = 0
+    for _ in range(-(-40 // ell) + 1):
+        new = rng.uniform(-math.pi, math.pi, size=ell)
+        # u = 0 takes every finite change, u = 1 only those >= 0
+        uniforms = (rng.random(ell) < 0.5).astype(float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            deltas, moved = state.sweep(new, uniforms)
+        assert moved == [j for j in range(ell)
+                         if uniforms[j] == 0.0 or deltas[j] >= 0.0]
+        for j in range(ell):
+            after = angles.copy()
+            after[j] = new[j]
+            want = (log_joint_density(gam, theta, after)
+                    - log_joint_density(gam, theta, angles))
+            assert abs(deltas[j] - want) <= 1e-10 * (1.0 + abs(want))
+            after_a_move += any(m < j for m in moved)
+            if j in moved:      # refused proposals must leave no trace
+                angles = after
+    assert after_a_move > 0 or ell == 1
     assert np.array_equal(state.angles, angles)
-    assert np.max(np.abs(state.pair - _pair_log_sines(angles))) <= 1e-12
+    fresh = _fresh_pair_terms(angles)
+    assert np.max(np.abs(state.pair - fresh)) <= 1e-12
+    assert np.max(np.abs(state.rows - fresh.sum(axis=1))) <= 1e-12 * ell
 
 
-def test_coincident_proposal_is_rejected_without_warning(monkeypatch):
-    # scripted draws: angles (0, 1) and a first step of exactly 0.5 * 2.0 = 1,
-    # which lands angle 0 on angle 1
-    draws, deltas = [], []
+def _scripted_generator(monkeypatch, angles, steps, uniforms):
+    """Replace the chain's Generator by one that replays the given draws.
+
+    ``steps`` holds one list of normals per sweep; every sweep gets the same
+    ``uniforms``.  Returns the log of draw calls.
+    """
+    draws, steps = [], iter(steps)
 
     class Scripted:
         def __init__(self, bit_generator):
@@ -295,30 +316,62 @@ def test_coincident_proposal_is_rejected_without_warning(monkeypatch):
 
         def uniform(self, lo, hi, size):
             draws.append("uniform")
-            return np.array([0.0, 1.0])
+            return np.array(angles[:size])
 
-        def normal(self):
+        def normal(self, size):
             draws.append("normal")
-            return 2.0
+            return np.array(next(steps)[:size])
 
-        def random(self):
+        def random(self, size):
             draws.append("random")
-            return 0.5
-
-    delta = unitary_mod._PairLogSines.delta
-
-    def spy(self, j, new_angle):
-        deltas.append(delta(self, j, new_angle))
-        return deltas[-1]
+            return np.array(uniforms[:size])
 
     monkeypatch.setattr(np.random, "Generator", Scripted)
-    monkeypatch.setattr(unitary_mod._PairLogSines, "delta", spy)
+    return draws
+
+
+def test_coincident_proposal_is_rejected_without_warning(monkeypatch):
+    # angles (0, 1); the first step of exactly 0.5 * 2.0 = 1 lands angle 0 on
+    # angle 1, and u = 1e-300 would take any finite change
+    draws = _scripted_generator(monkeypatch, [0.0, 1.0],
+                                [[2.0, 0.0], [0.0, 0.0]], [1e-300, 1e-300])
+    sweep, scores = unitary_mod._SweepState.sweep, []
+
+    def spy(self, new, uniforms):
+        out = sweep(self, new, uniforms)
+        scores.append(out[0])
+        return out
+
+    monkeypatch.setattr(unitary_mod._SweepState, "sweep", spy)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         res = metropolis_chain(TWO_CUT, 1.0, 2, 2, seed=0)
-    assert deltas[0] == -math.inf
-    assert draws[:3] == ["uniform", "normal", "random"]
-    assert res.samples[0, 0] == 0.0  # not moved by the first proposal
+    assert scores[0][0] == -math.inf
+    assert draws == ["uniform"] + ["normal", "random"] * 2
+    assert res.samples.tolist() == [[0.0, 1.0]]  # angle 0 never moved
+
+
+def test_proposal_onto_a_vacated_angle_is_scored_directly(monkeypatch):
+    # angles (0, 1): angle 0 moves to 2, then angle 1 steps onto 0, where
+    # angle 0 was; the block gives its change as -inf + inf, the direct sum
+    # a finite value, so it is taken at u = 1e-300 and not refused as NaN
+    _scripted_generator(monkeypatch, [0.0, 1.0], [[4.0, -2.0], [0.0, 0.0]],
+                        [1e-300, 1e-300])
+    direct, calls = unitary_mod._SweepState._direct_delta, []
+
+    def spy(self, j, new, moved, dpot):
+        calls.append((j, list(moved), direct(self, j, new, moved, dpot)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(unitary_mod._SweepState, "_direct_delta", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = metropolis_chain(TWO_CUT, 1.0, 2, 2, seed=0)
+    want = (log_joint_density(TWO_CUT, 1.0, [2.0, 0.0])
+            - log_joint_density(TWO_CUT, 1.0, [2.0, 1.0]))
+    assert [c[:2] for c in calls] == [(1, [0])]
+    assert calls[0][2] == pytest.approx(want, rel=1e-12)
+    assert res.samples.tolist() == [[0.0, 2.0]]
 
 
 def test_arnoldi_density_small_ell_against_quadrature():
