@@ -277,7 +277,7 @@ def _cmd_figures(args):
     tag = f"g2_{args.gamma2:+.4f}".replace("+", "p").replace("-", "m").replace(".", "_")
 
     phis = np.linspace(-math.pi, math.pi, 601)
-    d_rows = [(float(p), eval_dispersion(coeffs, float(p))) for p in phis]
+    d_rows = list(zip(map(float, phis), map(float, eval_dispersion(coeffs, phis))))
     xs = np.linspace(-b_tilde - 0.4, b + 0.4, 401)
     rho_rows = [(float(x), limit_density(coeffs, float(x))) for x in xs]
     alphas = np.linspace(-math.pi, math.pi, 601)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .airy import airy_kernel
 from .errors import BandTooNarrow, NoConvergence, UnsupportedEdge
-from .potential import FermiSea
+from .potential import FermiSea, eval_dispersion
 
 BAND_TAIL_TOL = 1e-15
 QUAD_TOL = 1e-10
@@ -80,14 +80,8 @@ def coefficient_band(coeffs):
     coeffs.require_theta()
     gam = coeffs.gammas
     theta = coeffs.theta
-
-    def log_f(phi):
-        acc = np.zeros_like(phi, dtype=complex)
-        for r, g in enumerate(gam, start=1):
-            if g != 0.0:
-                acc = acc + 2j * theta * g * np.sin(r * phi)
-        return acc
-
+    # on the circle F(e^{i phi}) = exp(i theta G(phi)), G the antiderivative of D
+    log_f = lambda phi: 1j * theta * eval_dispersion(coeffs, phi, order=-1)
     width = theta * sum(r * abs(g) for r, g in enumerate(gam, start=1))
     band, half = _fourier_band(log_f, width, "coefficient band")
     # stored as J_{-half}..J_{half-1}; drop to a symmetric window

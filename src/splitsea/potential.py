@@ -92,13 +92,10 @@ class HoppingCoefficients:
         """2 theta sum_r (-1)^(r-1) gamma_r cos(r phi), scalar or array phi.
 
         The log of both the Toeplitz symbol of the edge law and the
-        one-angle weight of the unitary matrix model.
+        one-angle weight of the unitary matrix model, by ``_harmonics``.
         """
-        phi = np.asarray(phi, dtype=float)
-        total = sum((2.0 * self.theta * (-1.0) ** (r - 1) * g * np.cos(r * phi)
-                     for r, g in enumerate(self.gammas, start=1)),
-                    np.zeros_like(phi))
-        return float(total) if phi.ndim == 0 else total
+        return _harmonics([2.0 * self.theta * (-1.0) ** (r - 1) * g
+                           for r, g in enumerate(self.gammas, start=1)], phi)
 
     def szego_constant(self):
         """theta^2 sum_r r gamma_r^2: strong Szego limit of log det T_ell."""
@@ -180,35 +177,41 @@ class EdgeProfile:
         return int(ell) if ell.ndim == 0 else ell.astype(np.int64)
 
 
-def eval_dispersion(coeffs, phi, order=0):
-    """Evaluate D or one of its derivatives in closed form.
+def _harmonics(amplitudes, phi, order=0):
+    """d^order/dphi^order of sum_r a_r cos(r phi), r = 1, 2, ..., for order >= -1.
 
-    d^p/dphi^p cos(r phi) = r^p cos(r phi + p pi/2), so every derivative is an
-    explicit trigonometric sum.  Accepts scalar or array ``phi``.
+    d^p/dphi^p cos(r phi) = r^p cos(r phi + p pi/2); order -1 is the
+    antiderivative sum_r a_r sin(r phi) / r, zero at phi = 0.  One outer
+    product r phi, one cos or sin of it and one matrix product with the
+    scaled amplitudes, which order 0 leaves exact.  r runs along the first
+    axis: an inner loop over the few r would cost as much as the cos on
+    long arrays.  Scalar phi gives a float, an array an array.
+    """
+    phi = np.asarray(phi, dtype=float)
+    wave = (np.cos, np.sin)[order % 2](
+        np.multiply.outer(np.arange(1.0, len(amplitudes) + 1.0), phi.ravel()))
+    sign = (1.0, -1.0, -1.0, 1.0)[order % 4]
+    total = (np.array([sign * r ** order * a for r, a in enumerate(amplitudes, start=1)])
+             @ wave).reshape(phi.shape)
+    return float(total) if phi.ndim == 0 else total
+
+
+def eval_dispersion(coeffs, phi, order=0):
+    """D, one of its derivatives, or (order -1) its antiderivative G.
+
+    D(phi) = sum_r 2 r gamma_r cos(r phi), so the p-th derivative is the
+    trigonometric sum of 2 gamma_r r^(p+1) cos(r phi + p pi/2), and
+    order -1 gives G(phi) = sum_r 2 gamma_r sin(r phi), with G' = D and
+    G(0) = 0.  Accepts scalar or array ``phi``; orders outside
+    -1 .. 2 R + 2 raise ValueError.
     """
     p = int(order)
-    if p < 0:
-        raise ValueError("order must be nonnegative")
+    if p < -1:
+        raise ValueError("order must be -1 (the antiderivative) or more")
     if p > 2 * len(coeffs.gammas) + 2:
         raise ValueError("derivative order beyond the supported cap")
-    phi_arr = np.asarray(phi, dtype=float)
-    total = np.zeros_like(phi_arr)
-    for r, g in enumerate(coeffs.gammas, start=1):
-        if g == 0.0:
-            continue
-        k = p % 4
-        if k == 0:
-            osc = np.cos(r * phi_arr)
-        elif k == 1:
-            osc = -np.sin(r * phi_arr)
-        elif k == 2:
-            osc = -np.cos(r * phi_arr)
-        else:
-            osc = np.sin(r * phi_arr)
-        total = total + 2.0 * g * float(r) ** (p + 1) * osc
-    if np.isscalar(phi) or phi_arr.ndim == 0:
-        return float(total)
-    return total
+    return _harmonics([2.0 * r * g for r, g in enumerate(coeffs.gammas, start=1)],
+                      phi, p)
 
 
 def _derivative_scale(coeffs, order):
@@ -223,9 +226,11 @@ def _critical_points(gammas):
 
     The interior points are the arccos of the real roots of p' in (-1, 1)
     (see the module docstring) after one Newton step on D' in phi, which
-    undoes the magnification by arccos.  Chebyshev coefficients under
-    roundoff are chopped first: a tiny leading one wrecks the colleague
-    matrix.
+    undoes the magnification by arccos.  A step is kept only where it
+    lowers |D'|: at a multiple root of p' both D' and D'' are roundoff, and
+    their ratio can throw the point far from any critical point.
+    Chebyshev coefficients under roundoff are chopped first: a tiny leading
+    one wrecks the colleague matrix.
     """
     coeffs = HoppingCoefficients(gammas)
     scale = _derivative_scale(coeffs, 0)
@@ -233,10 +238,12 @@ def _critical_points(gammas):
                       np.finfo(float).eps * scale)
     ys = chebroots(chebder(series))
     phis = np.arccos(ys[(ys.imag == 0.0) & (np.abs(ys) < 1.0)].real)
+    d1 = eval_dispersion(coeffs, phis, order=1)
     d2 = eval_dispersion(coeffs, phis, order=2)
-    step = np.divide(eval_dispersion(coeffs, phis, order=1), d2,
-                     out=np.zeros_like(phis), where=d2 != 0.0)
-    phis = np.unique(np.clip(np.concatenate(([0.0, math.pi], phis - step)), 0.0, math.pi))
+    stepped = np.clip(phis - np.divide(d1, d2, out=np.zeros_like(phis), where=d2 != 0.0),
+                      0.0, math.pi)
+    better = np.abs(eval_dispersion(coeffs, stepped, order=1)) < np.abs(d1)
+    phis = np.unique(np.concatenate(([0.0, math.pi], np.where(better, stepped, phis))))
     vals = eval_dispersion(coeffs, phis)
     # D is monotone between neighbouring critical points, so a run of them
     # next to an endpoint with its value to roundoff lies on a flat stretch
@@ -333,18 +340,17 @@ def fermi_sea(coeffs, x):
     scale = max(1.0, max(abs(v) for v in crit_vals))
     touch_tol = 1e-10 * scale
 
+    # A segment with an end at the level holds no crossing of its own: an
+    # extremum there only touches the level, through an inflection the
+    # critical point itself is the boundary, and the end's sign against the
+    # level is roundoff that would place a spurious root next to it.
     roots = []
     for i in range(len(crit) - 1):
-        a, b = crit[i], crit[i + 1]
         fa, fb = crit_vals[i] - x, crit_vals[i + 1] - x
-        if fa * fb < 0.0:
-            roots.append(_polish_root(coeffs, x, a, b, fb > 0.0))
+        if fa * fb < 0.0 and min(abs(fa), abs(fb)) > touch_tol:
+            roots.append(_polish_root(coeffs, x, crit[i], crit[i + 1], fb > 0.0))
 
-    # Drop crossings that collapsed onto a critical point at the level.  An
-    # extremum there only touches the level; through an inflection D crosses
-    # it, and the critical point itself is the boundary.
     at_level = [i for i, v in enumerate(crit_vals) if abs(v - x) <= touch_tol]
-    roots = [r for r in roots if all(abs(r - crit[i]) > 1e-10 for i in at_level)]
     tangential = []
     for i in at_level:
         (tangential if _is_extremum(crit_vals, i, touch_tol) else roots).append(crit[i])
@@ -377,7 +383,8 @@ def limit_shape(coeffs, x):
     """Rescaled limit-shape profile Omega(x) = x + 2 * integral_x^b of the density.
 
     By the layer-cake identity the integral is (1/pi) int_0^pi (D - x)_+, and
-    G(phi) = sum_r 2 gamma_r sin(r phi) is an antiderivative of D, so
+    G(phi) = sum_r 2 gamma_r sin(r phi), ``eval_dispersion`` of order -1, is
+    an antiderivative of D, so
 
         Omega(x) = x + (2/pi) sum_{(a, c) in sea(x)} [G(c) - G(a) - x (c - a)]
 
@@ -385,9 +392,8 @@ def limit_shape(coeffs, x):
     -b_tilde gives the frozen-side identity Omega(x) = -x by construction.
     """
     sea = fermi_sea(coeffs, x)
-    G = lambda t: sum(2.0 * g * math.sin(r * t)
-                      for r, g in enumerate(coeffs.gammas, start=1))
-    area = sum(G(c) - G(a) - sea.x * (c - a) for a, c in sea.intervals)
+    area = sum(eval_dispersion(coeffs, c, order=-1) - eval_dispersion(coeffs, a, order=-1)
+               - sea.x * (c - a) for a, c in sea.intervals)
     return sea.x + 2.0 * area / math.pi
 
 

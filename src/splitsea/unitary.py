@@ -124,13 +124,9 @@ class _SweepState:
 
     def __init__(self, coeffs, angles):
         ell = len(angles)
-        # log_symbol's potential, 2 theta (-1)^(r-1) gamma_r cos(r alpha),
-        # as one matrix product: a quarter of log_symbol's cost per sweep
-        self.orders = np.arange(1.0, len(coeffs.gammas) + 1.0)
-        self.weights = np.array([2.0 * coeffs.theta * (-1.0) ** (r - 1) * g
-                                 for r, g in enumerate(coeffs.gammas, start=1)])
+        self.coeffs = coeffs
         self.angles = angles
-        self.pot = self._potential(angles)
+        self.pot = coeffs.log_symbol(angles)
         # current half-angles, then the proposals' half-angles of a sweep
         self.halves = np.concatenate([0.5 * angles, 0.5 * angles])
         # a sweep's pair terms [P(n_i, o_k) | P(n_i, n_k)] of the proposals
@@ -145,16 +141,16 @@ class _SweepState:
         np.fill_diagonal(self.pair, 0.0)
         self.rows = self.pair.sum(axis=1)
 
-    def _potential(self, angles):
-        return np.cos(angles[:, None] * self.orders) @ self.weights
-
     def sweep(self, new, uniforms):
         """Offer angle j the move to ``new[j]``, for j = 0, 1, ... in turn.
 
         A move with log-weight change d is taken when d >= 0 or
-        ``uniforms[j] < exp(max(d, -700))``; a move onto another angle has
-        d = -inf.  Angle j has not moved before its turn, so every change
-        against the sweep-start angles o comes from one block of pair terms
+        ``uniforms[j] < exp(d)``.  A move onto another angle has d = -inf and
+        exp(d) = 0, so it is refused even for a uniform of exactly 0.0, and a
+        large negative d underflows to 0 without raising.  The potential
+        terms are one ``log_symbol`` call on the proposals.  Angle j has not
+        moved before its turn, so every change against the sweep-start
+        angles o comes from one block of pair terms
         P(a, b) = log sin^2((a - b)/2) of the proposals n, and each taken
         move m adds to every later change j its exact correction
         P(n_j, n_m) - P(n_j, o_m) - P(o_j, n_m) + P(o_j, o_m).  Returns the
@@ -162,7 +158,7 @@ class _SweepState:
         order.  Callers silence numpy's divide and invalid warnings.
         """
         ell = len(new)
-        new_pot = self._potential(new)
+        new_pot = self.coeffs.log_symbol(new)
         dpot = new_pot - self.pot
         delta = dpot
         if ell > 1:
@@ -183,7 +179,7 @@ class _SweepState:
             if d != d:  # -inf + inf: n_j is where a moved angle was
                 d = self._direct_delta(j, new, moved, dpot.item(j))
             scores.append(d)
-            if d >= 0.0 or u < math.exp(max(d, -700.0)):
+            if d >= 0.0 or u < math.exp(d):
                 moved.append(j)
                 taken[j] = True
                 if j + 1 < ell:

@@ -10,13 +10,17 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from splitsea.errors import DegenerateEdge
-from splitsea.potential import (HoppingCoefficients, _critical_points, edge_profile,
-                                eval_dispersion, fermi_sea, global_extrema,
-                                limit_density, limit_shape,
+from splitsea.potential import (HoppingCoefficients, _critical_points, _harmonics,
+                                edge_profile, eval_dispersion, fermi_sea,
+                                global_extrema, limit_density, limit_shape,
                                 quadratic_fermi_sea_oracle)
 from conftest import central_derivative
 
 GAMMA_SETS = [(1.0, 1.0 / 3.0), (1.0, 0.1), (1.0, -0.125), (1.0, -1.0 / 3.0)]
+# D = -(8/15) s cos^3 phi: p' = -(8/5) s y^2 has a double root at y = 0, so
+# D' vanishes at pi/2 without changing sign, and D there is 0 up to roundoff
+INFLECTION = (-0.2, 0.0, -1.0 / 45.0)
+INFLECTION_SCALES = np.linspace(0.5, 2.0, 61)
 
 
 def _scan_critical_points(gammas):
@@ -96,6 +100,45 @@ def test_dispersion_values():
     # D = 2cos(phi) - cos(2phi)/2 has vanishing curvature at 0
     c8 = HoppingCoefficients((1.0, -0.125))
     assert eval_dispersion(c8, 0.0, order=2) == pytest.approx(0.0, abs=1e-14)
+
+
+# d^p/dphi^p of cos(r phi), term by term, for p = -1 (antiderivative) .. 4
+HARMONIC_TERMS = {-1: lambda r, t: math.sin(r * t) / r,
+                  0: lambda r, t: math.cos(r * t),
+                  1: lambda r, t: -r * math.sin(r * t),
+                  2: lambda r, t: -r ** 2 * math.cos(r * t),
+                  3: lambda r, t: r ** 3 * math.sin(r * t),
+                  4: lambda r, t: r ** 4 * math.cos(r * t)}
+
+
+@pytest.mark.parametrize("order", sorted(HARMONIC_TERMS))
+def test_harmonics_match_the_per_term_sum(order):
+    term = HARMONIC_TERMS[order]
+    amps = (0.7, -1.3, 0.0, 2.1)
+    scale = sum(abs(a) * r ** order for r, a in enumerate(amps, start=1))
+    phis = np.linspace(-4.0, 4.0, 17)
+    want = [sum(a * term(r, t) for r, a in enumerate(amps, start=1)) for t in phis]
+    got = _harmonics(amps, phis, order)
+    assert got.shape == phis.shape
+    assert np.max(np.abs(got - want)) <= 1e-14 * scale
+    for t, w in zip(phis[::4], want[::4]):
+        value = _harmonics(amps, float(t), order)
+        assert isinstance(value, float)
+        assert abs(value - w) <= 1e-14 * scale
+    assert np.array_equal(_harmonics((), phis, order), np.zeros_like(phis))
+    assert _harmonics((), 0.3, order) == 0.0
+
+
+def test_dispersion_antiderivative():
+    # order -1 is G = sum_r 2 gamma_r sin(r phi): G' = D and G(0) = 0
+    c = HoppingCoefficients((1.0, -1.0 / 3.0, 0.2))
+    assert eval_dispersion(c, 0.0, order=-1) == 0.0
+    phis = np.linspace(0.3, 2.8, 7)
+    slope = [central_derivative(lambda t: eval_dispersion(c, t, order=-1), t, 1, 1e-5)
+             for t in phis]
+    assert slope == pytest.approx(eval_dispersion(c, phis), rel=1e-8, abs=1e-8)
+    with pytest.raises(ValueError, match="order"):
+        eval_dispersion(c, 0.3, order=-2)
 
 
 # step/tolerance per order: high-order central differences trade truncation
@@ -186,19 +229,21 @@ def test_fermi_sea_sign_pattern():
 
 
 def test_fermi_sea_crosses_at_an_inflection():
-    # D = -(8/15) cos^3 phi: D' vanishes at pi/2 without changing sign, so
-    # the level 0 crosses there; the crossing once fell within 1e-10 of the
-    # (roundoff-split) critical pair, was dropped as tangential and left an
-    # empty sea
-    c = HoppingCoefficients((-0.2, 0.0, -1.0 / 45.0))
-    sea = fermi_sea(c, 0.0)
-    assert sea.cuts == 1 and sea.tangential == ()
-    assert sea.boundaries == (pytest.approx(math.pi / 2.0, abs=1e-8), math.pi)
-    rho = limit_density(c, 0.0)
-    assert rho == pytest.approx(0.5, abs=1e-8)
-    for x in (-1e-12, 1e-12):
-        assert limit_density(c, x) == pytest.approx(rho, abs=1e-4)
-        assert fermi_sea(c, x).cuts == 1
+    # the level 0 crosses at pi/2, the inflection.  The crossing once fell
+    # within 1e-10 of the (roundoff-split) critical pair, was dropped as
+    # tangential and left an empty sea; then, at 25 of these 61 scales, a
+    # pair split to +-3e-17 around the level gave a sign change between
+    # them and a spurious root 1e-9 away (cuts = 3)
+    for s in INFLECTION_SCALES:
+        c = HoppingCoefficients(tuple(s * g for g in INFLECTION))
+        sea = fermi_sea(c, 0.0)
+        assert (sea.cuts, sea.tangential) == (1, ()), s
+        assert sea.boundaries == (pytest.approx(math.pi / 2.0, abs=1e-8), math.pi), s
+        rho = limit_density(c, 0.0)
+        assert rho == pytest.approx(0.5, abs=1e-8), s
+        for x in (-1e-12, 1e-12):
+            assert limit_density(c, x) == pytest.approx(rho, abs=1e-4), (s, x)
+            assert fermi_sea(c, x).cuts == 1, (s, x)
 
 
 SOLVER_MODELS = [(1.0, -1.0 / 3.0), (1.0, 0.1), (1.0, -0.125), (-0.2, 0.0, -1.0 / 45.0)]
@@ -396,6 +441,17 @@ def test_critical_points_match_sign_scan(gammas):
 def test_critical_points_fixed_cases(gammas):
     crit, _ = _critical_points(gammas)
     assert crit == pytest.approx(_scan_critical_points(gammas), abs=1e-12)
+
+
+def test_critical_points_at_a_double_root_of_p_prime_are_critical():
+    # at the double root both D' and D'' are roundoff; a Newton step by
+    # their ratio once returned phi = 1.828 with D' = 0.055 (s = 0.55)
+    for s in INFLECTION_SCALES:
+        c = HoppingCoefficients(tuple(s * g for g in INFLECTION))
+        crit, _ = _critical_points(c.gammas)
+        scale = sum(abs(2.0 * r * r * g) for r, g in enumerate(c.gammas, start=1))
+        slopes = np.abs(eval_dispersion(c, np.array(crit), order=1))
+        assert np.max(slopes) <= 1e-8 * max(1.0, scale), (s, crit)
 
 
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])

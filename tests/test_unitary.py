@@ -61,7 +61,7 @@ def _reference_chain(gammas, theta, ell, sweeps, seed):
             new_angle = angles[j] + sigma * steps[j]
             new_angle = math.remainder(new_angle, 2.0 * math.pi)
             delta = _reference_site_delta(gam, theta, angles, j, new_angle)
-            take = delta >= 0.0 or uniforms[j] < math.exp(max(delta, -700.0))
+            take = delta >= 0.0 or uniforms[j] < math.exp(delta)
             proposed += 1
             tune_prop += 1
             if take:
@@ -349,6 +349,19 @@ def test_coincident_proposal_is_rejected_without_warning(monkeypatch):
     assert scores[0][0] == -math.inf
     assert draws == ["uniform"] + ["normal", "random"] * 2
     assert res.samples.tolist() == [[0.0, 1.0]]  # angle 0 never moved
+
+
+def test_zero_uniform_refuses_a_move_onto_another_angle():
+    # exp(-inf) = 0, so not even u = 0.0 takes d = -inf; the rule once read
+    # u < exp(max(d, -700)) and moved angle 0 onto angle 1
+    state = unitary_mod._SweepState(HoppingCoefficients(TWO_CUT),
+                                    np.array([0.0, 1.0]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scores, moved = state.sweep(np.array([1.0, 1.0]), np.array([0.0, 0.9]))
+    assert scores == [-math.inf, 0.0]
+    assert moved == [1]
+    assert state.angles.tolist() == [0.0, 1.0]
+    assert np.max(np.abs(state.pair - _fresh_pair_terms(state.angles))) <= 1e-12
 
 
 def test_proposal_onto_a_vacated_angle_is_scored_directly(monkeypatch):
