@@ -32,7 +32,12 @@ from .potential import (HoppingCoefficients, edge_profile, eval_dispersion,
                         global_extrema, limit_density, limit_shape)
 from .svgplot import Panel, render_panels
 
-AIRY_GRID_POINTS = 10_000  # desk scale of `airy --s`: bounds its output rows
+# desk-scale bounds on the size flags, checked before anything is allocated
+GRID_POINTS = 10_000  # rows of `airy --s`, `--steps`, `--bins`, `--window`
+SAMPLE_DRAWS = 100_000  # `sample -n`: 4 s and 100 MiB at theta = 40
+CHAIN_ELL = 1_000  # `unitary-mc --ell`: an ell x ell block per sweep
+CHAIN_ANGLES = 10_000_000  # `unitary-mc --sweeps` times `--ell`, kept angles
+ORACLE_CAP = 30  # `oracle --cap`: 4 s of Schur sums; 35 takes 10 s
 
 
 def _parse_gammas(text):
@@ -67,11 +72,14 @@ def _parse_range(flag, text, noun, step=None):
     return vals[0], vals[1], vals[2] if len(vals) == 3 else step
 
 
-def _steps(args):
-    """The --steps value, a config error unless positive."""
-    if args.steps < 1:
-        raise ValueError(f"--steps must be a positive integer, got {args.steps}")
-    return args.steps
+def _desk_size(flag, value, bound, noun, least=None):
+    """``value`` of ``flag``, counting ``noun``; a config error naming the
+    flag above its desk-scale ``bound`` or, if given, below ``least``."""
+    if least is not None and value < least:
+        raise ValueError(f"{flag} must be at least {least}, got {value}")
+    if value > bound:
+        raise ValueError(f"{flag} asks for {value:.6g} {noun}, more than {bound}")
+    return value
 
 
 def _csv_out(rows, header, out=None):
@@ -128,7 +136,8 @@ def _cmd_density(args):
     for flag, x in (("--xmin", args.xmin), ("--xmax", args.xmax)):
         if not math.isfinite(x):
             raise ValueError(f"{flag} must be finite, got {x!r}")
-    xs = np.linspace(args.xmin, args.xmax, _steps(args))
+    xs = np.linspace(args.xmin, args.xmax,
+                     _desk_size("--steps", args.steps, GRID_POINTS, "points", 1))
     rows = [(float(x), limit_density(coeffs, x), limit_shape(coeffs, x))
             for x in xs]
     _csv_out(rows, ["x", "rho", "Omega"], args.out)
@@ -149,15 +158,18 @@ def _cmd_kernel_profile(args):
     coeffs = HoppingCoefficients(args.gamma, theta=args.theta)
     band = kernel_mod.coefficient_band(coeffs)
     lo, hi, _ = _parse_range("--window", args.window, "site")
-    ks = np.arange(math.ceil(lo - 0.5), math.floor(hi - 0.5) + 1) + 0.5
-    if not ks.size:
+    first, last = math.ceil(lo - 0.5), math.floor(hi - 0.5)
+    if last < first:
         raise ValueError(f"--window {args.window} holds no half-integer site")
+    _desk_size("--window", last - first + 1, GRID_POINTS, "sites")
+    ks = np.arange(first, last + 1) + 0.5
     rows = [(float(k), kernel_mod.kernel_eval(band, k, k)) for k in ks]
     _csv_out(rows, ["k", "Kkk"], args.out)
     return 0
 
 
 def _cmd_oracle(args):
+    _desk_size("--cap", args.cap, ORACLE_CAP, "as the largest partition size", 0)
     coeffs = HoppingCoefficients(args.gamma, theta=args.theta)
     value = brute_cdf_first_part(coeffs, args.ell, args.cap)
     residual = 1.0 - total_weight(coeffs, args.cap)
@@ -168,10 +180,7 @@ def _cmd_oracle(args):
 
 def _cmd_airy(args):
     lo, hi, step = _parse_range("--s", args.s, "s", step=0.1)
-    points = (hi - lo) / step + 1.0
-    if points > AIRY_GRID_POINTS:
-        raise ValueError(f"--s grid {args.s} has {points:.6g} points, more "
-                         f"than {AIRY_GRID_POINTS}")
+    _desk_size("--s", (hi - lo) / step + 1.0, GRID_POINTS, "points")
     ss = np.arange(lo, hi + 0.5 * step, step)
     rows = list(zip(ss.tolist(),
                     airy_mod.limiting_cdf(args.m, args.power, ss).tolist()))
@@ -223,6 +232,7 @@ def _cmd_converge(args):
 
 
 def _cmd_sample(args):
+    _desk_size("-n", args.n, SAMPLE_DRAWS, "draws")
     coeffs = HoppingCoefficients(args.gamma, theta=args.theta)
     coeffs.require_theta()
     scale = edge_profile(coeffs).scale(coeffs.theta)
@@ -236,7 +246,8 @@ def _cmd_sample(args):
 
 
 def _cmd_unitary_density(args):
-    alphas = np.linspace(-math.pi, math.pi, _steps(args))
+    alphas = np.linspace(-math.pi, math.pi,
+                         _desk_size("--steps", args.steps, GRID_POINTS, "points", 1))
     rho = unitary_mod.eigen_density_supercritical(args.gamma, args.x, alphas)
     _csv_out(list(zip(map(float, alphas), map(float, rho))),
              ["alpha", "rho"], args.out)
@@ -244,6 +255,10 @@ def _cmd_unitary_density(args):
 
 
 def _cmd_unitary_mc(args):
+    _desk_size("--bins", args.bins, GRID_POINTS, "bins", 1)
+    _desk_size("--ell", args.ell, CHAIN_ELL, "angles")
+    _desk_size("--sweeps", args.sweeps * args.ell, CHAIN_ANGLES,
+             "angles (sweeps times ell)")
     res = unitary_mod.metropolis_chain(args.gamma, args.theta, args.ell,
                                        args.sweeps, args.seed)
     hist, edges = unitary_mod.angle_histogram(res.samples, bins=args.bins)

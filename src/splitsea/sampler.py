@@ -22,8 +22,8 @@ Randomness comes from counter-based Philox streams keyed by
 are distributed over workers.  Every draw fixes its uniforms up front, so
 ``sample_many`` advances a whole batch together: ordered by rank, the draws
 still running at a step are a prefix, and each step is one cumulative sum,
-one count and two stacked products over padded frames (``_sample_batch``;
-``sample`` is a batch of one).
+one count, one product with the window's eigenvectors and one stacked
+Gram-Schmidt correction (``_sample_batch``; ``sample`` is a batch of one).
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .kernel import kernel_eval  # noqa: F401  (bench/tracer.py patches it here)
 from .potential import edge_profile, limit_shape
 
 EIG_CLIP_TOL = 1e-9
-FRAME_BUDGET = 2 ** 21  # bytes of padded frames one batch chunk may hold
+FRAME_BUDGET = 2 ** 21  # bytes of Gram-Schmidt columns one batch chunk may hold
 
 
 @dataclass(frozen=True)
@@ -108,16 +108,13 @@ def windowed_kernel(coeffs, window=None, leakage_tol=1e-6, edge=False):
                           leakage=leakage)
 
 
-def _rng_for(seed, index, rng=None):
-    """Generator on the Philox stream keyed by (seed, index), at counter 0.
+def _rng_for(seed, index, rng):
+    """``rng``, a Generator on a Philox, re-keyed in place to (seed, index).
 
-    The same stream as a new ``Philox(key=[seed, index])`` (a negative key
-    word wraps modulo 2^64 in both).  ``rng``, a Generator on a Philox, is
-    re-keyed in place and returned, at a quarter of the cost of building one;
-    without it a new Generator is built.
+    It then gives the stream of a new ``Philox(key=[seed, index])`` from
+    counter 0 (a negative key word wraps modulo 2^64 in both), at a quarter
+    of the cost of building one.
     """
-    if rng is None:
-        rng = np.random.Generator(np.random.Philox(0))
     rng.bit_generator.state = {
         "bit_generator": "Philox",
         "state": {"counter": np.zeros(4, dtype=np.uint64),
@@ -147,23 +144,24 @@ def _selections(wk, seed, indices):
     return keep, uniforms
 
 
-def _project_chunk(rows, keep, uniforms, ranks):
+def _project_chunk(vectors, keep, uniforms, ranks):
     """Chosen site indices of draws of descending ``ranks``, sorted per row.
 
-    ``rows`` holds the eigenvectors as rows plus a zero row that pads every
-    frame to the first (largest) rank.  Row j of the result holds the
-    ranks[j] sites of draw j, then padding indices past the last site.
+    Draw j's kernel is E diag(keep[j]) E^T, with E the window's eigenvectors
+    (``vectors``, one column each), so every product runs over the columns
+    some draw of the chunk keeps.  Row j of the result holds the ranks[j]
+    sites of draw j, then padding indices past the last site.
     """
+    used = keep.any(axis=0)
+    vec = vectors[:, used]
+    sel = keep[:, used].astype(float)
     size, rank = len(ranks), int(ranks[0])
-    n_sites = rows.shape[1]
+    n_sites = len(vec)
     live = np.arange(rank) < ranks[:, None]
-    cols = np.full((size, rank), len(rows) - 1)
-    cols[live] = np.nonzero(keep)[1]
     u = np.zeros((size, rank))
     u[live] = np.concatenate(uniforms)
-    v = rows[cols]  # (size, rank, sites): draw b's frame, one row per vector
-    c = np.zeros_like(v)  # its Gram-Schmidt columns, also as rows
-    norms2 = np.einsum("bjn,bjn->bn", v, v)
+    c = np.zeros((size, rank, n_sites))  # Gram-Schmidt columns, as rows
+    norms2 = sel @ (vec * vec).T
     chosen = np.full((size, rank), n_sites)
     for t, active in enumerate(np.count_nonzero(live, axis=0)):
         b = np.arange(active)  # the draws of rank > t lead the chunk
@@ -174,7 +172,7 @@ def _project_chunk(rows, keep, uniforms, ranks):
         site = np.count_nonzero(cdf <= u[:active, t, None], axis=1)
         chosen[:active, t] = site
         denom = np.sqrt(np.maximum(left[b, site], 1e-300))
-        col = (v[b, :, site][:, None] @ v[:active])[:, 0]
+        col = (sel[:active] * vec[site]) @ vec.T
         col -= (c[b, :t, site][:, None] @ c[:active, :t])[:, 0]
         col /= denom[:, None]
         c[:active, t] = col
@@ -193,21 +191,21 @@ def _sample_batch(wk, seed, indices):
     projected away from the sites already chosen, and the projection grows
     by one Gram-Schmidt column per step (O(N k) per step).  The draws run
     together in order of descending rank, so those still running at step t
-    lead the batch; chunks of at most FRAME_BUDGET bytes of padded frames
-    advance one step per stacked product.  A draw depends only on its keyed
-    stream, not on the batch, its order or its chunk.
+    lead the batch, and chunks whose Gram-Schmidt columns fit in FRAME_BUDGET
+    bytes step together.  A draw depends only on its keyed stream, not on
+    the batch, its order or its chunk.
     """
     keep, uniforms = _selections(wk, seed, indices)
     ranks = np.count_nonzero(keep, axis=1)
     order = np.argsort(-ranks, kind="stable")
-    rows = np.vstack([wk.eigenvectors.T, np.zeros(len(wk.eigenvectors))])
     out = [np.empty(0)] * len(order)
     start = 0
     while start < len(order) and ranks[order[start]] > 0:
-        per_draw = 16 * rows.shape[1] * int(ranks[order[start]])
+        per_draw = 8 * len(wk.eigenvectors) * int(ranks[order[start]])
         chunk = order[start:start + max(1, FRAME_BUDGET // per_draw)]
         sites = wk.k_lo_int + 0.5 + _project_chunk(
-            rows, keep[chunk], [uniforms[d] for d in chunk], ranks[chunk])
+            wk.eigenvectors, keep[chunk], [uniforms[d] for d in chunk],
+            ranks[chunk])
         for row, d in zip(sites, chunk):
             out[d] = row[:ranks[d]]
         start += len(chunk)

@@ -160,11 +160,14 @@ def total_weight(coeffs, size_cap):
 
 
 def brute_cdf_first_part(coeffs, ell, size_cap):
-    """P(lambda_1 <= ell) truncated to |lambda| <= size_cap (monotone in cap)."""
+    """P(lambda_1 <= ell) truncated to |lambda| <= size_cap (monotone in cap).
+
+    The empty partition has lambda_1 = 0, so every ell < 0 gives 0.
+    """
     ell = int(ell)
-    return sum(measure_weight(lam, coeffs)
-               for lam in partitions_upto(size_cap)
-               if not lam or lam[0] <= ell)
+    return float(sum(measure_weight(lam, coeffs)
+                     for lam in partitions_upto(size_cap)
+                     if max(lam, default=0) <= ell))
 
 
 def site_occupied(parts, site):

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import resource
 import shlex
 import subprocess
 import sys
@@ -144,9 +145,29 @@ G = ("--gamma", "1,-0.3333333333")
      "--window"),  # holds no half-integer site
     (("kernel-profile", "--gamma", "1", "--theta", "2", "--window", "0.6:0.9"),
      "--window"),
+    # past the desk bounds: each allocated GiBs or ran for minutes
+    (("unitary-density",) + G + ("--x", "2", "--steps", "1000000000"),
+     "--steps"),
+    (("density",) + G + ("--xmin", "-1", "--xmax", "1", "--steps", "10000000"),
+     "--steps"),
+    (("kernel-profile", "--gamma", "1", "--theta", "30",
+      "--window", "-70:70000000"), "--window"),
+    (("sample",) + G + ("--theta", "40", "-n", "100000000"), "-n"),
+    (("unitary-mc",) + G + ("--theta", "10.9", "--ell", "24",
+                           "--bins", "1000000000"), "--bins"),
+    (("unitary-mc",) + G + ("--theta", "10.9", "--ell", "24", "--bins", "0"),
+     "--bins"),  # ran the whole chain before numpy refused the histogram
+    (("unitary-mc",) + G + ("--theta", "10.9", "--ell", "100000"), "--ell"),
+    (("unitary-mc",) + G + ("--theta", "10.9", "--ell", "24",
+                           "--sweeps", "1000000000"), "--sweeps"),
+    (("oracle", "cdf") + G + ("--theta", "0.5", "--ell", "3", "--cap", "200"),
+     "--cap"),
+    (("oracle", "cdf") + G + ("--theta", "0.5", "--ell", "3", "--cap", "-1"),
+     "--cap"),  # exited 0 with a meaningless value
 ])
 def test_malformed_or_empty_grid_is_config_error(capsys, argv, flag):
-    # these truncated, replaced a zero step, or printed a bare header
+    # these truncated, replaced a zero step, printed a bare header, or ran
+    # out of memory or time
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("config error") and flag in err
@@ -498,6 +519,25 @@ def test_uncertified_airy_order_exits_3_without_numpy_warnings():
     assert proc.returncode == 3 and proc.stdout == ""
     assert proc.stderr.startswith("NoConvergence:")
     assert "RuntimeWarning" not in proc.stderr
+
+
+def test_kernel_oracle_gives_up_in_bounded_memory():
+    # at theta = 150 the contour sums cancel and never meet QUAD_TOL; the
+    # node doubling built 1 GiB Cauchy blocks and died with MemoryError
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        filter(None, [os.path.abspath(src), os.environ.get("PYTHONPATH")])))
+    cap = 3 * 2 ** 29  # bytes of address space
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    proc = subprocess.run([sys.executable, "-m", "splitsea", "kernel", "--gamma",
+                           "1", "--theta", "150", "--k", "0.5", "--l", "1.5"],
+                          capture_output=True, text=True, env=env, timeout=300,
+                          preexec_fn=limit)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.startswith("NoConvergence:")
 
 
 @pytest.mark.parametrize("theta,route", [(2.0, "ell capped"),

@@ -45,10 +45,13 @@ def test_toeplitz_cdf_degenerate_and_monotone():
 
 def test_triple_agreement_small_theta():
     c = HoppingCoefficients((1.0, -1.0 / 3.0), theta=0.5)
-    for ell in (1, 2, 3):
+    for ell in (-3, -1, 0, 1, 2, 3):
         t = toeplitz_cdf(c, ell)
         assert t == pytest.approx(brute_cdf_first_part(c, ell, 22), abs=1e-8)
         assert t == pytest.approx(fredholm_cdf_check(c, ell), abs=1e-7)
+    # the oracle counted the empty partition (lambda_1 = 0) below every ell
+    below = [brute_cdf_first_part(c, ell, 22) for ell in (-3, -1)]
+    assert below == [0.0, 0.0] == exact_cdf(c, np.array([-3, -1])).tolist()
 
 
 def test_toeplitz_vs_fredholm_random(rng):

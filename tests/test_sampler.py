@@ -86,9 +86,14 @@ def _loop_projection(vectors, rng):
     return chosen
 
 
+def _stream(seed, index):
+    """The keyed stream of draw (seed, index), built independently."""
+    return np.random.Generator(np.random.Philox(key=[seed, index]))
+
+
 def _loop_sample(wk, seed, index):
     """Reference: the draw (seed, index) taken on its own by the loop above."""
-    rng = _rng_for(seed, index)
+    rng = _stream(seed, index)
     keep = rng.random(len(wk.eigenvalues)) < wk.eigenvalues
     idx = _loop_projection(wk.eigenvectors[:, keep], rng)
     return wk.k_lo_int + 0.5 + np.sort(idx)
@@ -118,22 +123,25 @@ def test_projection_draw_matches_choice_reference():
     wk = windowed_kernel(HoppingCoefficients((1.0, -1.0 / 3.0), theta=8.0))
     drawn = _sample_batch(wk, 3, range(200))
     for i in range(200):
-        rng = _rng_for(3, i)
+        rng = _stream(3, i)
         keep = rng.random(len(wk.eigenvalues)) < wk.eigenvalues
         want = sorted(_choice_projection(wk.eigenvectors[:, keep], rng))
         assert list(drawn[i] - wk.k_lo_int - 0.5) == want
 
 
 @pytest.mark.parametrize("case,n", [("toy", 5000), ("edge-window", 100),
-                                    ("full-window", 300)])
+                                    ("full-window", 300),
+                                    ("full-window-40", 20)])
 def test_batched_draws_equal_the_per_draw_loop(case, n):
     if case == "toy":
         wk = _projection_toy()
     elif case == "edge-window":
         wk = windowed_kernel(HoppingCoefficients((1.0, -1.0 / 3.0), theta=40.3),
                              edge=True)
-    else:
+    elif case == "full-window":
         wk = windowed_kernel(HoppingCoefficients((1.0,), theta=12.0))
+    else:  # 312 sites, rank about 197: four draws per chunk
+        wk = windowed_kernel(HoppingCoefficients((1.0, -1.0 / 3.0), theta=40.0))
     batched = sample_many(wk, n, 7)
     assert len(batched) == n
     for i, conf in enumerate(batched):
@@ -261,11 +269,13 @@ def test_keyed_streams_survive_interleaving_and_threads():
     # sample() re-keys one Generator per thread: each draw is the stream of
     # a new Philox(key=[seed, index]), however seeds and threads interleave
     wk = windowed_kernel(HoppingCoefficients((1.0, -1.0 / 3.0), theta=8.0))
-    shared = _rng_for(5, 5)
+    shared = _stream(5, 5)
     for seed, index in itertools.product((0, 2, -1), (0, 3, 2 ** 40)):
         shared.integers(0, 2 ** 31, dtype=np.uint32)  # leaves half a word
-        for rng in (_rng_for(seed, index), _rng_for(seed, index, shared)):
-            ref = np.random.Generator(np.random.Philox(key=[seed, index]))
+        fresh = np.random.Generator(np.random.Philox(0))
+        for rng in (_rng_for(seed, index, fresh),
+                    _rng_for(seed, index, shared)):
+            ref = _stream(seed, index)
             assert np.array_equal(rng.integers(0, 2 ** 31, 5, dtype=np.uint32),
                                   ref.integers(0, 2 ** 31, 5, dtype=np.uint32))
             assert np.array_equal(rng.random(9), ref.random(9))
