@@ -55,24 +55,34 @@ to TABLE_TOL, and the finer one is returned.  ``fredholm_F`` (one panel on
 
 F is analytic in s (Bornemann 2010), so ``limiting_cdf`` serves every s
 of the desk range [-12, decay point] from ``_law_block(m, k)``: degree-16
-Chebyshev interpolants of F_{2m+1} on the five unit panels from -12 + 5k,
-each block built on first use from one such table.  The build is
-certified: every panel's last three coefficients (the chopping rule of
-Aurentz and Trefethen 2017) must be under LAW_TAIL_TOL, and the
-interpolant must reproduce the table at two check points per panel to
-LAW_CHECK_TOL, or it raises NodeCountInsufficient.
+Chebyshev interpolants of F_{2m+1} on the five unit panels from -12 + 5k.
+``_build_law_block`` is their reference builder, from one such table, and
+it certifies what it builds: every panel's last three coefficients (the
+chopping rule of Aurentz and Trefethen 2017) must be under LAW_TAIL_TOL,
+and the interpolant must reproduce the table at two check points per panel
+to LAW_CHECK_TOL, or it raises NodeCountInsufficient.  F is a fixed
+function, so the blocks of the orders the contour evaluator certifies
+(m <= 3: 6, 8 and 11 blocks) and their decay points ship with the package
+in ``law_blocks.npz``, built by that builder (tools/regen_law_blocks.py
+rewrites the file).  ``_shipped_laws`` reads it on first use and checks it:
+its layout must be this module's and neighbouring panels must meet within
+LAW_CHECK_TOL, or it raises LawDataError.  Other orders are built on first
+use.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import zipfile
 from dataclasses import dataclass
 from functools import lru_cache
+from importlib import resources
 
 import numpy as np
 
-from .errors import NoConvergence, NodeCountInsufficient, TruncationFailure
+from .errors import (LawDataError, NoConvergence, NodeCountInsufficient,
+                     TruncationFailure)
 
 INTEGRAND_FLOOR = 1e-18      # tail magnitude required at the truncation point
 KERNEL_FACTOR_FLOOR = 1e-16  # Ai factor size ending the v-integration
@@ -182,6 +192,7 @@ def airy_fn(order, x):
 _CACHE_FLOOR = -14.5  # least argument of the Airy cache and the kernels
 _CHEB_DEGREE = 16
 _LAW_PANELS = 5  # unit panels per law block: a 95-point table fills one
+_LAW_FILE = "law_blocks.npz"  # the shipped law blocks, beside this module
 
 
 def _cheb_points(lo, panels):
@@ -564,10 +575,9 @@ def _law_table(m, s):
     return tables[0]
 
 
-@lru_cache(maxsize=64)
-def _law_block(m, k):
+def _build_law_block(m, k):
     """Chebyshev coefficients of F_{2m+1} on the _LAW_PANELS unit panels from
-    _DESK_FLOOR + _LAW_PANELS k.
+    _DESK_FLOOR + _LAW_PANELS k; the reference builder of the law blocks.
 
     Filled from one certified ``_law_table`` at the panels' Chebyshev points
     and at two check points per panel, its quarter points (the midpoint is a
@@ -598,15 +608,84 @@ def _law_block(m, k):
     return coef
 
 
+def _block_count(decay):
+    """Law blocks covering the desk range [_DESK_FLOOR, decay]."""
+    return int((decay - _DESK_FLOOR) // _LAW_PANELS) + 1
+
+
+def _build_laws(m):
+    """The decay point of order m and its law blocks over the desk range,
+    stacked as the law file holds them, from the reference builder."""
+    decay = _decay_point(m)
+    return decay, np.stack([_build_law_block(m, k)
+                            for k in range(_block_count(decay))])
+
+
+def _load_laws(source):
+    """{m: (decay point, read-only law blocks)} from the law file ``source``.
+
+    The file holds the layout scalars ``floor``, ``panels`` and ``degree``,
+    the ``orders`` and their ``decay`` points, and per order m an array
+    ``m<m>`` whose k-th entry is ``_law_block(m, k)``.  The layout must be
+    this module's, with one block per _LAW_PANELS unit panels up to the
+    decay point; every panel's interpolant must meet the next one's, in its
+    block and across blocks, within LAW_CHECK_TOL.  LawDataError otherwise.
+    """
+    try:
+        with source.open("rb") as fh, np.load(fh, allow_pickle=False) as data:
+            arrays = {name: data[name] for name in data.files}
+        layout = tuple(arrays[key].item() for key in ("floor", "panels", "degree"))
+        laws = {int(m): (float(decay), arrays[f"m{int(m)}"]) for m, decay
+                in zip(arrays["orders"], arrays["decay"], strict=True)}
+    except (OSError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
+        raise LawDataError(f"unreadable law file {source}: {exc}") from exc
+    if layout != (_DESK_FLOOR, _LAW_PANELS, _CHEB_DEGREE):
+        raise LawDataError(f"law file layout (floor, panels, degree) = {layout}, "
+                           f"not {(_DESK_FLOOR, _LAW_PANELS, _CHEB_DEGREE)}")
+    for m, (decay, blocks) in laws.items():
+        shape = (_block_count(decay) if math.isfinite(decay) else None,
+                 _CHEB_DEGREE + 1, _LAW_PANELS)
+        if blocks.shape != shape or blocks.dtype != np.float64 \
+                or not np.all(np.isfinite(blocks)):
+            raise LawDataError(f"law blocks of m={m} are {blocks.dtype} "
+                               f"{blocks.shape}, not finite float64 {shape}")
+        coef = blocks.transpose(1, 0, 2).reshape(_CHEB_DEGREE + 1, -1)
+        panel = np.arange(coef.shape[1] - 1)
+        ends = np.full(panel.shape, 2.0)
+        join = float(np.max(np.abs(_clenshaw(coef, panel, ends)
+                                   - _clenshaw(coef, panel + 1, -ends))))
+        if not join < LAW_CHECK_TOL:
+            raise LawDataError(f"law panels of m={m} miss each other by {join:.2e}")
+        blocks.flags.writeable = False
+    return laws
+
+
+@lru_cache(maxsize=1)
+def _shipped_laws():
+    """The law blocks shipped with the package, read and checked once."""
+    return _load_laws(resources.files(__package__) / _LAW_FILE)
+
+
+@lru_cache(maxsize=64)
+def _law_block(m, k):
+    """Read-only Chebyshev coefficients of F_{2m+1} on the _LAW_PANELS unit
+    panels from _DESK_FLOOR + _LAW_PANELS k.
+
+    Shipped for the orders of the law file; ``_build_law_block`` builds
+    the blocks of any other order.
+    """
+    shipped = _shipped_laws().get(m)
+    return _build_law_block(m, k) if shipped is None else shipped[1][k]
+
+
 def limiting_cdf(order, n_cuts, s):
     """Edge law F_{2m+1}(s)^n of an n-cut sea at scalar or array s >= -12.
 
     A scalar gives a float, an array a table of its shape.  F is the
-    interpolant of the ``_law_block`` holding s, built on first use and
-    certified there against the table it was filled from; the blocks an
-    s-grid needs are stacked and evaluated by one Clenshaw recurrence.  An s
-    above the decay point of Ai_{2m+1} is taken there, where 1 - F is below
-    1e-30.
+    interpolant of the ``_law_block`` holding s, shipped or built certified
+    against the table it was filled from; the blocks an s-grid needs are
+    stacked and evaluated by one Clenshaw recurrence.  An s above the decay
+    point of Ai_{2m+1} is taken there, where 1 - F is below 1e-30.
     """
     m = _order(order)
     n = int(n_cuts)
@@ -615,7 +694,9 @@ def limiting_cdf(order, n_cuts, s):
     s_arr = np.asarray(s, dtype=float)
     if not (s_arr.size and np.all(np.isfinite(s_arr)) and np.min(s_arr) >= _DESK_FLOOR):
         raise ValueError(f"s must be finite and >= {_DESK_FLOOR:g} (desk range)")
-    u = np.minimum(s_arr.ravel(), _decay_point(m)) - _DESK_FLOOR
+    shipped = _shipped_laws().get(m)
+    decay = _decay_point(m) if shipped is None else shipped[0]
+    u = np.minimum(s_arr.ravel(), decay) - _DESK_FLOOR
     block, local = np.divmod(u, _LAW_PANELS)  # fmod: exact, 0 <= local < 5
     blocks, slot = np.unique(block, return_inverse=True)
     coef = np.hstack([_law_block(m, int(k)) for k in blocks])

@@ -37,6 +37,9 @@ GRID_POINTS = 10_000  # rows of `airy --s`, `--steps`, `--bins`, `--window`
 SAMPLE_DRAWS = 100_000  # `sample -n`: 4 s and 100 MiB at theta = 40
 CHAIN_ELL = 1_000  # `unitary-mc --ell`: an ell x ell block per sweep
 CHAIN_ANGLES = 10_000_000  # `unitary-mc --sweeps` times `--ell`, kept angles
+# `unitary-mc --sweeps` times `--ell` squared, the pair terms a run scores:
+# the README's 1.15e8 take 26 s of CPU, 1e10 about 8 minutes
+CHAIN_PAIRS = 200_000_000
 ORACLE_CAP = 30  # `oracle --cap`: 4 s of Schur sums; 35 takes 10 s
 
 
@@ -258,7 +261,9 @@ def _cmd_unitary_mc(args):
     _desk_size("--bins", args.bins, GRID_POINTS, "bins", 1)
     _desk_size("--ell", args.ell, CHAIN_ELL, "angles")
     _desk_size("--sweeps", args.sweeps * args.ell, CHAIN_ANGLES,
-             "angles (sweeps times ell)")
+               "angles (sweeps times ell)")
+    _desk_size("--sweeps", args.sweeps * args.ell ** 2, CHAIN_PAIRS,
+               "pair terms (sweeps times ell squared)")
     res = unitary_mod.metropolis_chain(args.gamma, args.theta, args.ell,
                                        args.sweeps, args.seed)
     hist, edges = unitary_mod.angle_histogram(res.samples, bins=args.bins)

@@ -57,3 +57,8 @@ class SubcriticalPhase(SplitSeaError):
 
 class CoincidentAngles(SplitSeaError):
     """Joint eigenvalue density evaluated at coinciding angles (weight zero)."""
+
+
+class LawDataError(SplitSeaError):
+    """The law-block file shipped with the package does not match the layout
+    of ``airy``, or its panels do not meet."""

@@ -1,6 +1,8 @@
 """Airy stack: contour values vs series, kernels, Fredholm determinants."""
 
 import math
+import os
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from splitsea.airy import (KERNEL_FACTOR_FLOOR, TABLE_TOL, _airy_cached,
                            _fredholm_once, _gauss_legendre, _kernel_factor,
                            _law_nodes, _leading_minors, _log_minors,
                            _v_quadrature)
-from splitsea.errors import NoConvergence, NodeCountInsufficient
+from splitsea.errors import LawDataError, NoConvergence, NodeCountInsufficient
 from conftest import airy_series
 
 
@@ -267,9 +269,11 @@ def test_rank_compressed_table_matches_dense_cholesky(m, points):
 
 
 @pytest.fixture
-def cold_law_cache():
-    # a law block filled by an earlier test would serve the call below
-    # without building a table
+def cold_law_cache(monkeypatch):
+    # every law block from the reference builder: a shipped block, or one
+    # filled by an earlier test, would serve the call below without
+    # building a table
+    monkeypatch.setattr(airy_mod, "_shipped_laws", lambda: {})
     airy_mod._law_block.cache_clear()
     yield
     airy_mod._law_block.cache_clear()
@@ -525,3 +529,95 @@ def test_gauss_legendre_cache_is_exact_and_read_only():
         assert _gauss_legendre(n)[0] is nodes
         with pytest.raises(ValueError):
             nodes[0] = 0.0
+
+
+@pytest.fixture(scope="module")
+def reference_laws():
+    # every desk-range law block of m = 1, 2, 3, built once by the reference
+    # builder (about 2 s of CPU)
+    return {m: airy_mod._build_laws(m) for m in (1, 2, 3)}
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_shipped_law_blocks_match_the_reference_builder(reference_laws, m):
+    decay, blocks = reference_laws[m]
+    shipped_decay, shipped = airy_mod._shipped_laws()[m]
+    assert shipped_decay == decay == airy_mod._decay_point(m)
+    assert shipped.shape == blocks.shape == ({1: 6, 2: 8, 3: 11}[m], 17, 5)
+    assert np.max(np.abs(shipped - blocks)) < 1e-13
+    assert not shipped.flags.writeable
+    for k in range(len(shipped)):
+        assert airy_mod._law_block(m, k) is airy_mod._law_block(m, k)
+        assert np.array_equal(airy_mod._law_block(m, k), shipped[k])
+
+
+def _law_path():
+    return resources.files("splitsea") / airy_mod._LAW_FILE
+
+
+def test_law_file_ships_as_package_data():
+    tomllib = pytest.importorskip("tomllib")
+    path = _law_path()
+    assert path.is_file()
+    assert sorted(airy_mod._load_laws(path)) == sorted(airy_mod._shipped_laws())
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        package_data = tomllib.load(fh)["tool"]["setuptools"]["package-data"]
+    assert airy_mod._LAW_FILE in package_data["splitsea"]
+
+
+def _law_arrays():
+    with _law_path().open("rb") as fh, np.load(fh) as data:
+        return {name: data[name].copy() for name in data.files}
+
+
+def _open_join(arrays):
+    arrays["m1"][2, 0, 3] += 1e-9  # lifts one panel off both neighbours
+    return arrays
+
+
+def _nan_block(arrays):
+    arrays["m3"][10, 16, 4] = np.nan
+    return arrays
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda a: {**a, "degree": np.int64(15)}, "layout"),
+    (lambda a: {**a, "floor": np.float64(-11.0)}, "layout"),
+    (lambda a: {**a, "panels": np.int64(4)}, "layout"),
+    (lambda a: {**a, "m2": a["m2"][:-1]}, "law blocks of m=2"),
+    (lambda a: {**a, "m2": a["m2"][:, :16]}, "law blocks of m=2"),
+    (lambda a: {**a, "decay": a["decay"] + 5.0}, "law blocks of m=1"),
+    (lambda a: {k: v for k, v in a.items() if k != "m3"}, "unreadable"),
+    (lambda a: {k: v for k, v in a.items() if k != "degree"}, "unreadable"),
+    (lambda a: {**a, "orders": np.int64(1)}, "unreadable"),
+    (_nan_block, "law blocks of m=3"),
+    (_open_join, "law panels of m=1 miss each other by 1.00e-09"),
+], ids=["degree", "floor", "panels", "block-missing", "degree-short",
+        "decay-moved", "order-missing", "layout-missing", "orders-scalar", "nan",
+        "open-join"])
+def test_law_file_with_a_wrong_layout_or_an_open_join_is_refused(tmp_path, edit,
+                                                                  message):
+    np.savez(tmp_path / "good.npz", **_law_arrays())
+    assert sorted(airy_mod._load_laws(tmp_path / "good.npz")) == [1, 2, 3]
+    np.savez(tmp_path / "bad.npz", **edit(_law_arrays()))
+    with pytest.raises(LawDataError, match=message):
+        airy_mod._load_laws(tmp_path / "bad.npz")
+
+
+def test_law_file_that_is_no_archive_is_refused(tmp_path, monkeypatch):
+    (tmp_path / "bad.npz").write_bytes(b"PK\x03\x04 not a zip archive")
+    with pytest.raises(LawDataError, match="unreadable"):
+        airy_mod._load_laws(tmp_path / "bad.npz")
+    with pytest.raises(LawDataError, match="unreadable"):
+        airy_mod._load_laws(tmp_path / "missing.npz")
+    # the shipped file is refused by a module of another degree
+    monkeypatch.setattr(airy_mod, "_CHEB_DEGREE", 15)
+    with pytest.raises(LawDataError, match="layout"):
+        airy_mod._load_laws(_law_path())
+
+
+def test_orders_without_shipped_blocks_still_raise():
+    assert 4 not in airy_mod._shipped_laws()
+    with pytest.raises(NoConvergence, match="roundoff floor"):
+        limiting_cdf(4, 1, 0.0)

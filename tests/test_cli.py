@@ -164,6 +164,8 @@ G = ("--gamma", "1,-0.3333333333")
      "--cap"),
     (("oracle", "cdf") + G + ("--theta", "0.5", "--ell", "3", "--cap", "-1"),
      "--cap"),  # exited 0 with a meaningless value
+    (("unitary-mc",) + G + ("--theta", "10.9", "--ell", "1000",
+                           "--sweeps", "10000"), "--sweeps"),  # 1e10 pair terms
 ])
 def test_malformed_or_empty_grid_is_config_error(capsys, argv, flag):
     # these truncated, replaced a zero step, printed a bare header, or ran
@@ -506,6 +508,40 @@ def test_table_building_commands_load_no_scipy():
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cold_limit_law_commands_build_no_law_table():
+    # the law blocks ship with the package: fresh converge and sample
+    # processes read them and run neither a law table nor the Airy contour
+    # evaluator, and importing the CLI alone does not read the law file
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [os.path.abspath(src), os.environ.get("PYTHONPATH")])))
+    gamma = ["--gamma", "1,-0.3333333333"]
+    runs = [["converge", *gamma, "--thetas", "20,40"],
+            ["sample", *gamma, "--theta", "40", "-n", "20"]]
+    probe = (
+        "import contextlib, io, sys\n"
+        "opened = []\n"
+        "def hook(event, args):\n"
+        "    if event == 'open' and str(args[0]).endswith('law_blocks.npz'):\n"
+        "        opened.append(event)\n"
+        "sys.addaudithook(hook)\n"
+        "import splitsea.cli, splitsea.airy as airy\n"
+        "print(len(opened))\n"
+        "calls = []\n"
+        "for name in ('_law_table', 'airy_values'):\n"
+        "    real = getattr(airy, name)\n"
+        "    setattr(airy, name, lambda *a, real=real, name=name:\n"
+        "            calls.append(name) or real(*a))\n"
+        f"for argv in {runs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert splitsea.cli.main(argv) == 0, argv\n"
+        "print(len(opened), calls)\n")
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["0", "1 []"]
 
 
 def test_uncertified_airy_order_exits_3_without_numpy_warnings():

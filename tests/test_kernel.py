@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splitsea.errors import UnsupportedEdge
-from splitsea.kernel import (coefficient_band, edge_prediction, kernel_eval,
-                             kernel_eval_quadrature, kernel_matrix,
-                             local_sine_prediction, tail_trace)
+from splitsea.kernel import (QUAD_EPS, _contour_factors, _contour_sum,
+                             _half_int, coefficient_band, edge_prediction,
+                             kernel_eval, kernel_eval_quadrature,
+                             kernel_matrix, local_sine_prediction, tail_trace)
 from splitsea.potential import (HoppingCoefficients, edge_profile, fermi_sea,
                                 global_extrema, limit_density)
 from splitsea.schur import brute_correlation
@@ -59,6 +60,36 @@ def test_quadrature_bessel_identity():
     a = kernel_eval_quadrature(c, 1.5, -2.5)
     b = kernel_eval_quadrature(c, -2.5, 1.5)
     assert a == pytest.approx(b, abs=1e-12)
+
+
+def _dense_contour_sum(coeffs, n1, n2, m):
+    # reference: the double sum with the whole m x m Cauchy matrix
+    omega, az, bw = _contour_factors(coeffs, n1, n2, m)
+    cauchy = 1.0 / np.subtract.outer((1.0 + QUAD_EPS) * omega,
+                                     (1.0 - QUAD_EPS) * omega)
+    return float(np.real(az @ (cauchy @ bw))) / (m * m)
+
+
+@pytest.mark.parametrize("gammas", [(1.0,), (1.0, -1.0 / 3.0), (1.0, 0.1)])
+def test_fft_contour_sum_matches_the_dense_cauchy_sum(gammas):
+    # the terms reach max|a| max|b| (2e8 at theta = 80 for (1, 0.1)), so
+    # both sums carry roundoff of that size times eps; measured, the two
+    # sums and the series agree to 1.3e-16 of it
+    worst = 0.0
+    for theta in (0.5, 5.0, 20.0, 80.0):
+        c = HoppingCoefficients(gammas, theta=theta)
+        band = coefficient_band(c)
+        for k, ell in [(0.5, 1.5), (-2.5, 3.5),
+                       (math.floor(1.5 * theta) + 0.5, math.floor(1.5 * theta) - 0.5)]:
+            n1, n2 = -_half_int(k), _half_int(ell) + 1
+            for m in (64, 256, 1024):
+                _, az, bw = _contour_factors(c, n1, n2, m)
+                scale = float(np.max(np.abs(az)) * np.max(np.abs(bw)))
+                got = _contour_sum(c, n1, n2, m)
+                worst = max(worst, abs(got - _dense_contour_sum(c, n1, n2, m)) / scale)
+                if m == 1024:
+                    worst = max(worst, abs(got - kernel_eval(band, k, ell)) / scale)
+    assert worst < 1e-15
 
 
 def test_kernel_symmetry_and_diagonal_range(rng):
