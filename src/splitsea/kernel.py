@@ -7,8 +7,12 @@ k and l is the discrete-Bessel-type series
 
     K(k, l) = sum_{i in 1/2, 3/2, ...} J_{k+i} J_{l+i},
 
-which is the primary O(band) evaluation path; a block over many sites is one
-product H H^T with H a Hankel slice of the band.  An independent double-contour
+which is the primary O(band) evaluation path.  Because K is a Hankel product
+it obeys the diagonal recurrence K(k, l) = K(k + 1, l + 1) + J_{k+1/2} J_{l+1/2},
+so a block over many sites is read from one reverse cumulative sum of
+J_u J_{u+d} per gap d between sites: O(gaps * band) additions, no matrix
+product.  The band keeps only the J_n that a Cauchy estimate cannot certify
+negligible, so those sums carry no FFT roundoff.  An independent double-contour
 quadrature of the same kernel on circles |z| = 1 + eps, |w| = 1 - eps
 (eps = QUAD_EPS) provides the oracle; both are exact representations of the
 same analytic object, so they must agree to quadrature accuracy.
@@ -31,9 +35,11 @@ from .errors import BandTooNarrow, NoConvergence, UnsupportedEdge
 from .potential import FermiSea, eval_dispersion
 
 BAND_TAIL_TOL = 1e-15
+BAND_SUPPORT_TOL = 1e-20  # |J_n| certified below this outside the stored band
 QUAD_TOL = 1e-10
 QUAD_EPS = 0.05
 QUAD_MAX_NODES = 2 ** 14  # its doublings take 0.03 s at theta = 150
+MATRIX_BLOCK = 2 ** 16  # entries of the index arrays one kernel_matrix block holds
 
 
 @dataclass(frozen=True)
@@ -75,8 +81,46 @@ def _fourier_band(log_fn, width_hint, what):
     raise BandTooNarrow(f"{what}: band not captured at grid size {size // 2}")
 
 
+def _support_half_width(theta, gammas):
+    """Least N such that |J_n| < BAND_SUPPORT_TOL for every |n| >= N, certified.
+
+    On |z| = e^{+-t}, |F(z)| <= exp(h(t)) with h(t) = 2 theta sum_r |gamma_r|
+    sinh(r t), so Cauchy's estimate gives |J_n| <= exp(h(t) - |n| t) for every
+    t > 0, under the tolerance once |n| > (h(t) + c) / t, c = -log(tol).  The
+    best t solves t h'(t) - h(t) = c (the left side increases from 0), found
+    by bisection; any t the bisection stops at still certifies.
+    """
+    terms = [(r, 2.0 * theta * abs(g)) for r, g in enumerate(gammas, start=1)
+             if g != 0.0]
+    c = -math.log(BAND_SUPPORT_TOL)
+    if theta == 0.0 or not terms:
+        return 1  # F = 1: J_n = 0 for every n != 0
+    t_max = 700.0 / terms[-1][0]  # keeps sinh and cosh finite
+    h = lambda t: sum(a * math.sinh(r * t) for r, a in terms)
+    excess = lambda t: sum(a * (r * t * math.cosh(r * t) - math.sinh(r * t))
+                           for r, a in terms) - c
+    lo, t = 0.0, min(1.0, t_max)
+    while excess(t) < 0.0 and t < t_max:
+        lo, t = t, min(2.0 * t, t_max)
+    for _ in range(60):
+        mid = 0.5 * (lo + t)
+        if excess(mid) < 0.0:
+            lo = mid
+        else:
+            t = mid
+    return math.floor((h(t) + c) / t) + 1
+
+
 def coefficient_band(coeffs):
-    """Build the Laurent band of exp(theta sum gamma_r (z^r - z^{-r}))."""
+    """Build the Laurent band of exp(theta sum gamma_r (z^r - z^{-r})).
+
+    The band stores J_n for |n| <= N only, N from ``_support_half_width``: the
+    Cauchy estimate certifies |J_n| < BAND_SUPPORT_TOL for |n| >= N, so the
+    FFT values dropped beyond N are roundoff.  That roundoff grows with the
+    phase theta G(phi), bounded by 2 theta sum |gamma_r|; a dropped value at
+    or above BAND_TAIL_TOL times that bound (at least 1) raises BandTooNarrow,
+    as does an N past the FFT grid.
+    """
     coeffs.require_theta()
     gam = coeffs.gammas
     theta = coeffs.theta
@@ -84,8 +128,17 @@ def coefficient_band(coeffs):
     log_f = lambda phi: 1j * theta * eval_dispersion(coeffs, phi, order=-1)
     width = theta * sum(r * abs(g) for r, g in enumerate(gam, start=1))
     band, half = _fourier_band(log_f, width, "coefficient band")
-    # stored as J_{-half}..J_{half-1}; drop to a symmetric window
-    n = half - 1
+    # stored as J_{-half}..J_{half-1}; keep the certified window J_{-n}..J_n
+    n = _support_half_width(theta, gam)
+    if n >= half:
+        raise BandTooNarrow(
+            f"certified support {n} passes the FFT grid half-width {half}")
+    dropped = np.concatenate([band[:half - n], band[half + n + 1:]])
+    phase = 2.0 * theta * sum(abs(g) for g in gam)
+    if np.max(np.abs(dropped)) >= BAND_TAIL_TOL * max(1.0, phase):
+        raise BandTooNarrow(
+            f"FFT value {np.max(np.abs(dropped)):.2e} beyond the certified "
+            f"support {n}")
     sym = band[half - n:half + n + 1].copy()
     parseval = float(np.dot(sym, sym))
     if abs(parseval - 1.0) > 1e-12:
@@ -116,21 +169,50 @@ def kernel_eval(band, k, ell):
 
 
 def kernel_matrix(band, sites):
-    """Kernel matrix over half-integer sites as one Hankel product H H^T.
+    """Kernel matrix over half-integer sites from diagonal tail sums.
 
-    Row i of H, (J_{k_i + 1/2}, J_{k_i + 3/2}, ...), is a row of the sliding
-    window view of the zero-padded band.  Sites may be in any order, repeated
-    or off the band.
+    With f = k + 1/2 the index of a site's first summand, K(k, l) =
+    sum_{u >= v} J_u J_{u+d} for d = |f_k - f_l| and v = min(f_k, f_l).  One
+    reverse cumulative sum over the band gives that tail sum at every v from
+    the least f up, for each gap d up to 2N (it is 0 past that); the matrix
+    is gathered from the table in row blocks of at most MATRIX_BLOCK entries.
+    Sites may be in any order, repeated or off the band.
     """
-    first = np.array([_half_int(k, "site") + 1 for k in sites], dtype=np.int64)
+    values = np.asarray(sites, dtype=float).reshape(-1)
+    with np.errstate(invalid="ignore"):
+        twice = np.rint(2.0 * values)
+        bad = ~(np.abs(2.0 * values - twice) <= 1e-9) | (twice % 2.0 == 0.0)
+    if np.any(bad):
+        raise ValueError(
+            f"site={float(values[np.argmax(bad)])!r} is not a half-integer")
+    first = ((twice + 1.0) // 2.0).astype(np.int64)
+    size = first.size
+    mat = np.empty((size, size))
+    if size == 0:
+        return mat
     n = band.half_width
-    low = int(first.min(initial=n + 1))
-    width = max(n - low + 1, 1)   # summands J_low..J_n
-    pad = max(-n - low, 0)        # J_i = 0 below -n
-    padded = np.concatenate([np.zeros(pad), band.coeffs, np.zeros(width)])
-    rows = np.minimum(first, n + 1) + n + pad
-    h = np.lib.stride_tricks.sliding_window_view(padded, width)[rows]
-    return h @ h.T
+    low = min(max(int(first.min()), -n), n + 1)
+    rows = n + 1 - low    # lower summation ends low..n; row `rows` (past n) is 0
+    gaps = min(int(first.max() - first.min()), 2 * n) + 1  # column `gaps` is 0
+    # tails[v - low, d] = sum_{u >= v} J_u J_{u+d}, one reverse cumulative
+    # sum down the columns of the Hankel products J_v J_{v+d}
+    head = band.coeffs[low + n:]
+    windows = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate([head, np.zeros(gaps)]), gaps)[:rows]
+    tails = np.zeros((rows + 1, gaps + 1))
+    np.cumsum((head[:, None] * windows)[::-1], axis=0,
+              out=tails[:rows][::-1, :gaps])
+    flat = tails.ravel()
+    # K(k, l) sits at row min(f_k, f_l) - low (clipped to the band) and
+    # column |f_k - f_l|; the clip is monotone, so it is taken per site
+    row_at = np.clip(first - low, 0, rows) * (gaps + 1)
+    step = max(1, MATRIX_BLOCK // size)
+    for i in range(0, size, step):
+        index = np.abs(first[i:i + step, None] - first)
+        np.minimum(index, gaps, out=index)
+        index += np.minimum(row_at[i:i + step, None], row_at)
+        np.take(flat, index, out=mat[i:i + step])
+    return mat
 
 
 def tail_trace(band, above, below=None):

@@ -4,8 +4,9 @@ The exact kernel is truncated to a window of half-integer sites wide enough
 that the mass outside is negligible: sites left of the window are effectively
 frozen (occupied), sites right of it empty, and the leakage
 sum_{k<lo} (1 - K(k,k)) + sum_{k>hi} K(k,k) is computed exactly from the
-coefficient band rather than assumed.  The window matrix is one Hankel
-product H H^T (``kernel.kernel_matrix``).
+coefficient band rather than assumed.  The window matrix comes from
+``kernel.kernel_matrix``, which reads each entry from a tail sum of
+J_u J_{u+d} along the band (no matrix product).
 
 A determinantal process restricted to a subset A is the determinantal process
 of K_A (Hough-Krishnapur-Peres-Virag 2006), so ``empirical_edge_law`` draws

@@ -1,19 +1,25 @@
 """Exact kernel: band construction, series vs quadrature, scaling limits."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splitsea.errors import UnsupportedEdge
-from splitsea.kernel import (QUAD_EPS, _contour_factors, _contour_sum,
-                             _half_int, coefficient_band, edge_prediction,
-                             kernel_eval, kernel_eval_quadrature,
-                             kernel_matrix, local_sine_prediction, tail_trace)
-from splitsea.potential import (HoppingCoefficients, edge_profile, fermi_sea,
-                                global_extrema, limit_density)
+import splitsea.kernel as kernel_mod
+from splitsea.errors import BandTooNarrow, UnsupportedEdge
+from splitsea.kernel import (BAND_SUPPORT_TOL, BAND_TAIL_TOL, QUAD_EPS,
+                             CoefficientBand, _contour_factors, _contour_sum,
+                             _fourier_band, _half_int, _support_half_width,
+                             coefficient_band, edge_prediction, kernel_eval,
+                             kernel_eval_quadrature, kernel_matrix,
+                             local_sine_prediction, tail_trace)
+from splitsea.potential import (HoppingCoefficients, edge_profile,
+                                eval_dispersion, fermi_sea, global_extrema,
+                                limit_density)
+from splitsea.sampler import auto_window
 from splitsea.schur import brute_correlation
 from conftest import bessel_j
 
@@ -124,6 +130,143 @@ def test_hankel_matrix_matches_series(gammas, theta, fractions):
                      for k in sites])
     assert mat.shape == want.shape
     assert np.max(np.abs(mat - want)) <= 1e-14
+
+
+def _hankel_product(band, sites):
+    # reference: the kernel block as one product H H^T, row i of H being
+    # (J_{k_i + 1/2}, J_{k_i + 3/2}, ...) from the zero-padded band
+    first = np.array([_half_int(k, "site") + 1 for k in sites], dtype=np.int64)
+    n = band.half_width
+    low = int(first.min(initial=n + 1))
+    width = max(n - low + 1, 1)
+    pad = max(-n - low, 0)
+    padded = np.concatenate([np.zeros(pad), band.coeffs, np.zeros(width)])
+    rows = np.minimum(first, n + 1) + n + pad
+    h = np.lib.stride_tricks.sliding_window_view(padded, width)[rows]
+    return h @ h.T
+
+
+@pytest.mark.parametrize("gammas,theta,full", [
+    ((1.0, -1.0 / 3.0), 20.0, False), ((1.0, -1.0 / 3.0), 80.0, False),
+    ((1.0, -0.125), 200.0, False), ((1.0, -1.0 / 3.0), 120.0, True)])
+def test_kernel_matrix_matches_the_hankel_product(gammas, theta, full):
+    # consecutive windows as the callers build them: the sampler's edge
+    # window run 64 sites past its top (the Fredholm window's least margin),
+    # or the sampler's full window; both ascending and descending
+    c = HoppingCoefficients(gammas, theta=theta)
+    band = coefficient_band(c)
+    lo, hi = auto_window(c, edge=not full)
+    sites = np.arange(lo, hi + (1 if full else 65)) + 0.5
+    for window in (sites, sites[::-1]):
+        got = kernel_matrix(band, window)
+        assert np.max(np.abs(got - _hankel_product(band, window))) <= 1e-14
+
+
+def test_kernel_matrix_names_a_site_that_is_not_a_half_integer():
+    band = coefficient_band(HoppingCoefficients((1.0, -1.0 / 3.0), theta=2.0))
+    for bad in (2.0, 1.25, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"site={bad!r} is not a half-integer"):
+            kernel_matrix(band, [0.5, -3.5, bad, 7.5])
+    assert kernel_matrix(band, []).shape == (0, 0)
+
+
+def test_kernel_matrix_memory_stays_near_one_matrix():
+    # the 4064-site Fredholm window of cdf --gamma 1 --theta 20
+    # --ell-range 0:4000; index arrays the size of the matrix would pass 3x
+    band = coefficient_band(HoppingCoefficients((1.0,), theta=20.0))
+    size = 4064
+    sites = size - 0.5 - np.arange(size)
+    tracemalloc.start()
+    try:
+        mat = kernel_matrix(band, sites)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mat.shape == (size, size)
+    assert peak <= 3 * size * size * 8
+    assert mat[-1, -1] == pytest.approx(kernel_eval(band, 0.5, 0.5), abs=1e-14)
+
+
+def _cauchy_log_bound(theta, gammas, n, t):
+    # log of Cauchy's estimate of |J_n| on the circles |z| = e^{+-t}
+    return sum(2.0 * theta * abs(g) * np.sinh(r * t)
+               for r, g in enumerate(gammas, start=1)) - abs(n) * t
+
+
+@given(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3),
+       st.floats(0.0, 200.0))
+@settings(max_examples=40, deadline=None)
+def test_support_half_width_is_the_least_certified_index(gammas, theta):
+    n = _support_half_width(theta, tuple(gammas))
+    assert n >= 1
+    if n > 1:
+        # one index less: no circle puts the estimate under the tolerance
+        ts = np.geomspace(1e-4, 700.0 / len(gammas), 20001)
+        assert np.min(_cauchy_log_bound(theta, gammas, n - 1, ts)) \
+            >= math.log(BAND_SUPPORT_TOL) - 1e-9
+
+
+@pytest.mark.parametrize("theta", [20.0, 120.0])
+def test_trimmed_band_is_bessel_and_certified(theta):
+    # gamma = (1,): F(z) = exp(theta (z - 1/z)), so J_n = J_n(2 theta)
+    mp = pytest.importorskip("mpmath")
+    band = coefficient_band(HoppingCoefficients((1.0,), theta=theta))
+    n = band.half_width
+    want = np.array([float(mp.besselj(i, 2.0 * theta)) for i in range(n + 1)])
+    noise = BAND_TAIL_TOL * 2.0 * theta  # the FFT's phase roundoff scale
+    assert np.max(np.abs(band.coeffs[n:] - want)) <= noise
+    assert np.max(np.abs(band.coeffs[n::-1] - want * (-1.0) ** np.arange(n + 1))) \
+        <= noise
+    beyond = [abs(float(mp.besselj(i, 2.0 * theta))) for i in range(n, n + 40)]
+    assert max(beyond) < BAND_SUPPORT_TOL
+
+
+@given(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3),
+       st.floats(0.0, 80.0), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_band_trim_drops_only_roundoff(gammas, theta, seed):
+    c = HoppingCoefficients(tuple(gammas), theta=theta)
+    log_f = lambda phi: 1j * c.theta * eval_dispersion(c, phi, order=-1)
+    width = c.theta * sum(r * abs(g) for r, g in enumerate(c.gammas, start=1))
+    fft, half = _fourier_band(log_f, width, "untrimmed band")
+    n = _support_half_width(c.theta, c.gammas)
+    dropped = np.concatenate([fft[:half - n], fft[half + n + 1:]])
+    scale = max(1.0, 2.0 * c.theta * sum(abs(g) for g in c.gammas))
+    if n >= half or np.max(np.abs(dropped)) >= BAND_TAIL_TOL * scale:
+        with pytest.raises(BandTooNarrow):
+            coefficient_band(c)
+        return
+    band = coefficient_band(c)
+    assert band.half_width == n
+    assert np.array_equal(band.coeffs, fft[half - n:half + n + 1])
+    assert float(np.dot(band.coeffs, band.coeffs)) == pytest.approx(1.0, abs=1e-12)
+    # the untrimmed band moves a kernel value by at most its dropped part
+    # (Cauchy-Schwarz, sum J^2 = 1) plus rounding; tail traces stay within
+    # rounding of their size
+    full = CoefficientBand(theta=c.theta, gammas=c.gammas, half_width=half - 1,
+                           coeffs=fft[1:])
+    eps = float(np.linalg.norm(dropped))
+    rng = np.random.default_rng(seed)
+    for k, ell in rng.integers(-n - 3, n + 3, size=(20, 2)) + 0.5:
+        assert abs(kernel_eval(band, k, ell) - kernel_eval(full, k, ell)) \
+            <= 2.0 * eps + eps * eps + 1e-15
+    for above in rng.integers(-n - 3, n + 3, size=5):
+        for below in (None, above - 5):
+            want = tail_trace(full, above, below)
+            assert abs(tail_trace(band, above, below) - want) \
+                <= 1e-15 * max(1.0, want)
+
+
+def test_band_refuses_a_support_it_cannot_certify(monkeypatch):
+    c = HoppingCoefficients((1.0, -1.0 / 3.0), theta=20.0)
+    # too narrow: the FFT values dropped past N = 40 are not roundoff
+    monkeypatch.setattr(kernel_mod, "_support_half_width", lambda *a: 40)
+    with pytest.raises(BandTooNarrow, match="beyond the certified support 40"):
+        coefficient_band(c)
+    # past the FFT grid
+    monkeypatch.setattr(kernel_mod, "_support_half_width", lambda *a: 10 ** 6)
+    with pytest.raises(BandTooNarrow, match="passes the FFT grid"):
+        coefficient_band(c)
 
 
 def test_tail_trace_is_the_dropped_diagonal():
