@@ -15,14 +15,13 @@ from .kernel import (CoefficientBand, coefficient_band, edge_prediction,
                      local_sine_prediction)
 from .potential import (EdgeProfile, FermiSea, HoppingCoefficients,
                         edge_profile, eval_dispersion, fermi_sea,
-                        global_extrema, limit_density, limit_shape,
-                        quadratic_fermi_sea_oracle)
+                        global_extrema, limit_density, limit_shape)
 from .sampler import (WindowedKernel, empirical_edge_law,
                       limit_shape_deviation, sample, sample_many,
                       windowed_kernel)
 from .schur import (brute_cdf_first_part, brute_correlation,
                     complete_homogeneous, elementary, measure_weight,
-                    partitions_upto, rescaled_profile, schur)
+                    partitions_upto, schur)
 from .unitary import (eigen_density_supercritical, log_joint_density,
                       metropolis_chain, partition_function_toeplitz)
 
@@ -38,9 +37,8 @@ __all__ = [
     "limit_density", "limit_shape", "limit_shape_deviation", "limiting_cdf",
     "local_sine_prediction", "log_joint_density", "measure_weight",
     "metropolis_chain", "oscillation_average", "partition_function_toeplitz",
-    "partitions_upto", "quadratic_fermi_sea_oracle", "rescaled_profile",
-    "sample", "sample_many", "scaled_convergence_study", "schur",
-    "symbol_coeffs", "toeplitz_cdf", "windowed_kernel",
+    "partitions_upto", "sample", "sample_many", "scaled_convergence_study",
+    "schur", "symbol_coeffs", "toeplitz_cdf", "windowed_kernel",
 ]
 
 __version__ = "0.1.0"

@@ -22,9 +22,9 @@ takes scalars too); ``airy_fn`` is its guarded public scalar form, and
 ``_airy_cache`` holds its degree-16 Chebyshev interpolants on the unit panels
 of [-14.5, decay point + 1/2] (29, 41 and 57 panels, 493 to 969 contour
 points, for m = 1, 2, 3) for the kernel assembly; above the decay point
-``_airy_cached`` is exactly 0.  The law blocks below share that
-panel-Chebyshev build (``_cheb_points``, ``_cheb_coefficients``) and its
-Clenshaw evaluator (``_clenshaw``).
+``_airy_cached`` is exactly 0.  The law blocks share that panel-Chebyshev
+layout (``_cheb_points``, ``_cheb_coefficients``) and its Clenshaw
+evaluator (``_clenshaw``).
 
 Contour choice: along the vertical line Re z = sigma the integrand decays
 like exp(-sigma t^{2m}); for x < 0 the linear term adds a bump of
@@ -42,32 +42,19 @@ x = 0: e^241 at m = 4) the evaluator raises NoConvergence.
 Fredholm determinants use a Nystrom discretisation with Gauss-Legendre nodes;
 the kernel matrix is assembled as a Gram matrix B B^T over a v-quadrature,
 which keeps it symmetric positive semi-definite by construction.
-``_law_table`` computes F on a whole s-grid as one table: composite panels
-whose edges are the grid points, plus the tail [s_max, s_max + L] in unit
-panels, with the nodes ordered from the top down so that every F(s_j) is a
-leading minor of I - W^1/2 A W^1/2.  That kernel has low numerical rank
-(Bornemann 2010): in the r leading eigenvectors of the weighted factor's
-V x V Gram (r from 8 to 75 against up to 1300 nodes) each minor is the
-determinant of one r x r matrix, with the dropped trace bounding the error.
-A second table with twice the nodes on every panel and twice L certifies it
-to TABLE_TOL, and the finer one is returned.  ``fredholm_F`` (one panel on
-[s, s + L], node doubling) stays as the independent per-point oracle.
+``fredholm_F`` (one panel on [s, s + L], node doubling) is the per-point
+oracle of the law.
 
-F is analytic in s (Bornemann 2010), so ``limiting_cdf`` serves every s
-of the desk range [-12, decay point] from ``_law_block(m, k)``: degree-16
-Chebyshev interpolants of F_{2m+1} on the five unit panels from -12 + 5k.
-``_build_law_block`` is their reference builder, from one such table, and
-it certifies what it builds: every panel's last three coefficients (the
-chopping rule of Aurentz and Trefethen 2017) must be under LAW_TAIL_TOL,
-and the interpolant must reproduce the table at two check points per panel
-to LAW_CHECK_TOL, or it raises NodeCountInsufficient.  F is a fixed
-function, so the blocks of the orders the contour evaluator certifies
-(m <= 3: 6, 8 and 11 blocks) and their decay points ship with the package
-in ``law_blocks.npz``, built by that builder (tools/regen_law_blocks.py
-rewrites the file).  ``_shipped_laws`` reads it on first use and checks it:
-its layout must be this module's and neighbouring panels must meet within
-LAW_CHECK_TOL, or it raises LawDataError.  Other orders are built on first
-use.
+F is a fixed function, analytic in s (Bornemann 2010), and ``limiting_cdf``
+serves every s of the desk range [-12, decay point] from the law blocks
+shipped in ``law_blocks.npz``: degree-16 Chebyshev interpolants of F_{2m+1}
+on the five unit panels from -12 + 5k, for the orders the contour
+evaluator certifies (m <= 3: 6, 8 and 11 blocks), with their decay points.
+Their certified reference builder is tools/law_builder.py, and
+tools/regen_law_blocks.py rewrites the file with it.  ``_shipped_laws``
+reads the file on first use and checks it: its layout must be this
+module's and neighbouring panels must meet within LAW_CHECK_TOL, or it
+raises LawDataError.  Other orders raise NoConvergence.
 """
 
 from __future__ import annotations
@@ -88,10 +75,7 @@ INTEGRAND_FLOOR = 1e-18      # tail magnitude required at the truncation point
 KERNEL_FACTOR_FLOOR = 1e-16  # Ai factor size ending the v-integration
 AIRY_NODE_BUDGET = 65536     # most trapezoid nodes one contour batch may use
 TABLE_TOL = 1e-8             # certification tolerance of the F_{2m+1} laws
-LAW_TAIL_TOL = 1e-11         # most a law block panel's last 3 coefficients reach
 LAW_CHECK_TOL = 1e-12        # most a law block may miss its table off its nodes
-RANK_RTOL = 1e-17            # kept eigenvalues of the table's Gram, relative
-RANK_DROP_TOL = 1e-12        # most kernel trace the compressed table may drop
 _CHOLESKY_BLOCK = 256  # columns per np.linalg.cholesky call in _log_minors
 _AIRY_FLOOR_TOL = 1e-10  # most roundoff floor an Airy value may carry
 _DESK_FLOOR = -12.0    # least s of the limit law (the desk range)
@@ -388,54 +372,6 @@ def fredholm_F(order, config=None, s=0.0, check=True):
     return val2
 
 
-def _panel_nodes(width):
-    """Gauss-Legendre nodes on one panel (width <= 1) of the coarse table.
-
-    Measured on [-6, 4] for m = 1, 2, 3, the coarse/fine gap of a grid of
-    such panels stays under 3e-9 (two nodes at width 0.055, m = 1) and falls
-    like width^(2 nodes); six nodes on the unit panels of the tail leave
-    under 5e-12 for every s in [-12, 6].
-    """
-    for top, nodes in ((0.055, 2), (0.22, 3), (0.55, 4)):
-        if width <= top:
-            return nodes
-    return 6
-
-
-def _law_nodes(edges, refine):
-    """Nodes and weights on [edges[-1], edges[0]], ordered from the top down.
-
-    ``edges`` descend; each gap is split into equal panels at most 1 wide,
-    carrying ``refine`` times the nodes of ``_panel_nodes``.  Also returns
-    the number of nodes above each edge after the first.
-    """
-    xs, ws, above = [], [], []
-    count = 0
-    for hi, lo in zip(edges[:-1], edges[1:]):
-        pieces = math.ceil(hi - lo)
-        width = (hi - lo) / pieces
-        nodes, weights = _gauss_legendre(refine * _panel_nodes(width))
-        for j in range(pieces):
-            xs.append(hi - j * width - 0.5 * width * (1.0 + nodes))
-            ws.append(0.5 * width * weights)
-        count += pieces * len(nodes)
-        above.append(count)
-    return np.concatenate(xs), np.concatenate(ws), np.array(above)
-
-
-def _law_factor(m, s, refine):
-    """Weighted Airy factor W^1/2 B of the table on [s_0, s_max + refine L].
-
-    Rows are the ``_law_nodes`` from the top down; also returns the number of
-    rows above each s_j, from s_max down.
-    """
-    top = s[-1] + refine * FredholmConfig().cut_for(m)
-    x, w, above = _law_nodes(np.concatenate(([top], s[::-1])), refine)
-    factor = _kernel_factor(m, x)
-    factor *= np.sqrt(w)[:, None]
-    return factor, above
-
-
 def _swept_factor(block):
     """Column-by-column Cholesky factor of the symmetric ``block`` (its lower
     triangle), and the index of its first pivot <= 0 (None if there is none).
@@ -500,125 +436,10 @@ def _log_minors(mat, orders, tol):
     return np.append(logdet, -np.inf)[orders], info
 
 
-def _leading_minors(p, above):
-    """det(I - P_k P_k^T) for the leading row blocks P_k = p[:k], k in above.
-
-    By Sylvester each is det(I_r - P_k^T P_k): the running r x r
-    complements I_r - P_k^T P_k are stacked and factored by one stacked
-    Cholesky.  If one is not positive definite, the minors come from
-    ``_log_minors`` of the dense I - P P^T over the rows p[:above[-1]]: 0.0
-    past its first pivot <= 0 when the minor before it is under TABLE_TOL
-    (F is monotone, so 0 is then within it), NodeCountInsufficient
-    otherwise.
-    """
-    blocks = np.split(p[:above[-1]], above[:-1])
-    comps = np.empty((len(blocks), p.shape[1], p.shape[1]))
-    comp = np.eye(p.shape[1])
-    for block, out in zip(blocks, comps):
-        comp = np.subtract(comp, block.T @ block, out=out)
-    try:
-        chol = np.linalg.cholesky(comps)
-    except np.linalg.LinAlgError:
-        rows = p[:above[-1]]
-        dense = rows @ -rows.T
-        dense.flat[::len(rows) + 1] += 1.0
-        logdet, failed = _log_minors(dense, above, TABLE_TOL)
-        if logdet is None:
-            raise NodeCountInsufficient(
-                f"I - A not positive definite at node {failed} of {len(rows)}")
-        return np.exp(logdet)
-    return np.exp(2.0 * np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)),
-                               axis=1))
-
-
-def _law_table(m, s):
-    """F_{2m+1}(s_j) = det(1 - A_{2m+1}) on [s_j, infinity), ascending s_j.
-
-    The composite rule covers [s_0, s_max + L]; with its nodes ordered from
-    the top down, F(s_j) is the leading minor of I - F F^T over the nodes
-    above s_j, F = W^1/2 B the weighted N x V Airy factor.  A second table
-    with twice the nodes on every panel and twice L certifies it: the two
-    must agree to TABLE_TOL, and the finer one is returned.
-
-    The Nystrom kernel F F^T has low numerical rank (Bornemann 2010), so
-    both tables are taken in the r leading eigenvectors Q of the fine Gram
-    F^T F (the coarse v-rule is a prefix of the fine one).  With P = F Q,
-    F F^T = P P^T + E splits into two positive semi-definite terms, and
-    tr E = ||F Q_perp||_F^2 is the dropped mass delta.  A determinant
-    det(I - K) with 0 <= K <= I moves by at most the trace of a positive
-    semi-definite change, so every minor moves by at most delta; delta >=
-    RANK_DROP_TOL raises NodeCountInsufficient.  By Sylvester each minor is
-    det(I_r - P_k^T P_k), from a running r x r Gram.
-
-    Cost per table: the live Airy factor values (at most N V), the V x V
-    Gram and the projection (N V^2 each), one V x V eigh and one stacked
-    Cholesky of the r x r complements of all s_j; memory is O(N V + J r^2)
-    for J grid points.  Every product and factor runs in numpy's BLAS, the
-    package's one thread pool: interleaving them with a second BLAS pool
-    doubled the CPU time of ``sample`` on two cores.
-    """
-    fine, fine_above = _law_factor(m, s, 2)
-    lam, vecs = np.linalg.eigh(fine.T @ fine)
-    rank = int(np.count_nonzero(lam > RANK_RTOL * lam[-1]))
-    tables, dropped = [], 0.0
-    for factor, above in ((fine, fine_above), _law_factor(m, s, 1)):
-        proj = factor @ vecs[:factor.shape[1]]
-        dropped = max(dropped, float(np.sum(np.square(proj[:, :-rank]))))
-        tables.append(_leading_minors(proj[:, -rank:], above)[::-1])
-    if dropped >= RANK_DROP_TOL:
-        raise NodeCountInsufficient(
-            f"rank-{rank} Airy factor drops {dropped:.2e} of the kernel trace")
-    gap = float(np.max(np.abs(tables[0] - tables[1])))
-    if gap >= TABLE_TOL:
-        raise NodeCountInsufficient(
-            f"F_{2 * m + 1} table moved by {gap:.2e} under refinement")
-    return tables[0]
-
-
-def _build_law_block(m, k):
-    """Chebyshev coefficients of F_{2m+1} on the _LAW_PANELS unit panels from
-    _DESK_FLOOR + _LAW_PANELS k; the reference builder of the law blocks.
-
-    Filled from one certified ``_law_table`` at the panels' Chebyshev points
-    and at two check points per panel, its quarter points (the midpoint is a
-    node when the point count is odd).  Every panel's last three
-    coefficients must be under LAW_TAIL_TOL, and the interpolant must
-    reproduce the table at the check points to LAW_CHECK_TOL;
-    NodeCountInsufficient otherwise.
-    """
-    lo = _DESK_FLOOR + _LAW_PANELS * k
-    nodes = _cheb_points(lo, _LAW_PANELS)
-    checks = ((lo + np.arange(_LAW_PANELS))[:, None] + np.array([0.25, 0.75])).ravel()
-    points = np.concatenate((nodes.ravel(), checks))
-    order = np.argsort(points)
-    values = np.empty(points.size)
-    values[order] = _law_table(m, points[order])
-    coef = _cheb_coefficients(values[:nodes.size].reshape(nodes.shape))
-    tail = float(np.max(np.abs(coef[-3:])))
-    if tail >= LAW_TAIL_TOL:
-        raise NodeCountInsufficient(
-            f"F_{2 * m + 1} panel coefficients end at {tail:.2e}, not under "
-            f"{LAW_TAIL_TOL:.0e}")
-    fit = _clenshaw(coef, np.repeat(np.arange(_LAW_PANELS), 2),
-                    np.tile([-1.0, 1.0], _LAW_PANELS))
-    miss = float(np.max(np.abs(fit - values[nodes.size:])))
-    if miss >= LAW_CHECK_TOL:
-        raise NodeCountInsufficient(
-            f"F_{2 * m + 1} interpolant misses its check points by {miss:.2e}")
-    return coef
-
 
 def _block_count(decay):
     """Law blocks covering the desk range [_DESK_FLOOR, decay]."""
     return int((decay - _DESK_FLOOR) // _LAW_PANELS) + 1
-
-
-def _build_laws(m):
-    """The decay point of order m and its law blocks over the desk range,
-    stacked as the law file holds them, from the reference builder."""
-    decay = _decay_point(m)
-    return decay, np.stack([_build_law_block(m, k)
-                            for k in range(_block_count(decay))])
 
 
 def _load_laws(source):
@@ -626,7 +447,9 @@ def _load_laws(source):
 
     The file holds the layout scalars ``floor``, ``panels`` and ``degree``,
     the ``orders`` and their ``decay`` points, and per order m an array
-    ``m<m>`` whose k-th entry is ``_law_block(m, k)``.  The layout must be
+    ``m<m>`` whose k-th entry holds the Chebyshev coefficients of
+    F_{2m+1} on the _LAW_PANELS unit panels from _DESK_FLOOR + _LAW_PANELS k
+    (row j the degree-j ones, column p panel p).  The layout must be
     this module's, with one block per _LAW_PANELS unit panels up to the
     decay point; every panel's interpolant must meet the next one's, in its
     block and across blocks, within LAW_CHECK_TOL.  LawDataError otherwise.
@@ -666,26 +489,15 @@ def _shipped_laws():
     return _load_laws(resources.files(__package__) / _LAW_FILE)
 
 
-@lru_cache(maxsize=64)
-def _law_block(m, k):
-    """Read-only Chebyshev coefficients of F_{2m+1} on the _LAW_PANELS unit
-    panels from _DESK_FLOOR + _LAW_PANELS k.
-
-    Shipped for the orders of the law file; ``_build_law_block`` builds
-    the blocks of any other order.
-    """
-    shipped = _shipped_laws().get(m)
-    return _build_law_block(m, k) if shipped is None else shipped[1][k]
-
-
 def limiting_cdf(order, n_cuts, s):
     """Edge law F_{2m+1}(s)^n of an n-cut sea at scalar or array s >= -12.
 
     A scalar gives a float, an array a table of its shape.  F is the
-    interpolant of the ``_law_block`` holding s, shipped or built certified
-    against the table it was filled from; the blocks an s-grid needs are
-    stacked and evaluated by one Clenshaw recurrence.  An s above the decay
-    point of Ai_{2m+1} is taken there, where 1 - F is below 1e-30.
+    interpolant of the law block holding s, read from the law file; the
+    order's blocks are stacked into one row of unit panels and evaluated by
+    one Clenshaw recurrence.  An s above the decay point of Ai_{2m+1} is taken there,
+    where 1 - F is below 1e-30.  An order the law file does not hold raises
+    NoConvergence: the contour evaluator certifies no Ai_{2m+1} for m >= 4.
     """
     m = _order(order)
     n = int(n_cuts)
@@ -694,14 +506,15 @@ def limiting_cdf(order, n_cuts, s):
     s_arr = np.asarray(s, dtype=float)
     if not (s_arr.size and np.all(np.isfinite(s_arr)) and np.min(s_arr) >= _DESK_FLOOR):
         raise ValueError(f"s must be finite and >= {_DESK_FLOOR:g} (desk range)")
-    shipped = _shipped_laws().get(m)
-    decay = _decay_point(m) if shipped is None else shipped[0]
+    laws = _shipped_laws()
+    if m not in laws:
+        raise NoConvergence(f"no certified F_{2 * m + 1} law blocks for m={m}; "
+                            f"the law file holds m in {sorted(laws)}")
+    decay, blocks = laws[m]
+    # column p of the stacked blocks is the unit panel from _DESK_FLOOR + p
     u = np.minimum(s_arr.ravel(), decay) - _DESK_FLOOR
-    block, local = np.divmod(u, _LAW_PANELS)  # fmod: exact, 0 <= local < 5
-    blocks, slot = np.unique(block, return_inverse=True)
-    coef = np.hstack([_law_block(m, int(k)) for k in blocks])
-    panel = local.astype(np.intp)
-    law = _clenshaw(coef, _LAW_PANELS * slot + panel, 4.0 * (local - panel) - 2.0)
+    panel = u.astype(np.intp)
+    law = _clenshaw(np.hstack(blocks), panel, 4.0 * (u - panel) - 2.0)
     # F is a law; the interpolant's roundoff steps out of [0, 1] to -9e-28
     # near s = -9 (m = 1), where F itself is 1e-26, and to 1 + 1.6e-15
     law = np.clip(law, 0.0, 1.0).reshape(s_arr.shape) ** n

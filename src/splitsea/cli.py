@@ -97,22 +97,6 @@ def _csv_out(rows, header, out=None):
         sys.stdout.write(text)
 
 
-def read_csv(path):
-    """Reader matching the writer above: floats parsed back via float()."""
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        rows = []
-        for line in fh:
-            vals = []
-            for tok in line.strip().split(","):
-                try:
-                    vals.append(float(tok))
-                except ValueError:
-                    vals.append(tok)
-            rows.append(vals)
-    return header, rows
-
-
 def _pool_map(fn, items, threads):
     if threads <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
@@ -196,6 +180,7 @@ def _cmd_cdf(args):
     lo, hi, _ = _parse_range("--ell-range", args.ell_range, "ell")
     if lo != int(lo) or hi != int(hi):
         raise ValueError(f"--ell-range takes integers, got {args.ell_range!r}")
+    _desk_size("--ell-range", hi - lo + 1, GRID_POINTS, "rows")
     ells = np.arange(int(lo), int(hi) + 1)
     p = edge_mod.exact_cdf(coeffs, ells)
     s = edge_profile(coeffs).s_of(ells, coeffs.theta)

@@ -52,6 +52,28 @@ class CoefficientBand:
     coeffs: np.ndarray  # J_{-N..N}, index n stored at n + N
 
 
+def _fft_band(log_fn, size, what):
+    """Real Fourier coefficients of exp(log_fn(phi)) from one FFT of ``size``
+    points, n = -size/2 .. size/2 - 1 stored at n + size/2, and their scale.
+
+    BandTooNarrow if their imaginary residue passes 1e-13 times the scale.
+    """
+    phi = 2.0 * math.pi * np.arange(size) / size
+    values = np.exp(log_fn(phi))
+    # fft[k]/size = coefficient of e^{+i n phi} with n = k folded into
+    # [-size/2, size/2); the caller bounds the aliased terms
+    coeffs = np.fft.fft(values) / size
+    half = size // 2
+    folded = np.concatenate([coeffs[half:], coeffs[:half]])
+    # tolerances scale with the coefficient magnitude (symbols of large
+    # coupling have huge but perfectly benign dynamic range)
+    scale = max(1.0, float(np.max(np.abs(folded))))
+    if np.max(np.abs(folded.imag)) > 1e-13 * scale:
+        raise BandTooNarrow(
+            f"{what}: imaginary residue {np.max(np.abs(folded.imag)):.2e}")
+    return folded.real, scale
+
+
 def _fourier_band(log_fn, width_hint, what):
     """Real Fourier coefficients of exp(log_fn(phi)) with tail checks.
 
@@ -60,23 +82,10 @@ def _fourier_band(log_fn, width_hint, what):
     """
     size = 2 ** max(8, math.ceil(math.log2(8.0 * (math.ceil(width_hint) + 64))))
     for _ in range(4):
-        phi = 2.0 * math.pi * np.arange(size) / size
-        values = np.exp(log_fn(phi))
-        # fft[k]/size = coefficient of e^{+i n phi} with n = k folded into
-        # [-size/2, size/2) (aliased terms are below the tail tolerance).
-        coeffs = np.fft.fft(values) / size
-        half = size // 2
-        folded = np.concatenate([coeffs[half:], coeffs[:half]])
-        # tolerances scale with the coefficient magnitude (symbols of large
-        # coupling have huge but perfectly benign dynamic range)
-        scale = max(1.0, float(np.max(np.abs(folded))))
-        if np.max(np.abs(folded.imag)) > 1e-13 * scale:
-            raise BandTooNarrow(
-                f"{what}: imaginary residue {np.max(np.abs(folded.imag)):.2e}")
-        band = folded.real
+        band, scale = _fft_band(log_fn, size, what)
         tail = max(np.max(np.abs(band[:8])), np.max(np.abs(band[-8:])))
         if tail < BAND_TAIL_TOL * scale:
-            return band, half
+            return band, size // 2
         size *= 2
     raise BandTooNarrow(f"{what}: band not captured at grid size {size // 2}")
 
@@ -115,24 +124,24 @@ def coefficient_band(coeffs):
     """Build the Laurent band of exp(theta sum gamma_r (z^r - z^{-r})).
 
     The band stores J_n for |n| <= N only, N from ``_support_half_width``: the
-    Cauchy estimate certifies |J_n| < BAND_SUPPORT_TOL for |n| >= N, so the
-    FFT values dropped beyond N are roundoff.  That roundoff grows with the
-    phase theta G(phi), bounded by 2 theta sum |gamma_r|; a dropped value at
-    or above BAND_TAIL_TOL times that bound (at least 1) raises BandTooNarrow,
-    as does an N past the FFT grid.
+    Cauchy estimate certifies |J_n| < BAND_SUPPORT_TOL for |n| >= N.  One FFT
+    of the least power of two >= max(256, 4 (N + 1)) points takes them: every
+    index it aliases onto |n| <= N lies past 3 N, under the same bound, so
+    the FFT values dropped beyond N are roundoff.  That roundoff grows with
+    the phase theta G(phi), bounded by 2 theta sum |gamma_r|; a dropped value
+    at or above BAND_TAIL_TOL times that bound (at least 1) raises
+    BandTooNarrow.
     """
     coeffs.require_theta()
     gam = coeffs.gammas
     theta = coeffs.theta
+    n = _support_half_width(theta, gam)
     # on the circle F(e^{i phi}) = exp(i theta G(phi)), G the antiderivative of D
     log_f = lambda phi: 1j * theta * eval_dispersion(coeffs, phi, order=-1)
-    width = theta * sum(r * abs(g) for r, g in enumerate(gam, start=1))
-    band, half = _fourier_band(log_f, width, "coefficient band")
+    size = max(256, 1 << (4 * n + 3).bit_length())  # least 2^j >= 4 (N + 1)
+    band, _ = _fft_band(log_f, size, "coefficient band")
     # stored as J_{-half}..J_{half-1}; keep the certified window J_{-n}..J_n
-    n = _support_half_width(theta, gam)
-    if n >= half:
-        raise BandTooNarrow(
-            f"certified support {n} passes the FFT grid half-width {half}")
+    half = size // 2
     dropped = np.concatenate([band[:half - n], band[half + n + 1:]])
     phase = 2.0 * theta * sum(abs(g) for g in gam)
     if np.max(np.abs(dropped)) >= BAND_TAIL_TOL * max(1.0, phase):
@@ -148,7 +157,7 @@ def coefficient_band(coeffs):
 
 def _half_int(k, name="index"):
     v = float(k)
-    twice = round(2.0 * v)
+    twice = round(2.0 * v) if math.isfinite(v) else 0  # even: refused below
     if abs(2.0 * v - twice) > 1e-9 or twice % 2 == 0:
         raise ValueError(f"{name}={k!r} is not a half-integer")
     return (twice - 1) // 2  # k = k_int + 1/2

@@ -446,76 +446,3 @@ def _edge_profile(gammas):
     n_cuts = fermi_sea(coeffs, b - eps).cuts
     return EdgeProfile(b=b, b_tilde=b_tilde, maximizers=tuple(maximizers),
                        n_cuts=n_cuts)
-
-
-def quadratic_fermi_sea_oracle(gamma2, x):
-    """Closed-form Fermi sea for gamma = (1, gamma2), all higher weights zero.
-
-    The boundaries are arccos of the roots of y -> 8 g y^2 + 2 y - 4 g - x,
-    split into three regimes by g = +-1/8.  Serves as an independent oracle
-    for :func:`fermi_sea` on this two-parameter family.
-    """
-    g = float(gamma2)
-    x = float(x)
-
-    def sea(intervals, tangential=()):
-        bounds = tuple(v for ab in intervals for v in ab)
-        return FermiSea(x=x, boundaries=bounds, cuts=_count_cuts(intervals),
-                        tangential=tuple(tangential))
-
-    if g == 0.0:
-        if x < -2.0:
-            return sea([(0.0, math.pi)])
-        if x >= 2.0:
-            return sea([], tangential=(0.0,) if x == 2.0 else ())
-        return sea([(0.0, math.acos(x / 2.0))],
-                   tangential=(math.pi,) if x == -2.0 else ())
-
-    disc = max(1.0 + 8.0 * x * g + 32.0 * g * g, 0.0)
-
-    def _acos(y):
-        return math.acos(min(1.0, max(-1.0, y)))
-
-    def y_plus():
-        return (-1.0 + math.sqrt(disc)) / (8.0 * g)
-
-    def y_minus():
-        return (-1.0 - math.sqrt(disc)) / (8.0 * g)
-
-    if -0.125 <= g <= 0.125:
-        # single sea throughout the bulk [4g-2, 4g+2]
-        if x < 4.0 * g - 2.0:
-            return sea([(0.0, math.pi)])
-        if x >= 4.0 * g + 2.0:
-            return sea([], tangential=(0.0,) if x == 4.0 * g + 2.0 else ())
-        tang = (math.pi,) if x == 4.0 * g - 2.0 else ()
-        return sea([(0.0, _acos(y_plus()))], tangential=tang)
-
-    if g < -0.125:
-        # split at the right edge: two cuts on (4g+2, b), b = -(1+32g^2)/(8g)
-        b = -(1.0 + 32.0 * g * g) / (8.0 * g)
-        if x < 4.0 * g - 2.0:
-            return sea([(0.0, math.pi)])
-        if x >= b:
-            chi_b = _acos(-1.0 / (8.0 * g))
-            return sea([], tangential=(chi_b,) if x == b else ())
-        if x <= 4.0 * g + 2.0:
-            tang = []
-            if x == 4.0 * g - 2.0:
-                tang.append(math.pi)
-            if x == 4.0 * g + 2.0:
-                tang.append(0.0)
-            return sea([(0.0, _acos(y_plus()))], tangential=tang)
-        return sea([(_acos(y_minus()), _acos(y_plus()))])
-
-    # g > 1/8: split at the left edge; two cuts on (min D, 4g-2)
-    lo = -(1.0 + 32.0 * g * g) / (8.0 * g)
-    if x <= lo:
-        chi_min = _acos(-1.0 / (8.0 * g))
-        return sea([(0.0, math.pi)], tangential=(chi_min,) if x == lo else ())
-    if x >= 4.0 * g + 2.0:
-        return sea([], tangential=(0.0,) if x == 4.0 * g + 2.0 else ())
-    if x >= 4.0 * g - 2.0:
-        tang = (math.pi,) if x == 4.0 * g - 2.0 else ()
-        return sea([(0.0, _acos(y_plus()))], tangential=tang)
-    return sea([(0.0, _acos(y_plus())), (_acos(y_minus()), math.pi)])

