@@ -132,6 +132,8 @@ def _cmd_density(args):
 
 
 def _cmd_kernel(args):
+    for flag, site in (("--k", args.k), ("--l", args.l)):
+        kernel_mod._half_int(site, flag)
     coeffs = HoppingCoefficients(args.gamma, theta=args.theta)
     band = kernel_mod.coefficient_band(coeffs)
     value = kernel_mod.kernel_eval(band, args.k, args.l)
@@ -190,11 +192,21 @@ def _cmd_cdf(args):
 
 
 def _cmd_converge(args):
-    thetas = [float(t) for t in args.thetas.split(",")]
+    try:
+        thetas = [float(t) for t in args.thetas.split(",")]
+    except ValueError:
+        raise ValueError(f"--thetas takes comma-separated couplings, "
+                         f"got {args.thetas!r}") from None
     for theta in thetas:
         HoppingCoefficients(args.gamma, theta=theta).require_theta()
     profile = edge_profile(HoppingCoefficients(args.gamma))
-    power = profile.n_cuts if args.power == "auto" else int(args.power)
+    try:
+        power = profile.n_cuts if args.power == "auto" else int(args.power)
+    except ValueError:
+        power = 0
+    if power < 1:
+        raise ValueError(f"--power takes auto or an integer >= 1, "
+                         f"got {args.power!r}")
     s_grid = np.linspace(-6.0, 4.0, 101)
     limit = airy_mod.limiting_cdf(profile.principal.m, power, s_grid)
 
@@ -220,6 +232,8 @@ def _cmd_converge(args):
 
 
 def _cmd_sample(args):
+    if args.n < 1:  # the sampler's own message, under the flag's name
+        raise ValueError(f"-n: n_samples must be a positive integer, got {args.n}")
     _desk_size("-n", args.n, SAMPLE_DRAWS, "draws")
     coeffs = HoppingCoefficients(args.gamma, theta=args.theta)
     coeffs.require_theta()
@@ -244,6 +258,8 @@ def _cmd_unitary_density(args):
 
 def _cmd_unitary_mc(args):
     _desk_size("--bins", args.bins, GRID_POINTS, "bins", 1)
+    if args.ell < 1:  # the chain's own message, under the flag's name
+        raise ValueError(f"--ell: ell must be a positive integer, got {args.ell}")
     _desk_size("--ell", args.ell, CHAIN_ELL, "angles")
     _desk_size("--sweeps", args.sweeps * args.ell, CHAIN_ANGLES,
                "angles (sweeps times ell)")

@@ -14,7 +14,7 @@ log-determinant is exactly theta^2 sum_r r gamma_r^2
 making P -> 1 as ell grows.
 
 The same law is the discrete Fredholm determinant det(I - K) over the sites
-{ell + 1/2, ...} (with a certified dropped trace), the large-coupling route.
+{ell + 1/2, ...} up to the least certified cut, the large-coupling route.
 Either route gets a whole table of ell from one Cholesky factor's minors.
 
 The edge scaling is one affine map on ``EdgeProfile``: ``s_of`` sends ell
@@ -32,7 +32,7 @@ import math
 import numpy as np
 
 from .airy import _log_minors, limiting_cdf
-from .errors import NotPositiveDefinite, WindowTooSmall
+from .errors import NotPositiveDefinite
 from .kernel import (_fourier_band, coefficient_band, kernel_matrix,
                      tail_trace)
 from .potential import HoppingCoefficients, edge_profile
@@ -57,10 +57,13 @@ def symbol_coeffs(coeffs, n_max):
 def toeplitz_cdf(coeffs, ell):
     """P(k_max < ell) from the first ell log-pivots of one Cholesky factor.
 
-    ``ell`` is an integer or array; one factor of T_max(ell) serves them all.
-    det T_0 = 1, and P = 0 for ell < 0 because k_max >= -1/2.
+    ``ell`` is an integer or array; one factor of T_max(ell) serves them all
+    (an empty array gives an empty table).  det T_0 = 1, and P = 0 for
+    ell < 0 because k_max >= -1/2.
     """
     ells = np.atleast_1d(ell).astype(np.int64)
+    if ells.size == 0:
+        return np.zeros(ells.shape)
     top = max(int(ells.max()), 0)
     if top > MAX_TABLE_DIM:
         raise ValueError(f"ell capped at {MAX_TABLE_DIM} at desk scale")
@@ -81,28 +84,28 @@ def toeplitz_cdf(coeffs, ell):
     return float(p[0]) if np.ndim(ell) == 0 else p
 
 
-def fredholm_cdf_check(coeffs, ell, trace_tol=1e-12, max_window=512):
+def fredholm_cdf_check(coeffs, ell, trace_tol=1e-12):
     """P(k_max < ell) as det(I - K) on the sites above ell (integer or array).
 
     The large-coupling route and the Toeplitz oracle.  The window [min ell,
-    top = max ell + W) grows W until the exact tail trace above top is under
-    ``trace_tol``; with sites ordered down from top, each row is a leading
-    minor of one Cholesky factor of I - K, whose pivots are <= 1 - K(k, k)
-    <= 1.  Rows past a pivot <= 0 (roundoff deep below the edge) lie in
-    [0, last minor] and are 0.0 when that minor is under ``trace_tol``.
-    P = 0 for ell < 0 because k_max >= -1/2; the window stops at site 1/2.
-    A window of more than MAX_TABLE_DIM sites is a ValueError.
+    top) ends at max ell or, if higher, the least cut whose exact tail trace
+    (0 at the band's end) is under a positive finite ``trace_tol``; with
+    sites ordered down from top, each row is a leading minor of one Cholesky
+    factor of I - K, whose pivots are <= 1 - K(k, k) <= 1.  Rows past a
+    pivot <= 0 (roundoff deep below the edge) lie in [0, last minor] and are
+    0.0 when that minor is under ``trace_tol``.  P = 0 for ell < 0 because
+    k_max >= -1/2; the window stops at site 1/2.  A window of more than
+    MAX_TABLE_DIM sites is a ValueError; an empty ``ell`` an empty table.
     """
+    if not 0.0 < trace_tol < math.inf:
+        raise ValueError(f"trace_tol={trace_tol!r} is not positive and finite")
     ells = np.atleast_1d(ell).astype(np.int64)
+    if ells.size == 0:
+        return np.zeros(ells.shape)
     rows = np.maximum(ells, 0)
     band = coefficient_band(coeffs)
-    w = 64
-    while w <= max_window and tail_trace(band, int(rows.max()) + w) >= trace_tol:
-        w *= 2
-    if w > max_window:
-        raise WindowTooSmall(
-            f"tail trace above ell+{max_window} still exceeds {trace_tol}")
-    top = int(rows.max()) + w
+    certified = tail_trace(band, np.arange(band.half_width + 1)) < trace_tol
+    top = max(int(rows.max()), int(np.argmax(certified)))
     size = top - int(rows.min())
     if size > MAX_TABLE_DIM:
         raise ValueError(f"Fredholm window of {size} sites > {MAX_TABLE_DIM}")

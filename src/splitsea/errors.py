@@ -43,10 +43,6 @@ class NotPositiveDefinite(SplitSeaError):
     I - K) failed Cholesky above its tolerance, or a Toeplitz row overshoots 1."""
 
 
-class WindowTooSmall(SplitSeaError):
-    """Discrete Fredholm window cannot meet the dropped-trace bound."""
-
-
 class LeakageTooLarge(SplitSeaError):
     """Sampling window truncation leaks too much mass."""
 

@@ -26,7 +26,7 @@ it approaches the order-m Airy kernel times an oscillating factor
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,6 +40,10 @@ QUAD_TOL = 1e-10
 QUAD_EPS = 0.05
 QUAD_MAX_NODES = 2 ** 14  # its doublings take 0.03 s at theta = 150
 MATRIX_BLOCK = 2 ** 16  # entries of the index arrays one kernel_matrix block holds
+# desk-scale cap on the band's half-width N, so its FFT has at most 2^20
+# points: the widest band measured to build has N = 182 672 (twelve equal
+# weights, theta = 1150); gamma = (1,) raises BandTooNarrow by N = 42 065
+MAX_BAND_HALF_WIDTH = 2 ** 18
 
 
 @dataclass(frozen=True)
@@ -117,7 +121,8 @@ def _support_half_width(theta, gammas):
             lo = mid
         else:
             t = mid
-    return math.floor((h(t) + c) / t) + 1
+    width = (h(t) + c) / t  # inf once 2 theta |gamma_r| overflows
+    return math.floor(width) + 1 if math.isfinite(width) else math.inf
 
 
 def coefficient_band(coeffs):
@@ -130,12 +135,16 @@ def coefficient_band(coeffs):
     the FFT values dropped beyond N are roundoff.  That roundoff grows with
     the phase theta G(phi), bounded by 2 theta sum |gamma_r|; a dropped value
     at or above BAND_TAIL_TOL times that bound (at least 1) raises
-    BandTooNarrow.
+    BandTooNarrow.  N over MAX_BAND_HALF_WIDTH is a ValueError naming theta,
+    raised before anything is allocated.
     """
     coeffs.require_theta()
     gam = coeffs.gammas
     theta = coeffs.theta
     n = _support_half_width(theta, gam)
+    if n > MAX_BAND_HALF_WIDTH:
+        raise ValueError(f"theta={theta!r} needs a coefficient band of "
+                         f"half-width {n:.6g} > {MAX_BAND_HALF_WIDTH}")
     # on the circle F(e^{i phi}) = exp(i theta G(phi)), G the antiderivative of D
     log_f = lambda phi: 1j * theta * eval_dispersion(coeffs, phi, order=-1)
     size = max(256, 1 << (4 * n + 3).bit_length())  # least 2^j >= 4 (N + 1)
@@ -228,13 +237,18 @@ def tail_trace(band, above, below=None):
     """Exact mass dropped by keeping only the sites k with below < k < above.
 
     sum_{k > above} K(k, k) = sum_i max(i - above, 0) J_i^2, plus, with
-    ``below``, sum_{k < below} (1 - K(k, k)) = sum_i max(below - i, 0) J_i^2.
+    ``below``, sum_{k < below} (1 - K(k, k)) = sum_i max(below - i, 0) J_i^2,
+    at integer cuts or arrays of them, from two reverse cumulative sums.
     """
-    i = np.arange(-band.half_width, band.half_width + 1)
-    weight = np.maximum(i - int(above), 0)
-    if below is not None:
-        weight = weight + np.maximum(int(below) - i, 0)
-    return float(np.dot(weight, band.coeffs * band.coeffs))
+    if below is not None:  # the left side: the right side of the mirrored band
+        mirror = replace(band, coeffs=band.coeffs[::-1])
+        return tail_trace(band, above) + tail_trace(mirror, np.negative(below))
+    mass = np.cumsum((band.coeffs ** 2)[::-1])[::-1]  # sum_{i >= j} J_i^2
+    dropped = np.append(np.cumsum(mass[::-1])[::-1], 0.0)
+    # the cut a drops j > a, at a + 1 + N; below the band each j drops mass[0]
+    k = np.asarray(above).astype(np.int64) + band.half_width + 1
+    out = dropped[np.clip(k, 0, len(mass))] + np.maximum(-k, 0) * mass[0]
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def _contour_factors(coeffs, n1, n2, m):

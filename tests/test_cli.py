@@ -189,6 +189,19 @@ G = ("--gamma", "1,-0.3333333333")
      "k=nan is not a half-integer"),
     (("cdf", "--gamma", "1", "--theta", "2", "--ell-range", "0:1e12"),
      "--ell-range"),
+    # a 64 GiB coefficient band
+    (("cdf", "--gamma", "1", "--theta", "1e9", "--ell-range", "0:3"),
+     "theta=1000000000.0"),
+    # said "could not convert string to float: ''" or named no flag
+    (("converge",) + G + ("--thetas", "20,,40"), "--thetas"),
+    (("converge",) + G + ("--thetas", "20", "--power", "x"), "--power"),
+    (("converge",) + G + ("--thetas", "20", "--power", "0"), "--power"),
+    (("kernel", "--gamma", "1", "--theta", "2", "--k", "0.5", "--l", "inf"),
+     "--l=inf is not a half-integer"),
+    (("sample",) + G + ("--theta", "40", "-n", "0"),
+     "-n: n_samples must be a positive integer"),
+    (("unitary-mc",) + G + ("--theta", "10.9", "--ell", "0"),
+     "--ell: ell must be a positive integer"),
 ])
 def test_malformed_or_empty_grid_is_config_error(capsys, argv, flag):
     # these truncated, replaced a zero step, printed a bare header, or ran
@@ -196,6 +209,18 @@ def test_malformed_or_empty_grid_is_config_error(capsys, argv, flag):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("config error") and flag in err
+
+
+def test_cdf_table_needing_a_window_past_512_sites_runs(capsys):
+    # the certified window ends some 650 sites up; a window capped at 512
+    # sites above the top row once refused this table (exit 3)
+    code, out, err = run(capsys, "cdf", "--gamma", "1", "--theta", "300",
+                         "--ell-range", "0:100")
+    assert code == 0 and err == ""
+    rows = np.array([line.split(",") for line in out.splitlines()[1:]],
+                    dtype=float)
+    assert rows[:, 0].tolist() == list(range(101))
+    assert np.all((rows[:, 1] >= 0.0) & (rows[:, 1] <= 1e-12))
 
 
 def test_readme_command_lines_parse():

@@ -1,6 +1,7 @@
 """Edge distribution: symbol, Toeplitz/Fredholm routes, scaling studies."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 from splitsea.edge import (exact_cdf, fredholm_cdf_check, oscillation_average,
                            scaled_convergence_study, symbol_coeffs,
                            toeplitz_cdf)
-from splitsea.errors import NotPositiveDefinite, WindowTooSmall
-from splitsea.kernel import coefficient_band, kernel_matrix
+from splitsea.errors import NotPositiveDefinite
+from splitsea.kernel import coefficient_band, kernel_matrix, tail_trace
 from splitsea.potential import HoppingCoefficients, edge_profile
 from splitsea.schur import brute_cdf_first_part
 from conftest import bessel_i
@@ -84,12 +85,6 @@ def test_fredholm_first_order_tail():
         assert 1.0 - p == pytest.approx(trace, rel=0.05)
 
 
-def test_fredholm_window_guard():
-    c = HoppingCoefficients((1.0, -1.0 / 3.0), theta=5.0)
-    with pytest.raises(WindowTooSmall):
-        fredholm_cdf_check(c, 1, max_window=8)
-
-
 def test_fredholm_window_is_capped_before_it_is_built(monkeypatch):
     # 0:5000 at theta = 20 used to factor a dense window of 5064 sites
     import splitsea.edge as edge_mod
@@ -98,11 +93,11 @@ def test_fredholm_window_is_capped_before_it_is_built(monkeypatch):
         raise AssertionError("window matrix built past the cap")
 
     monkeypatch.setattr(edge_mod, "kernel_matrix", unbuilt)
-    with pytest.raises(ValueError, match="Fredholm window of 4164 sites > 4096"):
+    with pytest.raises(ValueError, match="Fredholm window of 4100 sites > 4096"):
         fredholm_cdf_check(HoppingCoefficients((1.0,), theta=20.0), np.array([0, 4100]))
 
 
-@given(st.floats(-0.45, 0.45), st.sampled_from([10.0, 20.0, 40.0]))
+@given(st.floats(-0.45, 0.45), st.sampled_from([10.0, 20.0, 40.0, 80.0, 200.0]))
 @settings(max_examples=15, deadline=None)
 def test_fredholm_table_matches_per_row_determinants(g2, theta):
     c = HoppingCoefficients((1.0, g2), theta=theta)
@@ -111,12 +106,49 @@ def test_fredholm_table_matches_per_row_determinants(g2, theta):
     ells = np.arange(max(1, math.floor(edge - 5.0 * scale)),
                      math.ceil(edge + 4.0 * scale))
     band = coefficient_band(c)
+    # each row's own determinant runs to 64 sites past the top row (64 sites
+    # above each row leave up to 5e-4 of trace at theta = 200); the table
+    # moves a row by up to its dropped trace, held an order under the bound
+    top = ells[-1] + 64
     ref = []
     for ell in ells:
-        sign, logdet = np.linalg.slogdet(
-            np.eye(64) - kernel_matrix(band, ell + 0.5 + np.arange(64)))
+        sites = ell + 0.5 + np.arange(top - ell)
+        sign, logdet = np.linalg.slogdet(np.eye(len(sites))
+                                         - kernel_matrix(band, sites))
         ref.append(sign * math.exp(logdet))
-    assert np.max(np.abs(fredholm_cdf_check(c, ells) - ref)) < 1e-12
+    table = fredholm_cdf_check(c, ells, trace_tol=1e-13)
+    assert np.max(np.abs(table - ref)) < 1e-12
+
+
+@given(st.floats(-0.45, 0.45), st.floats(0.5, 200.0),
+       st.lists(st.integers(-3, 500), min_size=1, max_size=6))
+@settings(max_examples=30, deadline=None)
+def test_fredholm_window_is_the_least_certified_one(g2, theta, ells):
+    c = HoppingCoefficients((1.0, g2), theta=theta)
+    band = coefficient_band(c)
+    rows = np.maximum(ells, 0)
+    with mock.patch("splitsea.edge.kernel_matrix", wraps=kernel_matrix) as spy:
+        fredholm_cdf_check(c, np.array(ells))
+    (_, sites), = [call.args for call in spy.call_args_list]
+    top = sites[0] + 0.5 if len(sites) else rows.max()
+    assert np.array_equal(sites, top - 0.5 - np.arange(top - rows.min()))
+    assert tail_trace(band, top) < 1e-12
+    assert top == rows.max() or tail_trace(band, top - 1) >= 1e-12
+
+
+def test_empty_ell_gives_an_empty_table():
+    for theta in (2.0, 40.0):  # the Toeplitz and the Fredholm route
+        c = HoppingCoefficients((1.0, -1.0 / 3.0), theta=theta)
+        for table in (exact_cdf, fredholm_cdf_check, toeplitz_cdf):
+            p = table(c, np.array([], dtype=np.int64))
+            assert p.shape == (0,) and p.dtype == float
+
+
+def test_fredholm_trace_tol_must_be_positive_and_finite():
+    c = HoppingCoefficients((1.0,), theta=20.0)
+    for tol in (0.0, -1e-12, math.inf, math.nan):
+        with pytest.raises(ValueError, match="trace_tol"):
+            fredholm_cdf_check(c, 40, trace_tol=tol)
 
 
 @given(st.floats(-0.45, 0.45), st.floats(0.05, 3.0))

@@ -1,6 +1,7 @@
 """Exact kernel: band construction, series vs quadrature, scaling limits."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -10,9 +11,10 @@ from hypothesis import strategies as st
 
 import splitsea.kernel as kernel_mod
 from splitsea.errors import BandTooNarrow, UnsupportedEdge
-from splitsea.kernel import (BAND_SUPPORT_TOL, BAND_TAIL_TOL, QUAD_EPS,
-                             CoefficientBand, _contour_factors, _contour_sum,
-                             _fft_band, _half_int, _support_half_width,
+from splitsea.kernel import (BAND_SUPPORT_TOL, BAND_TAIL_TOL,
+                             MAX_BAND_HALF_WIDTH, QUAD_EPS, CoefficientBand,
+                             _contour_factors, _contour_sum, _fft_band,
+                             _half_int, _support_half_width,
                              coefficient_band, edge_prediction, kernel_eval,
                              kernel_eval_quadrature, kernel_matrix,
                              local_sine_prediction, tail_trace)
@@ -267,6 +269,20 @@ def test_band_refuses_a_support_it_cannot_certify(monkeypatch):
         coefficient_band(c)
 
 
+def test_band_past_the_desk_bound_is_refused_before_any_fft(monkeypatch):
+    # theta = 3e5 ran a 2^22-point FFT only to raise BandTooNarrow, 1e9 asked
+    # for 64 GiB, and 1e308 overflowed the support estimate
+    def unbuilt(*args):
+        raise AssertionError("FFT run past the desk bound")
+
+    monkeypatch.setattr(kernel_mod, "_fft_band", unbuilt)
+    for theta in (3e5, 1e9, 1e300, 1e308):
+        with pytest.raises(ValueError, match=re.escape(f"theta={theta!r}")):
+            coefficient_band(HoppingCoefficients((1.0,), theta=theta))
+    # the widest band measured to build (twelve equal weights) stays under it
+    assert _support_half_width(1150.0, (1.0,) * 12) <= MAX_BAND_HALF_WIDTH
+
+
 def test_tail_trace_is_the_dropped_diagonal():
     band = coefficient_band(HoppingCoefficients((1.0, -1.0 / 3.0), theta=3.0))
     n = band.half_width
@@ -277,6 +293,19 @@ def test_tail_trace_is_the_dropped_diagonal():
     # the reference adds ~2n terms 1 - K(k, k), each rounded to ~1e-16
     assert tail_trace(band, 4, below=-6) == pytest.approx(right + left,
                                                           abs=1e-12)
+    # arrays of cuts, past both ends of the band too, give the per-cut sums,
+    # and nothing is dropped from the band's end N up
+    i = np.arange(-n, n + 1)
+    squares = band.coeffs * band.coeffs
+    cuts = np.arange(-n - 4, n + 5)
+    right = [np.dot(np.maximum(i - a, 0), squares) for a in cuts]
+    assert tail_trace(band, cuts) == pytest.approx(right, rel=1e-14, abs=0.0)
+    assert not np.any(tail_trace(band, cuts[cuts >= n]))
+    for below in (cuts - 7, np.full(cuts.shape, n + 3)):
+        both = [np.dot(np.maximum(i - a, 0) + np.maximum(b - i, 0), squares)
+                for a, b in zip(cuts, below)]
+        assert tail_trace(band, cuts, below) == pytest.approx(both, rel=1e-14,
+                                                              abs=0.0)
 
 
 def test_operator_contraction(rng):
