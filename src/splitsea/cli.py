@@ -197,8 +197,6 @@ def _cmd_converge(args):
     except ValueError:
         raise ValueError(f"--thetas takes comma-separated couplings, "
                          f"got {args.thetas!r}") from None
-    for theta in thetas:
-        HoppingCoefficients(args.gamma, theta=theta).require_theta()
     profile = edge_profile(HoppingCoefficients(args.gamma))
     try:
         power = profile.n_cuts if args.power == "auto" else int(args.power)
@@ -236,7 +234,6 @@ def _cmd_sample(args):
         raise ValueError(f"-n: n_samples must be a positive integer, got {args.n}")
     _desk_size("-n", args.n, SAMPLE_DRAWS, "draws")
     coeffs = HoppingCoefficients(args.gamma, theta=args.theta)
-    coeffs.require_theta()
     scale = edge_profile(coeffs).scale(coeffs.theta)
     report = sampler_mod.empirical_edge_law(coeffs, args.n, args.seed)
     if args.out:

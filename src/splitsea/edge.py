@@ -42,7 +42,6 @@ MAX_TABLE_DIM = 4096  # desk-scale cap on a Toeplitz or Fredholm matrix's order
 
 def symbol_coeffs(coeffs, n_max):
     """Fourier coefficients f_{-n_max}..f_{n_max} of the Toeplitz symbol."""
-    coeffs.require_theta()
     width = 2.0 * coeffs.theta * sum(r * abs(g) for r, g in
                                      enumerate(coeffs.gammas, start=1))
     band, half = _fourier_band(coeffs.log_symbol, width, "Toeplitz symbol")

@@ -138,7 +138,6 @@ def coefficient_band(coeffs):
     BandTooNarrow.  N over MAX_BAND_HALF_WIDTH is a ValueError naming theta,
     raised before anything is allocated.
     """
-    coeffs.require_theta()
     gam = coeffs.gammas
     theta = coeffs.theta
     n = _support_half_width(theta, gam)
@@ -299,7 +298,6 @@ def kernel_eval_quadrature(coeffs, k, ell):
     cancellation at large theta (about 150 for gamma = (1,)) keeps the sums
     apart and NoConvergence is raised past QUAD_MAX_NODES.
     """
-    coeffs.require_theta()
     n1 = -_half_int(k, "k")        # z-exponent: z^{1/2 - k}
     n2 = _half_int(ell, "ell") + 1  # w-exponent: w^{ell + 1/2}
     prev = None

@@ -58,9 +58,11 @@ _MAX_SOLVER_STEPS = 200        # bisection alone ends well inside this
 class HoppingCoefficients:
     """Finite real hopping weights plus the coupling strength.
 
-    Trailing zero weights are trimmed.  ``theta`` is only meaningful for the
-    measure/kernel side of the package; the geometric operations in this
-    module ignore it.
+    Trailing zero weights are trimmed.  Every construction checks the model:
+    the weights must be finite with a finite amplitude sum_r 2 r |gamma_r|
+    of D, and ``theta`` finite and >= 0, where theta = 0 is the domain-wall
+    limit; ValueError otherwise.  The geometric operations in this module
+    ignore ``theta``.
     """
 
     gammas: tuple = ()
@@ -68,21 +70,20 @@ class HoppingCoefficients:
 
     def __post_init__(self):
         g = tuple(float(v) for v in self.gammas)
-        if not all(math.isfinite(v) for v in g):
-            raise ValueError(f"hopping weights must be finite; got {g}")
         while g and g[-1] == 0.0:
             g = g[:-1]
         object.__setattr__(self, "gammas", g)
         object.__setattr__(self, "theta", float(self.theta))
+        # nan or inf for a non-finite weight, inf where finite ones overflow
+        if not math.isfinite(_derivative_scale(self, 0)):
+            raise ValueError(f"hopping weights must be finite, and so must the amplitude "
+                             f"sum_r 2 r |gamma_r| of D; got {g}")
+        if not (self.theta >= 0.0 and math.isfinite(self.theta)):
+            raise ValueError("theta must be a nonnegative real for measure/kernel operations")
 
     @property
     def degree(self):
         return len(self.gammas)
-
-    def require_theta(self):
-        # theta = 0 is allowed as the exact degenerate (domain wall) limit
-        if not self.theta >= 0.0 or not math.isfinite(self.theta):
-            raise ValueError("theta must be a nonnegative real for measure/kernel operations")
 
     def miwa_times(self):
         """Miwa times theta*gamma_r driving the measure side."""
@@ -269,7 +270,8 @@ def _polish_root(coeffs, x, lo, hi, rising):
     Guarded Newton from the midpoint: each iterate shrinks the bracket by
     the sign of D - x there, and a step that leaves the bracket bisects it.
     It stops once a step is a few ulps or the bracket ends are adjacent
-    doubles.  The root must meet ROOT_RESIDUAL_TOL unless D' is under
+    doubles.  The root must meet ROOT_RESIDUAL_TOL, or D's own roundoff
+    4 eps sum_r 2 r |gamma_r| where that is larger, unless D' is under
     TANGENT_SLOPE_TOL there; SolverFailure otherwise.
     """
     f = lambda t: eval_dispersion(coeffs, t) - x
@@ -290,7 +292,8 @@ def _polish_root(coeffs, x, lo, hi, rising):
         root = newton if lo < newton < hi else 0.5 * (lo + hi)
         if math.nextafter(lo, hi) >= hi:
             break
-    if abs(f(root)) > ROOT_RESIDUAL_TOL and \
+    gate = max(ROOT_RESIDUAL_TOL, 4.0 * np.finfo(float).eps * _derivative_scale(coeffs, 0))
+    if abs(f(root)) > gate and \
             abs(eval_dispersion(coeffs, root, order=1)) > TANGENT_SLOPE_TOL:
         raise SolverFailure(
             f"boundary residual {abs(f(root)):.3e} at chi={root!r} for x={x!r}")

@@ -100,7 +100,6 @@ def schur(parts, times):
 
 def measure_weight(parts, coeffs):
     """Probability of the partition under the squared-Schur measure."""
-    coeffs.require_theta()
     s = schur(parts, coeffs.miwa_times())
     return math.exp(-coeffs.szego_constant()) * s * s
 

@@ -223,7 +223,6 @@ def metropolis_chain(gammas, theta, ell, sweeps, seed):
     are bit-for-bit those of a direct recomputation of every pair term.
     """
     coeffs = HoppingCoefficients(gammas, theta=theta)
-    coeffs.require_theta()
     ell, sweeps = int(ell), int(sweeps)
     if ell < 1:
         raise ValueError(f"ell must be a positive integer; got {ell}")

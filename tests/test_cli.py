@@ -276,6 +276,17 @@ def test_density_csv_roundtrip(tmp_path, capsys):
     assert out.read_text() == again.read_text()
 
 
+def test_density_of_large_weights_meets_the_roundoff_scaled_gate(tmp_path, capsys):
+    # D's amplitude is 2e4 + 1.2, so its roundoff exceeds an absolute 1e-12
+    # residual gate: this exited 3 with "boundary residual 1.736e-12"
+    out = tmp_path / "density.csv"
+    code, _, _ = run(capsys, "density", "--gamma", "1e4,-0.3", "--xmin", "-1",
+                     "--xmax", "1", "--steps", "50", "--out", str(out))
+    assert code == 0
+    _, rows = read_csv(str(out))
+    assert len(rows) == 50 and np.all(np.isfinite(rows))
+
+
 def test_kernel_command_and_negative_tokens(capsys):
     code, out, _ = run(capsys, "kernel", "--gamma", "1,-0.3333333333",
                        "--theta", "0.5", "--k", "-0.5", "--l", "-0.5")
@@ -498,6 +509,20 @@ MC = ("unitary-mc", "--gamma", "1,-0.3333333333")
     (("sample", "--gamma", "1,-0.3333333333", "--theta", "0", "-n", "3"),
      "theta > 0"),
     (("converge", "--gamma", "1,-0.3333333333", "--thetas", "0"), "theta > 0"),
+    # the model is checked where it is built: these reached the check only
+    # through a library call, and D's amplitude 2e308 printed nan in density
+    # and a SolverFailure (exit 3) in analyze
+    (("kernel", "--gamma", "1", "--theta", "-1", "--k", "0.5", "--l", "0.5"),
+     "theta must be a nonnegative real"),
+    (("kernel-profile", "--gamma", "1", "--theta", "nan", "--window", "0:4"),
+     "theta must be a nonnegative real"),
+    (("oracle", "cdf", "--gamma", "1", "--theta", "-1", "--ell", "2"),
+     "theta must be a nonnegative real"),
+    (("cdf", "--gamma", "1", "--theta", "inf", "--ell-range", "0:3"),
+     "theta must be a nonnegative real"),
+    (("density", "--gamma", "1e308", "--xmin", "0", "--xmax", "1", "--steps", "3"),
+     "hopping weights must be finite"),
+    (("analyze", "--gamma", "1e308"), "hopping weights must be finite"),
 ])
 def test_bad_coupling_or_chain_length_is_config_error(capsys, argv, message):
     code, out, err = run(capsys, *argv)

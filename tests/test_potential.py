@@ -283,6 +283,34 @@ def test_fermi_sea_boundaries_match_brentq(data):
     _assert_boundaries_match_brentq(coeffs, x)
 
 
+@pytest.mark.parametrize("gammas", SOLVER_MODELS)
+def test_fermi_sea_is_exact_under_power_of_two_scaling(gammas):
+    # D(2^k gamma) = 2^k D(gamma) exactly, so the sea of 2^k gamma at 2^k x
+    # is the same bit for bit.  With an absolute 1e-12 residual gate, D's
+    # own roundoff exceeded the gate from k = 12 on (SolverFailure)
+    for x in (-1.3, -0.2, 0.7, 1.5):
+        want = fermi_sea(HoppingCoefficients(gammas), x)
+        for k in range(0, 61, 3):
+            s = 2.0 ** k
+            got = fermi_sea(HoppingCoefficients(tuple(s * g for g in gammas)), s * x)
+            assert (got.boundaries, got.cuts) == (want.boundaries, want.cuts), (x, k)
+
+
+def test_model_checks_its_coupling_when_built():
+    for theta in (math.nan, math.inf, -math.inf, -1.0):
+        with pytest.raises(ValueError, match="theta must be a nonnegative real"):
+            HoppingCoefficients((1.0,), theta=theta)
+    assert HoppingCoefficients((1.0,), theta=0.0).theta == 0.0  # the domain wall
+
+
+@pytest.mark.parametrize("gammas", [(math.nan,), (1.0, math.inf), (1e308,), (1e200, -1e308)])
+def test_model_checks_its_weights_when_built(gammas):
+    # 1e308 is finite, but D's amplitude 2 * 1e308 is not: density printed
+    # nan and analyze misdiagnosed the maximizer
+    with pytest.raises(ValueError, match="hopping weights must be finite"):
+        HoppingCoefficients(gammas)
+
+
 def test_fermi_sea_boundary_where_the_first_newton_step_leaves_the_bracket():
     # D = 2 cos phi + 0.6 cos 3 phi falls on all of [0, pi], but D'(pi/2) is
     # only -0.2: from the midpoint, Newton overshoots and the solver bisects

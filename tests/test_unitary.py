@@ -167,6 +167,12 @@ def test_log_joint_density_properties(rng):
         log_joint_density(gam, 1.0, np.array([0.2, 0.2]))
 
 
+def test_log_joint_density_refuses_a_non_finite_coupling():
+    # it returned nan: the coupling was checked only where a caller asked
+    with pytest.raises(ValueError, match="theta must be a nonnegative real"):
+        log_joint_density((1.0, -1.0 / 3.0), math.nan, [0.1, 0.5, 2.0])
+
+
 def test_potential_term_equals_v_form():
     # -(ell/x) [V(-e^{ia}) + V(-e^{-ia})] with V(z) = sum gamma_r z^r equals
     # the implemented cosine form at ell = 1
