@@ -42,7 +42,7 @@ QUAD_MAX_NODES = 2 ** 14  # its doublings take 0.03 s at theta = 150
 MATRIX_BLOCK = 2 ** 16  # entries of the index arrays one kernel_matrix block holds
 # desk-scale cap on the band's half-width N, so its FFT has at most 2^20
 # points: the widest band measured to build has N = 182 672 (twelve equal
-# weights, theta = 1150); gamma = (1,) raises BandTooNarrow by N = 42 065
+# weights, theta = 1150); gamma = (1,) reaches it near theta = 1.31e5
 MAX_BAND_HALF_WIDTH = 2 ** 18
 
 
@@ -56,9 +56,10 @@ class CoefficientBand:
     coeffs: np.ndarray  # J_{-N..N}, index n stored at n + N
 
 
-def _fft_band(log_fn, size, what):
+def _fft_band(log_fn, size, what, floor=1.0):
     """Real Fourier coefficients of exp(log_fn(phi)) from one FFT of ``size``
-    points, n = -size/2 .. size/2 - 1 stored at n + size/2, and their scale.
+    points, n = -size/2 .. size/2 - 1 stored at n + size/2, and their scale
+    max(floor, max |coefficient|).
 
     BandTooNarrow if their imaginary residue passes 1e-13 times the scale.
     """
@@ -71,7 +72,7 @@ def _fft_band(log_fn, size, what):
     folded = np.concatenate([coeffs[half:], coeffs[:half]])
     # tolerances scale with the coefficient magnitude (symbols of large
     # coupling have huge but perfectly benign dynamic range)
-    scale = max(1.0, float(np.max(np.abs(folded))))
+    scale = max(floor, float(np.max(np.abs(folded))))
     if np.max(np.abs(folded.imag)) > 1e-13 * scale:
         raise BandTooNarrow(
             f"{what}: imaginary residue {np.max(np.abs(folded.imag)):.2e}")
@@ -134,9 +135,10 @@ def coefficient_band(coeffs):
     index it aliases onto |n| <= N lies past 3 N, under the same bound, so
     the FFT values dropped beyond N are roundoff.  That roundoff grows with
     the phase theta G(phi), bounded by 2 theta sum |gamma_r|; a dropped value
-    at or above BAND_TAIL_TOL times that bound (at least 1) raises
-    BandTooNarrow.  N over MAX_BAND_HALF_WIDTH is a ValueError naming theta,
-    raised before anything is allocated.
+    at or above BAND_TAIL_TOL times that bound (at least 1), or an imaginary
+    residue above 1e-13 times it, raises BandTooNarrow.  N over
+    MAX_BAND_HALF_WIDTH is a ValueError naming theta, raised before anything
+    is allocated.
     """
     gam = coeffs.gammas
     theta = coeffs.theta
@@ -147,12 +149,13 @@ def coefficient_band(coeffs):
     # on the circle F(e^{i phi}) = exp(i theta G(phi)), G the antiderivative of D
     log_f = lambda phi: 1j * theta * eval_dispersion(coeffs, phi, order=-1)
     size = max(256, 1 << (4 * n + 3).bit_length())  # least 2^j >= 4 (N + 1)
-    band, _ = _fft_band(log_f, size, "coefficient band")
+    phase = max(1.0, 2.0 * theta * sum(abs(g) for g in gam))
+    # |J_n| <= 1, so the phase bound is the scale of the imaginary residue
+    band, _ = _fft_band(log_f, size, "coefficient band", phase)
     # stored as J_{-half}..J_{half-1}; keep the certified window J_{-n}..J_n
     half = size // 2
     dropped = np.concatenate([band[:half - n], band[half + n + 1:]])
-    phase = 2.0 * theta * sum(abs(g) for g in gam)
-    if np.max(np.abs(dropped)) >= BAND_TAIL_TOL * max(1.0, phase):
+    if np.max(np.abs(dropped)) >= BAND_TAIL_TOL * phase:
         raise BandTooNarrow(
             f"FFT value {np.max(np.abs(dropped)):.2e} beyond the certified "
             f"support {n}")
@@ -336,8 +339,6 @@ def edge_prediction(profile, theta, k, ell):
         raise UnsupportedEdge(
             "prediction implemented for a unique interior maximizer only "
             "(at 0/pi the oscillating factor degenerates to a constant 2)")
-    if profile.n_cuts != 2:
-        raise UnsupportedEdge(f"n_cuts={profile.n_cuts}; only the two-cut case is supported")
     mx = interior[0]
     x, y = profile.s_of(float(k), theta), profile.s_of(float(ell), theta)
     if abs(x) > 6.0 or abs(y) > 6.0:

@@ -143,12 +143,16 @@ class Maximizer:
 
 @dataclass(frozen=True)
 class EdgeProfile:
-    """Right-edge data: b = max D, b_tilde = -min D, maximizers, cut count."""
+    """Right-edge data: b = max D, b_tilde = -min D and the maximizers of D."""
 
     b: float
     b_tilde: float
     maximizers: tuple
-    n_cuts: int
+
+    @property
+    def n_cuts(self):
+        """Cuts of the sea just below b: two per interior maximizer, one at 0 or pi."""
+        return sum(2 if mx.interior else 1 for mx in self.maximizers)
 
     @property
     def principal(self):
@@ -325,7 +329,7 @@ def _is_extremum(crit_vals, i, tol):
     v = crit_vals[i]
     left = [u - v for u in crit_vals[:i] if abs(u - v) > tol]
     right = [u - v for u in crit_vals[i + 1:] if abs(u - v) > tol]
-    return not (left and right and left[-1] * right[0] < 0.0)
+    return not (left and right and (left[-1] > 0.0) != (right[0] > 0.0))
 
 
 def fermi_sea(coeffs, x):
@@ -334,14 +338,15 @@ def fermi_sea(coeffs, x):
     Returns the empty sea for x above max D and the full circle for x below
     min D; otherwise solves D(chi) = x on every monotone segment of D and
     assembles the intervals by the sign of D - x between consecutive roots.
+    A critical value within 1e-10 max|D(crit)| of x touches the level: with
+    signs compared, not multiplied, 2^k gamma at 2^k x gives the same sea.
     A non-finite x raises ValueError.
     """
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"the level x must be finite, got {x!r}")
     crit, crit_vals = _critical_points(coeffs.gammas)
-    scale = max(1.0, max(abs(v) for v in crit_vals))
-    touch_tol = 1e-10 * scale
+    touch_tol = 1e-10 * max(abs(v) for v in crit_vals)
 
     # A segment with an end at the level holds no crossing of its own: an
     # extremum there only touches the level, through an inflection the
@@ -350,7 +355,7 @@ def fermi_sea(coeffs, x):
     roots = []
     for i in range(len(crit) - 1):
         fa, fb = crit_vals[i] - x, crit_vals[i + 1] - x
-        if fa * fb < 0.0 and min(abs(fa), abs(fb)) > touch_tol:
+        if (fa > 0.0) != (fb > 0.0) and min(abs(fa), abs(fb)) > touch_tol:
             roots.append(_polish_root(coeffs, x, crit[i], crit[i + 1], fb > 0.0))
 
     at_level = [i for i, v in enumerate(crit_vals) if abs(v - x) <= touch_tol]
@@ -403,11 +408,12 @@ def limit_shape(coeffs, x):
 def edge_profile(coeffs):
     """Locate all maximizers of D and their local edge data.
 
+    The maximizers are the critical points within 1e-9 |b| of b = max D.
     For each maximizer chi_b the order m is the smallest integer with
     D^(2m)(chi_b) != 0 (detected against DERIV_ZERO_REL_TOL times the natural
     coefficient scale of that derivative), and d = -D^(2m)(chi_b)/(2m)!.
-    The cut count is read off the sea at b - eps.  theta does not enter, so
-    the profile is computed once per weight sequence.
+    Tolerances are relative (2^k gamma scales b, b_tilde, d by 2^k exactly);
+    theta does not enter, so the profile is computed once per weight sequence.
     """
     return _edge_profile(coeffs.gammas)
 
@@ -419,8 +425,7 @@ def _edge_profile(gammas):
     coeffs = HoppingCoefficients(gammas)
     b, b_tilde = global_extrema(coeffs)
     crit, crit_vals = _critical_points(coeffs.gammas)
-    scale_b = max(1.0, abs(b))
-    maxima = [c for c, v in zip(crit, crit_vals) if abs(v - b) <= 1e-9 * scale_b]
+    maxima = [c for c, v in zip(crit, crit_vals) if abs(v - b) <= 1e-9 * abs(b)]
 
     maximizers = []
     for chi in maxima:
@@ -439,13 +444,9 @@ def _edge_profile(gammas):
                 f"maximizer at chi={chi!r} has nonnegative D^(2m); detection failed")
         for p in range(1, 2 * m):
             if abs(eval_dispersion(coeffs, chi, order=p)) > \
-                    1e-6 * max(1.0, _derivative_scale(coeffs, p)):
+                    1e-6 * _derivative_scale(coeffs, p):
                 raise SolverFailure(
                     f"odd derivative {p} does not vanish at maximizer chi={chi!r}")
         d = -d2m / math.factorial(2 * m)
         maximizers.append(Maximizer(chi_b=chi, m=m, d=d))
-
-    eps = 1e-6 * max(1.0, b)
-    n_cuts = fermi_sea(coeffs, b - eps).cuts
-    return EdgeProfile(b=b, b_tilde=b_tilde, maximizers=tuple(maximizers),
-                       n_cuts=n_cuts)
+    return EdgeProfile(b=b, b_tilde=b_tilde, maximizers=tuple(maximizers))

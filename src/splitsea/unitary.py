@@ -35,13 +35,19 @@ from .errors import CoincidentAngles, SubcriticalPhase
 from .potential import HoppingCoefficients, eval_dispersion, global_extrema
 
 def eigen_density_supercritical(gammas, x, alpha):
-    """Limiting eigenvalue density at coupling ratio x = ell/theta >= max D."""
+    """Limiting eigenvalue density at coupling ratio x = ell/theta >= max D.
+
+    x = b = max D is the critical point and passes; an x below b by more
+    than D's roundoff 4 eps max(b, b_tilde) raises SubcriticalPhase.  That
+    slack scales with the weights, so 2^k gamma at 2^k x gives the same
+    density.
+    """
     coeffs = HoppingCoefficients(gammas)
-    b, _ = global_extrema(coeffs)
+    b, b_tilde = global_extrema(coeffs)
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"coupling ratio x must be finite; got {x!r}")
-    if x < b - 1e-12:
+    if x < b - 4.0 * np.finfo(float).eps * max(b, b_tilde):
         raise SubcriticalPhase(f"x={x} below the critical point {b}")
     alpha_arr = np.asarray(alpha, dtype=float)
     rho = (1.0 - eval_dispersion(coeffs, alpha_arr - math.pi) / x) / (2.0 * math.pi)

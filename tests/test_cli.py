@@ -118,6 +118,13 @@ def test_subcritical_is_numerical_error(capsys):
     assert "SubcriticalPhase" in err
 
 
+def test_subcritical_small_weights_is_numerical_error(capsys):
+    # x = b / 2; an absolute 1e-12 slack printed a clipped density (exit 0)
+    code, out, err = run(capsys, "unitary-density", "--gamma", "1e-13", "--x", "1e-13")
+    assert code == 3 and out == ""
+    assert "SubcriticalPhase" in err
+
+
 @pytest.mark.parametrize("x", ["nan", "inf", "-inf"])
 def test_unitary_density_rejects_non_finite_x(capsys, x):
     # --x nan used to print a CSV of nan and --x inf the uniform density
@@ -285,6 +292,67 @@ def test_density_of_large_weights_meets_the_roundoff_scaled_gate(tmp_path, capsy
     assert code == 0
     _, rows = read_csv(str(out))
     assert len(rows) == 50 and np.all(np.isfinite(rows))
+
+
+def test_density_of_tiny_weights(capsys):
+    # the sea {2e-300 cos phi >= x}: a unit floor on the touch tolerance
+    # put every level at the critical values and printed rho 1.0, 1.0, 0.0
+    code, out, _ = run(capsys, "density", "--gamma", "1e-300", "--xmin", "-1e-300",
+                       "--xmax", "1e-300", "--steps", "3")
+    assert code == 0
+    rho = [float(line.split(",")[1]) for line in out.splitlines()[1:]]
+    assert rho == pytest.approx([2.0 / 3.0, 0.5, 1.0 / 3.0], abs=1e-15)
+
+
+@pytest.mark.parametrize("gamma,m,n_cuts", [
+    ("1e-300", 1, 1),  # 0 and pi both passed as maximizers: exit 3
+    ("1e-6,-3e-7", 1, 2),  # the sea at b - 1e-6 was empty: one cut
+])
+def test_analyze_small_weights(capsys, gamma, m, n_cuts):
+    code, out, _ = run(capsys, "analyze", "--gamma", gamma)
+    assert code == 0
+    report = json.loads(out)
+    assert [mx["m"] for mx in report["maximizers"]] == [m]
+    assert report["n_cuts"] == n_cuts
+
+
+def _rescaled_outputs(capsys, k):
+    """Outputs for the weights 2^k (1, -1/3) at the couplings 2^-k theta."""
+    s = 2.0 ** k
+    gamma = ("--gamma", ",".join(repr(s * g) for g in (1.0, -1.0 / 3.0)))
+    theta = lambda t: repr(t / s)
+    outs = []
+    code, out, _ = run(capsys, "converge", *gamma,
+                       "--thetas", ",".join(theta(t) for t in (20.0, 40.0, 80.0)))
+    outs.append((code, list(json.loads(out)["sup_distance"].values())))
+    for t, ells in ((40.0, "50:90"), (2.0, "1:9")):
+        outs.append(run(capsys, "cdf", *gamma, "--theta", theta(t), "--ell-range", ells))
+    code, out, _ = run(capsys, "sample", *gamma, "--theta", theta(40.0),
+                       "-n", "200", "--seed", "7")
+    report = json.loads(out)
+    outs.append((code, report["ks_exact"], report["ks_limit"], report["scale"]))
+    code, out, _ = run(capsys, "analyze", *gamma)
+    outs.append((code, json.loads(out)["n_cuts"]))
+    return outs
+
+
+def test_commands_are_exact_under_power_of_two_rescaling(capsys):
+    # (2^k gamma, 2^-k theta) is the same model, and every step of these
+    # commands is exact under the rescaling.  At k = -20 converge compared
+    # against F_3 (one cut counted), and from k = -30 down every command
+    # exited 3 (SolverFailure)
+    want = _rescaled_outputs(capsys, 0)
+    assert want[-1] == (0, 2)
+    for k in (-20, -60):
+        assert _rescaled_outputs(capsys, k) == want, k
+
+
+def test_converge_at_large_coupling_builds_its_band(capsys):
+    # the band's imaginary FFT residue, 1.3e-13 here, was held to an
+    # absolute 1e-13 and refused (exit 3)
+    code, out, err = run(capsys, "converge", "--gamma", "1", "--thetas", "2.5e4")
+    assert code == 0 and err == ""
+    assert json.loads(out)["sup_distance"]["25000.0"] < 0.01
 
 
 def test_kernel_command_and_negative_tokens(capsys):

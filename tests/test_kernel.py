@@ -283,6 +283,15 @@ def test_band_past_the_desk_bound_is_refused_before_any_fft(monkeypatch):
     assert _support_half_width(1150.0, (1.0,) * 12) <= MAX_BAND_HALF_WIDTH
 
 
+@pytest.mark.parametrize("gammas,theta", [((1.0,), 2.5e4), ((0.0,) * 7 + (1.0,), 1000.0)])
+def test_band_at_large_coupling_is_not_refused_for_fft_roundoff(gammas, theta):
+    # the imaginary residue is phase roundoff, 1.0-1.8e-13 here; held to an
+    # absolute 1e-13, these raised BandTooNarrow
+    band = coefficient_band(HoppingCoefficients(gammas, theta=theta))
+    assert band.half_width == _support_half_width(theta, gammas)
+    assert float(np.dot(band.coeffs, band.coeffs)) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_tail_trace_is_the_dropped_diagonal():
     band = coefficient_band(HoppingCoefficients((1.0, -1.0 / 3.0), theta=3.0))
     n = band.half_width

@@ -283,14 +283,23 @@ def test_fermi_sea_boundaries_match_brentq(data):
     _assert_boundaries_match_brentq(coeffs, x)
 
 
+# a strided grid of k for the weights 2^k gamma, from -999 (weights near
+# 1e-301, still normal doubles) to 60
+SCALING_POWERS = (*range(0, 61, 3), *range(-3, -61, -3), *range(-999, -60, 39))
+SCALING_MODELS = SOLVER_MODELS + [(1.0, 1.0 / 3.0), (1.0, -0.2, 1.0 / 45.0), (1.0,),
+                                  (0.0, 1.0), (1.0, -0.3)]
+
+
 @pytest.mark.parametrize("gammas", SOLVER_MODELS)
 def test_fermi_sea_is_exact_under_power_of_two_scaling(gammas):
     # D(2^k gamma) = 2^k D(gamma) exactly, so the sea of 2^k gamma at 2^k x
     # is the same bit for bit.  With an absolute 1e-12 residual gate, D's
-    # own roundoff exceeded the gate from k = 12 on (SolverFailure)
+    # own roundoff exceeded the gate from k = 12 on (SolverFailure); with
+    # touch_tol floored at 1e-10 and a sign test by product, which
+    # underflows, seas went wrong from k = -30 down
     for x in (-1.3, -0.2, 0.7, 1.5):
         want = fermi_sea(HoppingCoefficients(gammas), x)
-        for k in range(0, 61, 3):
+        for k in SCALING_POWERS:
             s = 2.0 ** k
             got = fermi_sea(HoppingCoefficients(tuple(s * g for g in gammas)), s * x)
             assert (got.boundaries, got.cuts) == (want.boundaries, want.cuts), (x, k)
@@ -349,6 +358,30 @@ def test_edge_profile_constants(gammas, chi_b, m, d, n_cuts):
         assert mx.d == pytest.approx(d_formula, abs=1e-10)
 
 
+@pytest.mark.parametrize("gammas", SCALING_MODELS)
+def test_edge_profile_is_exact_under_power_of_two_scaling(gammas):
+    # the maximizer test, the odd-derivative check and the cut count's sea
+    # at b - 1e-6 max(1, b) were absolute below unit weights: at k = -20
+    # (1, -1/3) counted one cut, and from k = -30 down 0 and pi both passed
+    # as maximizers (SolverFailure)
+    want = edge_profile(HoppingCoefficients(gammas))
+    for k in SCALING_POWERS:
+        s = 2.0 ** k
+        got = edge_profile(HoppingCoefficients(tuple(s * g for g in gammas)))
+        assert (got.b, got.b_tilde, got.n_cuts) == (s * want.b, s * want.b_tilde,
+                                                     want.n_cuts), k
+        assert [(mx.chi_b, mx.m, mx.d) for mx in got.maximizers] == \
+            [(mx.chi_b, mx.m, s * mx.d) for mx in want.maximizers], k
+
+
+@pytest.mark.parametrize("gammas", SCALING_MODELS + [(0.0, 0.0, 1.0)])
+def test_cut_count_is_the_sea_just_below_the_edge(gammas):
+    coeffs = HoppingCoefficients(gammas)
+    profile = edge_profile(coeffs)
+    for eps in (1e-6, 1e-9):
+        assert fermi_sea(coeffs, profile.b * (1.0 - eps)).cuts == profile.n_cuts
+
+
 def test_edge_profile_degenerate():
     with pytest.raises(DegenerateEdge):
         edge_profile(HoppingCoefficients((0.0, 0.0)))
@@ -357,17 +390,17 @@ def test_edge_profile_degenerate():
 def test_edge_profile_root_finding_runs_once_per_weight_sequence(monkeypatch):
     import splitsea.potential as potential
 
-    seas = []
-    fermi_sea_ = potential.fermi_sea
-    monkeypatch.setattr(potential, "fermi_sea",
-                        lambda c, x: seas.append(x) or fermi_sea_(c, x))
+    calls = []
+    global_extrema_ = potential.global_extrema
+    monkeypatch.setattr(potential, "global_extrema",
+                        lambda c: calls.append(c.gammas) or global_extrema_(c))
     potential._edge_profile.cache_clear()
     profiles = [edge_profile(HoppingCoefficients((1.0, -1.0 / 3.0), theta=t))
                 for t in (0.5, 20.0, 40.0)]
-    assert len(seas) == 1  # the cut count's sea at b - eps, theta-free
+    assert len(calls) == 1  # one profile computation, theta-free
     assert all(p is profiles[0] for p in profiles)
     edge_profile(HoppingCoefficients((1.0, 0.1), theta=20.0))
-    assert len(seas) == 2
+    assert len(calls) == 2
 
 
 def test_limit_density_values():

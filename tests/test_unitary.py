@@ -154,6 +154,22 @@ def test_subcritical_rejected():
         eigen_density_supercritical((1.0, -1.0 / 3.0), 0.5, 0.0)
 
 
+def test_critical_density_is_exact_under_power_of_two_scaling():
+    # the subcritical slack is D's roundoff 4 eps max(b, b_tilde), not an
+    # absolute 1e-12, so 2^k gamma at 2^k b passes with the same density and
+    # x = b / 2 fails at every scale
+    gam = (1.0, -1.0 / 3.0)
+    alphas = np.linspace(-math.pi, math.pi, 101)
+    b, _ = global_extrema(HoppingCoefficients(gam))
+    want = eigen_density_supercritical(gam, b, alphas)
+    for k in (-999, -60, -20, 20, 60):
+        s = 2.0 ** k
+        scaled = tuple(s * g for g in gam)
+        assert np.array_equal(eigen_density_supercritical(scaled, s * b, alphas), want)
+        with pytest.raises(SubcriticalPhase):
+            eigen_density_supercritical(scaled, s * b / 2.0, alphas)
+
+
 def test_log_joint_density_properties(rng):
     gam = (1.0, -1.0 / 3.0)
     a = np.array([0.3, -1.2, 2.0])
