@@ -6,13 +6,17 @@ bit; ``--json`` summaries go to stdout; exit code 2 flags configuration
 errors, 3 numerical failures (the failing error class name is printed on
 stderr).  A flat key=value config file can seed any long option; explicit
 flags win.  --threads sizes the worker pool used by grid studies
-(reductions stay deterministic).
+(reductions stay deterministic).  The process's BLAS runs on one thread:
+``main`` pins the OpenBLAS that numpy loaded, once per process, unless
+OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS is set, in which
+case the library keeps the count they give it.
 """
 
 from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import ctypes
 import json
 import math
 import os
@@ -41,6 +45,12 @@ CHAIN_ANGLES = 10_000_000  # `unitary-mc --sweeps` times `--ell`, kept angles
 # the README's 1.15e8 take 26 s of CPU, 1e10 about 8 minutes
 CHAIN_PAIRS = 200_000_000
 ORACLE_CAP = 30  # `oracle --cap`: 4 s of Schur sums; 35 takes 10 s
+# any of these set by the user leaves the BLAS thread count to the library
+BLAS_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+# thread-count setters, in the order tried: numpy's bundled ILP64 build,
+# a plain ILP64 build, a plain LP64 build
+OPENBLAS_SETTERS = ("scipy_openblas_set_num_threads64_",
+                    "openblas_set_num_threads64_", "openblas_set_num_threads")
 
 
 def _parse_gammas(text):
@@ -95,6 +105,48 @@ def _csv_out(rows, header, out=None):
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _openblas_paths():
+    """Paths of the OpenBLAS libraries mapped into this process, sorted;
+    empty where ``/proc/self/maps`` cannot be read (not Linux)."""
+    try:
+        with open("/proc/self/maps") as fh:
+            fields = [line.split(maxsplit=5) for line in fh]
+    except OSError:
+        return ()
+    return tuple(sorted({f[5].rstrip("\n") for f in fields if len(f) == 6
+                         and "openblas" in os.path.basename(f[5]).lower()}))
+
+
+@lru_cache(maxsize=1)
+def pin_blas_threads():
+    """Run every loaded OpenBLAS on one thread; the paths pinned.
+
+    With the default count numpy's OpenBLAS splits ``eigh`` of an 84-site
+    window over both cores of a 2-core machine, and its worker then spins
+    through the rest of the command: half of ``sample``'s CPU.  The CLI
+    does its parallel work in its own pool.  Nothing is pinned when the
+    user set one of BLAS_THREAD_ENV or no library exports a setter.
+    Cached: reading the process map costs about 0.5 ms, which a per-call
+    lookup would add to every ``main``.
+    """
+    if any(os.environ.get(name) for name in BLAS_THREAD_ENV):
+        return ()
+    pinned = []
+    for path in _openblas_paths():
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        setter = next((getattr(lib, name) for name in OPENBLAS_SETTERS
+                       if hasattr(lib, name)), None)
+        if setter is None:
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        setter(1)
+        pinned.append(path)
+    return tuple(pinned)
 
 
 def _pool_map(fn, items, threads):
@@ -489,6 +541,7 @@ def _merge_negative_values(argv):
 
 
 def main(argv=None):
+    pin_blas_threads()
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         argv = _apply_config(argv)

@@ -47,8 +47,8 @@ from numpy.polynomial.chebyshev import chebder, chebroots, chebtrim
 
 from .errors import DegenerateEdge, SolverFailure
 
-ROOT_RESIDUAL_TOL = 1e-12      # |D(chi) - x| after polishing
-TANGENT_SLOPE_TOL = 1e-8       # |D'(chi)| below this marks a tangential root
+ROOT_RESIDUAL_TOL = 1e-12      # |D(chi) - x| after polishing, per unit amplitude
+TANGENT_SLOPE_TOL = 1e-8       # |D'(chi)| under this, per unit D' scale: a tangential root
 DERIV_ZERO_REL_TOL = 1e-9      # relative tolerance for "derivative vanishes"
 CRIT_MERGE_REL_TOL = 1e-14     # |D(c) - D(endpoint)| that merges c into the endpoint
 _MAX_SOLVER_STEPS = 200        # bisection alone ends well inside this
@@ -276,7 +276,10 @@ def _polish_root(coeffs, x, lo, hi, rising):
     It stops once a step is a few ulps or the bracket ends are adjacent
     doubles.  The root must meet ROOT_RESIDUAL_TOL, or D's own roundoff
     4 eps sum_r 2 r |gamma_r| where that is larger, unless D' is under
-    TANGENT_SLOPE_TOL there; SolverFailure otherwise.
+    TANGENT_SLOPE_TOL there; SolverFailure otherwise.  Below unit scale
+    both tolerances shrink with it (D's amplitude sum_r 2 r |gamma_r| for
+    the residual, sum_r 2 r^2 |gamma_r| for D'), so the verdict is the
+    same for 2^k gamma at 2^k x while those scales stay under 1.
     """
     f = lambda t: eval_dispersion(coeffs, t) - x
     root = 0.5 * (lo + hi)
@@ -296,9 +299,11 @@ def _polish_root(coeffs, x, lo, hi, rising):
         root = newton if lo < newton < hi else 0.5 * (lo + hi)
         if math.nextafter(lo, hi) >= hi:
             break
-    gate = max(ROOT_RESIDUAL_TOL, 4.0 * np.finfo(float).eps * _derivative_scale(coeffs, 0))
-    if abs(f(root)) > gate and \
-            abs(eval_dispersion(coeffs, root, order=1)) > TANGENT_SLOPE_TOL:
+    amplitude = _derivative_scale(coeffs, 0)
+    gate = max(ROOT_RESIDUAL_TOL * min(1.0, amplitude),
+               4.0 * np.finfo(float).eps * amplitude)
+    if abs(f(root)) > gate and abs(eval_dispersion(coeffs, root, order=1)) > \
+            TANGENT_SLOPE_TOL * min(1.0, _derivative_scale(coeffs, 1)):
         raise SolverFailure(
             f"boundary residual {abs(f(root)):.3e} at chi={root!r} for x={x!r}")
     return root

@@ -61,3 +61,12 @@ def central_derivative(fn, x, order, h):
 def rng():
     # fresh per test: results must not depend on which tests ran before
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def one_blas_thread():
+    # the CLI runs numpy's OpenBLAS on one thread from its first main call;
+    # pinning at the start keeps the whole session on the BLAS the CLI uses,
+    # instead of switching partway through at the first in-process CLI test
+    from splitsea.cli import pin_blas_threads
+    pin_blas_threads()

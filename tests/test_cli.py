@@ -1,5 +1,7 @@
 """CLI: subcommands, artifacts, config handling, exit codes."""
 
+import ctypes
+import _ctypes
 import json
 import math
 import os
@@ -37,6 +39,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def cli_env(**extra):
+    """Environment of a subprocess that imports splitsea from this tree."""
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def test_analyze_json_schema(capsys):
@@ -605,9 +614,7 @@ def test_unitary_mc_two_sweeps_keep_one_sample(capsys):
 
 
 def test_python_dash_m_runs_the_cli():
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [os.path.abspath(src), os.environ.get("PYTHONPATH")])))
+    env = cli_env()
     proc = subprocess.run([sys.executable, "-m", "splitsea", "analyze",
                            "--gamma", "1,-0.3333333333"],
                           capture_output=True, text=True, env=env, timeout=120)
@@ -618,9 +625,7 @@ def test_python_dash_m_runs_the_cli():
 def test_cli_import_leaves_scipy_optimize_out():
     # importing scipy.optimize cost a third of the CLI's start-up CPU, for
     # one root solver that the Fermi-sea code now has built in
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [os.path.abspath(src), os.environ.get("PYTHONPATH")])))
+    env = cli_env()
     probe = ("import sys, splitsea.cli; "
              "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
     proc = subprocess.run([sys.executable, "-c", probe],
@@ -632,9 +637,7 @@ def test_cli_import_leaves_scipy_optimize_out():
 def test_table_building_commands_load_no_scipy():
     # importing scipy.linalg for one Cholesky factor cost 0.3 s of CPU in
     # every command that builds a determinant table
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [os.path.abspath(src), os.environ.get("PYTHONPATH")])))
+    env = cli_env()
     gamma = ["--gamma", "1,-0.3333333333"]
     runs = [["cdf", *gamma, "--theta", "2", "--ell-range", "0:12"],
             ["cdf", *gamma, "--theta", "10", "--ell-range", "0:40"],
@@ -656,9 +659,7 @@ def test_cold_limit_law_commands_build_no_law_table():
     # builder: fresh converge and sample processes read them and run no
     # Airy contour evaluation, and importing the CLI alone does not read
     # the law file
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [os.path.abspath(src), os.environ.get("PYTHONPATH")])))
+    env = cli_env()
     gamma = ["--gamma", "1,-0.3333333333"]
     runs = [["converge", *gamma, "--thetas", "20,40"],
             ["sample", *gamma, "--theta", "40", "-n", "20"]]
@@ -687,9 +688,7 @@ def test_cold_limit_law_commands_build_no_law_table():
 
 def test_uncertified_airy_order_exits_3_without_numpy_warnings():
     # m = 5 overflowed the contour integrand before the quadrature gave up
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [os.path.abspath(src), os.environ.get("PYTHONPATH")])))
+    env = cli_env()
     proc = subprocess.run([sys.executable, "-m", "splitsea", "airy", "--m", "5",
                            "--s", "0:1"],
                           capture_output=True, text=True, env=env, timeout=120)
@@ -701,9 +700,7 @@ def test_uncertified_airy_order_exits_3_without_numpy_warnings():
 def test_kernel_oracle_gives_up_in_bounded_memory():
     # at theta = 150 the contour sums cancel and never meet QUAD_TOL; the
     # node doubling built 1 GiB Cauchy blocks and died with MemoryError
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
-        filter(None, [os.path.abspath(src), os.environ.get("PYTHONPATH")])))
+    env = cli_env(OPENBLAS_NUM_THREADS="1")
     cap = 3 * 2 ** 29  # bytes of address space
 
     def limit():
@@ -746,3 +743,92 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     code, out, _ = run(capsys, "--config", str(cfg), "kernel", "--l", "1.5")
     assert code == 0
     assert json.loads(out)["value"] != base
+
+
+def numpy_openblas():
+    """Thread-count getter and setter of the OpenBLAS bundled with numpy,
+    found in this process's map; skips where there is none."""
+    try:
+        with open("/proc/self/maps") as fh:
+            mapped = set(fh.read().split())
+    except OSError:
+        pytest.skip("no /proc/self/maps")
+    libs = sorted(path for path in mapped if "openblas" in path
+                  and path.startswith(os.path.dirname(np.__file__) + ".libs"))
+    if not libs:
+        pytest.skip("numpy bundles no OpenBLAS")
+    lib = ctypes.CDLL(libs[0])
+    name = next(n for n in cli.OPENBLAS_SETTERS if hasattr(lib, n))
+    setter, getter = getattr(lib, name), getattr(lib, name.replace("_set_", "_get_"))
+    setter.argtypes, setter.restype = [ctypes.c_int], None
+    getter.argtypes, getter.restype = [], ctypes.c_int
+    return getter, setter
+
+
+@pytest.fixture()
+def fresh_pin(monkeypatch):
+    # the pin is cached per process: clear it, and the user's BLAS thread
+    # variables, so that main decides again; cleared again afterwards so
+    # the next main pins as a fresh process would
+    for name in cli.BLAS_THREAD_ENV:
+        monkeypatch.delenv(name, raising=False)
+    cli.pin_blas_threads.cache_clear()
+    yield
+    cli.pin_blas_threads.cache_clear()
+
+
+def test_main_runs_numpy_blas_on_one_thread(capsys, fresh_pin):
+    get, set_threads = numpy_openblas()
+    set_threads(2)  # undone by the pin, where the machine has two cores
+    code, _, _ = run(capsys, "analyze", "--gamma", "1,-0.3333333333")
+    assert code == 0 and get() == 1
+
+
+@pytest.mark.parametrize("name", cli.BLAS_THREAD_ENV)
+def test_blas_thread_variable_leaves_the_pin_off(capsys, fresh_pin, monkeypatch, name):
+    get, set_threads = numpy_openblas()
+    set_threads(2)
+    before = get()
+    monkeypatch.setenv(name, "2")
+    try:
+        code, _, _ = run(capsys, "analyze", "--gamma", "1,-0.3333333333")
+        assert code == 0 and get() == before
+        assert cli.pin_blas_threads() == ()
+    finally:
+        set_threads(1)
+
+
+@pytest.mark.parametrize("found", [
+    (),
+    ("/nonexistent/libopenblas.so",),
+    (_ctypes.__file__,),  # loads, and neither it nor its needs export a setter
+])
+def test_main_without_openblas_exits_0(capsys, fresh_pin, monkeypatch, found):
+    monkeypatch.setattr(cli, "_openblas_paths", lambda: found)
+    code, out, _ = run(capsys, "analyze", "--gamma", "1,-0.3333333333")
+    assert code == 0 and json.loads(out)["n_cuts"] == 2
+    assert cli.pin_blas_threads() == ()
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # eigh and the window factorizations sum in another order on two
+    # threads; at the README couplings the outputs still agree to the bit
+    # (at theta = 640 converge differs in the last bits)
+    gamma = ["--gamma", "1,-0.3333333333"]
+    runs = [["sample", *gamma, "--theta", "40", "-n", "2000", "--seed", "7",
+             "--out", "kmax.csv"],
+            ["converge", *gamma, "--thetas", "20,40,80", "--out", "converge.csv"]]
+    pinned = {k: v for k, v in cli_env().items() if k not in cli.BLAS_THREAD_ENV}
+    outputs = []
+    for env in (pinned, cli_env(OPENBLAS_NUM_THREADS="2")):
+        work = tmp_path / str(len(outputs))
+        work.mkdir()
+        texts = []
+        for argv in runs:
+            proc = subprocess.run([sys.executable, "-m", "splitsea", *argv],
+                                  capture_output=True, text=True, env=env,
+                                  cwd=work, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            texts += [proc.stdout, (work / argv[-1]).read_text()]
+        outputs.append(texts)
+    assert outputs[0] == outputs[1]

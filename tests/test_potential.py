@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from splitsea.errors import DegenerateEdge
+from splitsea.errors import DegenerateEdge, SolverFailure
 from splitsea.potential import (FermiSea, HoppingCoefficients, _count_cuts,
-                                _critical_points, _harmonics, edge_profile,
-                                eval_dispersion, fermi_sea, global_extrema,
-                                limit_density, limit_shape)
+                                _critical_points, _harmonics, _polish_root,
+                                edge_profile, eval_dispersion, fermi_sea,
+                                global_extrema, limit_density, limit_shape)
 from conftest import central_derivative
 
 GAMMA_SETS = [(1.0, 1.0 / 3.0), (1.0, 0.1), (1.0, -0.125), (1.0, -1.0 / 3.0)]
@@ -303,6 +303,17 @@ def test_fermi_sea_is_exact_under_power_of_two_scaling(gammas):
             s = 2.0 ** k
             got = fermi_sea(HoppingCoefficients(tuple(s * g for g in gammas)), s * x)
             assert (got.boundaries, got.cuts) == (want.boundaries, want.cuts), (x, k)
+
+
+@pytest.mark.parametrize("k", [0, -40, -60])
+def test_root_gate_is_exact_under_power_of_two_scaling(k):
+    # [2.5, 3] holds no root of D = 0.7 for (1, -1/3), where D falls from
+    # about -2.2: the polished end fails the residual gate.  At 2^-40 and
+    # 2^-60 times the weights and the level, the absolute tangency slope
+    # 1e-8 exceeded |D'| everywhere and the end came back as a root
+    s = 2.0 ** k
+    with pytest.raises(SolverFailure, match="boundary residual"):
+        _polish_root(HoppingCoefficients((s, -s / 3.0)), 0.7 * s, 2.5, 3.0, False)
 
 
 def test_model_checks_its_coupling_when_built():
