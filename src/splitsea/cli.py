@@ -4,10 +4,10 @@ Conventions: CSV cells are written with ``str``, which for floats is the
 shortest repr that round-trips, so re-reading them reproduces values bit for
 bit; ``--json`` summaries go to stdout; exit code 2 flags configuration
 errors, 3 numerical failures (the failing error class name is printed on
-stderr).  A flat key=value config file can seed any long option; explicit
-flags win.  --threads sizes the worker pool used by grid studies
-(reductions stay deterministic).  The process's BLAS runs on one thread:
-``main`` pins the OpenBLAS that numpy loaded, once per process, unless
+stderr); a path that cannot be written or created is a configuration
+error too.  A flat key=value config file can seed any long option; explicit
+flags win.  Every command runs on one thread.  Its BLAS does too: ``main``
+pins the OpenBLAS that numpy loaded, once per process, unless
 OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS is set, in which
 case the library keeps the count they give it.
 """
@@ -15,7 +15,6 @@ case the library keeps the count they give it.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import ctypes
 import json
 import math
@@ -125,11 +124,10 @@ def pin_blas_threads():
 
     With the default count numpy's OpenBLAS splits ``eigh`` of an 84-site
     window over both cores of a 2-core machine, and its worker then spins
-    through the rest of the command: half of ``sample``'s CPU.  The CLI
-    does its parallel work in its own pool.  Nothing is pinned when the
-    user set one of BLAS_THREAD_ENV or no library exports a setter.
-    Cached: reading the process map costs about 0.5 ms, which a per-call
-    lookup would add to every ``main``.
+    through the rest of the command: half of ``sample``'s CPU.  Nothing is
+    pinned when the user set one of BLAS_THREAD_ENV or no library exports a
+    setter.  Cached: reading the process map costs about 0.5 ms, which a
+    per-call lookup would add to every ``main``.
     """
     if any(os.environ.get(name) for name in BLAS_THREAD_ENV):
         return ()
@@ -150,10 +148,13 @@ def pin_blas_threads():
 
 
 def _pool_map(fn, items, threads):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+    """``fn`` of each item in order, on the calling thread; ``threads`` is
+    ignored.
+
+    Kept, under this name and with three parameters, only because the
+    benchmark's tracer wraps this function by name and calls it so.
+    """
+    return [fn(item) for item in items]
 
 
 def _cmd_analyze(args):
@@ -258,13 +259,13 @@ def _cmd_converge(args):
         raise ValueError(f"--power takes auto or an integer >= 1, "
                          f"got {args.power!r}")
     s_grid = np.linspace(-6.0, 4.0, 101)
-    limit = airy_mod.limiting_cdf(profile.principal.m, power, s_grid)
+    limit = airy_mod.limiting_cdf(profile.law_order, power, s_grid)
 
     def one(theta):
         return edge_mod.scaled_convergence_study(
             args.gamma, [theta], s_grid=s_grid, n_cuts=power, limit=limit)[0]
 
-    reports = _pool_map(one, thetas, resolved_threads(args))
+    reports = _pool_map(one, thetas, args.threads)
     summary = {str(r["theta"]): r["sup_distance"] for r in reports}
     if args.out:
         rows = [(r["theta"], float(s), float(p))
@@ -382,20 +383,14 @@ def _add_common(sub, theta=False):
     sub.add_argument("--out", default=None, help="CSV output path (default stdout)")
 
 
-def resolved_threads(args):
-    """Pool size: the --threads flag, defaulting to all cores."""
-    if getattr(args, "threads", None):
-        return max(1, args.threads)
-    return os.cpu_count() or 1
-
-
 def build_parser():
     ap = argparse.ArgumentParser(prog="splitsea", description=__doc__)
     ap.add_argument("--config", default=None,
                     help="flat key=value file seeding long options")
     common = argparse.ArgumentParser(add_help=False)
+    # accepted and ignored: the benchmark's decks still pass it
     common.add_argument("--threads", type=int, default=None,
-                        help="worker pool size (default: all cores)")
+                        help=argparse.SUPPRESS)
     subparsers = ap.add_subparsers(dest="command", required=True)
 
     class _Sub:
@@ -558,7 +553,7 @@ def main(argv=None):
     except SplitSeaError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # OSError: an output path
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -141,14 +141,15 @@ def scaled_convergence_study(gammas, theta_list, s_grid=None, n_cuts=None,
     P(k_max < ``EdgeProfile.lattice_of(s, theta)``).  The limit law's power
     defaults to the sea's cut count.  ``limit`` is that law on ``s_grid``
     when the caller already has it (one ``limiting_cdf`` table otherwise).
+    Maximizers of different orders raise ``UnsupportedEdge``.
     """
     if s_grid is None:
         s_grid = np.linspace(-6.0, 4.0, 101)
     s_grid = np.asarray(s_grid, dtype=float)
     profile = edge_profile(HoppingCoefficients(gammas))
-    mx = profile.principal
+    m = profile.law_order
     power = int(n_cuts) if n_cuts is not None else profile.n_cuts
-    limit_vals = limiting_cdf(mx.m, power, s_grid) if limit is None else limit
+    limit_vals = limiting_cdf(m, power, s_grid) if limit is None else limit
 
     reports = []
     for theta in theta_list:
@@ -156,7 +157,7 @@ def scaled_convergence_study(gammas, theta_list, s_grid=None, n_cuts=None,
                                  profile.lattice_of(s_grid, theta))
         sup = float(np.max(np.abs(lattice_vals - limit_vals)))
         reports.append({"theta": float(theta), "sup_distance": sup,
-                        "power": power, "m": mx.m,
+                        "power": power, "m": m,
                         "cdf": lattice_vals, "limit": limit_vals})
     return reports
 

@@ -35,7 +35,9 @@ class NodeCountInsufficient(SplitSeaError):
 
 
 class UnsupportedEdge(SplitSeaError):
-    """Edge prediction requested outside the supported two-cut regime."""
+    """An edge result requested where the library has none: the oscillating
+    kernel prediction beyond a unique interior maximizer, or the limit law
+    of an edge whose maximizers have different orders."""
 
 
 class NotPositiveDefinite(SplitSeaError):

@@ -45,7 +45,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.chebyshev import chebder, chebroots, chebtrim
 
-from .errors import DegenerateEdge, SolverFailure
+from .errors import DegenerateEdge, SolverFailure, UnsupportedEdge
 
 ROOT_RESIDUAL_TOL = 1e-12      # |D(chi) - x| after polishing, per unit amplitude
 TANGENT_SLOPE_TOL = 1e-8       # |D'(chi)| under this, per unit D' scale: a tangential root
@@ -158,6 +158,20 @@ class EdgeProfile:
     def principal(self):
         """Maximizer with the lowest order m; it sets the edge scaling."""
         return min(self.maximizers, key=lambda mx: mx.m)
+
+    @property
+    def law_order(self):
+        """The order m shared by every maximizer: the edge law is F_{2m+1}^n_cuts.
+
+        Maximizers of different orders tie in no power of one F_{2m+1};
+        that edge raises UnsupportedEdge, naming the orders.
+        """
+        orders = sorted({mx.m for mx in self.maximizers})
+        if len(orders) > 1:
+            raise UnsupportedEdge(
+                f"maximizers of orders {orders} tie at the edge: its limit "
+                "law is no power of one F_{2m+1}")
+        return orders[0]
 
     def scale(self, theta):
         """Edge fluctuation scale (d theta)^(1/(2m+1)) of the principal maximizer."""

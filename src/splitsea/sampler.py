@@ -238,11 +238,14 @@ def empirical_edge_law(coeffs, n_samples, seed):
     """Sample k_max from the edge window; report KS distances to its laws.
 
     ``ks_exact`` is against one ``exact_cdf`` table, ``ks_limit`` against the
-    sea's own limit law F_{2m+1}^n on s in [-6, 4].
+    sea's own limit law F_{2m+1}^n on s in [-6, 4].  Maximizers of different
+    orders raise ``UnsupportedEdge`` before any draw.
     """
     n_samples = int(n_samples)
     if n_samples < 1:
         raise ValueError(f"n_samples must be a positive integer, got {n_samples}")
+    profile = edge_profile(coeffs)
+    m = profile.law_order
     wk = windowed_kernel(coeffs, edge=True)
     kmax = np.array([conf[-1] if len(conf) else wk.k_lo_int - 0.5
                      for conf in sample_many(wk, n_samples, seed)])
@@ -250,10 +253,9 @@ def empirical_edge_law(coeffs, n_samples, seed):
     ells = np.arange(int(ordered[0] - 0.5), int(ordered[-1] + 0.5) + 2)
     ks_exact = float(np.max(np.abs(np.searchsorted(ordered, ells) / n_samples
                                    - exact_cdf(coeffs, ells))))
-    profile = edge_profile(coeffs)
     s_vals = profile.s_of(ordered, coeffs.theta)
     s_grid = np.linspace(-6.0, 4.0, 201)
-    limit = limiting_cdf(profile.principal.m, profile.n_cuts, s_grid)
+    limit = limiting_cdf(m, profile.n_cuts, s_grid)
     ks_limit = float(np.max(np.abs(np.searchsorted(s_vals, s_grid) / n_samples
                                    - limit)))
     return EdgeLawReport(k_max=kmax, ks_exact=ks_exact, ks_limit=ks_limit,

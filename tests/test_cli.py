@@ -9,6 +9,7 @@ import resource
 import shlex
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -634,6 +635,16 @@ def test_cli_import_leaves_scipy_optimize_out():
     assert proc.stdout.strip() == "[]"
 
 
+def test_cli_import_leaves_concurrent_futures_out():
+    # every command runs on one thread; the pool's import cost about 4 ms
+    env = cli_env()
+    probe = "import sys, splitsea.cli; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_table_building_commands_load_no_scipy():
     # importing scipy.linalg for one Cholesky factor cost 0.3 s of CPU in
     # every command that builds a determinant table
@@ -732,6 +743,66 @@ def test_figures_command(tmp_path, capsys):
     for path in report["csv"]:
         assert os.path.exists(path)
     assert os.path.exists(report["svg"])
+
+
+@pytest.mark.parametrize("argv,target", [
+    (["cdf", "--gamma", "1", "--theta", "5", "--ell-range", "0:3", "--out"], ""),
+    (["converge", "--gamma", "1,-0.3333333333", "--thetas", "20", "--out"],
+     "missing/c.csv"),
+    (["figures", "--gamma2", "0.1", "--out-dir"], "a-file"),
+])
+def test_unwritable_output_path_is_config_error(tmp_path, capsys, argv, target):
+    # a directory, a file under a missing directory, and an existing file
+    # as the output directory: each used to end in a traceback
+    (tmp_path / "a-file").write_text("")
+    path = str(tmp_path / target) if target else str(tmp_path)
+    code, out, err = run(capsys, *argv, path)
+    assert code == 2 and out == ""
+    assert err.startswith("config error:") and path in err
+
+
+# m = 1 at 0 ties with m = 2 at pi/2: the edge law is no power of one F_{2m+1}
+MIXED_ORDERS = "0.3125,-0.125,0.0520833333333333,-0.015625,0.00625"
+
+
+@pytest.mark.parametrize("argv", [
+    ["converge", "--thetas", "80"],
+    ["sample", "--theta", "40", "-n", "200"],
+])
+def test_mixed_order_edge_refuses_its_limit_law(capsys, argv):
+    code, out, err = run(capsys, *argv, "--gamma", MIXED_ORDERS)
+    assert code == 3 and out == ""
+    assert err.startswith("UnsupportedEdge:") and "[1, 2]" in err
+
+
+def test_mixed_order_edge_still_has_a_profile_and_a_table(capsys):
+    code, out, _ = run(capsys, "analyze", "--gamma", MIXED_ORDERS)
+    assert code == 0
+    assert sorted(mx["m"] for mx in json.loads(out)["maximizers"]) == [1, 2, 2]
+    code, _, _ = run(capsys, "cdf", "--gamma", MIXED_ORDERS, "--theta", "40",
+                     "--ell-range", "10:12")
+    assert code == 0
+
+
+def test_converge_starts_no_thread(monkeypatch, capsys):
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda self: started.append(self) or start(self))
+    code, _, _ = run(capsys, "converge", "--gamma", "1,-0.3333333333",
+                     "--thetas", "10,12", "--threads", "2")
+    assert code == 0 and started == []
+
+
+def test_threads_flag_changes_no_output(tmp_path, capsys):
+    outputs = []
+    for flags in ([], ["--threads", "1"], ["--threads", "2"]):
+        csv = tmp_path / f"c{len(outputs)}.csv"
+        code, out, _ = run(capsys, "converge", "--gamma", "1,-0.3333333333",
+                           "--thetas", "10,12", "--out", str(csv), *flags)
+        assert code == 0
+        outputs.append((out, csv.read_bytes()))
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):
