@@ -94,16 +94,54 @@ def _desk_size(flag, value, bound, noun, least=None):
     return value
 
 
-def _csv_out(rows, header, out=None):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(map(str, row)))
+def _check_writable(*paths):
+    """Raise now the OSError that writing any of ``paths`` would raise after
+    the computation.  Each file is left as it was: an existing one is not
+    truncated, and a new one is removed again."""
+    for path in filter(None, paths):
+        existed = os.path.lexists(path)
+        os.close(os.open(path, os.O_WRONLY | os.O_CREAT))
+        if not existed:
+            os.remove(path)
+
+
+def _write_lines(lines, out=None):
     text = "\n".join(lines) + "\n"
     if out:
         with open(out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _csv_out(rows, header, out=None):
+    _write_lines([",".join(header)] + [",".join(map(str, row)) for row in rows], out)
+
+
+def _float_cells(values):
+    """``str`` of each float in ``values``, each distinct value formatted
+    once: a lattice CDF repeats its rows.  Zeros are formatted each time,
+    because 0.0 == -0.0."""
+    memo = {}
+    cells = []
+    for v in values:
+        cell = memo.get(v)
+        if cell is None:
+            cell = str(v)
+            if v:
+                memo[v] = cell
+        cells.append(cell)
+    return cells
+
+
+@lru_cache(maxsize=1)
+def _converge_grid():
+    """The s-grid of ``converge`` (read-only) and its CSV cells, built on
+    first use: numpy's first ``linspace`` at import would add 0.15 MiB of
+    RSS to every command."""
+    s_grid = np.linspace(-6.0, 4.0, 101)
+    s_grid.flags.writeable = False
+    return s_grid, [str(s) for s in s_grid.tolist()]
 
 
 def _openblas_paths():
@@ -250,6 +288,7 @@ def _cmd_converge(args):
     except ValueError:
         raise ValueError(f"--thetas takes comma-separated couplings, "
                          f"got {args.thetas!r}") from None
+    _check_writable(args.out, args.svg)
     profile = edge_profile(HoppingCoefficients(args.gamma))
     try:
         power = profile.n_cuts if args.power == "auto" else int(args.power)
@@ -258,7 +297,7 @@ def _cmd_converge(args):
     if power < 1:
         raise ValueError(f"--power takes auto or an integer >= 1, "
                          f"got {args.power!r}")
-    s_grid = np.linspace(-6.0, 4.0, 101)
+    s_grid, s_cells = _converge_grid()
     limit = airy_mod.limiting_cdf(profile.law_order, power, s_grid)
 
     def one(theta):
@@ -268,9 +307,13 @@ def _cmd_converge(args):
     reports = _pool_map(one, thetas, args.threads)
     summary = {str(r["theta"]): r["sup_distance"] for r in reports}
     if args.out:
-        rows = [(r["theta"], float(s), float(p))
-                for r in reports for s, p in zip(s_grid, r["cdf"])]
-        _csv_out(rows, ["theta", "s", "cdf"], args.out)
+        # the cells that ",".join(map(str, row)) gives, each formatted once
+        lines = ["theta,s,cdf"]
+        for r in reports:
+            theta = str(r["theta"])
+            lines += [f"{theta},{s},{p}" for s, p in
+                      zip(s_cells, _float_cells(r["cdf"].tolist()))]
+        _write_lines(lines, args.out)
     if args.svg:
         pw = reports[0]["power"]
         panel = Panel(title=f"scaled edge CDFs vs limit (power {pw})")
@@ -286,6 +329,7 @@ def _cmd_sample(args):
     if args.n < 1:  # the sampler's own message, under the flag's name
         raise ValueError(f"-n: n_samples must be a positive integer, got {args.n}")
     _desk_size("-n", args.n, SAMPLE_DRAWS, "draws")
+    _check_writable(args.out)
     coeffs = HoppingCoefficients(args.gamma, theta=args.theta)
     scale = edge_profile(coeffs).scale(coeffs.theta)
     report = sampler_mod.empirical_edge_law(coeffs, args.n, args.seed)
@@ -315,6 +359,7 @@ def _cmd_unitary_mc(args):
                "angles (sweeps times ell)")
     _desk_size("--sweeps", args.sweeps * args.ell ** 2, CHAIN_PAIRS,
                "pair terms (sweeps times ell squared)")
+    _check_writable(args.out)
     res = unitary_mod.metropolis_chain(args.gamma, args.theta, args.ell,
                                        args.sweeps, args.seed)
     hist, edges = unitary_mod.angle_histogram(res.samples, bins=args.bins)

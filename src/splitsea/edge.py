@@ -35,9 +35,10 @@ from .airy import _log_minors, limiting_cdf
 from .errors import NotPositiveDefinite
 from .kernel import (_fourier_band, coefficient_band, kernel_matrix,
                      tail_trace)
-from .potential import HoppingCoefficients, edge_profile
+from .potential import HoppingCoefficients, _AngleGrid, edge_profile
 
 MAX_TABLE_DIM = 4096  # desk-scale cap on a Toeplitz or Fredholm matrix's order
+ROUTE_SCAN = _AngleGrid(2048, closed=True)  # where exact_cdf reads the symbol
 
 
 def symbol_coeffs(coeffs, n_max):
@@ -124,10 +125,11 @@ def exact_cdf(coeffs, ell):
     """P(k_max < ell) by the numerically appropriate exact route (once per call).
 
     Toeplitz while the symbol's dynamic range fits in double precision, then
-    Fredholm.  The Toeplitz rows drift already below the switch: 3e-12 from
-    the Fredholm ones at theta = 2.9, over 1e-9 from theta near 4.4.
+    Fredholm.  The range is read on ROUTE_SCAN, whose cosines are cached.
+    The Toeplitz rows drift already below the switch: 3e-12 from the
+    Fredholm ones at theta = 2.9, over 1e-9 from theta near 4.4.
     """
-    if np.max(coeffs.log_symbol(np.linspace(0.0, math.pi, 2048))) <= 25.0:
+    if np.max(coeffs.log_symbol(ROUTE_SCAN)) <= 25.0:
         return toeplitz_cdf(coeffs, ell)
     return fredholm_cdf_check(coeffs, ell)
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from .airy import airy_kernel
 from .errors import BandTooNarrow, NoConvergence, UnsupportedEdge
-from .potential import FermiSea, eval_dispersion
+from .potential import FermiSea, _AngleGrid, eval_dispersion
 
 BAND_TAIL_TOL = 1e-15
 BAND_SUPPORT_TOL = 1e-20  # |J_n| certified below this outside the stored band
@@ -61,10 +61,12 @@ def _fft_band(log_fn, size, what, floor=1.0):
     points, n = -size/2 .. size/2 - 1 stored at n + size/2, and their scale
     max(floor, max |coefficient|).
 
-    BandTooNarrow if their imaginary residue passes 1e-13 times the scale.
+    ``log_fn`` gets the grid as an ``_AngleGrid``, whose cos(r phi) and
+    sin(r phi) ``_harmonics`` builds once per process and size (up to its
+    cache bound), not once per band.  BandTooNarrow if the imaginary residue
+    passes 1e-13 times the scale.
     """
-    phi = 2.0 * math.pi * np.arange(size) / size
-    values = np.exp(log_fn(phi))
+    values = np.exp(log_fn(_AngleGrid(size)))
     # fft[k]/size = coefficient of e^{+i n phi} with n = k folded into
     # [-size/2, size/2); the caller bounds the aliased terms
     coeffs = np.fft.fft(values) / size
@@ -110,19 +112,27 @@ def _support_half_width(theta, gammas):
     if theta == 0.0 or not terms:
         return 1  # F = 1: J_n = 0 for every n != 0
     t_max = 700.0 / terms[-1][0]  # keeps sinh and cosh finite
-    h = lambda t: sum(a * math.sinh(r * t) for r, a in terms)
-    excess = lambda t: sum(a * (r * t * math.cosh(r * t) - math.sinh(r * t))
-                           for r, a in terms) - c
+
+    def excess(t):  # t h'(t) - h(t) - c, summed left to right
+        total = 0.0
+        for r, a in terms:
+            x = r * t
+            total += a * (x * math.cosh(x) - math.sinh(x))
+        return total - c
+
     lo, t = 0.0, min(1.0, t_max)
     while excess(t) < 0.0 and t < t_max:
         lo, t = t, min(2.0 * t, t_max)
     for _ in range(60):
         mid = 0.5 * (lo + t)
+        if mid == lo or mid == t:
+            break  # lo and t adjacent: no later step moves t
         if excess(mid) < 0.0:
             lo = mid
         else:
             t = mid
-    width = (h(t) + c) / t  # inf once 2 theta |gamma_r| overflows
+    h = sum(a * math.sinh(r * t) for r, a in terms)
+    width = (h + c) / t  # inf once 2 theta |gamma_r| overflows
     return math.floor(width) + 1 if math.isfinite(width) else math.inf
 
 

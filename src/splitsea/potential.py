@@ -52,6 +52,7 @@ TANGENT_SLOPE_TOL = 1e-8       # |D'(chi)| under this, per unit D' scale: a tang
 DERIV_ZERO_REL_TOL = 1e-9      # relative tolerance for "derivative vanishes"
 CRIT_MERGE_REL_TOL = 1e-14     # |D(c) - D(endpoint)| that merges c into the endpoint
 _MAX_SOLVER_STEPS = 200        # bisection alone ends well inside this
+WAVE_CACHE_ENTRIES = 2 ** 16   # r x phi entries of the largest cached wave, 512 KiB
 
 
 @dataclass(frozen=True)
@@ -90,7 +91,8 @@ class HoppingCoefficients:
         return tuple(self.theta * g for g in self.gammas)
 
     def log_symbol(self, phi):
-        """2 theta sum_r (-1)^(r-1) gamma_r cos(r phi), scalar or array phi.
+        """2 theta sum_r (-1)^(r-1) gamma_r cos(r phi), scalar, array or
+        ``_AngleGrid`` phi.
 
         The log of both the Toeplitz symbol of the edge law and the
         one-angle weight of the unitary matrix model, by ``_harmonics``.
@@ -196,6 +198,46 @@ class EdgeProfile:
         return int(ell) if ell.ndim == 0 else ell.astype(np.int64)
 
 
+@dataclass(frozen=True)
+class _AngleGrid:
+    """A grid of ``size`` angles that every call builds bit for bit the same:
+    the FFT grid 2 pi j / size, j < size, or (``closed``) linspace(0, pi, size).
+
+    ``_harmonics`` reads its waves from a cache, so a log-symbol or phase on
+    a fixed grid costs one matrix product.
+    """
+
+    size: int
+    closed: bool = False
+
+    def angles(self):
+        if self.closed:
+            return np.linspace(0.0, math.pi, self.size)
+        return 2.0 * math.pi * np.arange(self.size) / self.size
+
+
+def _wave(phi, count, parity):
+    """cos(r phi) (parity 0) or sin(r phi) (1), r = 1..count along the first
+    axis, for a 1-d array ``phi``."""
+    return (np.cos, np.sin)[parity](np.multiply.outer(np.arange(1.0, count + 1.0), phi))
+
+
+@lru_cache(maxsize=16)
+def _cached_wave(grid, count, parity):
+    wave = _wave(grid.angles(), count, parity)
+    wave.flags.writeable = False
+    return wave
+
+
+def _grid_wave(grid, count, parity):
+    """``_wave`` on an ``_AngleGrid``: cached and read-only while it has at
+    most WAVE_CACHE_ENTRIES entries, so the 16 cached waves hold at most
+    8 MiB; built afresh past that (a 2^20-point coefficient band)."""
+    if count * grid.size > WAVE_CACHE_ENTRIES:
+        return _wave(grid.angles(), count, parity)
+    return _cached_wave(grid, count, parity)
+
+
 def _harmonics(amplitudes, phi, order=0):
     """d^order/dphi^order of sum_r a_r cos(r phi), r = 1, 2, ..., for order >= -1.
 
@@ -204,15 +246,18 @@ def _harmonics(amplitudes, phi, order=0):
     product r phi, one cos or sin of it and one matrix product with the
     scaled amplitudes, which order 0 leaves exact.  r runs along the first
     axis: an inner loop over the few r would cost as much as the cos on
-    long arrays.  Scalar phi gives a float, an array an array.
+    long arrays.  Scalar phi gives a float, an array or an ``_AngleGrid``
+    (whose cos or sin is cached) an array.
     """
-    phi = np.asarray(phi, dtype=float)
-    wave = (np.cos, np.sin)[order % 2](
-        np.multiply.outer(np.arange(1.0, len(amplitudes) + 1.0), phi.ravel()))
+    if isinstance(phi, _AngleGrid):
+        wave, shape = _grid_wave(phi, len(amplitudes), order % 2), (phi.size,)
+    else:
+        phi = np.asarray(phi, dtype=float)
+        wave, shape = _wave(phi.ravel(), len(amplitudes), order % 2), phi.shape
     sign = (1.0, -1.0, -1.0, 1.0)[order % 4]
     total = (np.array([sign * r ** order * a for r, a in enumerate(amplitudes, start=1)])
-             @ wave).reshape(phi.shape)
-    return float(total) if phi.ndim == 0 else total
+             @ wave).reshape(shape)
+    return total if shape else float(total)
 
 
 def eval_dispersion(coeffs, phi, order=0):
@@ -221,7 +266,7 @@ def eval_dispersion(coeffs, phi, order=0):
     D(phi) = sum_r 2 r gamma_r cos(r phi), so the p-th derivative is the
     trigonometric sum of 2 gamma_r r^(p+1) cos(r phi + p pi/2), and
     order -1 gives G(phi) = sum_r 2 gamma_r sin(r phi), with G' = D and
-    G(0) = 0.  Accepts scalar or array ``phi``; orders outside
+    G(0) = 0.  Accepts scalar, array or ``_AngleGrid`` ``phi``; orders outside
     -1 .. 2 R + 2 raise ValueError.
     """
     p = int(order)

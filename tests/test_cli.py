@@ -17,6 +17,7 @@ import pytest
 from splitsea import cli
 from splitsea.cli import (_apply_config, _merge_negative_values, build_parser,
                           main)
+from splitsea.edge import scaled_convergence_study
 from splitsea.potential import HoppingCoefficients, global_extrema
 
 
@@ -763,6 +764,75 @@ def test_unwritable_output_path_is_config_error(tmp_path, capsys, argv, target):
 
 # m = 1 at 0 ties with m = 2 at pi/2: the edge law is no power of one F_{2m+1}
 MIXED_ORDERS = "0.3125,-0.125,0.0520833333333333,-0.015625,0.00625"
+
+
+@pytest.mark.parametrize("argv,flag,stage", [
+    (["converge", "--gamma", "1,-0.3333333333", "--thetas", "20,40"], "--out",
+     "splitsea.edge.exact_cdf"),
+    (["converge", "--gamma", "1,-0.3333333333", "--thetas", "20,40"], "--svg",
+     "splitsea.edge.exact_cdf"),
+    (["sample", "--gamma", "1,-0.3333333333", "--theta", "40", "-n", "50"],
+     "--out", "splitsea.sampler.exact_cdf"),
+    (["unitary-mc", "--gamma", "1,-0.3333333333", "--theta", "10.9", "--ell",
+      "24", "--sweeps", "50"], "--out", "splitsea.unitary.metropolis_chain"),
+])
+def test_unwritable_output_path_fails_before_any_computation(
+        monkeypatch, tmp_path, capsys, argv, flag, stage):
+    # the path error used to come only after every table, draw or sweep
+    calls = []
+    monkeypatch.setattr(stage, lambda *a, **k: calls.append(a))
+    monkeypatch.setattr("splitsea.airy.limiting_cdf", lambda *a: calls.append(a))
+    path = str(tmp_path / "missing" / "out.csv")
+    code, out, err = run(capsys, *argv, flag, path)
+    assert code == 2 and out == ""
+    assert err.startswith("config error:") and path in err
+    assert calls == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["converge", "--gamma", MIXED_ORDERS, "--thetas", "80", "--out"],
+    ["converge", "--gamma", MIXED_ORDERS, "--thetas", "80", "--svg"],
+    ["sample", "--gamma", MIXED_ORDERS, "--theta", "40", "--out"],
+    ["converge", "--gamma", "1", "--thetas", "1e9", "--out"],
+])
+def test_failed_command_leaves_its_output_path_as_it_was(tmp_path, capsys, argv):
+    kept = tmp_path / "kept.csv"
+    kept.write_text("theta,s,cdf\n1.0,0.0,0.5\n")
+    new = tmp_path / "new.csv"
+    for path in (kept, new):
+        code, out, _ = run(capsys, *argv, str(path))
+        assert code in (2, 3) and out == ""
+    assert kept.read_text() == "theta,s,cdf\n1.0,0.0,0.5\n"
+    assert not new.exists()
+
+
+# the benchmark's three converge models: two-cut, one-cut, multicritical
+@pytest.mark.parametrize("gamma,thetas", [
+    ("1,-0.3333333333", "19.83,40.61,79.27"), ("1,0.1", "80.9"),
+    ("1,-0.125", "198.4")])
+def test_converge_csv_is_the_str_of_each_row(tmp_path, capsys, gamma, thetas):
+    csv = tmp_path / "c.csv"
+    code, _, _ = run(capsys, "converge", "--gamma", gamma, "--thetas", thetas,
+                     "--out", str(csv))
+    assert code == 0
+    gammas = tuple(float(g) for g in gamma.split(","))
+    s_grid = np.linspace(-6.0, 4.0, 101)
+    reports = scaled_convergence_study(
+        gammas, [float(t) for t in thetas.split(",")], s_grid=s_grid)
+    rows = [(r["theta"], float(s), float(p))
+            for r in reports for s, p in zip(s_grid, r["cdf"])]
+    lines = ["theta,s,cdf"] + [",".join(map(str, row)) for row in rows]
+    assert csv.read_bytes() == ("\n".join(lines) + "\n").encode()
+    # a lattice CDF repeats rows: distinct values are what gets formatted
+    assert len({p for _, _, p in rows}) < len(rows)
+
+
+def test_float_cells_are_str_of_each_value():
+    values = [0.5, 0.5, 0.0, -0.0, -0.0, 0.0, 1e-300, float("nan"),
+              float("inf"), 0.1 + 0.2, 0.30000000000000004, 1.0, 1.0]
+    assert cli._float_cells(values) == [str(v) for v in values]
+
+
 
 
 @pytest.mark.parametrize("argv", [

@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import splitsea.kernel as kernel_mod
+import splitsea.potential as potential_mod
+from splitsea.edge import exact_cdf
 from splitsea.errors import BandTooNarrow, UnsupportedEdge
 from splitsea.kernel import (BAND_SUPPORT_TOL, BAND_TAIL_TOL,
                              MAX_BAND_HALF_WIDTH, QUAD_EPS, CoefficientBand,
@@ -18,9 +20,9 @@ from splitsea.kernel import (BAND_SUPPORT_TOL, BAND_TAIL_TOL,
                              coefficient_band, edge_prediction, kernel_eval,
                              kernel_eval_quadrature, kernel_matrix,
                              local_sine_prediction, tail_trace)
-from splitsea.potential import (HoppingCoefficients, edge_profile,
-                                eval_dispersion, fermi_sea, global_extrema,
-                                limit_density)
+from splitsea.potential import (HoppingCoefficients, _cached_wave,
+                                edge_profile, eval_dispersion, fermi_sea,
+                                global_extrema, limit_density)
 from splitsea.sampler import auto_window
 from splitsea.schur import brute_correlation
 from conftest import bessel_j
@@ -206,6 +208,74 @@ def test_support_half_width_is_the_least_certified_index(gammas, theta):
         ts = np.geomspace(1e-4, 700.0 / len(gammas), 20001)
         assert np.min(_cauchy_log_bound(theta, gammas, n - 1, ts)) \
             >= math.log(BAND_SUPPORT_TOL) - 1e-9
+
+
+def _reference_support_half_width(theta, gammas):
+    # the bisection as first written: generator sums, all 60 steps
+    terms = [(r, 2.0 * theta * abs(g)) for r, g in enumerate(gammas, start=1)
+             if g != 0.0]
+    c = -math.log(BAND_SUPPORT_TOL)
+    if theta == 0.0 or not terms:
+        return 1
+    t_max = 700.0 / terms[-1][0]
+    h = lambda t: sum(a * math.sinh(r * t) for r, a in terms)
+    excess = lambda t: sum(a * (r * t * math.cosh(r * t) - math.sinh(r * t))
+                           for r, a in terms) - c
+    lo, t = 0.0, min(1.0, t_max)
+    while excess(t) < 0.0 and t < t_max:
+        lo, t = t, min(2.0 * t, t_max)
+    for _ in range(60):
+        mid = 0.5 * (lo + t)
+        if excess(mid) < 0.0:
+            lo = mid
+        else:
+            t = mid
+    width = (h(t) + c) / t
+    return math.floor(width) + 1 if math.isfinite(width) else math.inf
+
+
+def test_support_half_width_matches_the_reference_bisection():
+    rng = np.random.default_rng(20261020)
+    cases = [(1.45e-89, (0.0, 0.0, 1.0)), (1.0, (3.9e-140,)), (0.0, (1.0,)),
+             (3.0, ()), (1150.0, (1.0,) * 12), (40.0, (1.0, -1.0 / 3.0))]
+    for _ in range(3000):
+        size = int(rng.integers(1, 13))
+        kind = rng.integers(0, 3, size=size)
+        weights = np.where(kind == 0, 0.0, rng.uniform(-1.0, 1.0, size))
+        weights = np.where(kind == 2, np.sign(weights) * 10.0 ** rng.uniform(
+            -150.0, 2.0, size), weights)
+        cases.append((float(10.0 ** rng.uniform(-90.0, 5.0)),
+                      tuple(weights.tolist())))
+    for theta, gammas in cases:
+        assert _support_half_width(theta, gammas) == \
+            _reference_support_half_width(theta, gammas), (theta, gammas)
+    # 2 theta |gamma_1| overflows: no band is certified
+    assert _support_half_width(1e308, (1.0,)) == math.inf
+    assert _reference_support_half_width(1e308, (1.0,)) == math.inf
+
+
+@pytest.mark.parametrize("gammas,theta", [
+    ((1.0, -1.0 / 3.0), 0.7), ((1.0, -1.0 / 3.0), 2.9), ((1.0, -1.0 / 3.0), 41.3),
+    ((1.0, 0.1), 79.0), ((1.0, -0.125), 201.0), ((0.5, 0.2, -0.1), 6.0),
+    ((1.0,), 4.0), ((1.0,), 30.0), ((0.0, 0.0, 1.0), 30.0)])
+def test_cached_waves_give_the_uncached_tables(monkeypatch, gammas, theta):
+    c = HoppingCoefficients(gammas, theta=theta)
+    ells = np.arange(0, int(3 * theta) + 8)
+    cached = (coefficient_band(c).coeffs, exact_cdf(c, ells))
+    monkeypatch.setattr(potential_mod, "WAVE_CACHE_ENTRIES", 0)
+    uncached = (coefficient_band(c).coeffs, exact_cdf(c, ells))
+    assert np.array_equal(cached[0], uncached[0])
+    assert np.array_equal(cached[1], uncached[1])
+
+
+def test_band_past_the_wave_cache_bound_leaves_the_cache_as_it_was():
+    c = HoppingCoefficients((1.0,), theta=8200.0)
+    n = _support_half_width(c.theta, c.gammas)
+    assert 1 << (4 * n + 3).bit_length() > potential_mod.WAVE_CACHE_ENTRIES
+    before = _cached_wave.cache_info().currsize
+    band = coefficient_band(c)
+    assert band.half_width == n
+    assert _cached_wave.cache_info().currsize == before
 
 
 @pytest.mark.parametrize("theta", [20.0, 120.0])

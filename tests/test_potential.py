@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+import splitsea.potential as potential_mod
 from splitsea.errors import DegenerateEdge, SolverFailure
-from splitsea.potential import (FermiSea, HoppingCoefficients, _count_cuts,
-                                _critical_points, _harmonics, _polish_root,
+from splitsea.potential import (FermiSea, HoppingCoefficients, _AngleGrid,
+                                _cached_wave, _count_cuts, _critical_points,
+                                _harmonics, _polish_root,
                                 edge_profile, eval_dispersion, fermi_sea,
                                 global_extrema, limit_density, limit_shape)
 from conftest import central_derivative
@@ -127,6 +129,40 @@ def test_harmonics_match_the_per_term_sum(order):
         assert abs(value - w) <= 1e-14 * scale
     assert np.array_equal(_harmonics((), phis, order), np.zeros_like(phis))
     assert _harmonics((), 0.3, order) == 0.0
+
+
+@pytest.mark.parametrize("grid", [_AngleGrid(2048, closed=True), _AngleGrid(256),
+                                  _AngleGrid(4096)])
+@pytest.mark.parametrize("order", [-1, 0, 1, 2, 3])
+def test_harmonics_on_a_fixed_grid_match_its_angles(grid, order):
+    amps = (0.7, -1.3, 0.0, 2.1)
+    want = _harmonics(amps, grid.angles(), order)
+    assert np.array_equal(_harmonics(amps, grid, order), want)
+    assert np.array_equal(_harmonics(amps, grid, order), want)  # from the cache
+    assert np.array_equal(_harmonics((), grid, order), np.zeros(grid.size))
+
+
+def test_cached_waves_are_read_only():
+    grid = _AngleGrid(512)
+    for parity in (0, 1):
+        _harmonics((1.0, 0.5), grid, parity)
+        wave = _cached_wave(grid, 2, parity)
+        assert wave.shape == (2, 512) and not wave.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            wave[0, 0] = 1.0
+
+
+def test_waves_past_the_cache_bound_are_not_cached():
+    _cached_wave.cache_clear()
+    _harmonics((1.0,), _AngleGrid(potential_mod.WAVE_CACHE_ENTRIES), 0)
+    assert _cached_wave.cache_info().currsize == 1
+    # one more harmonic or twice the points: built afresh, equal all the same
+    for amps, grid in [((1.0, 0.5), _AngleGrid(potential_mod.WAVE_CACHE_ENTRIES)),
+                       ((1.0,), _AngleGrid(2 * potential_mod.WAVE_CACHE_ENTRIES))]:
+        got = _harmonics(amps, grid, 0)
+        assert got.flags.writeable
+        assert np.array_equal(got, _harmonics(amps, grid.angles(), 0))
+    assert _cached_wave.cache_info().currsize == 1
 
 
 def test_dispersion_antiderivative():
