@@ -18,10 +18,10 @@ Tracy-Widom law (classical GUE Tracy-Widom at m = 1).  Integer powers
 F_{2m+1}^n are the edge laws of n-cut seas.
 
 Evaluation: ``airy_values`` is the one contour evaluator (vectorised, and it
-takes scalars too); ``airy_fn`` is its guarded public scalar form, and
-``_airy_cache`` holds its degree-16 Chebyshev interpolants on the unit panels
-of [-14.5, decay point + 1/2] (29, 41 and 57 panels, 493 to 969 contour
-points, for m = 1, 2, 3) for the kernel assembly; above the decay point
+takes scalars too), and ``_airy_cache`` holds its degree-16 Chebyshev
+interpolants on the unit panels of [-14.5, decay point + 1/2] (29, 41 and 57
+panels, 493 to 969 contour points, for m = 1, 2, 3) for the kernel assembly
+(``airy_kernel_matrix``); above the decay point
 ``_airy_cached`` is exactly 0.  The law blocks share that panel-Chebyshev
 layout (``_cheb_points``, ``_cheb_coefficients``) and its Clenshaw
 evaluator (``_clenshaw``).
@@ -79,8 +79,7 @@ LAW_CHECK_TOL = 1e-12        # most a law block may miss its table off its nodes
 _CHOLESKY_BLOCK = 256  # columns per np.linalg.cholesky call in _log_minors
 _AIRY_FLOOR_TOL = 1e-10  # most roundoff floor an Airy value may carry
 _DESK_FLOOR = -12.0    # least s of the limit law (the desk range)
-_MAX_ARG = 40.0        # public argument guard
-_SCAN_MAX = 80.0       # internal decay scans may go further
+_SCAN_MAX = 80.0       # most argument a decay-point scan reaches
 
 
 def _order(m):
@@ -164,13 +163,6 @@ def airy_values(m, xs):
         t_max = _tail_cutoff(m, float(sigma), float(np.min(flat[idx])))
         res[idx] = _airy_batch(m, flat[idx], float(sigma), t_max)
     return res.reshape(xs.shape)
-
-
-def airy_fn(order, x):
-    """Order-m Airy function at one argument |x| <= 40."""
-    if abs(float(x)) > _MAX_ARG:
-        raise ValueError(f"|x| <= {_MAX_ARG} supported; got {x!r}")
-    return float(airy_values(order, float(x)))
 
 
 _CACHE_FLOOR = -14.5  # least argument of the Airy cache and the kernels
@@ -316,12 +308,6 @@ def airy_kernel_matrix(order, xs):
     """
     factor = _kernel_factor(_order(order), np.asarray(xs, dtype=float))
     return factor @ factor.T
-
-
-def airy_kernel(order, x, y):
-    """Order-m Airy kernel A_{2m+1}(x, y); symmetric in its arguments."""
-    mat = airy_kernel_matrix(order, np.array([float(x), float(y)]))
-    return float(mat[0, 1]) if x != y else float(mat[0, 0])
 
 
 @dataclass(frozen=True)

@@ -162,24 +162,3 @@ def scaled_convergence_study(gammas, theta_list, s_grid=None, n_cuts=None,
                         "power": power, "m": m,
                         "cdf": lattice_vals, "limit": limit_vals})
     return reports
-
-
-def oscillation_average(n, chi_b=1.0):
-    """Average of the cyclic product of n cosines over one oscillation period.
-
-    The product cos(chi(x_1 - x_2)) ... cos(chi(x_n - x_1)) averaged over the
-    period box equals tr(T^n) for the rank-two integral operator with kernel
-    (chi/2 pi) cos(chi (x - y)); the periodic trapezoid discretisation of that
-    trace is the full tensor-product quadrature reorganised, and is exact up
-    to roundoff for trigonometric polynomials (256 nodes).  Independent of
-    chi_b.
-    """
-    nodes = 256
-    n = int(n)
-    if not 2 <= n <= 4:
-        raise ValueError("supported for 2 <= n <= 4")
-    period = 2.0 * math.pi / chi_b
-    xs = period * np.arange(nodes) / nodes
-    t = np.cos(chi_b * (xs[:, None] - xs[None, :])) * (chi_b / (2.0 * math.pi)) \
-        * (period / nodes)
-    return float(np.trace(np.linalg.matrix_power(t, n)))

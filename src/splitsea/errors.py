@@ -35,9 +35,9 @@ class NodeCountInsufficient(SplitSeaError):
 
 
 class UnsupportedEdge(SplitSeaError):
-    """An edge result requested where the library has none: the oscillating
-    kernel prediction beyond a unique interior maximizer, or the limit law
-    of an edge whose maximizers have different orders."""
+    """An edge limit law requested where the library has none: an edge whose
+    maximizers have different orders, so its law is no power of one
+    F_{2m+1}."""
 
 
 class NotPositiveDefinite(SplitSeaError):
@@ -51,10 +51,6 @@ class LeakageTooLarge(SplitSeaError):
 
 class SubcriticalPhase(SplitSeaError):
     """Eigenvalue density requested below the critical coupling."""
-
-
-class CoincidentAngles(SplitSeaError):
-    """Joint eigenvalue density evaluated at coinciding angles (weight zero)."""
 
 
 class LawDataError(SplitSeaError):

@@ -1,4 +1,4 @@
-"""Exact finite-coupling correlation kernel and its scaling-limit predictions.
+"""Exact finite-coupling correlation kernel, by series and by contour quadrature.
 
 The generating factor F(z) = exp(theta sum_r gamma_r (z^r - z^{-r})) has unit
 modulus on |z| = 1, so its Laurent coefficients J_n form an l^2-normalised
@@ -16,11 +16,6 @@ negligible, so those sums carry no FFT roundoff.  An independent double-contour
 quadrature of the same kernel on circles |z| = 1 + eps, |w| = 1 - eps
 (eps = QUAD_EPS) provides the oracle; both are exact representations of the
 same analytic object, so they must agree to quadrature accuracy.
-
-Local predictions: in the bulk the kernel approaches an extended discrete sine
-kernel assembled from the Fermi-sea boundary angles; at a two-cut right edge
-it approaches the order-m Airy kernel times an oscillating factor
-2 cos(chi_b (k - l)) at scale (d theta)^(-1/(2m+1)).
 """
 
 from __future__ import annotations
@@ -30,9 +25,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .airy import airy_kernel
-from .errors import BandTooNarrow, NoConvergence, UnsupportedEdge
-from .potential import FermiSea, _AngleGrid, eval_dispersion
+from .errors import BandTooNarrow, NoConvergence
+from .potential import _AngleGrid, eval_dispersion
 
 BAND_TAIL_TOL = 1e-15
 BAND_SUPPORT_TOL = 1e-20  # |J_n| certified below this outside the stored band
@@ -322,36 +316,3 @@ def kernel_eval_quadrature(coeffs, k, ell):
         prev = val
         m *= 2
     raise NoConvergence(f"contour quadrature not converged at {QUAD_MAX_NODES} nodes")
-
-
-def local_sine_prediction(sea, delta):
-    """Extended-sine bulk prediction at integer offset delta = s - t.
-
-    delta = 0 returns the limit density (the diagonal value).
-    """
-    if not isinstance(sea, FermiSea):
-        raise TypeError("expected a FermiSea")
-    d = int(delta)
-    if d == 0:
-        return sum(b - a for a, b in sea.intervals) / math.pi
-    return sum(math.sin(b * d) - math.sin(a * d)
-               for a, b in sea.intervals) / (math.pi * d)
-
-
-def edge_prediction(profile, theta, k, ell):
-    """Oscillating-edge prediction for K(k, l) near b*theta in the two-cut case.
-
-    Requires a unique interior maximizer; the phase of the oscillation is
-    chi_b * (k - l) exactly, because (d theta)^(1/(2m+1)) (x - y) = k - l.
-    """
-    interior = [mx for mx in profile.maximizers if mx.interior]
-    if len(profile.maximizers) != 1 or not interior:
-        raise UnsupportedEdge(
-            "prediction implemented for a unique interior maximizer only "
-            "(at 0/pi the oscillating factor degenerates to a constant 2)")
-    mx = interior[0]
-    x, y = profile.s_of(float(k), theta), profile.s_of(float(ell), theta)
-    if abs(x) > 6.0 or abs(y) > 6.0:
-        raise ValueError("edge variables out of the calibrated window |x|,|y| <= 6")
-    osc = 2.0 * math.cos(mx.chi_b * (float(k) - float(ell)))
-    return osc * airy_kernel(mx.m, x, y) / profile.scale(theta)

@@ -39,7 +39,7 @@ from .edge import exact_cdf
 from .errors import LeakageTooLarge
 from .kernel import coefficient_band, kernel_matrix, tail_trace
 from .kernel import kernel_eval  # noqa: F401  (bench/tracer.py patches it here)
-from .potential import edge_profile, limit_shape
+from .potential import edge_profile
 
 EIG_CLIP_TOL = 1e-9
 FRAME_BUDGET = 2 ** 21  # bytes of Gram-Schmidt columns one batch chunk may hold
@@ -260,34 +260,3 @@ def empirical_edge_law(coeffs, n_samples, seed):
                                    - limit)))
     return EdgeLawReport(k_max=kmax, ks_exact=ks_exact, ks_limit=ks_limit,
                          n_samples=n_samples, seed=int(seed))
-
-
-@dataclass(frozen=True)
-class ShapeDeviationReport:
-    percentile_90: float
-    leakage: float
-    n_samples: int
-
-
-def limit_shape_deviation(coeffs, n_samples, seed):
-    """Empirical sup-distance between N(x theta)/theta and its limit.
-
-    For each sampled configuration the count of occupied sites above every
-    window lattice point k, over theta, is compared with its limit
-    int_{k/theta}^b rho = (Omega(k/theta) - k/theta)/2, exact from the closed
-    form of :func:`limit_shape`; reports the 90th percentile of the
-    per-sample sup.
-    """
-    wk = windowed_kernel(coeffs)
-    theta = coeffs.theta
-    sites = wk.sites
-    tail = np.array([0.5 * (limit_shape(coeffs, k / theta) - k / theta)
-                     for k in sites])
-    sups = np.empty(int(n_samples))
-    for i, conf in enumerate(sample_many(wk, n_samples, seed)):
-        # conf is sorted: count its sites above each k
-        counts = len(conf) - np.searchsorted(conf, sites, side="right")
-        sups[i] = float(np.max(np.abs(counts / theta - tail)))
-    return ShapeDeviationReport(
-        percentile_90=float(np.percentile(sups, 90.0)),
-        leakage=wk.leakage, n_samples=int(n_samples))

@@ -9,8 +9,7 @@ enumeration machinery.
 
 The measure weight of a partition is exp(-theta^2 sum_r r gamma_r^2) *
 s_lambda[theta gamma]^2; exhaustive sums over partitions of bounded size give
-independent oracles for the correlation kernel and for the Toeplitz edge
-distribution.
+an independent oracle for the Toeplitz edge distribution (``oracle cdf``).
 
 Site convention: a partition occupies the half-integer sites
 {lambda_i - i + 1/2, i >= 1}; the empty partition is the domain wall with all
@@ -134,24 +133,3 @@ def brute_cdf_first_part(coeffs, ell, size_cap):
     return float(sum(measure_weight(lam, coeffs)
                      for lam in partitions_upto(size_cap)
                      if max(lam, default=0) <= ell))
-
-
-def site_occupied(parts, site):
-    """Whether half-integer ``site`` is occupied by the configuration of lambda."""
-    if abs(2 * site - round(2 * site)) > 1e-9 or round(2 * site) % 2 == 0:
-        raise ValueError(f"site {site!r} is not a half-integer")
-    parts = tuple(parts)
-    if site <= -len(parts) - 0.5:
-        return True  # below every displaced particle: domain-wall filled
-    return any(site == (parts[i - 1] if i <= len(parts) else 0) - i + 0.5
-               for i in range(1, len(parts) + 1))
-
-
-def brute_correlation(coeffs, sites, size_cap):
-    """P(all given half-integer sites occupied), truncated to |lambda| <= cap."""
-    sites = tuple(sites)
-    acc = 0.0
-    for lam in partitions_upto(size_cap):
-        if all(site_occupied(lam, s) for s in sites):
-            acc += measure_weight(lam, coeffs)
-    return acc

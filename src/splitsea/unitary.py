@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .edge import exact_cdf
-from .errors import CoincidentAngles, SubcriticalPhase
+from .errors import SubcriticalPhase
 from .potential import HoppingCoefficients, eval_dispersion, global_extrema
 
 def eigen_density_supercritical(gammas, x, alpha):
@@ -55,49 +55,6 @@ def eigen_density_supercritical(gammas, x, alpha):
     if np.isscalar(alpha) or alpha_arr.ndim == 0:
         return float(rho)
     return rho
-
-
-def density_support_cuts(gammas, x):
-    """Intervals of [-pi, pi] where the supercritical density is near zero.
-
-    A "cut" is a maximal arc of the 4096-point grid with rho < 1e-3 max(rho);
-    arcs wrapping +-pi are counted once.
-    """
-    grid = 4096
-    alphas = np.linspace(-math.pi, math.pi, grid, endpoint=False)
-    rho = eigen_density_supercritical(gammas, x, alphas)
-    low = rho < 1e-3 * float(np.max(rho))
-    if not np.any(low):
-        return []
-    # group circularly contiguous low runs
-    idx = np.nonzero(low)[0]
-    runs = []
-    start = prev = idx[0]
-    for i in idx[1:]:
-        if i == prev + 1:
-            prev = i
-            continue
-        runs.append((start, prev))
-        start = prev = i
-    runs.append((start, prev))
-    if len(runs) > 1 and runs[0][0] == 0 and runs[-1][1] == grid - 1:
-        first = runs.pop(0)
-        runs[-1] = (runs[-1][0], first[1] + grid)
-    return [(float(alphas[a % grid]), float(alphas[b % grid])) for a, b in runs]
-
-
-def log_joint_density(gammas, theta, angles):
-    """Unnormalised log density of the eigenvalue angles (exchangeable)."""
-    angles = np.asarray(angles, dtype=float)
-    pot = float(np.sum(HoppingCoefficients(gammas, theta=theta).log_symbol(angles)))
-    if len(angles) > 1:
-        diff = angles[:, None] - angles[None, :]
-        iu = np.triu_indices(len(angles), k=1)
-        sines = np.abs(np.sin(0.5 * diff[iu]))
-        if np.any(sines == 0.0):
-            raise CoincidentAngles("coinciding eigenvalue angles have weight zero")
-        pot += 2.0 * float(np.sum(np.log(sines)))
-    return pot
 
 
 @dataclass(frozen=True)
@@ -280,24 +237,3 @@ def partition_function_toeplitz(gammas, theta, ell):
     """Z_ell = exp(theta^2 sum r gamma_r^2) P(k_max < ell), via the edge CDF."""
     coeffs = HoppingCoefficients(gammas, theta=theta)
     return math.exp(coeffs.szego_constant()) * exact_cdf(coeffs, ell)
-
-
-def partition_function_quadrature(gammas, theta, ell):
-    """Z_ell by direct angular quadrature (oracle; ell <= 2 practical).
-
-    512-node periodic trapezoid over the ell-torus of the Weyl-measure integrand
-    prod_j w(alpha_j) prod_{j<k} |e^{i a_j} - e^{i a_k}|^2 / ((2 pi)^ell ell!).
-    """
-    coeffs = HoppingCoefficients(gammas, theta=theta)
-    ell = int(ell)
-    if ell not in (1, 2):
-        raise ValueError("direct quadrature oracle supports ell in {1, 2}")
-    nodes = 512
-    alphas = 2.0 * math.pi * np.arange(nodes) / nodes - math.pi
-    w = np.exp(coeffs.log_symbol(alphas))
-    h = 2.0 * math.pi / nodes
-    if ell == 1:
-        return float(np.sum(w) * h / (2.0 * math.pi))
-    pair = 2.0 - 2.0 * np.cos(alphas[:, None] - alphas[None, :])
-    z = float(w @ pair @ w) * h * h
-    return z / ((2.0 * math.pi) ** 2 * 2.0)

@@ -1,14 +1,28 @@
-"""Shared independent oracles used across the test suite.
+"""Helpers shared across the test suite.
 
-Everything here is deliberately implemented from scratch (power series,
-finite differences, direct quadrature) so the tests never validate a module
-against its own machinery.
+The independent oracles (``airy_series``, ``bessel_j``, ``bessel_i``,
+``central_derivative``) are built from scratch by power series and finite
+differences, so no test checks a module against its own machinery.
+
+The scaling-limit predictions and brute-force oracles after them came out of
+the package, since no command runs them; they are kept verbatim and call
+library code: ``airy_kernel`` and ``edge_prediction`` read
+``airy_kernel_matrix``, ``brute_correlation`` reads ``measure_weight``, and
+``density_support_cuts`` reads ``eigen_density_supercritical``.
+``oscillation_average``, ``local_sine_prediction`` and
+``partition_function_quadrature`` are direct quadratures or closed forms.
 """
 
 import math
 
 import numpy as np
 import pytest
+
+from splitsea.airy import airy_kernel_matrix
+from splitsea.errors import UnsupportedEdge
+from splitsea.potential import FermiSea, HoppingCoefficients
+from splitsea.schur import measure_weight, partitions_upto
+from splitsea.unitary import eigen_density_supercritical
 
 
 def airy_series(x, nterms=160):
@@ -55,6 +69,137 @@ def central_derivative(fn, x, order, h):
     }
     coeffs, offsets = stencils[order]
     return sum(c * fn(x + o * h) for c, o in zip(coeffs, offsets)) / h ** order
+
+
+def airy_kernel(order, x, y):
+    """Order-m Airy kernel A_{2m+1}(x, y); symmetric in its arguments."""
+    mat = airy_kernel_matrix(order, np.array([float(x), float(y)]))
+    return float(mat[0, 1]) if x != y else float(mat[0, 0])
+
+
+def local_sine_prediction(sea, delta):
+    """Extended-sine bulk prediction at integer offset delta = s - t.
+
+    delta = 0 returns the limit density (the diagonal value).
+    """
+    if not isinstance(sea, FermiSea):
+        raise TypeError("expected a FermiSea")
+    d = int(delta)
+    if d == 0:
+        return sum(b - a for a, b in sea.intervals) / math.pi
+    return sum(math.sin(b * d) - math.sin(a * d)
+               for a, b in sea.intervals) / (math.pi * d)
+
+
+def edge_prediction(profile, theta, k, ell):
+    """Oscillating-edge prediction for K(k, l) near b*theta in the two-cut case.
+
+    Requires a unique interior maximizer; the phase of the oscillation is
+    chi_b * (k - l) exactly, because (d theta)^(1/(2m+1)) (x - y) = k - l.
+    """
+    interior = [mx for mx in profile.maximizers if mx.interior]
+    if len(profile.maximizers) != 1 or not interior:
+        raise UnsupportedEdge(
+            "prediction implemented for a unique interior maximizer only "
+            "(at 0/pi the oscillating factor degenerates to a constant 2)")
+    mx = interior[0]
+    x, y = profile.s_of(float(k), theta), profile.s_of(float(ell), theta)
+    if abs(x) > 6.0 or abs(y) > 6.0:
+        raise ValueError("edge variables out of the calibrated window |x|,|y| <= 6")
+    osc = 2.0 * math.cos(mx.chi_b * (float(k) - float(ell)))
+    return osc * airy_kernel(mx.m, x, y) / profile.scale(theta)
+
+
+def oscillation_average(n, chi_b=1.0):
+    """Average of the cyclic product of n cosines over one oscillation period.
+
+    The product cos(chi(x_1 - x_2)) ... cos(chi(x_n - x_1)) averaged over the
+    period box equals tr(T^n) for the rank-two integral operator with kernel
+    (chi/2 pi) cos(chi (x - y)); the periodic trapezoid discretisation of that
+    trace is the full tensor-product quadrature reorganised, and is exact up
+    to roundoff for trigonometric polynomials (256 nodes).  Independent of
+    chi_b.
+    """
+    nodes = 256
+    n = int(n)
+    if not 2 <= n <= 4:
+        raise ValueError("supported for 2 <= n <= 4")
+    period = 2.0 * math.pi / chi_b
+    xs = period * np.arange(nodes) / nodes
+    t = np.cos(chi_b * (xs[:, None] - xs[None, :])) * (chi_b / (2.0 * math.pi)) \
+        * (period / nodes)
+    return float(np.trace(np.linalg.matrix_power(t, n)))
+
+
+def site_occupied(parts, site):
+    """Whether half-integer ``site`` is occupied by the configuration of lambda."""
+    if abs(2 * site - round(2 * site)) > 1e-9 or round(2 * site) % 2 == 0:
+        raise ValueError(f"site {site!r} is not a half-integer")
+    parts = tuple(parts)
+    if site <= -len(parts) - 0.5:
+        return True  # below every displaced particle: domain-wall filled
+    return any(site == (parts[i - 1] if i <= len(parts) else 0) - i + 0.5
+               for i in range(1, len(parts) + 1))
+
+
+def brute_correlation(coeffs, sites, size_cap):
+    """P(all given half-integer sites occupied), truncated to |lambda| <= cap."""
+    sites = tuple(sites)
+    acc = 0.0
+    for lam in partitions_upto(size_cap):
+        if all(site_occupied(lam, s) for s in sites):
+            acc += measure_weight(lam, coeffs)
+    return acc
+
+
+def density_support_cuts(gammas, x):
+    """Intervals of [-pi, pi] where the supercritical density is near zero.
+
+    A "cut" is a maximal arc of the 4096-point grid with rho < 1e-3 max(rho);
+    arcs wrapping +-pi are counted once.
+    """
+    grid = 4096
+    alphas = np.linspace(-math.pi, math.pi, grid, endpoint=False)
+    rho = eigen_density_supercritical(gammas, x, alphas)
+    low = rho < 1e-3 * float(np.max(rho))
+    if not np.any(low):
+        return []
+    # group circularly contiguous low runs
+    idx = np.nonzero(low)[0]
+    runs = []
+    start = prev = idx[0]
+    for i in idx[1:]:
+        if i == prev + 1:
+            prev = i
+            continue
+        runs.append((start, prev))
+        start = prev = i
+    runs.append((start, prev))
+    if len(runs) > 1 and runs[0][0] == 0 and runs[-1][1] == grid - 1:
+        first = runs.pop(0)
+        runs[-1] = (runs[-1][0], first[1] + grid)
+    return [(float(alphas[a % grid]), float(alphas[b % grid])) for a, b in runs]
+
+
+def partition_function_quadrature(gammas, theta, ell):
+    """Z_ell by direct angular quadrature (oracle; ell <= 2 practical).
+
+    512-node periodic trapezoid over the ell-torus of the Weyl-measure integrand
+    prod_j w(alpha_j) prod_{j<k} |e^{i a_j} - e^{i a_k}|^2 / ((2 pi)^ell ell!).
+    """
+    coeffs = HoppingCoefficients(gammas, theta=theta)
+    ell = int(ell)
+    if ell not in (1, 2):
+        raise ValueError("direct quadrature oracle supports ell in {1, 2}")
+    nodes = 512
+    alphas = 2.0 * math.pi * np.arange(nodes) / nodes - math.pi
+    w = np.exp(coeffs.log_symbol(alphas))
+    h = 2.0 * math.pi / nodes
+    if ell == 1:
+        return float(np.sum(w) * h / (2.0 * math.pi))
+    pair = 2.0 - 2.0 * np.cos(alphas[:, None] - alphas[None, :])
+    z = float(w @ pair @ w) * h * h
+    return z / ((2.0 * math.pi) ** 2 * 2.0)
 
 
 @pytest.fixture()

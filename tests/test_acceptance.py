@@ -10,22 +10,20 @@ import math
 import numpy as np
 import pytest
 
-from splitsea.airy import airy_fn, fredholm_F, limiting_cdf
-from splitsea.airy import _fredholm_once, FredholmConfig
-from splitsea.edge import (fredholm_cdf_check, oscillation_average,
-                           scaled_convergence_study, toeplitz_cdf)
-from splitsea.kernel import (coefficient_band, edge_prediction, kernel_eval,
-                             kernel_eval_quadrature, kernel_matrix,
-                             local_sine_prediction)
+from splitsea.airy import FredholmConfig, _fredholm_once, airy_values
+from splitsea.edge import (fredholm_cdf_check, scaled_convergence_study,
+                           toeplitz_cdf)
+from splitsea.kernel import (coefficient_band, kernel_eval,
+                             kernel_eval_quadrature, kernel_matrix)
 from splitsea.potential import (HoppingCoefficients, edge_profile, fermi_sea,
                                 global_extrema)
 from splitsea.sampler import WindowedKernel, empirical_edge_law, sample_many
 from splitsea.schur import measure_weight, partitions_upto
-from splitsea.unitary import (angle_histogram, density_support_cuts,
-                              eigen_density_supercritical, metropolis_chain,
-                              partition_function_quadrature,
-                              partition_function_toeplitz)
-from conftest import airy_series
+from splitsea.unitary import (angle_histogram, eigen_density_supercritical,
+                              metropolis_chain, partition_function_toeplitz)
+from conftest import (airy_series, brute_correlation, density_support_cuts,
+                      edge_prediction, local_sine_prediction,
+                      oscillation_average, partition_function_quadrature)
 
 TWO_CUT = (1.0, -1.0 / 3.0)
 FOUR_MODELS = [(1.0, 1.0 / 3.0), (1.0, 0.1), (1.0, -0.125), (1.0, -1.0 / 3.0)]
@@ -65,7 +63,6 @@ def test_criterion_02_kernel_equivalence(rng):
                                - kernel_eval_quadrature(c, k, ell)))
     c5 = HoppingCoefficients(TWO_CUT, theta=0.5)
     band5 = coefficient_band(c5)
-    from splitsea.schur import brute_correlation
     worst_minor = 0.0
     for sites in [(0.5, 1.5), (-0.5, 0.5), (-1.5, 1.5)]:
         det = float(np.linalg.det(kernel_matrix(band5, sites)))
@@ -166,7 +163,7 @@ def test_criterion_07_oscillation_constants():
 
 
 def test_criterion_08_airy_stack():
-    worst_series = max(abs(airy_fn(1, x) - airy_series(x))
+    worst_series = max(abs(airy_values(1, x) - airy_series(x))
                        for x in (-3.0, -1.0, 0.0, 1.0, 3.0))
     cfg = FredholmConfig(n_nodes=64)
     worst_double = max(abs(_fredholm_once(1, s, cfg.cut_for(1), 64)
@@ -178,9 +175,10 @@ def test_criterion_08_airy_stack():
             stencil, offs = [1.0, -2.0, 1.0], [-1, 0, 1]
         else:
             stencil, offs = [1.0, -4.0, 6.0, -4.0, 1.0], [-2, -1, 0, 1, 2]
-        der = sum(cc * airy_fn(m, x + v + o * h)
+        der = sum(cc * airy_values(m, x + v + o * h)
                   for cc, o in zip(stencil, offs)) / h ** (2 * m)
-        return abs(x * airy_fn(m, x + v) + (-1) ** m * der + v * airy_fn(m, x + v))
+        return abs(x * airy_values(m, x + v) + (-1) ** m * der
+                   + v * airy_values(m, x + v))
 
     worst_eig = max(eig_resid(1, 0.3, 0.2, 1e-3), eig_resid(1, -0.5, 0.8, 1e-3),
                     eig_resid(2, 0.3, 0.2, 0.03), eig_resid(2, 0.0, 1.1, 0.03))

@@ -10,15 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splitsea.airy import (FredholmConfig, airy_fn, airy_kernel,
-                           airy_kernel_matrix, airy_values, fredholm_F,
-                           limiting_cdf)
+from splitsea.airy import (FredholmConfig, airy_kernel_matrix, airy_values,
+                           fredholm_F, limiting_cdf)
 from splitsea import airy as airy_mod
 from splitsea.airy import (KERNEL_FACTOR_FLOOR, TABLE_TOL, _airy_cached,
                            _fredholm_once, _gauss_legendre, _kernel_factor,
                            _log_minors, _v_quadrature)
 from splitsea.errors import LawDataError, NoConvergence, NodeCountInsufficient
-from conftest import airy_series
+from conftest import airy_kernel, airy_series
 
 # the reference builder of the shipped law blocks lives outside the package
 sys.path.append(os.path.join(os.path.dirname(__file__), os.pardir, "tools"))
@@ -27,9 +26,9 @@ from law_builder import _law_nodes, _leading_minors  # noqa: E402
 
 
 def test_classical_airy_against_series():
-    assert airy_fn(1, 0.0) == pytest.approx(0.3550280538878172, abs=1e-12)
+    assert airy_values(1, 0.0) == pytest.approx(0.3550280538878172, abs=1e-12)
     for x in (-3.0, -1.0, 0.0, 1.0, 3.0):
-        assert airy_fn(1, x) == pytest.approx(airy_series(x), abs=1e-9)
+        assert airy_values(1, x) == pytest.approx(airy_series(x), abs=1e-9)
 
 
 def test_airy_value_above_its_roundoff_target_raises():
@@ -37,7 +36,7 @@ def test_airy_value_above_its_roundoff_target_raises():
     # accepted -5.7e88 at x = 0.3
     for x in (0.3, 10.0):
         with pytest.raises(NoConvergence, match="roundoff floor"):
-            airy_fn(4, x)
+            airy_values(4, x)
 
 
 def test_airy_values_and_spline_against_scipy():
@@ -50,7 +49,6 @@ def test_airy_values_and_spline_against_scipy():
     fine = np.linspace(-14.5, 52.0, 66501)
     assert np.max(np.abs(_airy_cached(1, fine) - airy(fine)[0])) < 1e-10
     assert airy_values(1, 0.5).shape == ()
-    assert airy_fn(1, 0.5) == float(airy_values(1, 0.5))
 
 
 def test_higher_order_airy_against_mpmath():
@@ -79,13 +77,11 @@ def test_higher_order_airy_against_mpmath():
 
 def test_airy_order_guard():
     with pytest.raises(ValueError):
-        airy_fn(1, 41.0)
+        airy_values(0, 0.3)
     with pytest.raises(ValueError):
-        airy_fn(0, 0.3)
+        airy_values(1.5, 0.3)
     with pytest.raises(ValueError):
-        airy_fn(1.5, 0.3)
-    with pytest.raises(ValueError):
-        airy_fn(0, 0.0)
+        airy_values(0, 0.0)
 
 
 def test_airy_batch_raises_beyond_node_budget(monkeypatch):
@@ -103,9 +99,10 @@ def test_eigenfunction_identity(m, h, xv):
         stencil, offs = [1.0, -2.0, 1.0], [-1, 0, 1]
     else:
         stencil, offs = [1.0, -4.0, 6.0, -4.0, 1.0], [-2, -1, 0, 1, 2]
-    der = sum(cc * airy_fn(m, x + v + o * h)
+    der = sum(cc * airy_values(m, x + v + o * h)
               for cc, o in zip(stencil, offs)) / h ** (2 * m)
-    resid = x * airy_fn(m, x + v) + (-1) ** m * der + v * airy_fn(m, x + v)
+    resid = (x * airy_values(m, x + v) + (-1) ** m * der
+             + v * airy_values(m, x + v))
     assert abs(resid) < 1e-4
 
 

@@ -9,14 +9,14 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splitsea.edge import (exact_cdf, fredholm_cdf_check, oscillation_average,
+from splitsea.edge import (exact_cdf, fredholm_cdf_check,
                            scaled_convergence_study, symbol_coeffs,
                            toeplitz_cdf)
 from splitsea.errors import NotPositiveDefinite
 from splitsea.kernel import coefficient_band, kernel_matrix, tail_trace
 from splitsea.potential import HoppingCoefficients, edge_profile
 from splitsea.schur import brute_cdf_first_part
-from conftest import bessel_i
+from conftest import bessel_i, oscillation_average
 
 
 def test_symbol_is_bessel_i_for_nearest_neighbour():

@@ -17,15 +17,14 @@ from splitsea.kernel import (BAND_SUPPORT_TOL, BAND_TAIL_TOL,
                              MAX_BAND_HALF_WIDTH, QUAD_EPS, CoefficientBand,
                              _contour_factors, _contour_sum, _fft_band,
                              _half_int, _support_half_width,
-                             coefficient_band, edge_prediction, kernel_eval,
-                             kernel_eval_quadrature, kernel_matrix,
-                             local_sine_prediction, tail_trace)
+                             coefficient_band, kernel_eval,
+                             kernel_eval_quadrature, kernel_matrix, tail_trace)
 from splitsea.potential import (HoppingCoefficients, _cached_wave,
                                 edge_profile, eval_dispersion, fermi_sea,
                                 global_extrema, limit_density)
 from splitsea.sampler import auto_window
-from splitsea.schur import brute_correlation
-from conftest import bessel_j
+from conftest import (airy_kernel, bessel_j, brute_correlation,
+                      edge_prediction, local_sine_prediction)
 
 
 def test_band_is_bessel_for_nearest_neighbour():
@@ -473,7 +472,6 @@ def test_edge_prediction_diagonal_form():
     mx = profile.principal
     scale = (mx.d * c.theta) ** (1.0 / 3.0)
     k = math.floor(profile.b * c.theta) + 0.5
-    from splitsea.airy import airy_kernel
     x = (k - profile.b * c.theta) / scale
     assert edge_prediction(profile, c.theta, k, k) == pytest.approx(
         2.0 * airy_kernel(1, x, x) / scale, rel=1e-10)

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from splitsea.potential import HoppingCoefficients
-from splitsea.schur import (brute_cdf_first_part, brute_correlation,
-                            complete_homogeneous, conjugate, elementary,
-                            measure_weight, partitions_upto, schur,
-                            site_occupied, total_weight)
+from splitsea.schur import (brute_cdf_first_part, complete_homogeneous,
+                            conjugate, elementary, measure_weight,
+                            partitions_upto, schur, total_weight)
+from conftest import brute_correlation, site_occupied
 
 
 def test_complete_homogeneous_series():

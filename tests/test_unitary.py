@@ -10,17 +10,34 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import splitsea.unitary as unitary_mod
-from splitsea.errors import CoincidentAngles, SubcriticalPhase
+from splitsea.errors import SplitSeaError, SubcriticalPhase
 from splitsea.potential import HoppingCoefficients, edge_profile, global_extrema
 from splitsea.unitary import (ChainResult, angle_histogram,
-                              density_support_cuts,
-                              eigen_density_supercritical, log_joint_density,
-                              metropolis_chain, partition_function_quadrature,
+                              eigen_density_supercritical, metropolis_chain,
                               partition_function_toeplitz)
-from conftest import bessel_i
+from conftest import (bessel_i, density_support_cuts,
+                      partition_function_quadrature)
 
 FOUR_MODELS = [(1.0, 1.0 / 3.0), (1.0, 0.1), (1.0, -0.125), (1.0, -1.0 / 3.0)]
 TWO_CUT = (1.0, -1.0 / 3.0)
+
+
+class CoincidentAngles(SplitSeaError):
+    """Joint eigenvalue density evaluated at coinciding angles (weight zero)."""
+
+
+def log_joint_density(gammas, theta, angles):
+    """Unnormalised log density of the eigenvalue angles (exchangeable)."""
+    angles = np.asarray(angles, dtype=float)
+    pot = float(np.sum(HoppingCoefficients(gammas, theta=theta).log_symbol(angles)))
+    if len(angles) > 1:
+        diff = angles[:, None] - angles[None, :]
+        iu = np.triu_indices(len(angles), k=1)
+        sines = np.abs(np.sin(0.5 * diff[iu]))
+        if np.any(sines == 0.0):
+            raise CoincidentAngles("coinciding eigenvalue angles have weight zero")
+        pot += 2.0 * float(np.sum(np.log(sines)))
+    return pot
 
 
 def _reference_site_delta(gammas, theta, angles, j, new_angle):
