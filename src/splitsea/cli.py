@@ -4,12 +4,15 @@ Conventions: CSV cells are written with ``str``, which for floats is the
 shortest repr that round-trips, so re-reading them reproduces values bit for
 bit; ``--json`` summaries go to stdout; exit code 2 flags configuration
 errors, 3 numerical failures (the failing error class name is printed on
-stderr); a path that cannot be written or created is a configuration
-error too.  A flat key=value config file can seed any long option; explicit
-flags win.  Every command runs on one thread.  Its BLAS does too: ``main``
-pins the OpenBLAS that numpy loaded, once per process, unless
-OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS is set, in which
-case the library keeps the count they give it.
+stderr); a path that cannot be written or created is a configuration error
+too.  ``--out`` takes the CSV table (stdout without it), or for converge,
+sample and unitary-mc an extra CSV (none without it).  A flat key=value
+config file can seed any long option, explicit flags win, and a line that is
+not blank, a ``#`` comment or key=value is a configuration error.  Only cdf,
+converge, sample and unitary-mc take ``--threads``, and ignore it: every
+command, and its BLAS, runs on one thread (``main`` pins numpy's OpenBLAS
+once per process unless OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or
+OMP_NUM_THREADS sets its count).
 """
 
 from __future__ import annotations
@@ -288,6 +291,8 @@ def _cmd_converge(args):
     except ValueError:
         raise ValueError(f"--thetas takes comma-separated couplings, "
                          f"got {args.thetas!r}") from None
+    if len(set(thetas)) < len(thetas):
+        raise ValueError(f"--thetas repeats a coupling: {args.thetas!r}")
     _check_writable(args.out, args.svg)
     profile = edge_profile(HoppingCoefficients(args.gamma))
     try:
@@ -400,14 +405,11 @@ def _cmd_figures(args):
     ev = unitary_mod.eigen_density_supercritical(gam, b, alphas)
     ev_rows = list(zip(map(float, alphas), map(float, ev)))
 
-    paths = {
-        "dispersion": os.path.join(outdir, f"figure_{tag}_dispersion.csv"),
-        "density": os.path.join(outdir, f"figure_{tag}_density.csv"),
-        "eigen_density": os.path.join(outdir, f"figure_{tag}_eigendensity.csv"),
-    }
-    _csv_out(d_rows, ["phi", "D"], paths["dispersion"])
-    _csv_out(rho_rows, ["x", "rho"], paths["density"])
-    _csv_out(ev_rows, ["alpha", "rho"], paths["eigen_density"])
+    paths = [os.path.join(outdir, f"figure_{tag}_{name}.csv")
+             for name in ("dispersion", "density", "eigendensity")]
+    for rows, header, path in zip((d_rows, rho_rows, ev_rows),
+                                  (["phi", "D"], ["x", "rho"], ["alpha", "rho"]), paths):
+        _csv_out(rows, header, path)
     svg = os.path.join(outdir, f"figure_{tag}.svg")
     render_panels([
         Panel(title=f"dispersion, gamma2={args.gamma2:g}").add(
@@ -416,7 +418,7 @@ def _cmd_figures(args):
         Panel(title="eigenvalue density at the critical coupling").add(
             *zip(*ev_rows)),
     ], svg)
-    print(json.dumps({"csv": list(paths.values()), "svg": svg}))
+    print(json.dumps({"csv": paths, "svg": svg}))
     return 0
 
 
@@ -425,27 +427,15 @@ def _add_common(sub, theta=False):
                      help="comma-separated hopping weights gamma_1,gamma_2,...")
     if theta:
         sub.add_argument("--theta", type=float, required=True)
-    sub.add_argument("--out", default=None, help="CSV output path (default stdout)")
 
 
 def build_parser():
     ap = argparse.ArgumentParser(prog="splitsea", description=__doc__)
-    ap.add_argument("--config", default=None,
-                    help="flat key=value file seeding long options")
-    common = argparse.ArgumentParser(add_help=False)
-    # accepted and ignored: the benchmark's decks still pass it
-    common.add_argument("--threads", type=int, default=None,
-                        help=argparse.SUPPRESS)
-    subparsers = ap.add_subparsers(dest="command", required=True)
-
-    class _Sub:
-        def add_parser(self, name, **kw):
-            return subparsers.add_parser(name, parents=[common], **kw)
-
-    sp = _Sub()
+    ap.add_argument("--config", help="flat key=value file seeding long options")
+    sp = ap.add_subparsers(dest="command", required=True)
 
     s = sp.add_parser("analyze", help="edge profile and regime report")
-    s.add_argument("--gamma", type=_parse_gammas, required=True)
+    _add_common(s)
     s.add_argument("--json", action="store_true", help="pretty-print JSON")
     s.set_defaults(fn=_cmd_analyze)
 
@@ -454,6 +444,7 @@ def build_parser():
     s.add_argument("--xmin", type=float, required=True)
     s.add_argument("--xmax", type=float, required=True)
     s.add_argument("--steps", type=int, default=200)
+    s.add_argument("--out", help="CSV of the x,rho,Omega table (default stdout)")
     s.set_defaults(fn=_cmd_density)
 
     s = sp.add_parser("kernel", help="one kernel entry vs its contour oracle")
@@ -465,6 +456,7 @@ def build_parser():
     s = sp.add_parser("kernel-profile", help="kernel diagonal over a window")
     _add_common(s, theta=True)
     s.add_argument("--window", required=True, help="a:b site range")
+    s.add_argument("--out", help="CSV of the k,Kkk table (default stdout)")
     s.set_defaults(fn=_cmd_kernel_profile)
 
     s = sp.add_parser("oracle", help="brute-force Schur-sum oracles")
@@ -478,12 +470,13 @@ def build_parser():
     s.add_argument("--m", type=int, default=1)
     s.add_argument("--power", type=int, default=1)
     s.add_argument("--s", required=True, help="lo:hi[:step] grid of s values")
-    s.add_argument("--out", default=None)
+    s.add_argument("--out", help="CSV of the s,F table (default stdout)")
     s.set_defaults(fn=_cmd_airy)
 
     s = sp.add_parser("cdf", help="exact lattice CDF of the rightmost particle")
     _add_common(s, theta=True)
     s.add_argument("--ell-range", required=True, help="a:b inclusive")
+    s.add_argument("--out", help="CSV of the ell,p,s table (default stdout)")
     s.set_defaults(fn=_cmd_cdf)
 
     s = sp.add_parser("converge", help="scaled CDF vs limiting law study")
@@ -491,19 +484,21 @@ def build_parser():
     s.add_argument("--thetas", required=True, help="comma separated couplings")
     s.add_argument("--power", default="auto")
     s.add_argument("--svg", default=None)
+    s.add_argument("--out", help="CSV of every theta,s,cdf row (none without it)")
     s.set_defaults(fn=_cmd_converge)
 
     s = sp.add_parser("sample", help="determinantal sampling of k_max")
     _add_common(s, theta=True)
     s.add_argument("-n", type=int, default=1000)
     s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--out", help="CSV of the drawn k_max (none without it)")
     s.set_defaults(fn=_cmd_sample)
 
     s = sp.add_parser("unitary-density", help="supercritical eigenvalue density")
-    s.add_argument("--gamma", type=_parse_gammas, required=True)
+    _add_common(s)
     s.add_argument("--x", type=float, required=True)
     s.add_argument("--steps", type=int, default=401)
-    s.add_argument("--out", default=None)
+    s.add_argument("--out", help="CSV of the alpha,rho table (default stdout)")
     s.set_defaults(fn=_cmd_unitary_density)
 
     s = sp.add_parser("unitary-mc", help="Metropolis chain over eigenvalue angles")
@@ -512,12 +507,16 @@ def build_parser():
     s.add_argument("--sweeps", type=int, default=20000)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--bins", type=int, default=64)
+    s.add_argument("--out", help="CSV of the alpha,density histogram (none without it)")
     s.set_defaults(fn=_cmd_unitary_mc)
 
     s = sp.add_parser("figures", help="dispersion/density/eigen-density artifacts")
     s.add_argument("--gamma2", type=float, required=True)
     s.add_argument("--out-dir", default=".")
     s.set_defaults(fn=_cmd_figures)
+    # accepted and ignored: the benchmark passes it to these four commands
+    for name in ("cdf", "converge", "sample", "unitary-mc"):
+        sp.choices[name].add_argument("--threads", type=int, help=argparse.SUPPRESS)
     return ap
 
 
@@ -543,11 +542,13 @@ def _apply_config(argv):
         raise ValueError("--config needs a path")
     injected = []
     with open(path) as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
-            if not line or line.startswith("#") or "=" not in line:
+            if not line or line.startswith("#"):
                 continue
-            key, val = line.split("=", 1)
+            key, sep, val = line.partition("=")
+            if not sep:
+                raise ValueError(f"{path} line {number} is no key=value: {line!r}")
             flag = "--" + key.strip().replace("_", "-")
             if flag not in argv:
                 injected += [flag, val.strip()]

@@ -81,13 +81,12 @@ def windowed_kernel(coeffs, window=None, leakage_tol=1e-6, edge=False):
     """Build the kernel matrix over a window of sites and eigendecompose it.
 
     ``window`` is an integer pair (k_lo_int, k_hi_int) addressing sites
-    k_int + 1/2; None selects the automatic window, whose leakage must stay
-    under ``leakage_tol``.  With ``edge`` the window only has to hold k_max:
-    None selects the edge window, and the leakage, det(I - K) (no particle in
-    the window) plus the trace dropped on the right, is always checked.
+    k_int + 1/2; None selects the automatic window.  Every window's leakage
+    must stay under ``leakage_tol``: the trace dropped on both sides, or with
+    ``edge`` (the window only has to hold k_max; None selects the edge
+    window) det(I - K) (no particle in the window) plus the right trace.
     """
-    auto = window is None
-    if auto:
+    if window is None:
         window = auto_window(coeffs, edge=edge)
     k_lo, k_hi = int(window[0]), int(window[1])
     band = coefficient_band(coeffs)
@@ -102,7 +101,7 @@ def windowed_kernel(coeffs, window=None, leakage_tol=1e-6, edge=False):
         leakage = float(np.prod(1.0 - eigvals)) + tail_trace(band, k_hi + 1)
     else:
         leakage = tail_trace(band, k_hi + 1, below=k_lo)
-    if (auto or edge) and leakage >= leakage_tol:
+    if leakage >= leakage_tol:
         raise LeakageTooLarge(f"window {window} leaks {leakage:.2e}")
     return WindowedKernel(k_lo_int=k_lo, k_hi_int=k_hi, matrix=mat,
                           eigenvalues=eigvals, eigenvectors=eigvecs,

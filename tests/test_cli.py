@@ -244,9 +244,15 @@ def test_cdf_table_needing_a_window_past_512_sites_runs(capsys):
 def test_readme_command_lines_parse():
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(readme) as fh:
-        lines = [line.strip() for line in fh
-                 if line.strip().startswith("splitsea ")]
+        text = fh.read()
+    lines = [line.strip() for line in text.splitlines()
+             if line.strip().startswith("splitsea ")]
     assert len(lines) >= 10
+    # the CLI and headline-study blocks hold command lines only, each checked
+    # below, so neither can name a flag its command does not declare
+    for heading in ("\n## CLI\n", "\n## Reproducing the headline study\n"):
+        block = text.split(heading)[1].split("```sh\n")[1].split("```")[0]
+        assert block and set(block.splitlines()) <= set(lines)
     parser = build_parser()
     for line in lines:
         argv = _merge_negative_values(
@@ -884,6 +890,118 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     code, out, _ = run(capsys, "--config", str(cfg), "kernel", "--l", "1.5")
     assert code == 0
     assert json.loads(out)["value"] != base
+
+
+def test_config_line_without_key_value_is_config_error(tmp_path, capsys):
+    # the line used to be dropped, leaving density at its default 200 steps
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# density\n\ngamma=1\nxmin=-1\nxmax=1\nsteps 3\n")
+    code, out, err = run(capsys, "--config", str(cfg), "density")
+    assert code == 2 and out == ""
+    assert err.startswith("config error:") and "line 6" in err and "'steps 3'" in err
+    cfg.write_text("# density\n\ngamma=1\nxmin=-1\nxmax=1\nsteps=3\n")
+    code, out, _ = run(capsys, "--config", str(cfg), "density")
+    assert code == 0 and len(out.splitlines()) == 4
+
+
+def test_converge_refuses_a_repeated_coupling(monkeypatch, tmp_path, capsys):
+    # 20 and 20.0 were both computed, while the summary keyed by theta kept one
+    calls = []
+    monkeypatch.setattr("splitsea.edge.exact_cdf", lambda *a: calls.append(a))
+    monkeypatch.setattr("splitsea.airy.limiting_cdf", lambda *a: calls.append(a))
+    csv = tmp_path / "c.csv"
+    code, out, err = run(capsys, "converge", "--gamma", "1,-0.3333333333",
+                         "--thetas", "20,20.0,40", "--out", str(csv))
+    assert code == 2 and out == ""
+    assert err.startswith("config error: --thetas repeats a coupling")
+    assert calls == [] and not csv.exists()
+
+
+# the flags a command may declare and not read: the benchmark passes
+# --threads to these four, and `what` names oracle's one oracle
+UNREAD = {"cdf": {"threads"}, "converge": {"threads"}, "sample": {"threads"},
+          "unitary-mc": {"threads"}, "oracle": {"what"}}
+
+
+class ReadRecorder:
+    """The parsed arguments, recording the name of each attribute read."""
+
+    def __init__(self, args):
+        self.args, self.reads = args, set()
+
+    def __getattr__(self, name):
+        self.reads.add(name)
+        return getattr(self.args, name)
+
+
+def subcommand_parsers():
+    parser = build_parser()
+    return next(a for a in parser._actions if a.dest == "command").choices
+
+
+# one small run of each command, every output path last
+ONE_RUN_EACH = [
+    ["analyze", *G, "--json"],
+    ["density", "--gamma", "1", "--xmin", "-1", "--xmax", "1", "--steps", "5",
+     "--out"],
+    ["kernel", *G, "--theta", "0.5", "--k", "0.5", "--l", "1.5"],
+    ["kernel-profile", "--gamma", "1", "--theta", "2", "--window", "-3:3", "--out"],
+    ["oracle", "cdf", *G, "--theta", "0.5", "--ell", "3", "--cap", "8"],
+    ["airy", "--m", "1", "--power", "2", "--s", "-1:0:0.5", "--out"],
+    ["cdf", *G, "--theta", "2.0", "--ell-range", "1:5", "--out"],
+    ["converge", *G, "--thetas", "10,12", "--svg", "c.svg", "--out"],
+    ["sample", *G, "--theta", "4.0", "-n", "20", "--out"],
+    ["unitary-density", *G, "--x", "2.0", "--steps", "5", "--out"],
+    ["unitary-mc", *G, "--theta", "5.0", "--ell", "6", "--sweeps", "20",
+     "--bins", "8", "--out"],
+    ["figures", "--gamma2", "-0.3333333333", "--out-dir"],
+]
+
+
+@pytest.mark.parametrize("argv", ONE_RUN_EACH, ids=lambda argv: argv[0])
+def test_each_command_reads_every_flag_it_declares(monkeypatch, tmp_path, capsys,
+                                                    argv):
+    monkeypatch.chdir(tmp_path)
+    if argv[-1].startswith("--out"):
+        argv = argv + ["out"]
+    args = build_parser().parse_args(_merge_negative_values(argv))
+    recorder = ReadRecorder(args)
+    assert args.fn(recorder) == 0
+    capsys.readouterr()
+    declared = {a.dest for a in subcommand_parsers()[argv[0]]._actions
+                if a.dest != "help"}
+    assert declared - recorder.reads <= UNREAD.get(argv[0], set())
+
+
+def test_every_subcommand_is_checked_for_unread_flags():
+    assert sorted(argv[0] for argv in ONE_RUN_EACH) == sorted(subcommand_parsers())
+    assert set(UNREAD) <= set(subcommand_parsers())
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel", *G, "--theta", "0.5", "--k", "0.5", "--l", "1.5",
+     "--out", "x.csv"],
+    ["oracle", "cdf", *G, "--theta", "0.5", "--ell", "3", "--out", "x.csv"],
+    ["analyze", *G, "--threads", "1"],
+    ["density", "--gamma", "1", "--xmin", "-1", "--xmax", "1", "--threads", "1"],
+    ["kernel", *G, "--theta", "0.5", "--k", "0.5", "--l", "1.5",
+     "--threads", "1"],
+    ["kernel-profile", "--gamma", "1", "--theta", "2", "--window", "-3:3",
+     "--threads", "1"],
+    ["oracle", "cdf", *G, "--theta", "0.5", "--ell", "3", "--threads", "1"],
+    ["airy", "--s", "-1:0:0.5", "--threads", "1"],
+    ["unitary-density", *G, "--x", "2.0", "--threads", "1"],
+    ["figures", "--gamma2", "-0.3333333333", "--out-dir", "figs", "--threads", "1"],
+], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+def test_flag_a_command_does_not_read_is_refused(monkeypatch, tmp_path, capsys,
+                                                  argv):
+    # kernel and oracle cdf used to accept --out and write nothing, and
+    # every command accepted --threads
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def numpy_openblas():

@@ -64,6 +64,14 @@ def test_windowed_kernel_leakage_guard():
         windowed_kernel(c, window=None, leakage_tol=1e-30)
 
 
+def test_caller_given_window_meets_the_leakage_bound():
+    # five sites through the bulk drop 2.84 expected particles, against the
+    # default bound of 1e-6; the bound used to hold for automatic windows only
+    c = HoppingCoefficients((1.0,), theta=4.0)
+    with pytest.raises(LeakageTooLarge, match="window"):
+        windowed_kernel(c, window=(-2, 2))
+
+
 def _loop_projection(vectors, rng):
     """Reference: one projection-DPP draw as a per-site loop on one frame."""
     v = vectors
