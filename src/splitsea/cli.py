@@ -47,6 +47,9 @@ CHAIN_ANGLES = 10_000_000  # `unitary-mc --sweeps` times `--ell`, kept angles
 # the README's 1.15e8 take 26 s of CPU, 1e10 about 8 minutes
 CHAIN_PAIRS = 200_000_000
 ORACLE_CAP = 30  # `oracle --cap`: 4 s of Schur sums; 35 takes 10 s
+# `oracle --theta`, through the Schur measure's mean size theta^2 sum r gamma_r^2:
+# its weights carry e^{-mean}, which underflows to 0 near 745
+ORACLE_MEAN_SIZE = 700.0
 # any of these set by the user leaves the BLAS thread count to the library
 BLAS_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 # thread-count setters, in the order tried: numpy's bundled ILP64 build,
@@ -254,6 +257,12 @@ def _cmd_kernel_profile(args):
 def _cmd_oracle(args):
     _desk_size("--cap", args.cap, ORACLE_CAP, "as the largest partition size", 0)
     coeffs = HoppingCoefficients(args.gamma, theta=args.theta)
+    try:
+        mean = coeffs.szego_constant()
+    except OverflowError:  # (theta gamma_r)^2 past the largest float
+        mean = math.inf
+    _desk_size("--theta", mean, ORACLE_MEAN_SIZE,
+               "as the Schur measure's mean size theta^2 sum r gamma_r^2")
     value = brute_cdf_first_part(coeffs, args.ell, args.cap)
     residual = 1.0 - total_weight(coeffs, args.cap)
     print(json.dumps({"value": value, "cap": args.cap,

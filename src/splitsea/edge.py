@@ -143,7 +143,7 @@ def scaled_convergence_study(gammas, theta_list, s_grid=None, n_cuts=None,
     P(k_max < ``EdgeProfile.lattice_of(s, theta)``).  The limit law's power
     defaults to the sea's cut count.  ``limit`` is that law on ``s_grid``
     when the caller already has it (one ``limiting_cdf`` table otherwise).
-    Maximizers of different orders raise ``UnsupportedEdge``.
+    Maximizers of different orders or constants d raise ``UnsupportedEdge``.
     """
     if s_grid is None:
         s_grid = np.linspace(-6.0, 4.0, 101)

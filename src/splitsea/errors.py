@@ -36,8 +36,8 @@ class NodeCountInsufficient(SplitSeaError):
 
 class UnsupportedEdge(SplitSeaError):
     """An edge limit law requested where the library has none: an edge whose
-    maximizers have different orders, so its law is no power of one
-    F_{2m+1}."""
+    maximizers have different orders, or one order but different constants
+    d, so its law is no power of one F_{2m+1}."""
 
 
 class NotPositiveDefinite(SplitSeaError):

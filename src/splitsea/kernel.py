@@ -172,7 +172,7 @@ def coefficient_band(coeffs):
 
 def _half_int(k, name="index"):
     v = float(k)
-    twice = round(2.0 * v) if math.isfinite(v) else 0  # even: refused below
+    twice = round(2.0 * v) if math.isfinite(2.0 * v) else 0  # even: refused below
     if abs(2.0 * v - twice) > 1e-9 or twice % 2 == 0:
         raise ValueError(f"{name}={k!r} is not a half-integer")
     return (twice - 1) // 2  # k = k_int + 1/2

@@ -51,6 +51,7 @@ ROOT_RESIDUAL_TOL = 1e-12      # |D(chi) - x| after polishing, per unit amplitud
 TANGENT_SLOPE_TOL = 1e-8       # |D'(chi)| under this, per unit D' scale: a tangential root
 DERIV_ZERO_REL_TOL = 1e-9      # relative tolerance for "derivative vanishes"
 CRIT_MERGE_REL_TOL = 1e-14     # |D(c) - D(endpoint)| that merges c into the endpoint
+TIE_D_REL_TOL = 1e-6           # relative spread of tied maximizers' d that law_order allows
 _MAX_SOLVER_STEPS = 200        # bisection alone ends well inside this
 WAVE_CACHE_ENTRIES = 2 ** 16   # r x phi entries of the largest cached wave, 512 KiB
 
@@ -165,14 +166,22 @@ class EdgeProfile:
     def law_order(self):
         """The order m shared by every maximizer: the edge law is F_{2m+1}^n_cuts.
 
-        Maximizers of different orders tie in no power of one F_{2m+1};
-        that edge raises UnsupportedEdge, naming the orders.
+        Maximizers of different orders, or of one order with constants d
+        more than TIE_D_REL_TOL apart (each edge then fluctuates on its own
+        scale), tie in no power of one F_{2m+1}; that edge raises
+        UnsupportedEdge, naming the orders or the constants.
         """
         orders = sorted({mx.m for mx in self.maximizers})
         if len(orders) > 1:
             raise UnsupportedEdge(
                 f"maximizers of orders {orders} tie at the edge: its limit "
                 "law is no power of one F_{2m+1}")
+        ds = [mx.d for mx in self.maximizers]
+        if max(ds) - min(ds) > TIE_D_REL_TOL * max(map(abs, ds)):
+            raise UnsupportedEdge(
+                f"maximizers with constants d = {sorted(ds)} tie at the edge: "
+                "each has its own scale, so the limit law is no power of one "
+                "F_{2m+1}")
         return orders[0]
 
     def scale(self, theta):

@@ -10,8 +10,13 @@ J_u J_{u+d} along the band (no matrix product).
 
 A determinantal process restricted to a subset A is the determinantal process
 of K_A (Hough-Krishnapur-Peres-Virag 2006), so ``empirical_edge_law`` draws
-k_max from A = {k >= ell_min = b theta - 8 (d theta)^(1/(2m+1))} alone.  Its
-leakage is det(I - K_A) = P(k_max < ell_min) plus the right dropped trace.
+k_max from an edge window A = [ell_min, top] alone.  Its leakage is
+det(I - K_A) (no particle in A: k_max below ell_min, or every particle above
+top) plus the right dropped trace.  A is the least window whose two parts
+each stay under half the bound: the least top whose right trace does, then
+the largest ell_min whose gap det(I - K_A) does, searched over
+``auto_window(edge=True)`` = [b theta - 8 s, b theta + 10 s],
+s = (d theta)^(1/(2m+1)).
 
 Sampling uses the spectral decomposition of the windowed kernel: eigenvalues
 in [0, 1] select an eigenvector subset by independent Bernoulli draws, then
@@ -34,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .airy import limiting_cdf
+from .airy import _log_minors, limiting_cdf
 from .edge import exact_cdf
 from .errors import LeakageTooLarge
 from .kernel import coefficient_band, kernel_matrix, tail_trace
@@ -65,7 +70,8 @@ def auto_window(coeffs, edge=False):
     """Window covering frozen-to-empty with bulk/edge scaled margins.
 
     With ``edge`` it starts instead at the sites that carry k_max, from
-    ell_min = floor(b theta - 8 (d theta)^(1/(2m+1))) (clipped to the window).
+    ell_min = floor(b theta - 8 (d theta)^(1/(2m+1))) (clipped to the window):
+    the range ``windowed_kernel`` cuts its automatic edge window from.
     """
     profile = edge_profile(coeffs)
     theta = coeffs.theta
@@ -77,20 +83,52 @@ def auto_window(coeffs, edge=False):
     return lo, hi
 
 
+def _least_edge_window(band, mat, k_lo, k_hi, budget):
+    """The least edge window (lo, hi) inside k_lo..k_hi leaking under
+    ``budget`` on each side; ``mat`` is the kernel over k_lo..k_hi.
+
+    The top hi is the least site whose right trace tail_trace(band, hi + 1)
+    is under ``budget`` (k_hi if none is).  With the sites ordered down from
+    hi, the leading minors of one Cholesky factor of I - K are the gap
+    probabilities det(I - K_[lo, hi]), falling as lo falls; the bottom is
+    the largest lo whose gap is under ``budget``, or k_lo when no gap is or
+    the factor fails first.  The window keeps at least one site.
+    """
+    right = tail_trace(band, np.arange(k_lo + 1, k_hi + 2)) < budget
+    hi = k_lo + int(np.argmax(right)) if right.any() else k_hi
+    top = hi - k_lo
+    i_minus_k = np.negative(mat[top::-1, top::-1])
+    i_minus_k.flat[::top + 2] += 1.0
+    logdet, _ = _log_minors(i_minus_k, np.arange(1, top + 2), budget)
+    if logdet is not None:
+        under = np.exp(logdet) < budget
+        if under.any():
+            return hi - int(np.argmax(under)), hi
+    return k_lo, hi
+
+
 def windowed_kernel(coeffs, window=None, leakage_tol=1e-6, edge=False):
     """Build the kernel matrix over a window of sites and eigendecompose it.
 
     ``window`` is an integer pair (k_lo_int, k_hi_int) addressing sites
     k_int + 1/2; None selects the automatic window.  Every window's leakage
     must stay under ``leakage_tol``: the trace dropped on both sides, or with
-    ``edge`` (the window only has to hold k_max; None selects the edge
-    window) det(I - K) (no particle in the window) plus the right trace.
+    ``edge`` (the window only has to hold k_max) det(I - K) (no particle in
+    the window) plus the right trace.  With ``edge`` and no window,
+    ``auto_window``'s range is only searched: the window is the least one
+    in it whose two parts each stay under ``leakage_tol / 2``
+    (``_least_edge_window``), cut from the range's matrix.
     """
+    band = coefficient_band(coeffs)  # refuses theta before any window arithmetic
+    trim = edge and window is None
     if window is None:
         window = auto_window(coeffs, edge=edge)
     k_lo, k_hi = int(window[0]), int(window[1])
-    band = coefficient_band(coeffs)
     mat = kernel_matrix(band, np.arange(k_lo, k_hi + 1) + 0.5)
+    if trim:
+        lo, hi = _least_edge_window(band, mat, k_lo, k_hi, 0.5 * leakage_tol)
+        mat = mat[lo - k_lo:hi - k_lo + 1, lo - k_lo:hi - k_lo + 1].copy()
+        k_lo, k_hi = window = lo, hi
     eigvals, eigvecs = np.linalg.eigh(mat)
     if np.min(eigvals) < -EIG_CLIP_TOL or np.max(eigvals) > 1.0 + EIG_CLIP_TOL:
         raise LeakageTooLarge(
@@ -130,18 +168,19 @@ def _selections(wk, seed, indices):
 
     Each keyed stream gives first one Bernoulli uniform per eigenvalue, then
     one uniform per selected eigenvector (the site of each step), so the
-    whole draw is fixed before any projection runs.  Returns the (B, n_eig)
-    selection mask and the list of site-uniform arrays.
+    whole draw is fixed before any projection runs.  A draw selects only
+    eigenvectors of positive eigenvalue, so one fill per stream of that many
+    uniforms past the Bernoulli ones covers every step.  Returns the
+    (B, n_eig) selection mask and the (B, #{lambda > 0}) site uniforms, whose
+    row j starts with the rank_j of draw j.
     """
     rng = np.random.Generator(np.random.Philox(0))  # re-keyed per draw
     lam = wk.eigenvalues
-    keep = np.empty((len(indices), len(lam)), dtype=bool)
-    uniforms = []
+    n = len(lam)
+    u = np.empty((len(indices), n + np.count_nonzero(lam > 0.0)))
     for row, index in enumerate(indices):
-        _rng_for(seed, index, rng)
-        np.less(rng.random(len(lam)), lam, out=keep[row])
-        uniforms.append(rng.random(np.count_nonzero(keep[row])))
-    return keep, uniforms
+        _rng_for(seed, index, rng).random(out=u[row])
+    return u[:, :n] < lam, u[:, n:]
 
 
 def _project_chunk(vectors, keep, uniforms, ranks):
@@ -149,8 +188,10 @@ def _project_chunk(vectors, keep, uniforms, ranks):
 
     Draw j's kernel is E diag(keep[j]) E^T, with E the window's eigenvectors
     (``vectors``, one column each), so every product runs over the columns
-    some draw of the chunk keeps.  Row j of the result holds the ranks[j]
-    sites of draw j, then padding indices past the last site.
+    some draw of the chunk keeps.  Row j of ``uniforms`` starts with the
+    ranks[j] site uniforms of draw j; the entries past them are not read.
+    Row j of the result holds the ranks[j] sites of draw j, then padding
+    indices past the last site.
     """
     used = keep.any(axis=0)
     vec = vectors[:, used]
@@ -158,8 +199,6 @@ def _project_chunk(vectors, keep, uniforms, ranks):
     size, rank = len(ranks), int(ranks[0])
     n_sites = len(vec)
     live = np.arange(rank) < ranks[:, None]
-    u = np.zeros((size, rank))
-    u[live] = np.concatenate(uniforms)
     c = np.zeros((size, rank, n_sites))  # Gram-Schmidt columns, as rows
     norms2 = sel @ (vec * vec).T
     chosen = np.full((size, rank), n_sites)
@@ -169,7 +208,7 @@ def _project_chunk(vectors, keep, uniforms, ranks):
         cdf = np.maximum(left, 0.0)
         cdf.cumsum(axis=1, out=cdf)
         cdf /= cdf[:, -1:]
-        site = np.count_nonzero(cdf <= u[:active, t, None], axis=1)
+        site = np.count_nonzero(cdf <= uniforms[:active, t, None], axis=1)
         chosen[:active, t] = site
         denom = np.sqrt(np.maximum(left[b, site], 1e-300))
         col = (sel[:active] * vec[site]) @ vec.T
@@ -204,7 +243,7 @@ def _sample_batch(wk, seed, indices):
         per_draw = 8 * len(wk.eigenvectors) * int(ranks[order[start]])
         chunk = order[start:start + max(1, FRAME_BUDGET // per_draw)]
         sites = wk.k_lo_int + 0.5 + _project_chunk(
-            wk.eigenvectors, keep[chunk], [uniforms[d] for d in chunk],
+            wk.eigenvectors, keep[chunk], uniforms[chunk],
             ranks[chunk])
         for row, d in zip(sites, chunk):
             out[d] = row[:ranks[d]]
@@ -238,7 +277,7 @@ def empirical_edge_law(coeffs, n_samples, seed):
 
     ``ks_exact`` is against one ``exact_cdf`` table, ``ks_limit`` against the
     sea's own limit law F_{2m+1}^n on s in [-6, 4].  Maximizers of different
-    orders raise ``UnsupportedEdge`` before any draw.
+    orders or constants d raise ``UnsupportedEdge`` before any draw.
     """
     n_samples = int(n_samples)
     if n_samples < 1:

@@ -851,6 +851,52 @@ def test_mixed_order_edge_refuses_its_limit_law(capsys, argv):
     assert err.startswith("UnsupportedEdge:") and "[1, 2]" in err
 
 
+# one order, tied at 0 and pi (d = 6.4 and 1.6) or at 0 and +-1.34
+# (d = 0.570 and 1.402): each edge has its own scale, so no power of one F_3
+UNEQUAL_D_TIES = ["-0.3,0.5,0.1", "1.2104166666666452,-0.35,0.08"]
+
+
+@pytest.mark.parametrize("gamma", UNEQUAL_D_TIES)
+@pytest.mark.parametrize("argv", [
+    ["converge", "--thetas", "80,320"],
+    ["sample", "--theta", "40", "-n", "200"],
+])
+def test_unequal_curvature_tie_refuses_its_limit_law(capsys, gamma, argv):
+    # converge used to exit 0 with sup distances 0.244 and 0.254 to F_3^2
+    code, out, err = run(capsys, *argv, "--gamma", gamma)
+    assert code == 3 and out == ""
+    assert err.startswith("UnsupportedEdge:") and "constants d" in err
+    code, out, _ = run(capsys, "analyze", "--gamma", gamma)
+    assert code == 0
+    assert [mx["m"] for mx in json.loads(out)["maximizers"]] == [1, 1]
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["kernel", "--gamma", "1", "--theta", "2", "--k", "1e308", "--l", "0.5"],
+     "--k"),
+    (["kernel", "--gamma", "1", "--theta", "2", "--k", "0.5", "--l", "1e308"],
+     "--l"),
+    (["oracle", "cdf", "--gamma", "1", "--theta", "1e308", "--ell", "2"],
+     "--theta"),
+    (["sample", "--gamma", "1", "--theta", "1e308", "-n", "10"], "theta="),
+])
+def test_overflowing_flag_values_exit_2_naming_the_flag(capsys, argv, flag):
+    # each ended in an OverflowError traceback with exit 1
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("config error:") and flag in err
+
+
+def test_oracle_theta_bound_is_the_schur_mean_size(capsys):
+    # theta^2 sum r gamma_r^2 = 676 answers, 729 is past ORACLE_MEAN_SIZE
+    code, out, _ = run(capsys, "oracle", "cdf", "--gamma", "1", "--theta",
+                       "26", "--ell", "2", "--cap", "3")
+    assert code == 0 and 0.0 < json.loads(out)["value"] < 1e-250
+    code, out, err = run(capsys, "oracle", "cdf", "--gamma", "1", "--theta",
+                         "27", "--ell", "2", "--cap", "3")
+    assert code == 2 and out == "" and "--theta" in err and "729" in err
+
+
 def test_mixed_order_edge_still_has_a_profile_and_a_table(capsys):
     code, out, _ = run(capsys, "analyze", "--gamma", MIXED_ORDERS)
     assert code == 0

@@ -1,6 +1,7 @@
 """Dispersion geometry: Fermi seas, edge data, densities, limit shape."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 import splitsea.potential as potential_mod
-from splitsea.errors import DegenerateEdge, SolverFailure
+from splitsea.errors import DegenerateEdge, SolverFailure, UnsupportedEdge
 from splitsea.potential import (FermiSea, HoppingCoefficients, _AngleGrid,
                                 _cached_wave, _count_cuts, _critical_points,
                                 _harmonics, _polish_root,
@@ -670,3 +671,23 @@ def test_quadratic_oracle_regimes():
     # split-right: pinch at zero exactly at x = D(0)
     sea = quadratic_fermi_sea_oracle(-1.0 / 3.0, 4.0 * (-1.0 / 3.0) + 2.0)
     assert sea.cuts == 1 and 0.0 in sea.tangential
+
+
+@pytest.mark.parametrize("gammas", [
+    (Fraction(-3, 10), Fraction(1, 2), Fraction(1, 10)),
+    (Fraction(581, 480), Fraction(-7, 20), Fraction(2, 25)),
+])
+def test_law_order_refuses_a_tie_of_unequal_curvature(gammas):
+    # d = 6.4 and 1.6 at 0 and pi; d = 0.570 and 1.402 at 0 and +-1.34
+    profile = edge_profile(HoppingCoefficients(gammas))
+    assert [mx.m for mx in profile.maximizers] == [1, 1]
+    ds = sorted(mx.d for mx in profile.maximizers)
+    assert ds[1] / ds[0] > 2.0
+    with pytest.raises(UnsupportedEdge, match="constants d"):
+        profile.law_order
+
+
+def test_law_order_of_one_maximizer_orbit():
+    for gammas, m in (((1.0, -1.0 / 3.0), 1), ((1.0, 0.1), 1),
+                      ((1.0, -0.125), 2)):
+        assert edge_profile(HoppingCoefficients(gammas)).law_order == m

@@ -10,7 +10,7 @@ import pytest
 
 from splitsea.edge import fredholm_cdf_check
 from splitsea.errors import LeakageTooLarge
-from splitsea.kernel import coefficient_band, tail_trace
+from splitsea.kernel import coefficient_band, kernel_matrix, tail_trace
 from splitsea.potential import HoppingCoefficients, global_extrema, limit_shape
 from splitsea import sampler as sampler_mod
 from splitsea.sampler import (WindowedKernel, _rng_for, _sample_batch,
@@ -178,33 +178,65 @@ def test_batched_draws_ignore_chunks_order_and_threads(monkeypatch):
     assert all(np.array_equal(a, b) for a, b in zip(drawn, want * 2))
 
 
+def _gap(band, lo, hi):
+    """det(I - K) over the sites lo + 1/2 .. hi + 1/2: none of them occupied."""
+    mat = kernel_matrix(band, np.arange(lo, hi + 1) + 0.5)
+    return float(np.linalg.det(np.eye(len(mat)) - mat))
+
+
+@pytest.mark.parametrize("gammas,theta", [
+    ((1.0, -1.0 / 3.0), 4.0), ((1.0, -1.0 / 3.0), 20.0),
+    ((1.0, -1.0 / 3.0), 40.3), ((1.0, -1.0 / 3.0), 80.0),
+    ((1.0, 0.1), 40.0), ((1.0, -0.125), 40.0)])
+def test_edge_window_is_the_least_meeting_each_half_of_the_bound(gammas, theta):
+    c = HoppingCoefficients(gammas, theta=theta)
+    band = coefficient_band(c)
+    wk = windowed_kernel(c, edge=True)
+    lo, hi = wk.k_lo_int, wk.k_hi_int
+    search_lo, search_hi = auto_window(c, edge=True)
+    assert search_lo <= lo <= hi <= search_hi
+    half = 0.5e-6  # each side's share of the default leakage_tol
+    assert tail_trace(band, hi + 1) < half and _gap(band, lo, hi) < half
+    # one site inward on either side breaks that side's half
+    assert tail_trace(band, hi) >= half
+    assert _gap(band, lo + 1, hi) >= half
+
+
 @pytest.mark.parametrize("theta", [20.0, 40.0])
 def test_edge_window_leakage_is_exact_gap_probability(theta):
     c = HoppingCoefficients((1.0, -1.0 / 3.0), theta=theta)
     wk = windowed_kernel(c, edge=True)
-    ell_min = wk.k_lo_int
-    assert (ell_min, wk.k_hi_int) == auto_window(c, edge=True)
-    lo, hi = auto_window(c)
-    assert lo < ell_min and wk.k_hi_int == hi
+    band = coefficient_band(c)
+    ell_min, top = wk.k_lo_int, wk.k_hi_int
+    search_lo, search_hi = auto_window(c, edge=True)
+    assert search_lo < ell_min <= top < search_hi
     gap = float(np.linalg.det(np.eye(len(wk.sites)) - wk.matrix))
-    assert gap == pytest.approx(fredholm_cdf_check(c, ell_min), abs=1e-12)
-    right = tail_trace(coefficient_band(c), hi + 1)
+    right = tail_trace(band, top + 1)
+    assert gap < 0.5e-6 <= _gap(band, ell_min + 1, top)
+    assert right < 0.5e-6 <= tail_trace(band, top)
+    # an empty window: k_max left of it, or particles right of it only
+    diff = gap - fredholm_cdf_check(c, ell_min)
+    assert -1e-12 <= diff <= right + 1e-12
     assert wk.leakage == pytest.approx(gap + right, abs=1e-12)
     assert wk.leakage < 1e-6
     # a window starting at the edge misses k_max with probability ~0.94
+    lo, hi = auto_window(c)
     ell = round(global_extrema(c)[0] * theta)
     near = windowed_kernel(c, window=(ell, hi), leakage_tol=2.0, edge=True)
-    assert near.leakage - right == pytest.approx(fredholm_cdf_check(c, ell),
-                                                 abs=1e-12)
+    assert near.leakage - tail_trace(band, hi + 1) == pytest.approx(
+        fredholm_cdf_check(c, ell), abs=1e-12)
 
 
 def test_edge_window_leakage_guard():
     c = HoppingCoefficients((1.0, -1.0 / 3.0), theta=20.0)
-    leak = windowed_kernel(c, edge=True).leakage
-    assert leak > 1e-300
-    for tol in (1e-300, leak):  # the bound is exclusive: leakage == tol fails
-        with pytest.raises(LeakageTooLarge):
-            windowed_kernel(c, leakage_tol=tol, edge=True)
+    wk = windowed_kernel(c, edge=True)
+    assert wk.leakage > 1e-300
+    with pytest.raises(LeakageTooLarge):
+        windowed_kernel(c, leakage_tol=1e-300, edge=True)
+    # the bound is exclusive: leakage == tol fails
+    with pytest.raises(LeakageTooLarge):
+        windowed_kernel(c, window=(wk.k_lo_int, wk.k_hi_int),
+                        leakage_tol=wk.leakage, edge=True)
 
 
 def test_edge_law_draws_are_deterministic_per_seed():

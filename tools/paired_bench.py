@@ -1,0 +1,146 @@
+"""Paired benchmark runs of two source trees, one workload.
+
+    python3 tools/paired_bench.py PARENT_DIR CHANGE_DIR --workload sample \
+        --pairs 10 --seed0 1
+
+Pair i runs ``bench/run.py --workload W --seed S+i --seconds 2 --trace 0``
+once in each tree, one process at a time; the parent goes first in even
+pairs and the change in odd ones, so drift of the machine falls on both
+sides alike.  Each run's last stdout line (its end-to-end metrics) is
+parsed.  For every metric the summary gives each side's median and
+quartiles, the parent's interquartile range and the number of pairs the
+change wins, in the direction ``BENCHMARK.json`` of the parent tree gives.
+A gain is resolved when the change wins at least nine pairs in ten and its
+median is better than the parent's by more than the parent's IQR; a metric
+whose change median is worse than the parent's by more than its relative
+bound is flagged.  Each tree's runs write only where ``bench/run.py``
+writes them (its ``.bench_out/``); this tool writes nothing.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+WIN_SHARE = 0.9  # share of pairs the change must win for a resolved gain
+
+
+def quartiles(values):
+    """(q1, median, q3) of ``values``, inclusive method; one value is all
+    three."""
+    values = sorted(values)
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, med, q3
+
+
+def summarize(pairs, metrics):
+    """Per-metric summary of paired runs.
+
+    ``pairs`` is a list of (parent, change) dicts of metric name to value;
+    ``metrics`` maps each metric to its (better, bound), better "lower" or
+    "higher" and bound the relative worsening allowed (None for none).
+    Returns one dict per metric present on both sides of every pair.
+    """
+    out = []
+    for name, (better, bound) in metrics.items():
+        if not all(name in a and name in b for a, b in pairs):
+            continue
+        parent = [a[name] for a, _ in pairs]
+        change = [b[name] for _, b in pairs]
+        sign = 1.0 if better == "higher" else -1.0
+        wins = sum(sign * (b - a) > 0.0 for a, b in zip(parent, change))
+        p_q = quartiles(parent)
+        c_q = quartiles(change)
+        iqr = p_q[2] - p_q[0]
+        gain = sign * (c_q[1] - p_q[1])
+        worse = (bound is not None and p_q[1] != 0.0
+                 and -gain / abs(p_q[1]) > bound)
+        out.append({"metric": name, "better": better, "pairs": len(pairs),
+                    "parent": p_q, "change": c_q, "parent_iqr": iqr,
+                    "median_gain": gain,
+                    "relative_gain": gain / abs(p_q[1]) if p_q[1] else None,
+                    "wins": wins,
+                    "resolved_gain": (wins >= WIN_SHARE * len(pairs)
+                                      and gain > iqr),
+                    "past_bound": worse})
+    return out
+
+
+def end_to_end_metrics(tree):
+    """{name: (better, bound)} of the end-to-end metrics of ``tree``'s
+    BENCHMARK.json."""
+    spec = json.loads((Path(tree) / "BENCHMARK.json").read_text())
+    return {m["name"]: (m["better"], m.get("bound"))
+            for m in spec["end_to_end"]}
+
+
+def run_once(tree, workload, seed):
+    """Metric values and (correct, failed, attempted) of one benchmark run."""
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed",
+         str(seed), "--seconds", "2", "--trace", "0"],
+        cwd=tree, capture_output=True, text=True, check=False)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise RuntimeError(f"bench/run.py in {tree} (seed {seed}) exited "
+                           f"{proc.returncode}: {proc.stderr.strip()[-500:]}")
+    result = json.loads(lines[-1])
+    values = {k: v["value"] for k, v in result["metrics"].items()}
+    return values, (result["correct"], result["failed"], result["attempted"])
+
+
+def format_summary(rows):
+    """Text table of ``summarize``'s rows, one line per metric."""
+    lines = [f"{'metric':<15} {'parent q1/med/q3':>30} {'change q1/med/q3':>30}"
+             f" {'parent IQR':>11} {'gain':>8} {'wins':>6}  verdict"]
+    for r in rows:
+        verdict = ("resolved gain" if r["resolved_gain"] else
+                   "past bound" if r["past_bound"] else "unresolved")
+        rel = r["relative_gain"]
+        lines.append(
+            f"{r['metric']:<15} "
+            f"{'/'.join(f'{v:.4g}' for v in r['parent']):>30} "
+            f"{'/'.join(f'{v:.4g}' for v in r['change']):>30} "
+            f"{r['parent_iqr']:>11.4g} "
+            f"{'' if rel is None else f'{100.0 * rel:+.1f}%':>8} "
+            f"{r['wins']:>3}/{r['pairs']:<2}  {verdict}")
+    return "\n".join(lines)
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawTextHelpFormatter)
+    ap.add_argument("parent", help="source tree of the parent commit")
+    ap.add_argument("change", help="source tree of the change")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seed0", type=int, default=1)
+    args = ap.parse_args(argv)
+    if args.pairs < 1:
+        ap.error(f"--pairs must be at least 1, got {args.pairs}")
+    trees = (args.parent, args.change)
+    pairs = []
+    for i in range(args.pairs):
+        seed = args.seed0 + i
+        order = (0, 1) if i % 2 == 0 else (1, 0)
+        got = [None, None]
+        for side in order:
+            got[side] = run_once(trees[side], args.workload, seed)
+        print(f"pair {i + 1} seed {seed}: "
+              + "  ".join(f"{label} {json.dumps(v)} correct/failed/attempted "
+                          f"{c}" for label, (v, c) in zip(("parent", "change"),
+                                                          got)),
+              flush=True)
+        pairs.append((got[0][0], got[1][0]))
+    print(format_summary(summarize(pairs, end_to_end_metrics(args.parent))))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
