@@ -261,8 +261,8 @@ def _cmd_oracle(args):
         mean = coeffs.szego_constant()
     except OverflowError:  # (theta gamma_r)^2 past the largest float
         mean = math.inf
-    _desk_size("--theta", mean, ORACLE_MEAN_SIZE,
-               "as the Schur measure's mean size theta^2 sum r gamma_r^2")
+    _desk_size("--theta", mean, ORACLE_MEAN_SIZE, "as the Schur measure's "
+               "mean size theta^2 sum r gamma_r^2 of --gamma")
     value = brute_cdf_first_part(coeffs, args.ell, args.cap)
     residual = 1.0 - total_weight(coeffs, args.cap)
     print(json.dumps({"value": value, "cap": args.cap,
@@ -271,6 +271,9 @@ def _cmd_oracle(args):
 
 
 def _cmd_airy(args):
+    for flag, value in (("--m", args.m), ("--power", args.power)):
+        if value < 1:  # the law's own refusal, under the flag's name
+            raise ValueError(f"{flag} must be a positive integer, got {value}")
     lo, hi, step = _parse_range("--s", args.s, "s", step=0.1)
     _desk_size("--s", (hi - lo) / step + 1.0, GRID_POINTS, "points")
     ss = np.arange(lo, hi + 0.5 * step, step)
@@ -403,6 +406,8 @@ def _cmd_figures(args):
     coeffs = HoppingCoefficients(gam)
     b, b_tilde = global_extrema(coeffs)
     outdir = args.out_dir
+    if not outdir:
+        raise ValueError("--out-dir needs a path")
     os.makedirs(outdir, exist_ok=True)
     tag = f"g2_{args.gamma2:+.4f}".replace("+", "p").replace("-", "m").replace(".", "_")
 

@@ -16,6 +16,7 @@ making P -> 1 as ell grows.
 The same law is the discrete Fredholm determinant det(I - K) over the sites
 {ell + 1/2, ...} up to the least certified cut, the large-coupling route.
 Either route gets a whole table of ell from one Cholesky factor's minors.
+The sampler's edge window and its ``ks_exact`` read the same ``_gap_table``.
 
 The edge scaling is one affine map on ``EdgeProfile``: ``s_of`` sends ell
 to s = (ell - b theta) / (d theta)^(1/(2m+1)), and ``lattice_of`` sends s
@@ -85,25 +86,33 @@ def toeplitz_cdf(coeffs, ell):
 
 
 def fredholm_cdf_check(coeffs, ell, trace_tol=1e-12):
-    """P(k_max < ell) as det(I - K) on the sites above ell (integer or array).
-
-    The large-coupling route and the Toeplitz oracle.  The window [min ell,
-    top) ends at max ell or, if higher, the least cut whose exact tail trace
-    (0 at the band's end) is under a positive finite ``trace_tol``; with
-    sites ordered down from top, each row is a leading minor of one Cholesky
-    factor of I - K, whose pivots are <= 1 - K(k, k) <= 1.  Rows past a
-    pivot <= 0 (roundoff deep below the edge) lie in [0, last minor] and are
-    0.0 when that minor is under ``trace_tol``.  P = 0 for ell < 0 because
-    k_max >= -1/2; the window stops at site 1/2.  A window of more than
-    MAX_TABLE_DIM sites is a ValueError; an empty ``ell`` an empty table.
+    """P(k_max < ell) as det(I - K) on the sites above ell (integer or array):
+    the large-coupling route and the Toeplitz oracle, ``_gap_table`` on the
+    model's band at a positive finite ``trace_tol`` (empty for an empty ell).
     """
     if not 0.0 < trace_tol < math.inf:
         raise ValueError(f"trace_tol={trace_tol!r} is not positive and finite")
     ells = np.atleast_1d(ell).astype(np.int64)
     if ells.size == 0:
         return np.zeros(ells.shape)
+    p = _gap_table(coefficient_band(coeffs), ells, trace_tol)
+    return float(p[0]) if np.ndim(ell) == 0 else p
+
+
+def _gap_table(band, ells, trace_tol):
+    """Gap probabilities det(I - K) on the sites above each integer of the
+    nonempty array ``ells``: P(k_max < ell), from ``band``.
+
+    The window [min ell, top) ends at max ell or, if higher, the least cut
+    whose exact tail trace (0 at the band's end) is under ``trace_tol``;
+    with sites ordered down from top, each row is a leading minor of one
+    Cholesky factor of I - K, whose pivots are <= 1 - K(k, k) <= 1.  Rows
+    past a pivot <= 0 (roundoff deep below the edge) lie in [0, last minor]
+    and are 0.0 when that minor is under ``trace_tol``.  P = 0 for ell < 0
+    because k_max >= -1/2; the window stops at site 1/2.  A window of more
+    than MAX_TABLE_DIM sites is a ValueError.
+    """
     rows = np.maximum(ells, 0)
-    band = coefficient_band(coeffs)
     certified = tail_trace(band, np.arange(band.half_width + 1)) < trace_tol
     top = max(int(rows.max()), int(np.argmax(certified)))
     size = top - int(rows.min())
@@ -118,7 +127,7 @@ def fredholm_cdf_check(coeffs, ell, trace_tol=1e-12):
         raise NotPositiveDefinite(f"I - K pivot <= 0 at site {top - failed + 0.5}")
     p = np.exp(logdet)  # rows past a pivot <= 0: 0.0
     p[ells < 0] = 0.0
-    return float(p[0]) if np.ndim(ell) == 0 else p
+    return p
 
 
 def exact_cdf(coeffs, ell):

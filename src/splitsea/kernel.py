@@ -148,8 +148,8 @@ def coefficient_band(coeffs):
     theta = coeffs.theta
     n = _support_half_width(theta, gam)
     if n > MAX_BAND_HALF_WIDTH:
-        raise ValueError(f"theta={theta!r} needs a coefficient band of "
-                         f"half-width {n:.6g} > {MAX_BAND_HALF_WIDTH}")
+        raise ValueError(f"theta={theta!r} with gamma={gam!r} needs a coefficient "
+                         f"band of half-width {n:.6g} > {MAX_BAND_HALF_WIDTH}")
     # on the circle F(e^{i phi}) = exp(i theta G(phi)), G the antiderivative of D
     log_f = lambda phi: 1j * theta * eval_dispersion(coeffs, phi, order=-1)
     size = max(256, 1 << (4 * n + 3).bit_length())  # least 2^j >= 4 (N + 1)

@@ -79,9 +79,10 @@ class HoppingCoefficients:
         # nan or inf for a non-finite weight, inf where finite ones overflow
         if not math.isfinite(_derivative_scale(self, 0)):
             raise ValueError(f"hopping weights must be finite, and so must the amplitude "
-                             f"sum_r 2 r |gamma_r| of D; got {g}")
+                             f"sum_r 2 r |gamma_r| of D; got gamma={g}")
         if not (self.theta >= 0.0 and math.isfinite(self.theta)):
-            raise ValueError("theta must be a nonnegative real for measure/kernel operations")
+            raise ValueError("theta must be a nonnegative real for measure/kernel "
+                             f"operations, got theta={self.theta!r}")
 
     @property
     def degree(self):
@@ -187,7 +188,7 @@ class EdgeProfile:
     def scale(self, theta):
         """Edge fluctuation scale (d theta)^(1/(2m+1)) of the principal maximizer."""
         if not theta > 0.0:
-            raise ValueError(f"the edge scaling needs theta > 0, got {theta!r}")
+            raise ValueError(f"the edge scaling needs theta > 0, got theta={theta!r}")
         return (self.principal.d * theta) ** (1.0 / (2 * self.principal.m + 1))
 
     def s_of(self, ell, theta):

@@ -13,10 +13,11 @@ of K_A (Hough-Krishnapur-Peres-Virag 2006), so ``empirical_edge_law`` draws
 k_max from an edge window A = [ell_min, top] alone.  Its leakage is
 det(I - K_A) (no particle in A: k_max below ell_min, or every particle above
 top) plus the right dropped trace.  A is the least window whose two parts
-each stay under half the bound: the least top whose right trace does, then
-the largest ell_min whose gap det(I - K_A) does, searched over
-``auto_window(edge=True)`` = [b theta - 8 s, b theta + 10 s],
-s = (d theta)^(1/(2m+1)).
+each stay under half the bound, searched over ``auto_window(edge=True)`` =
+[b theta - 8 s, b theta + 10 s], s = (d theta)^(1/(2m+1)): the least top
+whose right trace does, then the largest ell_min whose gap det(I - K_A)
+does, read off the Fredholm gap table (``edge._gap_table``) cut at that top;
+``ks_exact`` reads the same routine on the same band.
 
 Sampling uses the spectral decomposition of the windowed kernel: eigenvalues
 in [0, 1] select an eigenvector subset by independent Bernoulli draws, then
@@ -39,10 +40,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .airy import _log_minors, limiting_cdf
-from .edge import exact_cdf
+from .airy import limiting_cdf
+from .edge import _gap_table
 from .errors import LeakageTooLarge
-from .kernel import coefficient_band, kernel_matrix, tail_trace
+from .kernel import CoefficientBand, coefficient_band, kernel_matrix, tail_trace
 from .kernel import kernel_eval  # noqa: F401  (bench/tracer.py patches it here)
 from .potential import edge_profile
 
@@ -60,6 +61,7 @@ class WindowedKernel:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     leakage: float
+    band: CoefficientBand | None = None  # the band it was cut from
 
     @property
     def sites(self):
@@ -83,30 +85,6 @@ def auto_window(coeffs, edge=False):
     return lo, hi
 
 
-def _least_edge_window(band, mat, k_lo, k_hi, budget):
-    """The least edge window (lo, hi) inside k_lo..k_hi leaking under
-    ``budget`` on each side; ``mat`` is the kernel over k_lo..k_hi.
-
-    The top hi is the least site whose right trace tail_trace(band, hi + 1)
-    is under ``budget`` (k_hi if none is).  With the sites ordered down from
-    hi, the leading minors of one Cholesky factor of I - K are the gap
-    probabilities det(I - K_[lo, hi]), falling as lo falls; the bottom is
-    the largest lo whose gap is under ``budget``, or k_lo when no gap is or
-    the factor fails first.  The window keeps at least one site.
-    """
-    right = tail_trace(band, np.arange(k_lo + 1, k_hi + 2)) < budget
-    hi = k_lo + int(np.argmax(right)) if right.any() else k_hi
-    top = hi - k_lo
-    i_minus_k = np.negative(mat[top::-1, top::-1])
-    i_minus_k.flat[::top + 2] += 1.0
-    logdet, _ = _log_minors(i_minus_k, np.arange(1, top + 2), budget)
-    if logdet is not None:
-        under = np.exp(logdet) < budget
-        if under.any():
-            return hi - int(np.argmax(under)), hi
-    return k_lo, hi
-
-
 def windowed_kernel(coeffs, window=None, leakage_tol=1e-6, edge=False):
     """Build the kernel matrix over a window of sites and eigendecompose it.
 
@@ -115,20 +93,23 @@ def windowed_kernel(coeffs, window=None, leakage_tol=1e-6, edge=False):
     must stay under ``leakage_tol``: the trace dropped on both sides, or with
     ``edge`` (the window only has to hold k_max) det(I - K) (no particle in
     the window) plus the right trace.  With ``edge`` and no window,
-    ``auto_window``'s range is only searched: the window is the least one
-    in it whose two parts each stay under ``leakage_tol / 2``
-    (``_least_edge_window``), cut from the range's matrix.
+    ``auto_window``'s range is only searched: the top is the least site in
+    it whose right trace is under ``leakage_tol / 2``, and the bottom the
+    largest row of the Fredholm gap table (``edge._gap_table``) up to that
+    top under the same half.  A range whose top leaks more is kept whole.
     """
     band = coefficient_band(coeffs)  # refuses theta before any window arithmetic
-    trim = edge and window is None
-    if window is None:
-        window = auto_window(coeffs, edge=edge)
-    k_lo, k_hi = int(window[0]), int(window[1])
+    k_lo, k_hi = map(int, auto_window(coeffs, edge) if window is None else window)
+    if edge and window is None:
+        half = 0.5 * leakage_tol
+        right = tail_trace(band, np.arange(k_lo + 1, k_hi + 2)) < half
+        if right.any():  # cut k_hi + 1 is certified: the gap table's own top
+            k_hi = k_lo + int(np.argmax(right))
+            # rows k_lo..k_hi + 1; the last, the empty window's 1.0, is no bottom
+            gaps = _gap_table(band, np.arange(k_lo, k_hi + 2), half)[:-1]
+            under = np.flatnonzero(gaps < half)
+            k_lo += int(under[-1]) if under.size else 0
     mat = kernel_matrix(band, np.arange(k_lo, k_hi + 1) + 0.5)
-    if trim:
-        lo, hi = _least_edge_window(band, mat, k_lo, k_hi, 0.5 * leakage_tol)
-        mat = mat[lo - k_lo:hi - k_lo + 1, lo - k_lo:hi - k_lo + 1].copy()
-        k_lo, k_hi = window = lo, hi
     eigvals, eigvecs = np.linalg.eigh(mat)
     if np.min(eigvals) < -EIG_CLIP_TOL or np.max(eigvals) > 1.0 + EIG_CLIP_TOL:
         raise LeakageTooLarge(
@@ -140,10 +121,10 @@ def windowed_kernel(coeffs, window=None, leakage_tol=1e-6, edge=False):
     else:
         leakage = tail_trace(band, k_hi + 1, below=k_lo)
     if leakage >= leakage_tol:
-        raise LeakageTooLarge(f"window {window} leaks {leakage:.2e}")
+        raise LeakageTooLarge(f"window ({k_lo}, {k_hi}) leaks {leakage:.2e}")
     return WindowedKernel(k_lo_int=k_lo, k_hi_int=k_hi, matrix=mat,
                           eigenvalues=eigvals, eigenvectors=eigvecs,
-                          leakage=leakage)
+                          leakage=leakage, band=band)
 
 
 def _rng_for(seed, index, rng):
@@ -275,9 +256,11 @@ class EdgeLawReport:
 def empirical_edge_law(coeffs, n_samples, seed):
     """Sample k_max from the edge window; report KS distances to its laws.
 
-    ``ks_exact`` is against one ``exact_cdf`` table, ``ks_limit`` against the
-    sea's own limit law F_{2m+1}^n on s in [-6, 4].  Maximizers of different
-    orders or constants d raise ``UnsupportedEdge`` before any draw.
+    ``ks_exact`` is against the Fredholm gap table on the window's own band
+    (``edge._gap_table`` at ``fredholm_cdf_check``'s trace 1e-12),
+    ``ks_limit`` against the sea's own limit law F_{2m+1}^n on s in [-6, 4].
+    Maximizers of different orders or constants d raise ``UnsupportedEdge``
+    before any draw.
     """
     n_samples = int(n_samples)
     if n_samples < 1:
@@ -290,7 +273,7 @@ def empirical_edge_law(coeffs, n_samples, seed):
     ordered = np.sort(kmax)  # searchsorted counts the draws below a point
     ells = np.arange(int(ordered[0] - 0.5), int(ordered[-1] + 0.5) + 2)
     ks_exact = float(np.max(np.abs(np.searchsorted(ordered, ells) / n_samples
-                                   - exact_cdf(coeffs, ells))))
+                                   - _gap_table(wk.band, ells, 1e-12))))
     s_vals = profile.s_of(ordered, coeffs.theta)
     s_grid = np.linspace(-6.0, 4.0, 201)
     limit = limiting_cdf(m, profile.n_cuts, s_grid)

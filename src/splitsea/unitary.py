@@ -46,7 +46,7 @@ def eigen_density_supercritical(gammas, x, alpha):
     b, b_tilde = global_extrema(coeffs)
     x = float(x)
     if not math.isfinite(x):
-        raise ValueError(f"coupling ratio x must be finite; got {x!r}")
+        raise ValueError(f"coupling ratio x must be finite; got x={x!r}")
     if x < b - 4.0 * np.finfo(float).eps * max(b, b_tilde):
         raise SubcriticalPhase(f"x={x} below the critical point {b}")
     alpha_arr = np.asarray(alpha, dtype=float)

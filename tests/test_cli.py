@@ -17,7 +17,7 @@ import pytest
 from splitsea import cli
 from splitsea.cli import (_apply_config, _merge_negative_values, build_parser,
                           main)
-from splitsea.edge import scaled_convergence_study
+from splitsea.edge import fredholm_cdf_check, scaled_convergence_study
 from splitsea.potential import HoppingCoefficients, global_extrema
 
 
@@ -521,6 +521,56 @@ def test_sample_command(tmp_path, capsys):
     assert header == ["k_max"] and len(rows) == 40
 
 
+# the DKW bound sqrt(log(2/alpha)/(2n)) at n = 500 and the benchmark's
+# false-alarm level alpha = 1e-6: 0.1205
+SAMPLE_DKW_500 = math.sqrt(math.log(2.0 / 1e-6) / (2.0 * 500))
+
+
+@pytest.mark.parametrize("gamma,theta", [
+    ("1,-0.3333333333", "8"), ("1,-0.3333333333", "8.5"),
+    ("1,-0.3333333333", "9"), ("1,-0.3333333333", "9.3"),
+    ("1", "10"), ("1", "11"), ("1", "12")])
+def test_sample_ks_exact_is_against_the_fredholm_table(tmp_path, capsys,
+                                                         gamma, theta):
+    # ks_exact read the Toeplitz route here: these exited 3
+    # (NotPositiveDefinite), or exited 0 with ks_exact 0.365 (theta = 9)
+    # and 0.826 (gamma = 1, theta = 10), while the draws were right
+    out = tmp_path / "kmax.csv"
+    code, js, err = run(capsys, "sample", "--gamma", gamma, "--theta", theta,
+                        "-n", "500", "--seed", "1", "--out", str(out))
+    assert code == 0, err
+    report = json.loads(js)
+    kmax = np.sort([row[0] for row in read_csv(str(out))[1]])
+    ells = np.arange(int(kmax[0] - 0.5), int(kmax[-1] + 0.5) + 2)
+    coeffs = HoppingCoefficients(tuple(map(float, gamma.split(","))),
+                                 theta=float(theta))
+    ks = np.max(np.abs(np.searchsorted(kmax, ells) / 500
+                       - fredholm_cdf_check(coeffs, ells)))
+    assert report["ks_exact"] == pytest.approx(ks, abs=1e-15)
+    assert report["ks_exact"] < SAMPLE_DKW_500
+
+
+def test_sample_builds_one_band_and_no_toeplitz_table(monkeypatch, capsys):
+    # the window and ks_exact each built a band, and ks_exact took the
+    # Toeplitz route for theta <= 75/8
+    import splitsea.edge as edge_mod
+    import splitsea.kernel as kernel_mod
+
+    calls = []
+
+    def counted(name, fn):
+        return lambda *a, **k: calls.append(name) or fn(*a, **k)
+
+    band = counted("band", kernel_mod.coefficient_band)
+    for module in ("splitsea.kernel", "splitsea.edge", "splitsea.sampler"):
+        monkeypatch.setattr(f"{module}.coefficient_band", band)
+    monkeypatch.setattr("splitsea.edge.toeplitz_cdf",
+                        counted("toeplitz", edge_mod.toeplitz_cdf))
+    code, _, _ = run(capsys, "sample", "--gamma", "1,-0.3333333333",
+                     "--theta", "9", "-n", "50")
+    assert code == 0 and calls == ["band"]
+
+
 def test_unitary_mc_command(capsys):
     code, out, _ = run(capsys, "unitary-mc", "--gamma", "1,-0.3333333333",
                        "--theta", "5.0", "--ell", "6", "--sweeps", "800",
@@ -778,7 +828,7 @@ MIXED_ORDERS = "0.3125,-0.125,0.0520833333333333,-0.015625,0.00625"
     (["converge", "--gamma", "1,-0.3333333333", "--thetas", "20,40"], "--svg",
      "splitsea.edge.exact_cdf"),
     (["sample", "--gamma", "1,-0.3333333333", "--theta", "40", "-n", "50"],
-     "--out", "splitsea.sampler.exact_cdf"),
+     "--out", "splitsea.sampler.windowed_kernel"),
     (["unitary-mc", "--gamma", "1,-0.3333333333", "--theta", "10.9", "--ell",
       "24", "--sweeps", "50"], "--out", "splitsea.unitary.metropolis_chain"),
 ])

@@ -6,8 +6,8 @@ import sys
 import pytest
 
 sys.path.append(os.path.join(os.path.dirname(__file__), os.pardir, "tools"))
-from paired_bench import (end_to_end_metrics, format_summary,  # noqa: E402
-                          quartiles, summarize)
+from paired_bench import (end_to_end_metrics, failure_summary,  # noqa: E402
+                          format_summary, quartiles, summarize)
 
 METRICS = {"ops_per_cpu_s": ("higher", 0.25), "op_cpu_s_p50": ("lower", 0.25),
            "peak_rss_mib": ("lower", 0.1)}
@@ -68,3 +68,28 @@ def test_end_to_end_metrics_read_the_tree_benchmark_file():
     metrics = end_to_end_metrics(root)
     assert metrics["ops_per_cpu_s"] == ("higher", 0.25)
     assert set(metrics) >= {"setup_s", "op_cpu_s_p50", "peak_rss_mib"}
+
+
+def test_failed_operations_and_incorrect_runs_reach_the_summary():
+    # (correct, failed, attempted) of each side's run, one pair per row
+    outcomes = [((True, 0, 40), (True, 1, 40)),
+                ((True, 2, 40), (False, 0, 40)),
+                ((False, 0, 20), (True, 3, 40))]
+    failures = failure_summary(outcomes)
+    assert failures["parent"] == {"failed_share": 2 / 100, "incorrect": [3]}
+    assert failures["change"] == {"failed_share": 4 / 120, "incorrect": [2]}
+    assert failures["more_failures"]
+    rows = summarize(_pairs([1.0], [1.0]), METRICS)
+    last = format_summary(rows, failures).splitlines()[-1]
+    assert last.startswith("failed ops") and "change fails more" in last
+    assert "2.00%" in last and "3.33%" in last
+    assert "parent pairs [3]" in last and "change pairs [2]" in last
+    # an equal share is no worsening, and nothing attempted is a share of 0
+    even = failure_summary([((True, 1, 10), (True, 2, 20)),
+                            ((True, 0, 0), (True, 0, 0))])
+    assert not even["more_failures"]
+    assert failure_summary([((True, 0, 0), (True, 0, 0))])["change"] == \
+        {"failed_share": 0.0, "incorrect": []}
+    line = format_summary(rows, even).splitlines()[-1]
+    assert "no more failures" in line and "pairs none" in line
+    assert len(format_summary(rows).splitlines()) == 2

@@ -13,7 +13,9 @@ change wins, in the direction ``BENCHMARK.json`` of the parent tree gives.
 A gain is resolved when the change wins at least nine pairs in ten and its
 median is better than the parent's by more than the parent's IQR; a metric
 whose change median is worse than the parent's by more than its relative
-bound is flagged.  Each tree's runs write only where ``bench/run.py``
+bound is flagged.  Each side's share of failed operations and its runs that
+were not ``correct`` close the table; a change that fails a larger share
+than the parent is marked.  Each tree's runs write only where ``bench/run.py``
 writes them (its ``.bench_out/``); this tool writes nothing.
 """
 
@@ -95,8 +97,32 @@ def run_once(tree, workload, seed):
     return values, (result["correct"], result["failed"], result["attempted"])
 
 
-def format_summary(rows):
-    """Text table of ``summarize``'s rows, one line per metric."""
+def failure_summary(outcomes):
+    """Each side's share of failed operations and its runs not ``correct``.
+
+    ``outcomes`` holds one (parent, change) pair of ``run_once``'s
+    (correct, failed, attempted) per pair of runs.  A side's share is its
+    failed operations over its attempted ones, summed over the pairs (0.0
+    when it attempted none); ``incorrect`` lists the 1-based pairs whose run
+    was not correct, and ``more_failures`` marks a change that fails a
+    larger share than the parent.
+    """
+    out = {}
+    for side, label in enumerate(("parent", "change")):
+        runs = [pair[side] for pair in outcomes]
+        attempted = sum(run[2] for run in runs)
+        out[label] = {
+            "failed_share": (sum(run[1] for run in runs) / attempted
+                             if attempted else 0.0),
+            "incorrect": [i + 1 for i, run in enumerate(runs) if not run[0]]}
+    out["more_failures"] = (out["change"]["failed_share"]
+                            > out["parent"]["failed_share"])
+    return out
+
+
+def format_summary(rows, failures=None):
+    """Text table of ``summarize``'s rows, one line per metric, closed by
+    ``failure_summary``'s line when given."""
     lines = [f"{'metric':<15} {'parent q1/med/q3':>30} {'change q1/med/q3':>30}"
              f" {'parent IQR':>11} {'gain':>8} {'wins':>6}  verdict"]
     for r in rows:
@@ -110,6 +136,15 @@ def format_summary(rows):
             f"{r['parent_iqr']:>11.4g} "
             f"{'' if rel is None else f'{100.0 * rel:+.1f}%':>8} "
             f"{r['wins']:>3}/{r['pairs']:<2}  {verdict}")
+    if failures is not None:
+        parent, change = failures["parent"], failures["change"]
+        verdict = ("change fails more" if failures["more_failures"]
+                   else "no more failures")
+        lines.append(
+            f"{'failed ops':<15} {100.0 * parent['failed_share']:>29.2f}% "
+            f"{100.0 * change['failed_share']:>29.2f}%  {verdict}; runs not "
+            f"correct: parent pairs {parent['incorrect'] or 'none'}, change "
+            f"pairs {change['incorrect'] or 'none'}")
     return "\n".join(lines)
 
 
@@ -125,7 +160,7 @@ def main(argv=None):
     if args.pairs < 1:
         ap.error(f"--pairs must be at least 1, got {args.pairs}")
     trees = (args.parent, args.change)
-    pairs = []
+    pairs, outcomes = [], []
     for i in range(args.pairs):
         seed = args.seed0 + i
         order = (0, 1) if i % 2 == 0 else (1, 0)
@@ -138,7 +173,9 @@ def main(argv=None):
                                                           got)),
               flush=True)
         pairs.append((got[0][0], got[1][0]))
-    print(format_summary(summarize(pairs, end_to_end_metrics(args.parent))))
+        outcomes.append((got[0][1], got[1][1]))
+    print(format_summary(summarize(pairs, end_to_end_metrics(args.parent)),
+                         failure_summary(outcomes)))
     return 0
 
 
