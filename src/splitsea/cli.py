@@ -353,8 +353,7 @@ def _cmd_sample(args):
     if args.out:
         _csv_out([(float(k),) for k in report.k_max], ["k_max"], args.out)
     print(json.dumps({"ks_exact": report.ks_exact, "ks_limit": report.ks_limit,
-                      "n": report.n_samples, "seed": report.seed,
-                      "scale": scale}))
+                      "n": args.n, "seed": args.seed, "scale": scale}))
     return 0
 
 

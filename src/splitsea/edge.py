@@ -34,8 +34,8 @@ import numpy as np
 
 from .airy import _log_minors, limiting_cdf
 from .errors import NotPositiveDefinite
-from .kernel import (_fourier_band, coefficient_band, kernel_matrix,
-                     tail_trace)
+from .kernel import (_fourier_band, _least_cut, coefficient_band,
+                     kernel_matrix)
 from .potential import HoppingCoefficients, _AngleGrid, edge_profile
 
 MAX_TABLE_DIM = 4096  # desk-scale cap on a Toeplitz or Fredholm matrix's order
@@ -89,6 +89,7 @@ def fredholm_cdf_check(coeffs, ell, trace_tol=1e-12):
     """P(k_max < ell) as det(I - K) on the sites above ell (integer or array):
     the large-coupling route and the Toeplitz oracle, ``_gap_table`` on the
     model's band at a positive finite ``trace_tol`` (empty for an empty ell).
+    A ``trace_tol`` at or under the band's ``trace_floor`` is a ValueError.
     """
     if not 0.0 < trace_tol < math.inf:
         raise ValueError(f"trace_tol={trace_tol!r} is not positive and finite")
@@ -110,11 +111,14 @@ def _gap_table(band, ells, trace_tol):
     past a pivot <= 0 (roundoff deep below the edge) lie in [0, last minor]
     and are 0.0 when that minor is under ``trace_tol``.  P = 0 for ell < 0
     because k_max >= -1/2; the window stops at site 1/2.  A window of more
-    than MAX_TABLE_DIM sites is a ValueError.
+    than MAX_TABLE_DIM sites, or a ``trace_tol`` at or under the band's
+    roundoff ``trace_floor``, is a ValueError.
     """
+    if not trace_tol > band.trace_floor:
+        raise ValueError(f"trace_tol={trace_tol!r} is at or under the band's "
+                         f"roundoff floor {band.trace_floor:.1e}")
     rows = np.maximum(ells, 0)
-    certified = tail_trace(band, np.arange(band.half_width + 1)) < trace_tol
-    top = max(int(rows.max()), int(np.argmax(certified)))
+    top = max(int(rows.max()), _least_cut(band, trace_tol))
     size = top - int(rows.min())
     if size > MAX_TABLE_DIM:
         raise ValueError(f"Fredholm window of {size} sites > {MAX_TABLE_DIM}")

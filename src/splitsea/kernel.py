@@ -42,12 +42,21 @@ MAX_BAND_HALF_WIDTH = 2 ** 18
 
 @dataclass(frozen=True)
 class CoefficientBand:
-    """Laurent coefficients J_{-N..N} of the kernel's generating factor."""
+    """Laurent coefficients J_{-N..N} of the kernel's generating factor and
+    ``roundoff``, the largest FFT value dropped beyond N.  ``trace_floor``,
+    1/2 ((2N + 1) roundoff)^2, is the trace that roundoff alone can carry
+    over the band: no trace or leakage tolerance at or under it is certified.
+    """
 
     theta: float
     gammas: tuple
     half_width: int
     coeffs: np.ndarray  # J_{-N..N}, index n stored at n + N
+    roundoff: float = 0.0
+
+    @property
+    def trace_floor(self):
+        return 0.5 * ((2 * self.half_width + 1) * self.roundoff) ** 2
 
 
 def _fft_band(log_fn, size, what, floor=1.0):
@@ -158,16 +167,17 @@ def coefficient_band(coeffs):
     band, _ = _fft_band(log_f, size, "coefficient band", phase)
     # stored as J_{-half}..J_{half-1}; keep the certified window J_{-n}..J_n
     half = size // 2
-    dropped = np.concatenate([band[:half - n], band[half + n + 1:]])
-    if np.max(np.abs(dropped)) >= BAND_TAIL_TOL * phase:
+    roundoff = float(np.max(np.abs(np.concatenate(
+        [band[:half - n], band[half + n + 1:]]))))
+    if roundoff >= BAND_TAIL_TOL * phase:
         raise BandTooNarrow(
-            f"FFT value {np.max(np.abs(dropped)):.2e} beyond the certified "
-            f"support {n}")
+            f"FFT value {roundoff:.2e} beyond the certified support {n}")
     sym = band[half - n:half + n + 1].copy()
     parseval = float(np.dot(sym, sym))
     if abs(parseval - 1.0) > 1e-12:
         raise BandTooNarrow(f"Parseval defect {parseval - 1.0:.2e}")
-    return CoefficientBand(theta=theta, gammas=gam, half_width=n, coeffs=sym)
+    return CoefficientBand(theta=theta, gammas=gam, half_width=n, coeffs=sym,
+                           roundoff=roundoff)
 
 
 def _half_int(k, name="index"):
@@ -255,6 +265,12 @@ def tail_trace(band, above, below=None):
     k = np.asarray(above).astype(np.int64) + band.half_width + 1
     out = dropped[np.clip(k, 0, len(mass))] + np.maximum(-k, 0) * mass[0]
     return float(out) if np.ndim(out) == 0 else out
+
+
+def _least_cut(band, tol):
+    """Least cut a in 0..N whose exact right trace ``tail_trace(band, a)`` is
+    under ``tol``; the cut N drops nothing, so one is for every tol > 0."""
+    return int(np.argmax(tail_trace(band, np.arange(band.half_width + 1)) < tol))
 
 
 def _contour_factors(coeffs, n1, n2, m):

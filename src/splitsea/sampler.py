@@ -1,49 +1,39 @@
 """Determinantal sampling of ground-state configurations on a finite window.
 
-The exact kernel is truncated to a window of half-integer sites wide enough
-that the mass outside is negligible: sites left of the window are effectively
-frozen (occupied), sites right of it empty, and the leakage
-sum_{k<lo} (1 - K(k,k)) + sum_{k>hi} K(k,k) is computed exactly from the
-coefficient band rather than assumed.  The window matrix comes from
-``kernel.kernel_matrix``, which reads each entry from a tail sum of
+The exact kernel is truncated to a window of half-integer sites: sites left
+of it are taken as frozen (occupied), sites right of it empty, and the
+leakage sum_{k<lo} (1 - K(k,k)) + sum_{k>hi} K(k,k) is computed exactly from
+the coefficient band rather than assumed; the automatic window is the least
+whose two sides each leak under half the bound.  The window matrix comes
+from ``kernel.kernel_matrix``, which reads each entry from a tail sum of
 J_u J_{u+d} along the band (no matrix product).
 
 A determinantal process restricted to a subset A is the determinantal process
 of K_A (Hough-Krishnapur-Peres-Virag 2006), so ``empirical_edge_law`` draws
 k_max from an edge window A = [ell_min, top] alone.  Its leakage is
 det(I - K_A) (no particle in A: k_max below ell_min, or every particle above
-top) plus the right dropped trace.  A is the least window whose two parts
-each stay under half the bound, searched over ``auto_window(edge=True)`` =
-[b theta - 8 s, b theta + 10 s], s = (d theta)^(1/(2m+1)): the least top
-whose right trace does, then the largest ell_min whose gap det(I - K_A)
-does, read off the Fredholm gap table (``edge._gap_table``) cut at that top;
-``ks_exact`` reads the same routine on the same band.
+top) plus the right dropped trace.  It keeps the full window's top, and
+ell_min is the largest row under half the bound of the Fredholm gap table
+(``edge._gap_table``) cut there; ``ks_exact`` reads the same routine on the
+same band.
 
-Sampling uses the spectral decomposition of the windowed kernel: eigenvalues
-in [0, 1] select an eigenvector subset by independent Bernoulli draws, then
-the induced projection process is sampled sequentially (site by site, with
-the selected frame orthogonalised against each chosen site's coordinate;
-each site is one uniform located in the cumulative site weights).
-Randomness comes from counter-based Philox streams keyed by
-(seed, sample index), so results are reproducible regardless of how samples
-are distributed over workers.  Every draw fixes its uniforms up front, so
-``sample_many`` advances a whole batch together: ordered by rank, the draws
-still running at a step are a prefix, and each step is one cumulative sum,
-one count, one product with the window's eigenvectors and one stacked
-Gram-Schmidt correction (``_sample_batch``; ``sample`` is a batch of one).
+Each draw selects eigenvectors of the window kernel by a Bernoulli draw per
+eigenvalue and samples their projection process site by site, on its own
+Philox stream keyed by (seed, sample index); ``sample_many`` advances a whole
+batch together, each draw as ``sample`` takes it alone (``_sample_batch``).
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .airy import limiting_cdf
 from .edge import _gap_table
 from .errors import LeakageTooLarge
-from .kernel import CoefficientBand, coefficient_band, kernel_matrix, tail_trace
+from .kernel import (CoefficientBand, _least_cut, coefficient_band,
+                     kernel_matrix, tail_trace)
 from .kernel import kernel_eval  # noqa: F401  (bench/tracer.py patches it here)
 from .potential import edge_profile
 
@@ -68,53 +58,44 @@ class WindowedKernel:
         return np.arange(self.k_lo_int, self.k_hi_int + 1) + 0.5
 
 
-def auto_window(coeffs, edge=False):
-    """Window covering frozen-to-empty with bulk/edge scaled margins.
-
-    With ``edge`` it starts instead at the sites that carry k_max, from
-    ell_min = floor(b theta - 8 (d theta)^(1/(2m+1))) (clipped to the window):
-    the range ``windowed_kernel`` cuts its automatic edge window from.
-    """
-    profile = edge_profile(coeffs)
-    theta = coeffs.theta
-    scale = profile.scale(theta)
-    lo = math.floor(-profile.b_tilde * theta - 10.0 * math.sqrt(max(theta, 1.0)))
-    hi = math.ceil(profile.b * theta + 10.0 * scale)
-    if edge:
-        lo = min(max(math.floor(profile.b * theta - 8.0 * scale), lo), hi)
-    return lo, hi
-
-
 def windowed_kernel(coeffs, window=None, leakage_tol=1e-6, edge=False):
     """Build the kernel matrix over a window of sites and eigendecompose it.
 
     ``window`` is an integer pair (k_lo_int, k_hi_int) addressing sites
-    k_int + 1/2; None selects the automatic window.  Every window's leakage
-    must stay under ``leakage_tol``: the trace dropped on both sides, or with
-    ``edge`` (the window only has to hold k_max) det(I - K) (no particle in
-    the window) plus the right trace.  With ``edge`` and no window,
-    ``auto_window``'s range is only searched: the top is the least site in
-    it whose right trace is under ``leakage_tol / 2``, and the bottom the
-    largest row of the Fredholm gap table (``edge._gap_table``) up to that
-    top under the same half.  A range whose top leaks more is kept whole.
+    k_int + 1/2, whose leakage must stay under ``leakage_tol``: the trace
+    dropped on both sides or, with ``edge`` (the window only has to hold
+    k_max), det(I - K) (no particle in the window) plus the right trace.
+    None selects the least window whose two parts each leak under
+    ``leakage_tol / 2``, read off the band: the least top by its right
+    trace, the largest bottom by its left trace or, with ``edge``, by the
+    rows of the Fredholm gap table (``edge._gap_table``) cut at that top,
+    from b theta - 8 (d theta)^(1/(2m+1)) up and then twice as deep while
+    none is under (rows below ell = 0 are 0).  A half at or under the band's
+    roundoff ``trace_floor`` raises LeakageTooLarge.
     """
     band = coefficient_band(coeffs)  # refuses theta before any window arithmetic
-    k_lo, k_hi = map(int, auto_window(coeffs, edge) if window is None else window)
-    if edge and window is None:
-        half = 0.5 * leakage_tol
-        right = tail_trace(band, np.arange(k_lo + 1, k_hi + 2)) < half
-        if right.any():  # cut k_hi + 1 is certified: the gap table's own top
-            k_hi = k_lo + int(np.argmax(right))
-            # rows k_lo..k_hi + 1; the last, the empty window's 1.0, is no bottom
-            gaps = _gap_table(band, np.arange(k_lo, k_hi + 2), half)[:-1]
-            under = np.flatnonzero(gaps < half)
-            k_lo += int(under[-1]) if under.size else 0
+    half = 0.5 * leakage_tol
+    if not half > band.trace_floor:
+        raise LeakageTooLarge(f"leakage_tol={leakage_tol!r} is at or under twice "
+                              f"the band's roundoff floor {band.trace_floor:.1e}")
+    if window is not None:
+        k_lo, k_hi = map(int, window)
+    else:
+        k_hi = _least_cut(band, half) - 1
+        if edge:  # rows from the first guess up, then twice as deep
+            guess = edge_profile(coeffs).lattice_of(-8.0, coeffs.theta)
+            ells = np.arange(min(guess, k_hi), k_hi + 1)
+            while not (under := ells[_gap_table(band, ells, half) < half]).size:
+                ells = np.arange(2 * ells[0] - k_hi - 1, k_hi + 1)
+            k_lo = int(under[-1])
+        else:  # the left trace is the mirrored band's right trace
+            k_lo = -_least_cut(replace(band, coeffs=band.coeffs[::-1]), half)
     mat = kernel_matrix(band, np.arange(k_lo, k_hi + 1) + 0.5)
     eigvals, eigvecs = np.linalg.eigh(mat)
-    if np.min(eigvals) < -EIG_CLIP_TOL or np.max(eigvals) > 1.0 + EIG_CLIP_TOL:
+    low, high = eigvals.min(initial=0.0), eigvals.max(initial=0.0)
+    if low < -EIG_CLIP_TOL or high > 1.0 + EIG_CLIP_TOL:
         raise LeakageTooLarge(
-            f"windowed kernel eigenvalues escape [0,1]: "
-            f"[{np.min(eigvals):.2e}, {np.max(eigvals):.2e}]")
+            f"windowed kernel eigenvalues escape [0,1]: [{low:.2e}, {high:.2e}]")
     eigvals = np.clip(eigvals, 0.0, 1.0)
     if edge:
         leakage = float(np.prod(1.0 - eigvals)) + tail_trace(band, k_hi + 1)
@@ -249,8 +230,6 @@ class EdgeLawReport:
     k_max: np.ndarray
     ks_exact: float
     ks_limit: float
-    n_samples: int
-    seed: int
 
 
 def empirical_edge_law(coeffs, n_samples, seed):
@@ -259,14 +238,15 @@ def empirical_edge_law(coeffs, n_samples, seed):
     ``ks_exact`` is against the Fredholm gap table on the window's own band
     (``edge._gap_table`` at ``fredholm_cdf_check``'s trace 1e-12),
     ``ks_limit`` against the sea's own limit law F_{2m+1}^n on s in [-6, 4].
-    Maximizers of different orders or constants d raise ``UnsupportedEdge``
-    before any draw.
+    Maximizers of different orders or constants d raise ``UnsupportedEdge``,
+    and a limit law the library lacks ``NoConvergence``, before any draw.
     """
     n_samples = int(n_samples)
     if n_samples < 1:
         raise ValueError(f"n_samples must be a positive integer, got {n_samples}")
     profile = edge_profile(coeffs)
-    m = profile.law_order
+    s_grid = np.linspace(-6.0, 4.0, 201)
+    limit = limiting_cdf(profile.law_order, profile.n_cuts, s_grid)
     wk = windowed_kernel(coeffs, edge=True)
     kmax = np.array([conf[-1] if len(conf) else wk.k_lo_int - 0.5
                      for conf in sample_many(wk, n_samples, seed)])
@@ -274,10 +254,6 @@ def empirical_edge_law(coeffs, n_samples, seed):
     ells = np.arange(int(ordered[0] - 0.5), int(ordered[-1] + 0.5) + 2)
     ks_exact = float(np.max(np.abs(np.searchsorted(ordered, ells) / n_samples
                                    - _gap_table(wk.band, ells, 1e-12))))
-    s_vals = profile.s_of(ordered, coeffs.theta)
-    s_grid = np.linspace(-6.0, 4.0, 201)
-    limit = limiting_cdf(m, profile.n_cuts, s_grid)
-    ks_limit = float(np.max(np.abs(np.searchsorted(s_vals, s_grid) / n_samples
-                                   - limit)))
-    return EdgeLawReport(k_max=kmax, ks_exact=ks_exact, ks_limit=ks_limit,
-                         n_samples=n_samples, seed=int(seed))
+    ks_limit = float(np.max(np.abs(np.searchsorted(
+        profile.s_of(ordered, coeffs.theta), s_grid) / n_samples - limit)))
+    return EdgeLawReport(k_max=kmax, ks_exact=ks_exact, ks_limit=ks_limit)

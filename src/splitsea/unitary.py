@@ -184,8 +184,12 @@ def metropolis_chain(gammas, theta, ell, sweeps, seed):
     terms and their row sums, and each accepted move corrects the later
     proposals exactly, in O(ell).  Samples, acceptance rate and step size
     are bit-for-bit those of a direct recomputation of every pair term.
+    An overflowing potential amplitude 2 theta sum |gamma_r| is a ValueError.
     """
     coeffs = HoppingCoefficients(gammas, theta=theta)
+    if not math.isfinite(2.0 * coeffs.theta * sum(map(abs, coeffs.gammas))):
+        raise ValueError(f"theta={theta!r} with gamma={coeffs.gammas!r} gives "
+                         "a potential amplitude past the largest float")
     ell, sweeps = int(ell), int(sweeps)
     if ell < 1:
         raise ValueError(f"ell must be a positive integer; got {ell}")

@@ -550,6 +550,28 @@ def test_sample_ks_exact_is_against_the_fredholm_table(tmp_path, capsys,
     assert report["ks_exact"] < SAMPLE_DKW_500
 
 
+def test_readme_sample_line_prints_its_pinned_report(capsys):
+    # the README's headline draw: its edge window is the least one the band
+    # certifies, so this stdout pins the window, the draws and both laws
+    code, out, _ = run(capsys, "sample", "--gamma", "1,-0.3333333333",
+                       "--theta", "40", "-n", "5000", "--seed", "7")
+    assert code == 0
+    assert out == ('{"ks_exact": 0.007176848924285495, "ks_limit": '
+                   '0.06713631894184252, "n": 5000, "seed": 7, "scale": '
+                   '4.508898714792583}\n')
+
+
+def test_sample_near_the_m2_crossover_answers(capsys):
+    # the edge window's search range [b theta - 8 s, b theta + 10 s] was
+    # narrower than the edge's spread here: exit 3, "window (29, 43) leaks
+    # 1.43e-04"; the search now extends until the gap table certifies a row
+    code, out, err = run(capsys, "sample", "--gamma", "1,-0.1265", "--theta",
+                         "24.5", "-n", "100", "--seed", "1")
+    assert code == 0, err
+    dkw_100 = math.sqrt(math.log(2.0 / 1e-6) / (2.0 * 100))
+    assert json.loads(out)["ks_exact"] < dkw_100
+
+
 def test_sample_builds_one_band_and_no_toeplitz_table(monkeypatch, capsys):
     # the window and ks_exact each built a band, and ks_exact took the
     # Toeplitz route for theta <= 75/8
@@ -669,6 +691,19 @@ def test_unitary_mc_two_sweeps_keep_one_sample(capsys):
     code, out, _ = run(capsys, *MC, "--theta", "5", "--ell", "3",
                        "--sweeps", "2", "--seed", "1")
     assert code == 0 and "acceptance_rate" in json.loads(out)
+
+
+def test_unitary_mc_refuses_an_overflowing_potential_without_warnings():
+    # 2 theta sum |gamma_r| overflowed to inf: every score was inf * 0 = NaN
+    # after a numpy RuntimeWarning, and the chain exited 0 with acceptance 0.0
+    proc = subprocess.run([sys.executable, "-m", "splitsea", "unitary-mc",
+                           "--gamma", "1,-0.3333333333", "--theta", "1e308",
+                           "--ell", "6", "--sweeps", "20"],
+                          capture_output=True, text=True, env=cli_env(),
+                          timeout=120)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("config error") and "theta=1e+308" in proc.stderr
+    assert "Warning" not in proc.stderr
 
 
 def test_python_dash_m_runs_the_cli():

@@ -22,7 +22,7 @@ from splitsea.kernel import (BAND_SUPPORT_TOL, BAND_TAIL_TOL,
 from splitsea.potential import (HoppingCoefficients, _cached_wave,
                                 edge_profile, eval_dispersion, fermi_sea,
                                 global_extrema, limit_density)
-from splitsea.sampler import auto_window
+from splitsea.sampler import windowed_kernel
 from conftest import (airy_kernel, bessel_j, brute_correlation,
                       edge_prediction, local_sine_prediction)
 
@@ -158,7 +158,8 @@ def test_kernel_matrix_matches_the_hankel_product(gammas, theta, full):
     # or the sampler's full window; both ascending and descending
     c = HoppingCoefficients(gammas, theta=theta)
     band = coefficient_band(c)
-    lo, hi = auto_window(c, edge=not full)
+    wk = windowed_kernel(c, edge=not full)
+    lo, hi = wk.k_lo_int, wk.k_hi_int
     sites = np.arange(lo, hi + (1 if full else 65)) + 0.5
     for window in (sites, sites[::-1]):
         got = kernel_matrix(band, window)

@@ -14,8 +14,8 @@ from splitsea.kernel import coefficient_band, kernel_matrix, tail_trace
 from splitsea.potential import HoppingCoefficients, global_extrema, limit_shape
 from splitsea import sampler as sampler_mod
 from splitsea.sampler import (WindowedKernel, _rng_for, _sample_batch,
-                              auto_window, empirical_edge_law, sample,
-                              sample_many, windowed_kernel)
+                              empirical_edge_law, sample, sample_many,
+                              windowed_kernel)
 
 
 def _projection_toy(seed=5, sites=6, rank=2):
@@ -53,8 +53,14 @@ def test_windowed_kernel_properties():
     x_lo = wk.k_lo_int / c.theta
     predicted = c.theta * 0.5 * (limit_shape(c, x_lo) - x_lo)
     assert float(np.trace(wk.matrix)) == pytest.approx(predicted, abs=2.0)
-    lo, hi = auto_window(c)
-    assert (wk.k_lo_int, wk.k_hi_int) == (lo, hi)
+    # the least window, found one scalar trace at a time: the top is the
+    # least cut whose right trace is under half the bound, the bottom the
+    # largest cut whose left trace is
+    band, half, n = wk.band, 0.5e-6, wk.band.half_width
+    top = next(a for a in range(n + 1) if tail_trace(band, a) < half)
+    bottom = next(b for b in range(0, -n - 1, -1)
+                  if tail_trace(band, n, below=b) < half)
+    assert (wk.k_lo_int, wk.k_hi_int) == (bottom, top - 1)
 
 
 def test_windowed_kernel_leakage_guard():
@@ -147,7 +153,7 @@ def test_batched_draws_equal_the_per_draw_loop(case, n):
                              edge=True)
     elif case == "full-window":
         wk = windowed_kernel(HoppingCoefficients((1.0,), theta=12.0))
-    else:  # 312 sites, rank about 197: four draws per chunk
+    else:  # 237 sites, rank about 152: seven draws per chunk
         wk = windowed_kernel(HoppingCoefficients((1.0, -1.0 / 3.0), theta=40.0))
     batched = sample_many(wk, n, 7)
     assert len(batched) == n
@@ -187,19 +193,42 @@ def _gap(band, lo, hi):
 @pytest.mark.parametrize("gammas,theta", [
     ((1.0, -1.0 / 3.0), 4.0), ((1.0, -1.0 / 3.0), 20.0),
     ((1.0, -1.0 / 3.0), 40.3), ((1.0, -1.0 / 3.0), 80.0),
-    ((1.0, 0.1), 40.0), ((1.0, -0.125), 40.0)])
+    ((1.0, 0.1), 40.0), ((1.0, -0.125), 40.0),
+    # near the m = 2 crossover gamma_2 -> -1/8, where the edge spreads far
+    # past b theta - 8 (d theta)^(1/3): these were refused (LeakageTooLarge)
+    ((1.0, -0.1265), 24.5), ((1.0, -0.1159), 13.69), ((1.0, -0.124), 30.0)])
 def test_edge_window_is_the_least_meeting_each_half_of_the_bound(gammas, theta):
     c = HoppingCoefficients(gammas, theta=theta)
     band = coefficient_band(c)
     wk = windowed_kernel(c, edge=True)
     lo, hi = wk.k_lo_int, wk.k_hi_int
-    search_lo, search_hi = auto_window(c, edge=True)
-    assert search_lo <= lo <= hi <= search_hi
+    full = windowed_kernel(c)  # the same top, inside the full window
+    assert full.k_lo_int <= lo <= hi == full.k_hi_int
+    assert wk.leakage < 1e-6
     half = 0.5e-6  # each side's share of the default leakage_tol
     assert tail_trace(band, hi + 1) < half and _gap(band, lo, hi) < half
     # one site inward on either side breaks that side's half
     assert tail_trace(band, hi) >= half
     assert _gap(band, lo + 1, hi) >= half
+
+
+@pytest.mark.parametrize("gammas,theta", [
+    ((1.0,), 4.0), ((1.0,), 12.0), ((1.0, -1.0 / 3.0), 6.0),
+    ((1.0, -1.0 / 3.0), 40.0), ((1.0, 0.1), 40.0), ((1.0, -0.1265), 24.5),
+    # every site is frozen or empty to within 2.4e-8: the window is empty
+    ((1.0, -1.0 / 3.0), 1e-4)])
+def test_full_window_is_the_least_meeting_each_half_of_the_bound(gammas, theta):
+    c = HoppingCoefficients(gammas, theta=theta)
+    band = coefficient_band(c)
+    wk = windowed_kernel(c)
+    lo, hi, n = wk.k_lo_int, wk.k_hi_int, band.half_width
+    half = 0.5e-6
+    # the right trace past the top, the left trace (holes) below the bottom
+    assert tail_trace(band, hi + 1) < half <= tail_trace(band, hi)
+    assert tail_trace(band, n, below=lo) < half <= tail_trace(band, n,
+                                                              below=lo + 1)
+    assert wk.leakage == tail_trace(band, hi + 1, below=lo) < 1e-6
+    assert all(np.isin(conf, wk.sites).all() for conf in sample_many(wk, 3, 1))
 
 
 @pytest.mark.parametrize("theta", [20.0, 40.0])
@@ -208,8 +237,8 @@ def test_edge_window_leakage_is_exact_gap_probability(theta):
     wk = windowed_kernel(c, edge=True)
     band = coefficient_band(c)
     ell_min, top = wk.k_lo_int, wk.k_hi_int
-    search_lo, search_hi = auto_window(c, edge=True)
-    assert search_lo < ell_min <= top < search_hi
+    full = windowed_kernel(c)
+    assert full.k_lo_int < ell_min <= top == full.k_hi_int
     gap = float(np.linalg.det(np.eye(len(wk.sites)) - wk.matrix))
     right = tail_trace(band, top + 1)
     assert gap < 0.5e-6 <= _gap(band, ell_min + 1, top)
@@ -219,8 +248,10 @@ def test_edge_window_leakage_is_exact_gap_probability(theta):
     assert -1e-12 <= diff <= right + 1e-12
     assert wk.leakage == pytest.approx(gap + right, abs=1e-12)
     assert wk.leakage < 1e-6
-    # a window starting at the edge misses k_max with probability ~0.94
-    lo, hi = auto_window(c)
+    # a window starting at the edge misses k_max with probability ~0.94;
+    # its top is the full window's at a bound of 1e-20, so the right trace
+    # it drops stays under the tolerance below
+    hi = windowed_kernel(c, leakage_tol=1e-20).k_hi_int
     ell = round(global_extrema(c)[0] * theta)
     near = windowed_kernel(c, window=(ell, hi), leakage_tol=2.0, edge=True)
     assert near.leakage - tail_trace(band, hi + 1) == pytest.approx(
@@ -237,6 +268,21 @@ def test_edge_window_leakage_guard():
     with pytest.raises(LeakageTooLarge):
         windowed_kernel(c, window=(wk.k_lo_int, wk.k_hi_int),
                         leakage_tol=wk.leakage, edge=True)
+
+
+def test_tolerance_under_the_band_roundoff_floor_is_refused():
+    # over the whole band the exact traces are 0.0, and a table or window
+    # at 1e-300 reported them as met; the band's own FFT roundoff carries
+    # about 2e-25 of trace here
+    c = HoppingCoefficients((1.0, -1.0 / 3.0), theta=40.0)
+    band = coefficient_band(c)
+    assert 1e-26 < band.trace_floor < 1e-24
+    with pytest.raises(ValueError, match="trace_tol"):
+        fredholm_cdf_check(c, 60, trace_tol=1e-300)
+    n = band.half_width
+    with pytest.raises(LeakageTooLarge, match="leakage_tol"):
+        windowed_kernel(c, window=(-n, n), leakage_tol=1e-300)
+    assert windowed_kernel(c, window=(-n, n)).leakage == 0.0
 
 
 def test_edge_law_draws_are_deterministic_per_seed():
