@@ -18,8 +18,7 @@ from .sampler import (WindowedKernel, empirical_edge_law, sample,
                       sample_many, windowed_kernel)
 from .schur import (brute_cdf_first_part, complete_homogeneous, elementary,
                     measure_weight, partitions_upto, schur)
-from .unitary import (eigen_density_supercritical, metropolis_chain,
-                      partition_function_toeplitz)
+from .unitary import eigen_density_supercritical, metropolis_chain
 
 __all__ = [
     "CoefficientBand", "EdgeProfile", "FermiSea",
@@ -30,9 +29,9 @@ __all__ = [
     "fermi_sea", "fredholm_F", "fredholm_cdf_check", "global_extrema",
     "kernel_eval", "kernel_eval_quadrature", "kernel_matrix",
     "limit_density", "limit_shape", "limiting_cdf", "measure_weight",
-    "metropolis_chain", "partition_function_toeplitz",
-    "partitions_upto", "sample", "sample_many", "scaled_convergence_study",
-    "schur", "symbol_coeffs", "toeplitz_cdf", "windowed_kernel",
+    "metropolis_chain", "partitions_upto", "sample", "sample_many",
+    "scaled_convergence_study", "schur", "symbol_coeffs", "toeplitz_cdf",
+    "windowed_kernel",
 ]
 
 __version__ = "0.1.0"

@@ -88,21 +88,17 @@ def toeplitz_cdf(coeffs, ell):
 def fredholm_cdf_check(coeffs, ell, trace_tol=1e-12):
     """P(k_max < ell) as det(I - K) on the sites above ell (integer or array):
     the large-coupling route and the Toeplitz oracle, ``_gap_table`` on the
-    model's band at a positive finite ``trace_tol`` (empty for an empty ell).
-    A ``trace_tol`` at or under the band's ``trace_floor`` is a ValueError.
+    model's band, whose ``trace_tol`` check it shares (an empty ell gives an
+    empty table).
     """
-    if not 0.0 < trace_tol < math.inf:
-        raise ValueError(f"trace_tol={trace_tol!r} is not positive and finite")
     ells = np.atleast_1d(ell).astype(np.int64)
-    if ells.size == 0:
-        return np.zeros(ells.shape)
     p = _gap_table(coefficient_band(coeffs), ells, trace_tol)
     return float(p[0]) if np.ndim(ell) == 0 else p
 
 
 def _gap_table(band, ells, trace_tol):
     """Gap probabilities det(I - K) on the sites above each integer of the
-    nonempty array ``ells``: P(k_max < ell), from ``band``.
+    array ``ells``: P(k_max < ell), from ``band`` (empty for no ell).
 
     The window [min ell, top) ends at max ell or, if higher, the least cut
     whose exact tail trace (0 at the band's end) is under ``trace_tol``;
@@ -111,12 +107,14 @@ def _gap_table(band, ells, trace_tol):
     past a pivot <= 0 (roundoff deep below the edge) lie in [0, last minor]
     and are 0.0 when that minor is under ``trace_tol``.  P = 0 for ell < 0
     because k_max >= -1/2; the window stops at site 1/2.  A window of more
-    than MAX_TABLE_DIM sites, or a ``trace_tol`` at or under the band's
-    roundoff ``trace_floor``, is a ValueError.
+    than MAX_TABLE_DIM sites, or a ``trace_tol`` that is not finite or is at
+    or under the band's roundoff ``trace_floor``, is a ValueError.
     """
-    if not trace_tol > band.trace_floor:
-        raise ValueError(f"trace_tol={trace_tol!r} is at or under the band's "
-                         f"roundoff floor {band.trace_floor:.1e}")
+    if not band.trace_floor < trace_tol < math.inf:
+        raise ValueError(f"trace_tol={trace_tol!r} must be finite and over the "
+                         f"band's roundoff floor {band.trace_floor:.1e}")
+    if ells.size == 0:
+        return np.zeros(ells.shape)
     rows = np.maximum(ells, 0)
     top = max(int(rows.max()), _least_cut(band, trace_tol))
     size = top - int(rows.min())
@@ -138,10 +136,12 @@ def exact_cdf(coeffs, ell):
     """P(k_max < ell) by the numerically appropriate exact route (once per call).
 
     Toeplitz while the symbol's dynamic range fits in double precision, then
-    Fredholm.  The range is read on ROUTE_SCAN, whose cosines are cached.
+    Fredholm.  The range is read on ROUTE_SCAN, whose cosines are cached,
+    after ``check_symbol_amplitude`` has refused an overflowing coupling.
     The Toeplitz rows drift already below the switch: 3e-12 from the
     Fredholm ones at theta = 2.9, over 1e-9 from theta near 4.4.
     """
+    coeffs.check_symbol_amplitude()
     if np.max(coeffs.log_symbol(ROUTE_SCAN)) <= 25.0:
         return toeplitz_cdf(coeffs, ell)
     return fredholm_cdf_check(coeffs, ell)
@@ -156,7 +156,9 @@ def scaled_convergence_study(gammas, theta_list, s_grid=None, n_cuts=None,
     P(k_max < ``EdgeProfile.lattice_of(s, theta)``).  The limit law's power
     defaults to the sea's cut count.  ``limit`` is that law on ``s_grid``
     when the caller already has it (one ``limiting_cdf`` table otherwise).
-    Maximizers of different orders or constants d raise ``UnsupportedEdge``.
+    Maximizers of different orders or constants d raise ``UnsupportedEdge``,
+    and a theta whose symbol amplitude overflows a ValueError before its
+    lattice points are placed.
     """
     if s_grid is None:
         s_grid = np.linspace(-6.0, 4.0, 101)
@@ -168,8 +170,9 @@ def scaled_convergence_study(gammas, theta_list, s_grid=None, n_cuts=None,
 
     reports = []
     for theta in theta_list:
-        lattice_vals = exact_cdf(HoppingCoefficients(gammas, theta=theta),
-                                 profile.lattice_of(s_grid, theta))
+        coeffs = HoppingCoefficients(gammas, theta=theta)
+        coeffs.check_symbol_amplitude()
+        lattice_vals = exact_cdf(coeffs, profile.lattice_of(s_grid, theta))
         sup = float(np.max(np.abs(lattice_vals - limit_vals)))
         reports.append({"theta": float(theta), "sup_distance": sup,
                         "power": power, "m": m,

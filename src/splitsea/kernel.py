@@ -21,7 +21,7 @@ same analytic object, so they must agree to quadrature accuracy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -249,16 +249,11 @@ def kernel_matrix(band, sites):
     return mat
 
 
-def tail_trace(band, above, below=None):
-    """Exact mass dropped by keeping only the sites k with below < k < above.
-
-    sum_{k > above} K(k, k) = sum_i max(i - above, 0) J_i^2, plus, with
-    ``below``, sum_{k < below} (1 - K(k, k)) = sum_i max(below - i, 0) J_i^2,
-    at integer cuts or arrays of them, from two reverse cumulative sums.
+def tail_trace(band, above):
+    """Exact mass sum_{k > above} K(k, k) dropped right of a window ending at
+    ``above`` (an integer cut or an array of them): sum_i max(i - above, 0)
+    J_i^2, from two reverse cumulative sums.
     """
-    if below is not None:  # the left side: the right side of the mirrored band
-        mirror = replace(band, coeffs=band.coeffs[::-1])
-        return tail_trace(band, above) + tail_trace(mirror, np.negative(below))
     mass = np.cumsum((band.coeffs ** 2)[::-1])[::-1]  # sum_{i >= j} J_i^2
     dropped = np.append(np.cumsum(mass[::-1])[::-1], 0.0)
     # the cut a drops j > a, at a + 1 + N; below the band each j drops mass[0]

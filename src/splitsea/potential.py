@@ -102,6 +102,14 @@ class HoppingCoefficients:
         return _harmonics([2.0 * self.theta * (-1.0) ** (r - 1) * g
                            for r, g in enumerate(self.gammas, start=1)], phi)
 
+    def check_symbol_amplitude(self):
+        """Refuse, with a ValueError naming theta, a coupling whose symbol
+        amplitude 2 theta sum_r |gamma_r| overflows: ``log_symbol`` would
+        read inf * 0 and every angle scan after it NaN."""
+        if not math.isfinite(2.0 * self.theta * sum(map(abs, self.gammas))):
+            raise ValueError(f"theta={self.theta!r} with gamma={self.gammas!r} gives "
+                             "a symbol amplitude past the largest float")
+
     def szego_constant(self):
         """theta^2 sum_r r gamma_r^2: strong Szego limit of log det T_ell."""
         return sum(r * (self.theta * g) ** 2

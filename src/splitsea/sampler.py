@@ -1,21 +1,17 @@
-"""Determinantal sampling of ground-state configurations on a finite window.
-
-The exact kernel is truncated to a window of half-integer sites: sites left
-of it are taken as frozen (occupied), sites right of it empty, and the
-leakage sum_{k<lo} (1 - K(k,k)) + sum_{k>hi} K(k,k) is computed exactly from
-the coefficient band rather than assumed; the automatic window is the least
-whose two sides each leak under half the bound.  The window matrix comes
-from ``kernel.kernel_matrix``, which reads each entry from a tail sum of
-J_u J_{u+d} along the band (no matrix product).
+"""Determinantal sampling of k_max from the kernel restricted to an edge window.
 
 A determinantal process restricted to a subset A is the determinantal process
-of K_A (Hough-Krishnapur-Peres-Virag 2006), so ``empirical_edge_law`` draws
-k_max from an edge window A = [ell_min, top] alone.  Its leakage is
-det(I - K_A) (no particle in A: k_max below ell_min, or every particle above
-top) plus the right dropped trace.  It keeps the full window's top, and
-ell_min is the largest row under half the bound of the Fredholm gap table
-(``edge._gap_table``) cut there; ``ks_exact`` reads the same routine on the
-same band.
+of K_A (Hough-Krishnapur-Peres-Virag 2006), so ``windowed_kernel`` keeps only
+a window A = [ell_min, top] of half-integer sites that holds k_max.  Its
+leakage is det(I - K_A) (no particle in A: k_max below ell_min, or every
+particle above top) plus the trace sum_{k>top} K(k,k) dropped right of it,
+computed exactly from the coefficient band rather than assumed.  The
+automatic window is the least whose two parts each leak under half the
+bound: top is the least site whose right trace does, and ell_min the largest
+row that does of the Fredholm gap table (``edge._gap_table``) cut at top;
+``ks_exact`` reads the same routine on the same band.  The window matrix
+comes from ``kernel.kernel_matrix``, which reads each entry from a tail sum
+of J_u J_{u+d} along the band (no matrix product).
 
 Each draw selects eigenvectors of the window kernel by a Bernoulli draw per
 eigenvalue and samples their projection process site by site, on its own
@@ -25,7 +21,7 @@ batch together, each draw as ``sample`` takes it alone (``_sample_batch``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,38 +54,34 @@ class WindowedKernel:
         return np.arange(self.k_lo_int, self.k_hi_int + 1) + 0.5
 
 
-def windowed_kernel(coeffs, window=None, leakage_tol=1e-6, edge=False):
-    """Build the kernel matrix over a window of sites and eigendecompose it.
+def windowed_kernel(coeffs, window=None, leakage_tol=1e-6):
+    """Build the kernel matrix over an edge window of sites and eigendecompose it.
 
     ``window`` is an integer pair (k_lo_int, k_hi_int) addressing sites
-    k_int + 1/2, whose leakage must stay under ``leakage_tol``: the trace
-    dropped on both sides or, with ``edge`` (the window only has to hold
-    k_max), det(I - K) (no particle in the window) plus the right trace.
-    None selects the least window whose two parts each leak under
-    ``leakage_tol / 2``, read off the band: the least top by its right
-    trace, the largest bottom by its left trace or, with ``edge``, by the
-    rows of the Fredholm gap table (``edge._gap_table``) cut at that top,
-    from b theta - 8 (d theta)^(1/(2m+1)) up and then twice as deep while
-    none is under (rows below ell = 0 are 0).  A half at or under the band's
-    roundoff ``trace_floor`` raises LeakageTooLarge.
+    k_int + 1/2.  The window only has to hold k_max: its leakage, det(I - K)
+    over it (no particle in the window) plus the trace dropped right of it,
+    must stay under ``leakage_tol``.  None selects the least window whose two
+    parts each leak under ``leakage_tol / 2``, read off the band: the least
+    top by its right trace, and the largest bottom by the rows of the
+    Fredholm gap table (``edge._gap_table``) cut at that top, from
+    b theta - 8 (d theta)^(1/(2m+1)) up and then twice as deep while none is
+    under (rows below ell = 0 are 0).  A half that is not finite, or at or
+    under the band's roundoff ``trace_floor``, raises LeakageTooLarge.
     """
     band = coefficient_band(coeffs)  # refuses theta before any window arithmetic
     half = 0.5 * leakage_tol
-    if not half > band.trace_floor:
-        raise LeakageTooLarge(f"leakage_tol={leakage_tol!r} is at or under twice "
-                              f"the band's roundoff floor {band.trace_floor:.1e}")
+    if not band.trace_floor < half < np.inf:
+        raise LeakageTooLarge(f"leakage_tol={leakage_tol!r} must be finite and over "
+                              f"twice the band's roundoff floor {band.trace_floor:.1e}")
     if window is not None:
         k_lo, k_hi = map(int, window)
-    else:
+    else:  # rows from the first guess up, then twice as deep
         k_hi = _least_cut(band, half) - 1
-        if edge:  # rows from the first guess up, then twice as deep
-            guess = edge_profile(coeffs).lattice_of(-8.0, coeffs.theta)
-            ells = np.arange(min(guess, k_hi), k_hi + 1)
-            while not (under := ells[_gap_table(band, ells, half) < half]).size:
-                ells = np.arange(2 * ells[0] - k_hi - 1, k_hi + 1)
-            k_lo = int(under[-1])
-        else:  # the left trace is the mirrored band's right trace
-            k_lo = -_least_cut(replace(band, coeffs=band.coeffs[::-1]), half)
+        guess = edge_profile(coeffs).lattice_of(-8.0, coeffs.theta)
+        ells = np.arange(min(guess, k_hi), k_hi + 1)
+        while not (under := ells[_gap_table(band, ells, half) < half]).size:
+            ells = np.arange(2 * ells[0] - k_hi - 1, k_hi + 1)
+        k_lo = int(under[-1])
     mat = kernel_matrix(band, np.arange(k_lo, k_hi + 1) + 0.5)
     eigvals, eigvecs = np.linalg.eigh(mat)
     low, high = eigvals.min(initial=0.0), eigvals.max(initial=0.0)
@@ -97,10 +89,7 @@ def windowed_kernel(coeffs, window=None, leakage_tol=1e-6, edge=False):
         raise LeakageTooLarge(
             f"windowed kernel eigenvalues escape [0,1]: [{low:.2e}, {high:.2e}]")
     eigvals = np.clip(eigvals, 0.0, 1.0)
-    if edge:
-        leakage = float(np.prod(1.0 - eigvals)) + tail_trace(band, k_hi + 1)
-    else:
-        leakage = tail_trace(band, k_hi + 1, below=k_lo)
+    leakage = float(np.prod(1.0 - eigvals)) + tail_trace(band, k_hi + 1)
     if leakage >= leakage_tol:
         raise LeakageTooLarge(f"window ({k_lo}, {k_hi}) leaks {leakage:.2e}")
     return WindowedKernel(k_lo_int=k_lo, k_hi_int=k_hi, matrix=mat,
@@ -247,7 +236,7 @@ def empirical_edge_law(coeffs, n_samples, seed):
     profile = edge_profile(coeffs)
     s_grid = np.linspace(-6.0, 4.0, 201)
     limit = limiting_cdf(profile.law_order, profile.n_cuts, s_grid)
-    wk = windowed_kernel(coeffs, edge=True)
+    wk = windowed_kernel(coeffs)
     kmax = np.array([conf[-1] if len(conf) else wk.k_lo_int - 0.5
                      for conf in sample_many(wk, n_samples, seed)])
     ordered = np.sort(kmax)  # searchsorted counts the draws below a point

@@ -10,17 +10,27 @@ library code: ``airy_kernel`` and ``edge_prediction`` read
 ``airy_kernel_matrix``, ``brute_correlation`` reads ``measure_weight``, and
 ``density_support_cuts`` reads ``eigen_density_supercritical``.
 ``oscillation_average``, ``local_sine_prediction`` and
-``partition_function_quadrature`` are direct quadratures or closed forms.
+``partition_function_quadrature`` are direct quadratures or closed forms;
+``partition_function_toeplitz`` reads ``exact_cdf``.
+
+The sampler only builds edge windows; tests that need whole configurations
+draw them from ``full_window``, the least window whose right trace and whose
+left trace (``left_trace``, the holes below it) each stay under half the
+bound, built by ``windowed_kernel`` over that window.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from splitsea.airy import airy_kernel_matrix
+from splitsea.edge import exact_cdf
 from splitsea.errors import UnsupportedEdge
+from splitsea.kernel import _least_cut, coefficient_band, tail_trace
 from splitsea.potential import FermiSea, HoppingCoefficients
+from splitsea.sampler import windowed_kernel
 from splitsea.schur import measure_weight, partitions_upto
 from splitsea.unitary import eigen_density_supercritical
 
@@ -200,6 +210,36 @@ def partition_function_quadrature(gammas, theta, ell):
     pair = 2.0 - 2.0 * np.cos(alphas[:, None] - alphas[None, :])
     z = float(w @ pair @ w) * h * h
     return z / ((2.0 * math.pi) ** 2 * 2.0)
+
+
+def partition_function_toeplitz(gammas, theta, ell):
+    """Z_ell = exp(theta^2 sum r gamma_r^2) P(k_max < ell), via the edge CDF."""
+    coeffs = HoppingCoefficients(gammas, theta=theta)
+    return math.exp(coeffs.szego_constant()) * exact_cdf(coeffs, ell)
+
+
+def left_trace(band, below):
+    """sum_{k < below} (1 - K(k, k)), the holes dropped left of a window
+    from ``below`` up (a cut or an array of them): the mirrored band's right
+    trace at -below."""
+    return tail_trace(replace(band, coeffs=band.coeffs[::-1]), np.negative(below))
+
+
+def full_window(coeffs, leakage_tol=1e-6):
+    """The least window holding whole configurations, and its leakage.
+
+    Its top is the least cut whose right trace is under ``leakage_tol / 2``,
+    its bottom the largest cut whose left trace is; the leakage is the two
+    traces summed.  The kernel is ``windowed_kernel`` over that window at a
+    bound of 2, which its edge leakage (det(I - K) over the window, 1 for an
+    empty one, plus the right trace) always meets.
+    """
+    band = coefficient_band(coeffs)
+    half = 0.5 * leakage_tol
+    lo = -_least_cut(replace(band, coeffs=band.coeffs[::-1]), half)
+    hi = _least_cut(band, half) - 1
+    wk = windowed_kernel(coeffs, window=(lo, hi), leakage_tol=2.0)
+    return wk, tail_trace(band, hi + 1) + left_trace(band, lo)
 
 
 @pytest.fixture()

@@ -20,10 +20,11 @@ from splitsea.potential import (HoppingCoefficients, edge_profile, fermi_sea,
 from splitsea.sampler import WindowedKernel, empirical_edge_law, sample_many
 from splitsea.schur import measure_weight, partitions_upto
 from splitsea.unitary import (angle_histogram, eigen_density_supercritical,
-                              metropolis_chain, partition_function_toeplitz)
+                              metropolis_chain)
 from conftest import (airy_series, brute_correlation, density_support_cuts,
                       edge_prediction, local_sine_prediction,
-                      oscillation_average, partition_function_quadrature)
+                      oscillation_average, partition_function_quadrature,
+                      partition_function_toeplitz)
 
 TWO_CUT = (1.0, -1.0 / 3.0)
 FOUR_MODELS = [(1.0, 1.0 / 3.0), (1.0, 0.1), (1.0, -0.125), (1.0, -1.0 / 3.0)]

@@ -9,7 +9,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splitsea.edge import (exact_cdf, fredholm_cdf_check,
+from splitsea.edge import (_gap_table, exact_cdf, fredholm_cdf_check,
                            scaled_convergence_study, symbol_coeffs,
                            toeplitz_cdf)
 from splitsea.errors import NotPositiveDefinite
@@ -149,6 +149,17 @@ def test_fredholm_trace_tol_must_be_positive_and_finite():
     for tol in (0.0, -1e-12, math.inf, math.nan):
         with pytest.raises(ValueError, match="trace_tol"):
             fredholm_cdf_check(c, 40, trace_tol=tol)
+
+
+def test_gap_table_refuses_an_infinite_trace_tol():
+    # the sampler's edge-window search reads the table directly; an infinite
+    # bound made every cut certified and the table answered.  The one check
+    # covers fredholm_cdf_check too, for an empty ell as well
+    c = HoppingCoefficients((1.0, -1.0 / 3.0), theta=40.0)
+    with pytest.raises(ValueError, match="trace_tol"):
+        _gap_table(coefficient_band(c), np.arange(50, 60), math.inf)
+    with pytest.raises(ValueError, match="trace_tol"):
+        fredholm_cdf_check(c, np.array([], dtype=np.int64), trace_tol=math.inf)
 
 
 @given(st.floats(-0.45, 0.45), st.floats(0.05, 3.0))

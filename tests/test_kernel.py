@@ -24,7 +24,8 @@ from splitsea.potential import (HoppingCoefficients, _cached_wave,
                                 global_extrema, limit_density)
 from splitsea.sampler import windowed_kernel
 from conftest import (airy_kernel, bessel_j, brute_correlation,
-                      edge_prediction, local_sine_prediction)
+                      edge_prediction, full_window, left_trace,
+                      local_sine_prediction)
 
 
 def test_band_is_bessel_for_nearest_neighbour():
@@ -155,10 +156,11 @@ def _hankel_product(band, sites):
 def test_kernel_matrix_matches_the_hankel_product(gammas, theta, full):
     # consecutive windows as the callers build them: the sampler's edge
     # window run 64 sites past its top (the Fredholm window's least margin),
-    # or the sampler's full window; both ascending and descending
+    # or the tests' full window (``full_window``); both ascending and
+    # descending
     c = HoppingCoefficients(gammas, theta=theta)
     band = coefficient_band(c)
-    wk = windowed_kernel(c, edge=not full)
+    wk = full_window(c)[0] if full else windowed_kernel(c)
     lo, hi = wk.k_lo_int, wk.k_hi_int
     sites = np.arange(lo, hi + (1 if full else 65)) + 0.5
     for window in (sites, sites[::-1]):
@@ -325,10 +327,9 @@ def test_band_trim_drops_only_roundoff(gammas, theta, seed):
         assert abs(kernel_eval(band, k, ell) - kernel_eval(full, k, ell)) \
             <= 2.0 * eps + eps * eps + 1e-15
     for above in rng.integers(-n - 3, n + 3, size=5):
-        for below in (None, above - 5):
-            want = tail_trace(full, above, below)
-            assert abs(tail_trace(band, above, below) - want) \
-                <= 1e-15 * max(1.0, want)
+        for trace, cut in ((tail_trace, above), (left_trace, above - 5)):
+            want = trace(full, cut)
+            assert abs(trace(band, cut) - want) <= 1e-15 * max(1.0, want)
 
 
 def test_band_refuses_a_support_it_cannot_certify(monkeypatch):
@@ -370,8 +371,7 @@ def test_tail_trace_is_the_dropped_diagonal():
                for k in range(-n - 1, -6))
     assert tail_trace(band, 4) == pytest.approx(right, abs=1e-15)
     # the reference adds ~2n terms 1 - K(k, k), each rounded to ~1e-16
-    assert tail_trace(band, 4, below=-6) == pytest.approx(right + left,
-                                                          abs=1e-12)
+    assert left_trace(band, -6) == pytest.approx(left, abs=1e-12)
     # arrays of cuts, past both ends of the band too, give the per-cut sums,
     # and nothing is dropped from the band's end N up
     i = np.arange(-n, n + 1)
@@ -381,10 +381,9 @@ def test_tail_trace_is_the_dropped_diagonal():
     assert tail_trace(band, cuts) == pytest.approx(right, rel=1e-14, abs=0.0)
     assert not np.any(tail_trace(band, cuts[cuts >= n]))
     for below in (cuts - 7, np.full(cuts.shape, n + 3)):
-        both = [np.dot(np.maximum(i - a, 0) + np.maximum(b - i, 0), squares)
-                for a, b in zip(cuts, below)]
-        assert tail_trace(band, cuts, below) == pytest.approx(both, rel=1e-14,
-                                                              abs=0.0)
+        left = [np.dot(np.maximum(b - i, 0), squares) for b in below]
+        assert left_trace(band, below) == pytest.approx(left, rel=1e-14,
+                                                        abs=0.0)
 
 
 def test_operator_contraction(rng):

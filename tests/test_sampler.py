@@ -16,6 +16,7 @@ from splitsea import sampler as sampler_mod
 from splitsea.sampler import (WindowedKernel, _rng_for, _sample_batch,
                               empirical_edge_law, sample, sample_many,
                               windowed_kernel)
+from conftest import full_window, left_trace
 
 
 def _projection_toy(seed=5, sites=6, rank=2):
@@ -43,8 +44,8 @@ def test_projection_toy_distribution():
 
 def test_windowed_kernel_properties():
     c = HoppingCoefficients((1.0, -1.0 / 3.0), theta=6.0)
-    wk = windowed_kernel(c)
-    assert wk.leakage < 1e-6
+    wk, leakage = full_window(c)
+    assert leakage < 1e-6
     assert np.allclose(wk.matrix, wk.matrix.T, atol=1e-12)
     assert wk.eigenvalues.min() >= 0.0 and wk.eigenvalues.max() <= 1.0
     # trace = expected particle count; compare to the limit-shape prediction
@@ -59,7 +60,7 @@ def test_windowed_kernel_properties():
     band, half, n = wk.band, 0.5e-6, wk.band.half_width
     top = next(a for a in range(n + 1) if tail_trace(band, a) < half)
     bottom = next(b for b in range(0, -n - 1, -1)
-                  if tail_trace(band, n, below=b) < half)
+                  if left_trace(band, b) < half)
     assert (wk.k_lo_int, wk.k_hi_int) == (bottom, top - 1)
 
 
@@ -133,7 +134,7 @@ def _choice_projection(vectors, rng):
 def test_projection_draw_matches_choice_reference():
     # one uniform located in the cumulative weights is what rng.choice does;
     # the sums differ only in rounding, so the drawn sites agree
-    wk = windowed_kernel(HoppingCoefficients((1.0, -1.0 / 3.0), theta=8.0))
+    wk, _ = full_window(HoppingCoefficients((1.0, -1.0 / 3.0), theta=8.0))
     drawn = _sample_batch(wk, 3, range(200))
     for i in range(200):
         rng = _stream(3, i)
@@ -149,12 +150,11 @@ def test_batched_draws_equal_the_per_draw_loop(case, n):
     if case == "toy":
         wk = _projection_toy()
     elif case == "edge-window":
-        wk = windowed_kernel(HoppingCoefficients((1.0, -1.0 / 3.0), theta=40.3),
-                             edge=True)
+        wk = windowed_kernel(HoppingCoefficients((1.0, -1.0 / 3.0), theta=40.3))
     elif case == "full-window":
-        wk = windowed_kernel(HoppingCoefficients((1.0,), theta=12.0))
+        wk, _ = full_window(HoppingCoefficients((1.0,), theta=12.0))
     else:  # 237 sites, rank about 152: seven draws per chunk
-        wk = windowed_kernel(HoppingCoefficients((1.0, -1.0 / 3.0), theta=40.0))
+        wk, _ = full_window(HoppingCoefficients((1.0, -1.0 / 3.0), theta=40.0))
     batched = sample_many(wk, n, 7)
     assert len(batched) == n
     for i, conf in enumerate(batched):
@@ -162,7 +162,7 @@ def test_batched_draws_equal_the_per_draw_loop(case, n):
 
 
 def test_batched_draws_ignore_chunks_order_and_threads(monkeypatch):
-    wk = windowed_kernel(HoppingCoefficients((1.0,), theta=12.0))
+    wk, _ = full_window(HoppingCoefficients((1.0,), theta=12.0))
     want = sample_many(wk, 60, 4)
     shuffled = np.random.default_rng(1).permutation(60)
     got = _sample_batch(wk, 4, shuffled)
@@ -200,9 +200,9 @@ def _gap(band, lo, hi):
 def test_edge_window_is_the_least_meeting_each_half_of_the_bound(gammas, theta):
     c = HoppingCoefficients(gammas, theta=theta)
     band = coefficient_band(c)
-    wk = windowed_kernel(c, edge=True)
+    wk = windowed_kernel(c)
     lo, hi = wk.k_lo_int, wk.k_hi_int
-    full = windowed_kernel(c)  # the same top, inside the full window
+    full, _ = full_window(c)  # the same top, inside the full window
     assert full.k_lo_int <= lo <= hi == full.k_hi_int
     assert wk.leakage < 1e-6
     half = 0.5e-6  # each side's share of the default leakage_tol
@@ -220,24 +220,35 @@ def test_edge_window_is_the_least_meeting_each_half_of_the_bound(gammas, theta):
 def test_full_window_is_the_least_meeting_each_half_of_the_bound(gammas, theta):
     c = HoppingCoefficients(gammas, theta=theta)
     band = coefficient_band(c)
-    wk = windowed_kernel(c)
-    lo, hi, n = wk.k_lo_int, wk.k_hi_int, band.half_width
+    wk, leakage = full_window(c)
+    lo, hi = wk.k_lo_int, wk.k_hi_int
     half = 0.5e-6
     # the right trace past the top, the left trace (holes) below the bottom
     assert tail_trace(band, hi + 1) < half <= tail_trace(band, hi)
-    assert tail_trace(band, n, below=lo) < half <= tail_trace(band, n,
-                                                              below=lo + 1)
-    assert wk.leakage == tail_trace(band, hi + 1, below=lo) < 1e-6
+    assert left_trace(band, lo) < half <= left_trace(band, lo + 1)
+    assert leakage == tail_trace(band, hi + 1) + left_trace(band, lo) < 1e-6
     assert all(np.isin(conf, wk.sites).all() for conf in sample_many(wk, 3, 1))
+
+
+def test_full_window_helper_gives_the_least_full_windows():
+    # the full windows windowed_kernel built itself before it kept only
+    # edge windows, each leaking under the bound
+    for theta, window, sites, leakage in (
+            (40.0, (-152, 84), 237, 8.323283740030058e-07),
+            (120.0, (-427, 228), 656, 7.593440293002768e-07)):
+        wk, leak = full_window(HoppingCoefficients((1.0, -1.0 / 3.0), theta=theta))
+        assert (wk.k_lo_int, wk.k_hi_int) == window
+        assert len(wk.sites) == sites
+        assert leak == pytest.approx(leakage, rel=1e-9, abs=0.0)
 
 
 @pytest.mark.parametrize("theta", [20.0, 40.0])
 def test_edge_window_leakage_is_exact_gap_probability(theta):
     c = HoppingCoefficients((1.0, -1.0 / 3.0), theta=theta)
-    wk = windowed_kernel(c, edge=True)
+    wk = windowed_kernel(c)
     band = coefficient_band(c)
     ell_min, top = wk.k_lo_int, wk.k_hi_int
-    full = windowed_kernel(c)
+    full, _ = full_window(c)
     assert full.k_lo_int < ell_min <= top == full.k_hi_int
     gap = float(np.linalg.det(np.eye(len(wk.sites)) - wk.matrix))
     right = tail_trace(band, top + 1)
@@ -251,23 +262,23 @@ def test_edge_window_leakage_is_exact_gap_probability(theta):
     # a window starting at the edge misses k_max with probability ~0.94;
     # its top is the full window's at a bound of 1e-20, so the right trace
     # it drops stays under the tolerance below
-    hi = windowed_kernel(c, leakage_tol=1e-20).k_hi_int
+    hi = full_window(c, leakage_tol=1e-20)[0].k_hi_int
     ell = round(global_extrema(c)[0] * theta)
-    near = windowed_kernel(c, window=(ell, hi), leakage_tol=2.0, edge=True)
+    near = windowed_kernel(c, window=(ell, hi), leakage_tol=2.0)
     assert near.leakage - tail_trace(band, hi + 1) == pytest.approx(
         fredholm_cdf_check(c, ell), abs=1e-12)
 
 
 def test_edge_window_leakage_guard():
     c = HoppingCoefficients((1.0, -1.0 / 3.0), theta=20.0)
-    wk = windowed_kernel(c, edge=True)
+    wk = windowed_kernel(c)
     assert wk.leakage > 1e-300
     with pytest.raises(LeakageTooLarge):
-        windowed_kernel(c, leakage_tol=1e-300, edge=True)
+        windowed_kernel(c, leakage_tol=1e-300)
     # the bound is exclusive: leakage == tol fails
     with pytest.raises(LeakageTooLarge):
         windowed_kernel(c, window=(wk.k_lo_int, wk.k_hi_int),
-                        leakage_tol=wk.leakage, edge=True)
+                        leakage_tol=wk.leakage)
 
 
 def test_tolerance_under_the_band_roundoff_floor_is_refused():
@@ -283,6 +294,15 @@ def test_tolerance_under_the_band_roundoff_floor_is_refused():
     with pytest.raises(LeakageTooLarge, match="leakage_tol"):
         windowed_kernel(c, window=(-n, n), leakage_tol=1e-300)
     assert windowed_kernel(c, window=(-n, n)).leakage == 0.0
+
+
+def test_infinite_leakage_tolerance_is_refused():
+    # an infinite bound certified any window: at theta = 40 an automatic
+    # edge window leaking 29.9 was reported as meeting it
+    c = HoppingCoefficients((1.0, -1.0 / 3.0), theta=40.0)
+    for window in (None, (20, 30)):
+        with pytest.raises(LeakageTooLarge, match="leakage_tol"):
+            windowed_kernel(c, window=window, leakage_tol=math.inf)
 
 
 def test_edge_law_draws_are_deterministic_per_seed():
@@ -303,7 +323,7 @@ def test_degenerate_coupling_is_domain_wall():
 
 def test_sampler_marginals_match_diagonal():
     c = HoppingCoefficients((1.0,), theta=12.0)
-    wk = windowed_kernel(c)
+    wk, _ = full_window(c)
     n = 8000
     occ = np.zeros(len(wk.sites))
     for conf in sample_many(wk, n, 11):
@@ -317,7 +337,7 @@ def test_sampler_marginals_match_diagonal():
 
 def test_pair_correlation_matches_minor():
     c = HoppingCoefficients((1.0,), theta=3.0)
-    wk = windowed_kernel(c)
+    wk, _ = full_window(c)
     sites = wk.sites
     i, j = np.searchsorted(sites, 0.5), np.searchsorted(sites, 1.5)
     want = float(np.linalg.det(wk.matrix[np.ix_([i, j], [i, j])]))
@@ -332,7 +352,7 @@ def test_pair_correlation_matches_minor():
 
 def test_number_variance_bounded_by_mean():
     c = HoppingCoefficients((1.0, -1.0 / 3.0), theta=8.0)
-    wk = windowed_kernel(c)
+    wk, _ = full_window(c)
     n = 3000
     counts = np.array([np.sum(conf > 0.5) for conf in sample_many(wk, n, 21)])
     mean, var = float(np.mean(counts)), float(np.var(counts, ddof=1))
@@ -342,7 +362,7 @@ def test_number_variance_bounded_by_mean():
 
 def test_determinism_bitwise():
     c = HoppingCoefficients((1.0, -1.0 / 3.0), theta=5.0)
-    wk = windowed_kernel(c)
+    wk, _ = full_window(c)
     a = sample_many(wk, 10, seed=42)
     b = sample_many(wk, 10, seed=42)
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
@@ -353,7 +373,7 @@ def test_determinism_bitwise():
 def test_keyed_streams_survive_interleaving_and_threads():
     # sample() re-keys one Generator per thread: each draw is the stream of
     # a new Philox(key=[seed, index]), however seeds and threads interleave
-    wk = windowed_kernel(HoppingCoefficients((1.0, -1.0 / 3.0), theta=8.0))
+    wk, _ = full_window(HoppingCoefficients((1.0, -1.0 / 3.0), theta=8.0))
     shared = _stream(5, 5)
     for seed, index in itertools.product((0, 2, -1), (0, 3, 2 ** 40)):
         shared.integers(0, 2 ** 31, dtype=np.uint32)  # leaves half a word
@@ -405,7 +425,7 @@ def limit_shape_deviation(coeffs, n_samples, seed):
     form of :func:`limit_shape`; returns the 90th percentile of the
     per-sample sup and the window's leakage.
     """
-    wk = windowed_kernel(coeffs)
+    wk, leakage = full_window(coeffs)
     theta = coeffs.theta
     sites = wk.sites
     tail = np.array([0.5 * (limit_shape(coeffs, k / theta) - k / theta)
@@ -415,7 +435,7 @@ def limit_shape_deviation(coeffs, n_samples, seed):
         # conf is sorted: count its sites above each k
         counts = len(conf) - np.searchsorted(conf, sites, side="right")
         sups[i] = float(np.max(np.abs(counts / theta - tail)))
-    return float(np.percentile(sups, 90.0)), wk.leakage
+    return float(np.percentile(sups, 90.0)), leakage
 
 
 def test_limit_shape_deviation_shrinks():

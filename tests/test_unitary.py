@@ -13,10 +13,10 @@ import splitsea.unitary as unitary_mod
 from splitsea.errors import SplitSeaError, SubcriticalPhase
 from splitsea.potential import HoppingCoefficients, edge_profile, global_extrema
 from splitsea.unitary import (ChainResult, angle_histogram,
-                              eigen_density_supercritical, metropolis_chain,
-                              partition_function_toeplitz)
+                              eigen_density_supercritical, metropolis_chain)
 from conftest import (bessel_i, density_support_cuts,
-                      partition_function_quadrature)
+                      partition_function_quadrature,
+                      partition_function_toeplitz)
 
 FOUR_MODELS = [(1.0, 1.0 / 3.0), (1.0, 0.1), (1.0, -0.125), (1.0, -1.0 / 3.0)]
 TWO_CUT = (1.0, -1.0 / 3.0)
