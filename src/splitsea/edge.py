@@ -16,7 +16,8 @@ making P -> 1 as ell grows.
 The same law is the discrete Fredholm determinant det(I - K) over the sites
 {ell + 1/2, ...} up to the least certified cut, the large-coupling route.
 Either route gets a whole table of ell from one Cholesky factor's minors.
-The sampler's edge window and its ``ks_exact`` read the same ``_gap_table``.
+The sampler's edge window and its ``ks_exact`` read the same ``_gap_table``,
+both from one ``GapBlock`` of K.
 
 The edge scaling is one affine map on ``EdgeProfile``: ``s_of`` sends ell
 to s = (ell - b theta) / (d theta)^(1/(2m+1)), and ``lattice_of`` sends s
@@ -29,13 +30,14 @@ limiting law F_{2m+1}^n at the cut count n of the sea just below the edge.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .airy import _log_minors, limiting_cdf
 from .errors import NotPositiveDefinite
 from .kernel import (_fourier_band, _least_cut, coefficient_band,
-                     kernel_matrix)
+                     kernel_matrix, right_traces)
 from .potential import HoppingCoefficients, _AngleGrid, edge_profile
 
 MAX_TABLE_DIM = 4096  # desk-scale cap on a Toeplitz or Fredholm matrix's order
@@ -96,7 +98,27 @@ def fredholm_cdf_check(coeffs, ell, trace_tol=1e-12):
     return float(p[0]) if np.ndim(ell) == 0 else p
 
 
-def _gap_table(band, ells, trace_tol):
+@dataclass(frozen=True)
+class GapBlock:
+    """K over the sites top - 1/2, top - 3/2, ... (``kernel_matrix``, in that
+    order) with the band's ``right_traces``: the rows of every gap table of
+    the band whose sites it holds (``_gap_table``)."""
+
+    top: int
+    kernel: np.ndarray
+    traces: np.ndarray
+
+
+def gap_block(band, traces, top, bottom):
+    """The ``GapBlock`` of the sites top - 1/2 down to bottom + 1/2; more
+    than MAX_TABLE_DIM of them is a ValueError."""
+    size = top - bottom
+    if size > MAX_TABLE_DIM:
+        raise ValueError(f"Fredholm window of {size} sites > {MAX_TABLE_DIM}")
+    return GapBlock(top, kernel_matrix(band, top - 0.5 - np.arange(size)), traces)
+
+
+def _gap_table(band, ells, trace_tol, block=None):
     """Gap probabilities det(I - K) on the sites above each integer of the
     array ``ells``: P(k_max < ell), from ``band`` (empty for no ell).
 
@@ -109,6 +131,11 @@ def _gap_table(band, ells, trace_tol):
     because k_max >= -1/2; the window stops at site 1/2.  A window of more
     than MAX_TABLE_DIM sites, or a ``trace_tol`` that is not finite or is at
     or under the band's roundoff ``trace_floor``, is a ValueError.
+
+    ``block``, a ``GapBlock`` of ``band``, gives the cut from its traces and,
+    if it holds the window, I - K from its rows: each entry of K is a tail
+    sum from the band's top, so the table is the same bit for bit as from a
+    block of the window alone, which is built otherwise.
     """
     if not band.trace_floor < trace_tol < math.inf:
         raise ValueError(f"trace_tol={trace_tol!r} must be finite and over the "
@@ -116,13 +143,14 @@ def _gap_table(band, ells, trace_tol):
     if ells.size == 0:
         return np.zeros(ells.shape)
     rows = np.maximum(ells, 0)
-    top = max(int(rows.max()), _least_cut(band, trace_tol))
-    size = top - int(rows.min())
-    if size > MAX_TABLE_DIM:
-        raise ValueError(f"Fredholm window of {size} sites > {MAX_TABLE_DIM}")
-    sites = top - 0.5 - np.arange(size)
-    i_minus_k = kernel_matrix(band, sites)
-    np.negative(i_minus_k, out=i_minus_k)
+    traces = right_traces(band) if block is None else block.traces
+    top, bottom = max(int(rows.max()), _least_cut(traces, trace_tol)), int(rows.min())
+    own = block is None or not top <= block.top <= bottom + len(block.kernel)
+    if own:
+        block = gap_block(band, traces, top, bottom)
+    start, size = block.top - top, top - bottom
+    k = block.kernel[start:start + size, start:start + size]
+    i_minus_k = np.negative(k, out=k if own else None)  # a block of its own in place
     i_minus_k.flat[::size + 1] += 1.0
     logdet, failed = _log_minors(i_minus_k, top - rows, trace_tol)
     if logdet is None:

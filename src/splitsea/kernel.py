@@ -262,10 +262,16 @@ def tail_trace(band, above):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def _least_cut(band, tol):
-    """Least cut a in 0..N whose exact right trace ``tail_trace(band, a)`` is
-    under ``tol``; the cut N drops nothing, so one is for every tol > 0."""
-    return int(np.argmax(tail_trace(band, np.arange(band.half_width + 1)) < tol))
+def right_traces(band):
+    """The exact right trace ``tail_trace(band, a)`` of every cut a = 0..N,
+    at index a; the cut N drops nothing, so the last is 0.0."""
+    return tail_trace(band, np.arange(band.half_width + 1))
+
+
+def _least_cut(traces, tol):
+    """Least cut a in 0..N whose right trace ``traces[a]`` (``right_traces``)
+    is under ``tol``; the last is 0.0, so one is for every tol > 0."""
+    return int(np.argmax(traces < tol))
 
 
 def _contour_factors(coeffs, n1, n2, m):

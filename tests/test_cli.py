@@ -593,6 +593,44 @@ def test_sample_builds_one_band_and_no_toeplitz_table(monkeypatch, capsys):
     assert code == 0 and calls == ["band"]
 
 
+def test_sample_builds_one_kernel_block_and_one_trace_array(monkeypatch, capsys):
+    # the window search, the window and ks_exact each built a kernel block
+    # (53, 36 and 44 sites here), and the band's right traces were summed
+    # once per cut
+    import splitsea.kernel as kernel_mod
+
+    calls = []
+
+    def counted(name, fn):
+        return lambda *a, **k: calls.append(name) or fn(*a, **k)
+
+    for name in ("kernel_matrix", "right_traces"):
+        wrapped = counted(name, getattr(kernel_mod, name))
+        for module in ("splitsea.kernel", "splitsea.edge", "splitsea.sampler"):
+            monkeypatch.setattr(f"{module}.{name}", wrapped)
+    code, _, _ = run(capsys, "sample", "--gamma", "1,-0.3333333333",
+                     "--theta", "40.3", "-n", "100", "--seed", "1")
+    assert code == 0 and sorted(calls) == ["kernel_matrix", "right_traces"]
+
+
+def test_sample_refuses_draws_past_the_dkw_bound(monkeypatch, capsys, tmp_path):
+    # k_max moved one site up in every draw: ks_exact is far past the
+    # Dvoretzky-Kiefer-Wolfowitz bound at alpha = 1e-6, and nothing is written
+    import splitsea.sampler as sampler_mod
+
+    draws = sampler_mod.sample_many
+    monkeypatch.setattr(sampler_mod, "sample_many",
+                        lambda *a: [conf + 1.0 for conf in draws(*a)])
+    out = tmp_path / "kmax.csv"
+    code, stdout, err = run(capsys, "sample", "--gamma", "1,-0.3333333333",
+                            "--theta", "40", "-n", "5000", "--seed", "7",
+                            "--out", str(out))
+    bound = math.sqrt(math.log(2.0 / 1e-6) / (2.0 * 5000))
+    assert code == 3 and stdout == "" and not out.exists()
+    assert err.startswith("NoConvergence: ks_exact ")
+    assert f"DKW bound {bound:.4g}" in err
+
+
 def test_unitary_mc_command(capsys):
     code, out, _ = run(capsys, "unitary-mc", "--gamma", "1,-0.3333333333",
                        "--theta", "5.0", "--ell", "6", "--sweeps", "800",

@@ -1,13 +1,16 @@
 """tools/paired_bench.py: the summary of paired benchmark runs."""
 
+import json
 import os
+import re
 import sys
 
 import pytest
 
 sys.path.append(os.path.join(os.path.dirname(__file__), os.pardir, "tools"))
 from paired_bench import (end_to_end_metrics, failure_summary,  # noqa: E402
-                          format_summary, quartiles, summarize)
+                          format_summary, main, quartiles, report, summarize,
+                          verdict)
 
 METRICS = {"ops_per_cpu_s": ("higher", 0.25), "op_cpu_s_p50": ("lower", 0.25),
            "peak_rss_mib": ("lower", 0.1)}
@@ -93,3 +96,46 @@ def test_failed_operations_and_incorrect_runs_reach_the_summary():
     line = format_summary(rows, even).splitlines()[-1]
     assert "no more failures" in line and "pairs none" in line
     assert len(format_summary(rows).splitlines()) == 2
+
+
+def test_json_record_holds_every_printed_number_and_reads_back(tmp_path,
+                                                                monkeypatch):
+    parent = [200.0, 210.0, 190.0, 220.0]
+    change = [250.0, 260.0, 240.0, 180.0]
+    outcomes = [((True, 0, 40), (True, 1, 40)), ((True, 2, 40), (False, 0, 40)),
+                ((True, 0, 40), (True, 0, 40)), ((True, 0, 40), (True, 0, 40))]
+    rows = summarize(_pairs(parent, change), METRICS)
+    failures = failure_summary(outcomes)
+    runs = iter([({"ops_per_cpu_s": a}, outcome[0], "aa") if side == 0 else
+                 ({"ops_per_cpu_s": b}, outcome[1], "bb")
+                 for a, b, outcome, order in zip(parent, change, outcomes,
+                                                 ((0, 1), (1, 0)) * 2)
+                 for side in order])
+    monkeypatch.setattr("paired_bench.run_once", lambda *a: next(runs))
+    monkeypatch.setattr("paired_bench.end_to_end_metrics", lambda tree: METRICS)
+    path = tmp_path / "bench.json"
+    assert main(["P", "C", "--workload", "sample", "--pairs", "4", "--seed0",
+                 "5", "--json", str(path)]) == 0
+    record = json.loads(path.read_text())
+    assert record == report(("P", "C"), ("aa", "bb"), [5, 6, 7, 8],
+                            {"sample": (rows, failures)})
+    assert record["trees"]["change"] == {"path": "C", "source_digest": "bb"}
+    (row,) = record["workloads"]["sample"]["metrics"]
+    assert row["parent"] == list(quartiles(parent))
+    assert row["change"] == list(quartiles(change))
+    assert row["parent_iqr"] == rows[0]["parent_iqr"]
+    assert row["relative_gain"] == rows[0]["relative_gain"]
+    assert (row["wins"], row["pairs"]) == (3, 4)
+    assert row["verdict"] == verdict(rows[0]) == "unresolved"
+    assert record["workloads"]["sample"]["failures"] == failures
+    # every number the table prints is a number of the record, as printed
+    printed = {tok for line in format_summary(rows, failures).splitlines()[1:]
+               for word in line.split() for tok in word.split("/")
+               if re.fullmatch(r"[-+]?[0-9.]+(e[-+]?[0-9]+)?%?", tok)}
+    held = {f"{v:.4g}" for v in row["parent"] + row["change"]
+            + [row["parent_iqr"]]}
+    held |= {f"{100.0 * row['relative_gain']:+.1f}%", str(row["wins"]),
+             str(row["pairs"])}
+    held |= {f"{100.0 * failures[side]['failed_share']:.2f}%"
+             for side in ("parent", "change")}
+    assert printed == held

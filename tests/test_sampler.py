@@ -4,16 +4,22 @@ import itertools
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from splitsea.edge import fredholm_cdf_check
+from splitsea import edge as edge_mod
+from splitsea.edge import _gap_table, fredholm_cdf_check
 from splitsea.errors import LeakageTooLarge
 from splitsea.kernel import coefficient_band, kernel_matrix, tail_trace
-from splitsea.potential import HoppingCoefficients, global_extrema, limit_shape
+from splitsea.potential import (HoppingCoefficients, edge_profile,
+                                global_extrema, limit_shape)
 from splitsea import sampler as sampler_mod
-from splitsea.sampler import (WindowedKernel, _rng_for, _sample_batch,
+from splitsea.sampler import (KS_TRACE_TOL, WindowedKernel, _philox_state,
+                              _rng_for, _sample_batch, _selections,
                               empirical_edge_law, sample, sample_many,
                               windowed_kernel)
 from conftest import full_window, left_trace
@@ -303,6 +309,84 @@ def test_infinite_leakage_tolerance_is_refused():
     for window in (None, (20, 30)):
         with pytest.raises(LeakageTooLarge, match="leakage_tol"):
             windowed_kernel(c, window=window, leakage_tol=math.inf)
+
+
+def _block_reads_equal_separate_builds(coeffs):
+    """The automatic window of ``coeffs``, after checking that its window
+    matrix, its search's rows and ``ks_exact``'s rows, all read from its one
+    block, equal separate ``kernel_matrix`` and ``_gap_table`` builds."""
+    wk = windowed_kernel(coeffs)
+    band, gaps = wk.band, wk.gaps
+    lo, hi = wk.k_lo_int, wk.k_hi_int
+    assert np.array_equal(wk.matrix, kernel_matrix(band, wk.sites))
+    # the last search's rows start at the block's bottom (or below ell = -1,
+    # whose rows are 0); k_max runs over the window, so ks_exact's rows over
+    # lo..hi + 2, and from lo - 1 when a draw is empty
+    search = np.arange(gaps.top - len(gaps.kernel), hi + 1)
+    ks = np.arange(lo, hi + 3)
+    with mock.patch.object(edge_mod, "kernel_matrix", wraps=kernel_matrix) as built:
+        search_rows = _gap_table(band, search, 0.5e-6, gaps)
+        ks_rows = _gap_table(band, ks, KS_TRACE_TOL, gaps)
+    assert built.call_count == 0  # both read off the block
+    assert np.array_equal(search_rows, _gap_table(band, search, 0.5e-6))
+    assert np.array_equal(ks_rows, _gap_table(band, ks, KS_TRACE_TOL))
+    assert np.array_equal(_gap_table(band, ks - 1, KS_TRACE_TOL, gaps),
+                          _gap_table(band, ks - 1, KS_TRACE_TOL))
+    # the window's bottom is the search's largest row under half the bound
+    at = lo - search[0]
+    assert search_rows[at] < 0.5e-6 <= search_rows[at + 1:].min(initial=1.0)
+    return wk
+
+
+@given(st.floats(-0.45, 0.45), st.floats(0.5, 60.0))
+@settings(max_examples=25, deadline=None)
+def test_one_block_gives_the_window_and_both_tables(g2, theta):
+    _block_reads_equal_separate_builds(HoppingCoefficients((1.0, g2), theta=theta))
+
+
+@pytest.mark.parametrize("gammas,theta", [
+    ((1.0, -0.1265), 24.5), ((1.0, -0.1159), 13.69), ((1.0, -0.124), 30.0),
+    ((1.0,), 0.5)])
+def test_one_block_near_the_crossover_and_below_ell_zero(gammas, theta):
+    # the crossover models' searches extend once below their first guess,
+    # and (1,) at 0.5 has its window's bottom at ell = -1
+    c = HoppingCoefficients(gammas, theta=theta)
+    wk = _block_reads_equal_separate_builds(c)
+    guess = edge_profile(c).lattice_of(-8.0, theta)
+    bottom = wk.gaps.top - len(wk.gaps.kernel)
+    if theta == 0.5:
+        assert wk.k_lo_int == bottom == -1
+    else:
+        assert bottom == max(2 * guess - wk.k_hi_int - 1, -1) < guess
+
+
+def test_selections_give_the_keyed_philox_streams():
+    # one state dict per call, re-keyed per draw: each row is the stream of
+    # a fresh Philox(key=[seed mod 2^64, index mod 2^64]), also for key
+    # words at and past 2^63
+    def fresh(seed, index):  # a key list past 2^63 would pass through float64
+        key = np.array([seed % 2 ** 64, index % 2 ** 64], dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(key=key))
+
+    wk = windowed_kernel(HoppingCoefficients((1.0, -1.0 / 3.0), theta=20.0))
+    n = len(wk.eigenvalues)
+    width = n + np.count_nonzero(wk.eigenvalues > 0.0)
+    indices = [0, 1, 2 ** 63, 2 ** 63 + 7, 2 ** 64 - 1]
+    for seed in (-1, 0, 2 ** 64 - 1):
+        keep, uniforms = _selections(wk, seed, indices)
+        for row, index in enumerate(indices):
+            ref = fresh(seed, index).random(width)
+            assert np.array_equal(keep[row], ref[:n] < wk.eigenvalues)
+            assert np.array_equal(uniforms[row], ref[n:])
+    # one dict re-keyed across seeds and indices, never one of the module
+    state = _philox_state()
+    rng = np.random.Generator(np.random.Philox(0))
+    for seed, index in ((-1, 2 ** 63), (2 ** 64 - 1, -1), (0, 2 ** 64 + 3)):
+        got = _rng_for(seed, index, rng, state).random(6)
+        assert np.array_equal(got, fresh(seed, index).random(6))
+    assert _philox_state() is not _philox_state()
+    assert not [name for name, v in vars(sampler_mod).items()
+                if isinstance(v, dict) and "bit_generator" in v]
 
 
 def test_edge_law_draws_are_deterministic_per_seed():
