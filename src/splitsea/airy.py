@@ -429,7 +429,8 @@ def _block_count(decay):
 
 
 def _load_laws(source):
-    """{m: (decay point, read-only law blocks)} from the law file ``source``.
+    """{m: (decay point, read-only law row)} from the law file ``source``; the
+    row stacks m's blocks, column p the unit panel from _DESK_FLOOR + p.
 
     The file holds the layout scalars ``floor``, ``panels`` and ``degree``,
     the ``orders`` and their ``decay`` points, and per order m an array
@@ -458,14 +459,15 @@ def _load_laws(source):
                 or not np.all(np.isfinite(blocks)):
             raise LawDataError(f"law blocks of m={m} are {blocks.dtype} "
                                f"{blocks.shape}, not finite float64 {shape}")
-        coef = blocks.transpose(1, 0, 2).reshape(_CHEB_DEGREE + 1, -1)
+        coef = np.hstack(blocks)
         panel = np.arange(coef.shape[1] - 1)
         ends = np.full(panel.shape, 2.0)
         join = float(np.max(np.abs(_clenshaw(coef, panel, ends)
                                    - _clenshaw(coef, panel + 1, -ends))))
         if not join < LAW_CHECK_TOL:
             raise LawDataError(f"law panels of m={m} miss each other by {join:.2e}")
-        blocks.flags.writeable = False
+        coef.flags.writeable = False
+        laws[m] = decay, coef
     return laws
 
 
@@ -479,9 +481,9 @@ def limiting_cdf(order, n_cuts, s):
     """Edge law F_{2m+1}(s)^n of an n-cut sea at scalar or array s >= -12.
 
     A scalar gives a float, an array a table of its shape.  F is the
-    interpolant of the law block holding s, read from the law file; the
-    order's blocks are stacked into one row of unit panels and evaluated by
-    one Clenshaw recurrence.  An s above the decay point of Ai_{2m+1} is taken there,
+    interpolant of the law block holding s, read from the law file's
+    stacked row of unit panels (``_shipped_laws``) by one Clenshaw
+    recurrence.  An s above the decay point of Ai_{2m+1} is taken there,
     where 1 - F is below 1e-30.  An order the law file does not hold raises
     NoConvergence: the contour evaluator certifies no Ai_{2m+1} for m >= 4.
     """
@@ -496,11 +498,10 @@ def limiting_cdf(order, n_cuts, s):
     if m not in laws:
         raise NoConvergence(f"no certified F_{2 * m + 1} law blocks for m={m}; "
                             f"the law file holds m in {sorted(laws)}")
-    decay, blocks = laws[m]
-    # column p of the stacked blocks is the unit panel from _DESK_FLOOR + p
+    decay, coef = laws[m]
     u = np.minimum(s_arr.ravel(), decay) - _DESK_FLOOR
     panel = u.astype(np.intp)
-    law = _clenshaw(np.hstack(blocks), panel, 4.0 * (u - panel) - 2.0)
+    law = _clenshaw(coef, panel, 4.0 * (u - panel) - 2.0)
     # F is a law; the interpolant's roundoff steps out of [0, 1] to -9e-28
     # near s = -9 (m = 1), where F itself is 1e-26, and to 1 + 1.6e-15
     law = np.clip(law, 0.0, 1.0).reshape(s_arr.shape) ** n

@@ -230,7 +230,7 @@ def _cmd_density(args):
 
 def _cmd_kernel(args):
     for flag, site in (("--k", args.k), ("--l", args.l)):
-        kernel_mod._half_int(site, flag)
+        kernel_mod._half_ints(site, flag)
     coeffs = HoppingCoefficients(args.gamma, theta=args.theta)
     band = kernel_mod.coefficient_band(coeffs)
     value = kernel_mod.kernel_eval(band, args.k, args.l)

@@ -16,8 +16,8 @@ making P -> 1 as ell grows.
 The same law is the discrete Fredholm determinant det(I - K) over the sites
 {ell + 1/2, ...} up to the least certified cut, the large-coupling route.
 Either route gets a whole table of ell from one Cholesky factor's minors.
-The sampler's edge window and its ``ks_exact`` read the same ``_gap_table``,
-both from one ``GapBlock`` of K.
+Each table is cut by the band's ``right_traces``; the sampler's edge window
+and its ``ks_exact`` read the same ``_gap_table``, both from one GapBlock.
 
 The edge scaling is one affine map on ``EdgeProfile``: ``s_of`` sends ell
 to s = (ell - b theta) / (d theta)^(1/(2m+1)), and ``lattice_of`` sends s
@@ -36,8 +36,7 @@ import numpy as np
 
 from .airy import _log_minors, limiting_cdf
 from .errors import NotPositiveDefinite
-from .kernel import (_fourier_band, _least_cut, coefficient_band,
-                     kernel_matrix, right_traces)
+from .kernel import _fourier_band, _least_cut, coefficient_band, kernel_matrix
 from .potential import HoppingCoefficients, _AngleGrid, edge_profile
 
 MAX_TABLE_DIM = 4096  # desk-scale cap on a Toeplitz or Fredholm matrix's order
@@ -46,8 +45,8 @@ ROUTE_SCAN = _AngleGrid(2048, closed=True)  # where exact_cdf reads the symbol
 
 def symbol_coeffs(coeffs, n_max):
     """Fourier coefficients f_{-n_max}..f_{n_max} of the Toeplitz symbol."""
-    width = 2.0 * coeffs.theta * sum(r * abs(g) for r, g in
-                                     enumerate(coeffs.gammas, start=1))
+    width = 2.0 * (coeffs.theta * sum(r * abs(g) for r, g in
+                                      enumerate(coeffs.gammas, start=1)))
     band, half = _fourier_band(coeffs.log_symbol, width, "Toeplitz symbol")
     n_max = int(n_max)
     out = np.zeros(2 * n_max + 1)
@@ -101,21 +100,19 @@ def fredholm_cdf_check(coeffs, ell, trace_tol=1e-12):
 @dataclass(frozen=True)
 class GapBlock:
     """K over the sites top - 1/2, top - 3/2, ... (``kernel_matrix``, in that
-    order) with the band's ``right_traces``: the rows of every gap table of
-    the band whose sites it holds (``_gap_table``)."""
+    order): the rows of every ``_gap_table`` of its band over those sites."""
 
     top: int
     kernel: np.ndarray
-    traces: np.ndarray
 
 
-def gap_block(band, traces, top, bottom):
-    """The ``GapBlock`` of the sites top - 1/2 down to bottom + 1/2; more
-    than MAX_TABLE_DIM of them is a ValueError."""
+def gap_block(band, top, bottom):
+    """The ``GapBlock`` of ``band`` over the sites top - 1/2 down to
+    bottom + 1/2; more than MAX_TABLE_DIM of them is a ValueError."""
     size = top - bottom
     if size > MAX_TABLE_DIM:
         raise ValueError(f"Fredholm window of {size} sites > {MAX_TABLE_DIM}")
-    return GapBlock(top, kernel_matrix(band, top - 0.5 - np.arange(size)), traces)
+    return GapBlock(top, kernel_matrix(band, top - 0.5 - np.arange(size)))
 
 
 def _gap_table(band, ells, trace_tol, block=None):
@@ -123,7 +120,7 @@ def _gap_table(band, ells, trace_tol, block=None):
     array ``ells``: P(k_max < ell), from ``band`` (empty for no ell).
 
     The window [min ell, top) ends at max ell or, if higher, the least cut
-    whose exact tail trace (0 at the band's end) is under ``trace_tol``;
+    whose exact right trace (``band.right_traces``) is under ``trace_tol``;
     with sites ordered down from top, each row is a leading minor of one
     Cholesky factor of I - K, whose pivots are <= 1 - K(k, k) <= 1.  Rows
     past a pivot <= 0 (roundoff deep below the edge) lie in [0, last minor]
@@ -132,10 +129,10 @@ def _gap_table(band, ells, trace_tol, block=None):
     than MAX_TABLE_DIM sites, or a ``trace_tol`` that is not finite or is at
     or under the band's roundoff ``trace_floor``, is a ValueError.
 
-    ``block``, a ``GapBlock`` of ``band``, gives the cut from its traces and,
-    if it holds the window, I - K from its rows: each entry of K is a tail
-    sum from the band's top, so the table is the same bit for bit as from a
-    block of the window alone, which is built otherwise.
+    ``block``, a ``GapBlock`` of ``band``, gives I - K from its rows if it
+    holds the window: each entry of K is a tail sum from the band's top, so
+    the table is the same bit for bit as from a block of the window alone,
+    which is built otherwise.
     """
     if not band.trace_floor < trace_tol < math.inf:
         raise ValueError(f"trace_tol={trace_tol!r} must be finite and over the "
@@ -143,11 +140,10 @@ def _gap_table(band, ells, trace_tol, block=None):
     if ells.size == 0:
         return np.zeros(ells.shape)
     rows = np.maximum(ells, 0)
-    traces = right_traces(band) if block is None else block.traces
-    top, bottom = max(int(rows.max()), _least_cut(traces, trace_tol)), int(rows.min())
+    top, bottom = max(int(rows.max()), _least_cut(band, trace_tol)), int(rows.min())
     own = block is None or not top <= block.top <= bottom + len(block.kernel)
     if own:
-        block = gap_block(band, traces, top, bottom)
+        block = gap_block(band, top, bottom)
     start, size = block.top - top, top - bottom
     k = block.kernel[start:start + size, start:start + size]
     i_minus_k = np.negative(k, out=k if own else None)  # a block of its own in place
@@ -164,12 +160,10 @@ def exact_cdf(coeffs, ell):
     """P(k_max < ell) by the numerically appropriate exact route (once per call).
 
     Toeplitz while the symbol's dynamic range fits in double precision, then
-    Fredholm.  The range is read on ROUTE_SCAN, whose cosines are cached,
-    after ``check_symbol_amplitude`` has refused an overflowing coupling.
+    Fredholm.  The range is read on ROUTE_SCAN, whose cosines are cached.
     The Toeplitz rows drift already below the switch: 3e-12 from the
     Fredholm ones at theta = 2.9, over 1e-9 from theta near 4.4.
     """
-    coeffs.check_symbol_amplitude()
     if np.max(coeffs.log_symbol(ROUTE_SCAN)) <= 25.0:
         return toeplitz_cdf(coeffs, ell)
     return fredholm_cdf_check(coeffs, ell)
@@ -185,8 +179,8 @@ def scaled_convergence_study(gammas, theta_list, s_grid=None, n_cuts=None,
     defaults to the sea's cut count.  ``limit`` is that law on ``s_grid``
     when the caller already has it (one ``limiting_cdf`` table otherwise).
     Maximizers of different orders or constants d raise ``UnsupportedEdge``,
-    and a theta whose symbol amplitude overflows a ValueError before its
-    lattice points are placed.
+    and a theta whose symbol amplitude overflows a ValueError from its model
+    (``HoppingCoefficients``), before its lattice points are placed.
     """
     if s_grid is None:
         s_grid = np.linspace(-6.0, 4.0, 101)
@@ -199,7 +193,6 @@ def scaled_convergence_study(gammas, theta_list, s_grid=None, n_cuts=None,
     reports = []
     for theta in theta_list:
         coeffs = HoppingCoefficients(gammas, theta=theta)
-        coeffs.check_symbol_amplitude()
         lattice_vals = exact_cdf(coeffs, profile.lattice_of(s_grid, theta))
         sup = float(np.max(np.abs(lattice_vals - limit_vals)))
         reports.append({"theta": float(theta), "sup_distance": sup,

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -57,6 +58,13 @@ class CoefficientBand:
     @property
     def trace_floor(self):
         return 0.5 * ((2 * self.half_width + 1) * self.roundoff) ** 2
+
+    @cached_property
+    def right_traces(self):
+        """Read-only ``tail_trace`` of every cut a = 0..N at index a (0.0 at N)."""
+        traces = tail_trace(self, np.arange(self.half_width + 1))
+        traces.flags.writeable = False
+        return traces
 
 
 def _fft_band(log_fn, size, what, floor=1.0):
@@ -109,7 +117,7 @@ def _support_half_width(theta, gammas):
     best t solves t h'(t) - h(t) = c (the left side increases from 0), found
     by bisection; any t the bisection stops at still certifies.
     """
-    terms = [(r, 2.0 * theta * abs(g)) for r, g in enumerate(gammas, start=1)
+    terms = [(r, 2.0 * abs(theta * g)) for r, g in enumerate(gammas, start=1)
              if g != 0.0]
     c = -math.log(BAND_SUPPORT_TOL)
     if theta == 0.0 or not terms:
@@ -162,7 +170,7 @@ def coefficient_band(coeffs):
     # on the circle F(e^{i phi}) = exp(i theta G(phi)), G the antiderivative of D
     log_f = lambda phi: 1j * theta * eval_dispersion(coeffs, phi, order=-1)
     size = max(256, 1 << (4 * n + 3).bit_length())  # least 2^j >= 4 (N + 1)
-    phase = max(1.0, 2.0 * theta * sum(abs(g) for g in gam))
+    phase = max(1.0, 2.0 * (theta * sum(map(abs, gam))))
     # |J_n| <= 1, so the phase bound is the scale of the imaginary residue
     band, _ = _fft_band(log_f, size, "coefficient band", phase)
     # stored as J_{-half}..J_{half-1}; keep the certified window J_{-n}..J_n
@@ -180,18 +188,23 @@ def coefficient_band(coeffs):
                            roundoff=roundoff)
 
 
-def _half_int(k, name="index"):
-    v = float(k)
-    twice = round(2.0 * v) if math.isfinite(2.0 * v) else 0  # even: refused below
-    if abs(2.0 * v - twice) > 1e-9 or twice % 2 == 0:
-        raise ValueError(f"{name}={k!r} is not a half-integer")
-    return (twice - 1) // 2  # k = k_int + 1/2
+def _half_ints(sites, name):
+    """k - 1/2 of each half-integer site k of ``sites`` as int64 of its shape;
+    ValueError naming ``name=`` and the first site that is not one."""
+    values = np.asarray(sites, dtype=float)
+    with np.errstate(invalid="ignore", over="ignore"):
+        twice = np.rint(2.0 * values)
+        bad = ~(np.abs(2.0 * values - twice) <= 1e-9) | (twice % 2.0 == 0.0)
+    if np.any(bad):
+        raise ValueError(f"{name}={float(values.flat[np.argmax(bad)])!r} "
+                         "is not a half-integer")
+    return ((twice - 1.0) // 2.0).astype(np.int64)
 
 
 def kernel_eval(band, k, ell):
     """Series evaluation K(k, l) = sum_{i>0} J_{k+i} J_{l+i}."""
-    ka = _half_int(k, "k") + 1   # first summand index k + 1/2
-    la = _half_int(ell, "ell") + 1
+    ka = int(_half_ints(k, "k")) + 1   # first summand index k + 1/2
+    la = int(_half_ints(ell, "ell")) + 1
     n = band.half_width
     t0 = max(0, -n - ka, -n - la)
     t1 = min(n - ka, n - la)
@@ -212,14 +225,7 @@ def kernel_matrix(band, sites):
     is gathered from the table in row blocks of at most MATRIX_BLOCK entries.
     Sites may be in any order, repeated or off the band.
     """
-    values = np.asarray(sites, dtype=float).reshape(-1)
-    with np.errstate(invalid="ignore"):
-        twice = np.rint(2.0 * values)
-        bad = ~(np.abs(2.0 * values - twice) <= 1e-9) | (twice % 2.0 == 0.0)
-    if np.any(bad):
-        raise ValueError(
-            f"site={float(values[np.argmax(bad)])!r} is not a half-integer")
-    first = ((twice + 1.0) // 2.0).astype(np.int64)
+    first = _half_ints(sites, "site").reshape(-1) + 1
     size = first.size
     mat = np.empty((size, size))
     if size == 0:
@@ -262,16 +268,10 @@ def tail_trace(band, above):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def right_traces(band):
-    """The exact right trace ``tail_trace(band, a)`` of every cut a = 0..N,
-    at index a; the cut N drops nothing, so the last is 0.0."""
-    return tail_trace(band, np.arange(band.half_width + 1))
-
-
-def _least_cut(traces, tol):
-    """Least cut a in 0..N whose right trace ``traces[a]`` (``right_traces``)
-    is under ``tol``; the last is 0.0, so one is for every tol > 0."""
-    return int(np.argmax(traces < tol))
+def _least_cut(band, tol):
+    """Least cut a in 0..N whose right trace (``band.right_traces``) is
+    under ``tol``; the last is 0.0, so one is for every tol > 0."""
+    return int(np.argmax(band.right_traces < tol))
 
 
 def _contour_factors(coeffs, n1, n2, m):
@@ -322,8 +322,8 @@ def kernel_eval_quadrature(coeffs, k, ell):
     cancellation at large theta (about 150 for gamma = (1,)) keeps the sums
     apart and NoConvergence is raised past QUAD_MAX_NODES.
     """
-    n1 = -_half_int(k, "k")        # z-exponent: z^{1/2 - k}
-    n2 = _half_int(ell, "ell") + 1  # w-exponent: w^{ell + 1/2}
+    n1 = -int(_half_ints(k, "k"))        # z-exponent: z^{1/2 - k}
+    n2 = int(_half_ints(ell, "ell")) + 1  # w-exponent: w^{ell + 1/2}
     prev = None
     m = 64
     while m <= QUAD_MAX_NODES:

@@ -61,10 +61,10 @@ class HoppingCoefficients:
     """Finite real hopping weights plus the coupling strength.
 
     Trailing zero weights are trimmed.  Every construction checks the model:
-    the weights must be finite with a finite amplitude sum_r 2 r |gamma_r|
-    of D, and ``theta`` finite and >= 0, where theta = 0 is the domain-wall
-    limit; ValueError otherwise.  The geometric operations in this module
-    ignore ``theta``.
+    finite weights with a finite amplitude sum_r 2 r |gamma_r| of D, theta
+    finite and >= 0 (0 is the domain-wall limit), and a finite symbol
+    amplitude 2 theta sum_r |gamma_r|, which every route reads; ValueError
+    otherwise.  The geometric operations in this module ignore ``theta``.
     """
 
     gammas: tuple = ()
@@ -83,6 +83,9 @@ class HoppingCoefficients:
         if not (self.theta >= 0.0 and math.isfinite(self.theta)):
             raise ValueError("theta must be a nonnegative real for measure/kernel "
                              f"operations, got theta={self.theta!r}")
+        if not math.isfinite(2.0 * (self.theta * sum(map(abs, g)))):
+            raise ValueError(f"theta={self.theta!r} with gamma={g!r} gives "
+                             "a symbol amplitude past the largest float")
 
     @property
     def degree(self):
@@ -99,16 +102,8 @@ class HoppingCoefficients:
         The log of both the Toeplitz symbol of the edge law and the
         one-angle weight of the unitary matrix model, by ``_harmonics``.
         """
-        return _harmonics([2.0 * self.theta * (-1.0) ** (r - 1) * g
-                           for r, g in enumerate(self.gammas, start=1)], phi)
-
-    def check_symbol_amplitude(self):
-        """Refuse, with a ValueError naming theta, a coupling whose symbol
-        amplitude 2 theta sum_r |gamma_r| overflows: ``log_symbol`` would
-        read inf * 0 and every angle scan after it NaN."""
-        if not math.isfinite(2.0 * self.theta * sum(map(abs, self.gammas))):
-            raise ValueError(f"theta={self.theta!r} with gamma={self.gammas!r} gives "
-                             "a symbol amplitude past the largest float")
+        return _harmonics([2.0 * (-1.0) ** (r - 1) * t
+                           for r, t in enumerate(self.miwa_times(), start=1)], phi)
 
     def szego_constant(self):
         """theta^2 sum_r r gamma_r^2: strong Szego limit of log det T_ell."""

@@ -9,11 +9,11 @@ computed exactly from the coefficient band rather than assumed.  The
 automatic window is the least whose two parts each leak under half the
 bound: top is the least site whose right trace does, and ell_min the largest
 row that does of the Fredholm gap table (``edge._gap_table``) cut at top.
-One right-trace array of the band gives both cuts and the window's right
-trace, and one kernel block (``edge.GapBlock``, from ``kernel.kernel_matrix``,
-which reads each entry from a tail sum of J_u J_{u+d} along the band) gives
-the search's rows, the window matrix and the rows of ``ks_exact``'s table:
-every one of them equals its own separate build bit for bit.
+The band's one right-trace array (``CoefficientBand.right_traces``) gives
+both cuts and the window's right trace, and one kernel block (``GapBlock``,
+from ``kernel_matrix``, which reads each entry from a tail sum of J_u J_{u+d}
+along the band) gives the search's rows, the window matrix and the rows of
+``ks_exact``'s table: each equals its own separate build bit for bit.
 
 Each draw selects eigenvectors of the window kernel by a Bernoulli draw per
 eigenvalue and samples their projection process site by site, on its own
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from .airy import limiting_cdf
 from .edge import GapBlock, _gap_table, gap_block
 from .errors import LeakageTooLarge, NoConvergence
 from .kernel import (CoefficientBand, _least_cut, coefficient_band,
-                     kernel_matrix, right_traces, tail_trace)
+                     kernel_matrix, tail_trace)
 from .kernel import kernel_eval  # noqa: F401  (bench/tracer.py patches it here)
 from .potential import edge_profile
 
@@ -70,7 +71,7 @@ def windowed_kernel(coeffs, window=None, leakage_tol=1e-6):
     over it (no particle in the window) plus the trace dropped right of it,
     must stay under ``leakage_tol``.  None selects the least window whose two
     parts each leak under ``leakage_tol / 2``, read off the band: the least
-    top by its right trace, and the largest bottom by the rows of the
+    top by its ``right_traces``, and the largest bottom by the rows of the
     Fredholm gap table (``edge._gap_table``) cut at that top, from
     b theta - 8 (d theta)^(1/(2m+1)) up and then twice as deep while none is
     under (rows below ell = 0 are 0).  Those rows, the window matrix and
@@ -89,21 +90,21 @@ def windowed_kernel(coeffs, window=None, leakage_tol=1e-6):
         mat = kernel_matrix(band, np.arange(k_lo, k_hi + 1) + 0.5)
         right, gaps = tail_trace(band, k_hi + 1), None
     else:  # rows from the first guess up, then twice as deep
-        traces = right_traces(band)
-        k_hi = _least_cut(traces, half) - 1
+        k_hi = _least_cut(band, half) - 1
         # ks_exact's rows reach max ell <= k_hi + 2 and the cut at KS_TRACE_TOL
-        top = max(k_hi + 2, _least_cut(traces, KS_TRACE_TOL))
+        top = max(k_hi + 2, _least_cut(band, KS_TRACE_TOL))
         guess = edge_profile(coeffs).lattice_of(-8.0, coeffs.theta)
         ells = np.arange(min(guess, k_hi), k_hi + 1)
         while True:  # the block holds the rows and the window, least ell -1
-            gaps = gap_block(band, traces, top, max(int(ells[0]), -1))
+            gaps = gap_block(band, top, max(int(ells[0]), -1))
             under = ells[_gap_table(band, ells, half, gaps) < half]
             if under.size:
                 break
             ells = np.arange(2 * ells[0] - k_hi - 1, k_hi + 1)
         k_lo = int(under[-1])
         sites = slice(top - 1 - k_hi, top - k_lo)  # top down in the block
-        mat, right = gaps.kernel[sites, sites][::-1, ::-1].copy(), traces[k_hi + 1]
+        mat = gaps.kernel[sites, sites][::-1, ::-1].copy()
+        right = band.right_traces[k_hi + 1]
     eigvals, eigvecs = np.linalg.eigh(mat)
     low, high = eigvals.min(initial=0.0), eigvals.max(initial=0.0)
     if low < -EIG_CLIP_TOL or high > 1.0 + EIG_CLIP_TOL:
@@ -242,6 +243,16 @@ def sample_many(wk, n_samples, seed):
     return _sample_batch(wk, seed, range(int(n_samples)))
 
 
+@lru_cache(maxsize=8)
+def _limit_table(m, n):
+    """The s-grid of ``ks_limit`` and F_{2m+1}^n on it, read-only, built on
+    first use: an import-time ``linspace`` adds 0.15 MiB of RSS to commands."""
+    s_grid = np.linspace(-6.0, 4.0, 201)
+    limit = limiting_cdf(m, n, s_grid)
+    s_grid.flags.writeable = limit.flags.writeable = False
+    return s_grid, limit
+
+
 @dataclass(frozen=True)
 class EdgeLawReport:
     """Empirical law of the scaled maximum against exact and limiting CDFs."""
@@ -267,8 +278,7 @@ def empirical_edge_law(coeffs, n_samples, seed):
     if n_samples < 1:
         raise ValueError(f"n_samples must be a positive integer, got {n_samples}")
     profile = edge_profile(coeffs)
-    s_grid = np.linspace(-6.0, 4.0, 201)
-    limit = limiting_cdf(profile.law_order, profile.n_cuts, s_grid)
+    s_grid, limit = _limit_table(profile.law_order, profile.n_cuts)
     wk = windowed_kernel(coeffs)
     kmax = np.array([conf[-1] if len(conf) else wk.k_lo_int - 0.5
                      for conf in sample_many(wk, n_samples, seed)])

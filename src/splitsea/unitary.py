@@ -184,10 +184,9 @@ def metropolis_chain(gammas, theta, ell, sweeps, seed):
     terms and their row sums, and each accepted move corrects the later
     proposals exactly, in O(ell).  Samples, acceptance rate and step size
     are bit-for-bit those of a direct recomputation of every pair term.
-    An overflowing potential amplitude 2 theta sum |gamma_r| is a ValueError.
+    An overflowing amplitude 2 theta sum |gamma_r| is the model's ValueError.
     """
     coeffs = HoppingCoefficients(gammas, theta=theta)
-    coeffs.check_symbol_amplitude()
     ell, sweeps = int(ell), int(sweeps)
     if ell < 1:
         raise ValueError(f"ell must be a positive integer; got {ell}")

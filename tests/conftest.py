@@ -28,8 +28,7 @@ import pytest
 from splitsea.airy import airy_kernel_matrix
 from splitsea.edge import exact_cdf
 from splitsea.errors import UnsupportedEdge
-from splitsea.kernel import (_least_cut, coefficient_band, right_traces,
-                             tail_trace)
+from splitsea.kernel import _least_cut, coefficient_band, tail_trace
 from splitsea.potential import FermiSea, HoppingCoefficients
 from splitsea.sampler import windowed_kernel
 from splitsea.schur import measure_weight, partitions_upto
@@ -237,8 +236,8 @@ def full_window(coeffs, leakage_tol=1e-6):
     """
     band = coefficient_band(coeffs)
     half = 0.5 * leakage_tol
-    lo = -_least_cut(right_traces(replace(band, coeffs=band.coeffs[::-1])), half)
-    hi = _least_cut(right_traces(band), half) - 1
+    lo = -_least_cut(replace(band, coeffs=band.coeffs[::-1]), half)
+    hi = _least_cut(band, half) - 1
     wk = windowed_kernel(coeffs, window=(lo, hi), leakage_tol=2.0)
     return wk, tail_trace(band, hi + 1) + left_trace(band, lo)
 

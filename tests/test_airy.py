@@ -481,11 +481,12 @@ def test_law_cache_refuses_a_low_degree(monkeypatch):
 
 
 def test_law_cache_is_read_only_and_built_once():
-    blocks = airy_mod._shipped_laws()[2][1]
-    assert airy_mod._shipped_laws()[2][1] is blocks
-    assert blocks.shape[1:] == (airy_mod._CHEB_DEGREE + 1, 5)
+    # one stacked row of unit panels per order, which limiting_cdf reads
+    row = airy_mod._shipped_laws()[2][1]
+    assert airy_mod._shipped_laws()[2][1] is row
+    assert row.shape == (airy_mod._CHEB_DEGREE + 1, 8 * 5)
     with pytest.raises(ValueError):
-        blocks[1, 0, 0] = 0.0
+        row[1, 0] = 0.0
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -527,8 +528,10 @@ def test_shipped_law_blocks_match_the_reference_builder(reference_laws, m):
     decay, blocks = reference_laws[m]
     shipped_decay, shipped = airy_mod._shipped_laws()[m]
     assert shipped_decay == decay == airy_mod._decay_point(m)
-    assert shipped.shape == blocks.shape == ({1: 6, 2: 8, 3: 11}[m], 17, 5)
-    assert np.max(np.abs(shipped - blocks)) < 1e-13
+    assert blocks.shape == ({1: 6, 2: 8, 3: 11}[m], 17, 5)
+    # the shipped row stacks the blocks: column 5 k + p is panel p of block k
+    assert shipped.shape == (17, 5 * len(blocks))
+    assert np.max(np.abs(shipped - np.hstack(blocks))) < 1e-13
     assert not shipped.flags.writeable
 
 

@@ -10,6 +10,7 @@ import shlex
 import subprocess
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -430,7 +431,9 @@ def test_airy_grid(capsys):
 ])
 def test_each_command_computes_one_limit_table(monkeypatch, capsys, argv):
     import splitsea.airy as airy_mod
+    import splitsea.sampler as sampler_mod
 
+    sampler_mod._limit_table.cache_clear()  # sample's, once per process
     calls = []
     table = airy_mod.limiting_cdf
 
@@ -596,7 +599,7 @@ def test_sample_builds_one_band_and_no_toeplitz_table(monkeypatch, capsys):
 def test_sample_builds_one_kernel_block_and_one_trace_array(monkeypatch, capsys):
     # the window search, the window and ks_exact each built a kernel block
     # (53, 36 and 44 sites here), and the band's right traces were summed
-    # once per cut
+    # once per cut; the band sums them once (``CoefficientBand.right_traces``)
     import splitsea.kernel as kernel_mod
 
     calls = []
@@ -604,13 +607,13 @@ def test_sample_builds_one_kernel_block_and_one_trace_array(monkeypatch, capsys)
     def counted(name, fn):
         return lambda *a, **k: calls.append(name) or fn(*a, **k)
 
-    for name in ("kernel_matrix", "right_traces"):
+    for name in ("kernel_matrix", "tail_trace"):
         wrapped = counted(name, getattr(kernel_mod, name))
         for module in ("splitsea.kernel", "splitsea.edge", "splitsea.sampler"):
-            monkeypatch.setattr(f"{module}.{name}", wrapped)
+            monkeypatch.setattr(f"{module}.{name}", wrapped, raising=False)
     code, _, _ = run(capsys, "sample", "--gamma", "1,-0.3333333333",
                      "--theta", "40.3", "-n", "100", "--seed", "1")
-    assert code == 0 and sorted(calls) == ["kernel_matrix", "right_traces"]
+    assert code == 0 and sorted(calls) == ["kernel_matrix", "tail_trace"]
 
 
 def test_sample_refuses_draws_past_the_dkw_bound(monkeypatch, capsys, tmp_path):
@@ -742,6 +745,33 @@ def test_unitary_mc_refuses_an_overflowing_potential_without_warnings():
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.startswith("config error") and "theta=1e+308" in proc.stderr
     assert "Warning" not in proc.stderr
+
+
+OVERFLOWING = {
+    "kernel": ["kernel", "--theta", "1e308", "--k", "0.5", "--l", "1.5"],
+    "kernel-profile": ["kernel-profile", "--theta", "1e308", "--window", "0:4"],
+    "oracle": ["oracle", "cdf", "--theta", "1e308", "--ell", "2"],
+    "cdf": ["cdf", "--theta", "1e308", "--ell-range", "0:3"],
+    "converge": ["converge", "--thetas", "20,1e308"],
+    "sample": ["sample", "--theta", "1e308", "-n", "10"],
+    "unitary-mc": ["unitary-mc", "--theta", "1e308", "--ell", "6",
+                   "--sweeps", "20"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(OVERFLOWING))
+def test_an_overflowing_coupling_is_the_models_one_message(capsys, command):
+    # kernel, kernel-profile and sample refused it for a band of half-width
+    # inf and oracle for an inf Schur mean size; cdf, converge and unitary-mc
+    # called one check by hand.  The model refuses it now, in one message
+    argv = OVERFLOWING[command] + ["--gamma", "1,-0.3333333333"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == ("config error: theta=1e+308 with gamma=(1.0, -0.3333333333) "
+                   "gives a symbol amplitude past the largest float\n")
+    assert "Warning" not in err
 
 
 def test_python_dash_m_runs_the_cli():
@@ -1000,7 +1030,7 @@ def test_unequal_curvature_tie_refuses_its_limit_law(capsys, gamma, argv):
     (["kernel", "--gamma", "1", "--theta", "2", "--k", "0.5", "--l", "1e308"],
      "--l"),
     (["oracle", "cdf", "--gamma", "1", "--theta", "1e308", "--ell", "2"],
-     "--theta"),
+     "theta="),
     (["sample", "--gamma", "1", "--theta", "1e308", "-n", "10"], "theta="),
 ])
 def test_overflowing_flag_values_exit_2_naming_the_flag(capsys, argv, flag):

@@ -16,7 +16,7 @@ from splitsea.errors import BandTooNarrow, UnsupportedEdge
 from splitsea.kernel import (BAND_SUPPORT_TOL, BAND_TAIL_TOL,
                              MAX_BAND_HALF_WIDTH, QUAD_EPS, CoefficientBand,
                              _contour_factors, _contour_sum, _fft_band,
-                             _half_int, _support_half_width,
+                             _half_ints, _support_half_width,
                              coefficient_band, kernel_eval,
                              kernel_eval_quadrature, kernel_matrix, tail_trace)
 from splitsea.potential import (HoppingCoefficients, _cached_wave,
@@ -91,7 +91,7 @@ def test_fft_contour_sum_matches_the_dense_cauchy_sum(gammas):
         band = coefficient_band(c)
         for k, ell in [(0.5, 1.5), (-2.5, 3.5),
                        (math.floor(1.5 * theta) + 0.5, math.floor(1.5 * theta) - 0.5)]:
-            n1, n2 = -_half_int(k), _half_int(ell) + 1
+            n1, n2 = round(0.5 - k), round(ell + 0.5)
             for m in (64, 256, 1024):
                 _, az, bw = _contour_factors(c, n1, n2, m)
                 scale = float(np.max(np.abs(az)) * np.max(np.abs(bw)))
@@ -139,7 +139,7 @@ def test_hankel_matrix_matches_series(gammas, theta, fractions):
 def _hankel_product(band, sites):
     # reference: the kernel block as one product H H^T, row i of H being
     # (J_{k_i + 1/2}, J_{k_i + 3/2}, ...) from the zero-padded band
-    first = np.array([_half_int(k, "site") + 1 for k in sites], dtype=np.int64)
+    first = np.rint(np.asarray(sites, dtype=float) + 0.5).astype(np.int64)
     n = band.half_width
     low = int(first.min(initial=n + 1))
     width = max(n - low + 1, 1)
@@ -166,6 +166,46 @@ def test_kernel_matrix_matches_the_hankel_product(gammas, theta, full):
     for window in (sites, sites[::-1]):
         got = kernel_matrix(band, window)
         assert np.max(np.abs(got - _hankel_product(band, window))) <= 1e-14
+
+
+def _scalar_half_int(k, name="index"):
+    # the scalar parser that ``_half_ints`` replaced, verbatim: the reference
+    v = float(k)
+    twice = round(2.0 * v) if math.isfinite(2.0 * v) else 0  # even: refused below
+    if abs(2.0 * v - twice) > 1e-9 or twice % 2 == 0:
+        raise ValueError(f"{name}={k!r} is not a half-integer")
+    return (twice - 1) // 2  # k = k_int + 1/2
+
+
+def test_half_ints_is_the_scalar_rule_on_every_site():
+    # finite half-integers and integers, the tolerance's edge on both sides,
+    # values past 2^52 (all integers), the overflow of 2 k, inf and nan
+    halves = [0.5, -0.5, 1.5, -7.5, 1e6 + 0.5, -(2.0 ** 51) - 0.5,
+              2.0 ** 51 + 0.5]
+    values = halves + [h + d for h in halves[:5]
+                       for d in (1e-10, -1e-10, 4e-10, 1e-8, -1e-8)]
+    values += [0.0, -0.0, 1.0, -3.0, 0.25, 1.75, 2.0 ** 52, 2.0 ** 52 + 1.0,
+               2.0 ** 53 + 2.0, 1e300, 1e308, -1e308, math.inf, -math.inf,
+               math.nan, 5e-324]
+    good = []
+    for v in values:
+        try:
+            want = _scalar_half_int(v, "site")
+        except ValueError:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"site={v!r} is not a half-integer")):
+                _half_ints(v, "site")
+            with pytest.raises(ValueError, match=re.escape(f"--k={v!r} is")):
+                _half_ints([0.5, v, 1.0], "--k")  # the first bad site
+            continue
+        got = _half_ints(v, "site")
+        assert got.dtype == np.int64 and got.shape == () and int(got) == want
+        good.append((v, want))
+    assert len(good) == 22
+    sites, want = zip(*good)
+    got = _half_ints(np.reshape(sites, (2, 11)), "site")
+    assert got.shape == (2, 11) and got.ravel().tolist() == list(want)
+    assert _half_ints([], "site").shape == (0,)
 
 
 def test_kernel_matrix_names_a_site_that_is_not_a_half_integer():

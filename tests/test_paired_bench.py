@@ -8,9 +8,9 @@ import sys
 import pytest
 
 sys.path.append(os.path.join(os.path.dirname(__file__), os.pardir, "tools"))
-from paired_bench import (end_to_end_metrics, failure_summary,  # noqa: E402
-                          format_summary, main, quartiles, report, summarize,
-                          verdict)
+from paired_bench import (compile_tree, end_to_end_metrics,  # noqa: E402
+                          failure_summary, format_summary, main, quartiles,
+                          report, summarize, verdict)
 
 METRICS = {"ops_per_cpu_s": ("higher", 0.25), "op_cpu_s_p50": ("lower", 0.25),
            "peak_rss_mib": ("lower", 0.1)}
@@ -112,6 +112,7 @@ def test_json_record_holds_every_printed_number_and_reads_back(tmp_path,
                                                  ((0, 1), (1, 0)) * 2)
                  for side in order])
     monkeypatch.setattr("paired_bench.run_once", lambda *a: next(runs))
+    monkeypatch.setattr("paired_bench.compile_tree", lambda tree: None)
     monkeypatch.setattr("paired_bench.end_to_end_metrics", lambda tree: METRICS)
     path = tmp_path / "bench.json"
     assert main(["P", "C", "--workload", "sample", "--pairs", "4", "--seed0",
@@ -120,6 +121,7 @@ def test_json_record_holds_every_printed_number_and_reads_back(tmp_path,
     assert record == report(("P", "C"), ("aa", "bb"), [5, 6, 7, 8],
                             {"sample": (rows, failures)})
     assert record["trees"]["change"] == {"path": "C", "source_digest": "bb"}
+    assert record["compiled"] == "python -m compileall -q src"
     (row,) = record["workloads"]["sample"]["metrics"]
     assert row["parent"] == list(quartiles(parent))
     assert row["change"] == list(quartiles(change))
@@ -139,3 +141,36 @@ def test_json_record_holds_every_printed_number_and_reads_back(tmp_path,
     held |= {f"{100.0 * failures[side]['failed_share']:.2f}%"
              for side in ("parent", "change")}
     assert printed == held
+
+
+def test_both_trees_are_compiled_once_before_the_first_pair(tmp_path,
+                                                            monkeypatch):
+    # with PYTHONDONTWRITEBYTECODE set, each run compiled the package, and
+    # peak_rss_mib compared the two compiles (32.37 against 32.49 MiB from
+    # 100 extra source lines, equal values after compileall)
+    events = []
+    monkeypatch.setattr("paired_bench.compile_tree",
+                        lambda tree: events.append(("compile", tree)))
+    monkeypatch.setattr("paired_bench.run_once", lambda tree, workload, seed:
+                        events.append(("run", tree)) or
+                        ({"ops_per_cpu_s": 1.0}, (True, 0, 1), tree))
+    monkeypatch.setattr("paired_bench.end_to_end_metrics", lambda tree: METRICS)
+    assert main(["P", "C", "--workload", "sample", "--workload", "converge",
+                 "--pairs", "2"]) == 0
+    assert events[:2] == [("compile", "P"), ("compile", "C")]
+    assert [e for e in events[2:] if e[0] == "compile"] == []
+    assert len(events) == 2 + 2 * 2 * 2
+    # the real step writes bytecode for every module under src, also where
+    # the environment forbids an import to write it
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("X = 1\n")
+    (package / "mod.py").write_text("Y = 2\n")
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    compile_tree(tmp_path)
+    compiled = sorted(p.name.split(".")[0]
+                      for p in tmp_path.rglob("__pycache__/*.pyc"))
+    assert compiled == ["__init__", "mod"]
+    (package / "bad.py").write_text("def (\n")
+    with pytest.raises(RuntimeError, match="compileall"):
+        compile_tree(tmp_path)

@@ -1,6 +1,7 @@
 """Dispersion geometry: Fermi seas, edge data, densities, limit shape."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -358,6 +359,48 @@ def test_model_checks_its_coupling_when_built():
         with pytest.raises(ValueError, match="theta must be a nonnegative real"):
             HoppingCoefficients((1.0,), theta=theta)
     assert HoppingCoefficients((1.0,), theta=0.0).theta == 0.0  # the domain wall
+
+
+def _amplitude_overflows(gammas, theta):
+    # 2 theta sum |gamma_r| computed exactly, against the least real that
+    # rounds to inf: the largest float plus half its ulp
+    exact = 2 * Fraction(theta) * sum(Fraction(abs(g)) for g in gammas)
+    return exact >= 2 ** 1024 - 2 ** 970
+
+
+def test_model_refuses_exactly_an_overflowing_symbol_amplitude():
+    # the rule that cdf, converge and unitary-mc each checked by hand, and
+    # kernel, kernel-profile, oracle and sample through other checks; the
+    # weights are dyadic, so their sum is exact and so is the reference
+    edge = (2 ** 1023 - 2 ** 969) / 1.25  # 2 theta 1.25 at the overflow point
+    cases = [((1.0,), 1e308), ((1e-300,), 1e308), ((1.0, -0.25), 1.0),
+             ((1.0, -0.25), math.nextafter(edge, 0.0)),
+             ((1.0, -0.25), math.nextafter(edge, math.inf)), ((0.5,), 1e308),
+             ((), 1e308)]
+    rng = np.random.default_rng(20261022)
+    for _ in range(200):
+        size = int(rng.integers(1, 5))
+        gammas = tuple(float(s * 2.0 ** e) for s, e in zip(
+            rng.choice([-1.0, 1.0], size), rng.integers(-30, 4, size)))
+        cases.append((gammas, float(10.0 ** rng.uniform(306.0, 308.25))))
+    # (2^k gamma, 2^-k theta) is the same coupling: the same verdict
+    family = [(tuple(math.ldexp(g, k) for g in gammas), math.ldexp(theta, -k))
+              for gammas, theta in cases[2:5] for k in (1, 2, 10, 100, 500, 1000)]
+    verdicts = set()
+    for gammas, theta in cases + family:
+        refused = _amplitude_overflows(gammas, theta)
+        verdicts.add(refused)
+        if refused:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"theta={theta!r} with gamma=")) as info:
+                HoppingCoefficients(gammas, theta=theta)
+            assert "symbol amplitude past the largest float" in str(info.value)
+        else:
+            assert HoppingCoefficients(gammas, theta=theta).theta == theta
+    assert verdicts == {False, True}
+    assert not _amplitude_overflows((1e-300,), 1e308)  # accepted
+    assert _amplitude_overflows((1.0, -0.25), math.nextafter(edge, math.inf))
+    assert not _amplitude_overflows((1.0, -0.25), math.nextafter(edge, 0.0))
 
 
 @pytest.mark.parametrize("gammas", [(math.nan,), (1.0, math.inf), (1e308,), (1e200, -1e308)])

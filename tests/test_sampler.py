@@ -107,8 +107,11 @@ def _loop_projection(vectors, rng):
 
 
 def _stream(seed, index):
-    """The keyed stream of draw (seed, index), built independently."""
-    return np.random.Generator(np.random.Philox(key=[seed, index]))
+    """The keyed stream of draw (seed, index), built independently: each key
+    word modulo 2^64, in a uint64 array (a key list mixing a word past 2^63
+    with a smaller one would pass through float64)."""
+    key = np.array([seed % 2 ** 64, index % 2 ** 64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _loop_sample(wk, seed, index):
@@ -364,10 +367,6 @@ def test_selections_give_the_keyed_philox_streams():
     # one state dict per call, re-keyed per draw: each row is the stream of
     # a fresh Philox(key=[seed mod 2^64, index mod 2^64]), also for key
     # words at and past 2^63
-    def fresh(seed, index):  # a key list past 2^63 would pass through float64
-        key = np.array([seed % 2 ** 64, index % 2 ** 64], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
-
     wk = windowed_kernel(HoppingCoefficients((1.0, -1.0 / 3.0), theta=20.0))
     n = len(wk.eigenvalues)
     width = n + np.count_nonzero(wk.eigenvalues > 0.0)
@@ -375,7 +374,7 @@ def test_selections_give_the_keyed_philox_streams():
     for seed in (-1, 0, 2 ** 64 - 1):
         keep, uniforms = _selections(wk, seed, indices)
         for row, index in enumerate(indices):
-            ref = fresh(seed, index).random(width)
+            ref = _stream(seed, index).random(width)
             assert np.array_equal(keep[row], ref[:n] < wk.eigenvalues)
             assert np.array_equal(uniforms[row], ref[n:])
     # one dict re-keyed across seeds and indices, never one of the module
@@ -383,7 +382,7 @@ def test_selections_give_the_keyed_philox_streams():
     rng = np.random.Generator(np.random.Philox(0))
     for seed, index in ((-1, 2 ** 63), (2 ** 64 - 1, -1), (0, 2 ** 64 + 3)):
         got = _rng_for(seed, index, rng, state).random(6)
-        assert np.array_equal(got, fresh(seed, index).random(6))
+        assert np.array_equal(got, _stream(seed, index).random(6))
     assert _philox_state() is not _philox_state()
     assert not [name for name, v in vars(sampler_mod).items()
                 if isinstance(v, dict) and "bit_generator" in v]
@@ -459,7 +458,8 @@ def test_keyed_streams_survive_interleaving_and_threads():
     # a new Philox(key=[seed, index]), however seeds and threads interleave
     wk, _ = full_window(HoppingCoefficients((1.0, -1.0 / 3.0), theta=8.0))
     shared = _stream(5, 5)
-    for seed, index in itertools.product((0, 2, -1), (0, 3, 2 ** 40)):
+    for seed, index in itertools.product((0, 2, -1, 2 ** 64 - 1),
+                                         (0, 3, 2 ** 40, 2 ** 63 + 7)):
         shared.integers(0, 2 ** 31, dtype=np.uint32)  # leaves half a word
         fresh = np.random.Generator(np.random.Philox(0))
         for rng in (_rng_for(seed, index, fresh),
@@ -488,6 +488,31 @@ def test_empirical_edge_law_small():
     rep = empirical_edge_law(c, 600, seed=2)
     # KS against the exact law at the 1% level
     assert rep.ks_exact < 1.63 / math.sqrt(600)
+
+
+def test_limit_table_is_built_once_per_law_and_read_only(monkeypatch):
+    # every sample command evaluated F_{2m+1}^n on its 201-point grid anew;
+    # the table depends on (m, n) only, and its row is the law file's stack
+    calls = []
+    table = sampler_mod.limiting_cdf
+    monkeypatch.setattr(sampler_mod, "limiting_cdf",
+                        lambda *a: calls.append(a[:2]) or table(*a))
+    sampler_mod._limit_table.cache_clear()
+    s_grid, limit = sampler_mod._limit_table(1, 2)
+    assert sampler_mod._limit_table(1, 2)[1] is limit
+    sampler_mod._limit_table(1, 1)
+    assert calls == [(1, 2), (1, 1)]
+    assert np.array_equal(s_grid, np.linspace(-6.0, 4.0, 201))
+    assert np.array_equal(limit, table(1, 2, np.linspace(-6.0, 4.0, 201)))
+    with pytest.raises(ValueError):
+        limit[0] = 0.0
+    with pytest.raises(ValueError):
+        s_grid[0] = 0.0
+    c = HoppingCoefficients((1.0, -1.0 / 3.0), theta=10.0)
+    assert empirical_edge_law(c, 50, seed=1).ks_limit == \
+        empirical_edge_law(c, 50, seed=1).ks_limit
+    assert calls == [(1, 2), (1, 1)]  # (1, -1/3) has m = 1 and two cuts
+    sampler_mod._limit_table.cache_clear()
 
 
 def test_edge_law_ks_convergence_trend():

@@ -3,8 +3,12 @@
     python3 tools/paired_bench.py PARENT_DIR CHANGE_DIR --workload sample \
         --pairs 10 --seed0 1 [--workload converge ...] [--json BENCH.json]
 
-Pair i runs ``bench/run.py --workload W --seed S+i --seconds 2 --trace 0``
-once in each tree, one process at a time; the parent goes first in even
+Before the first pair each tree's ``src`` is compiled once
+(``python -m compileall -q src``): with PYTHONDONTWRITEBYTECODE set and no
+``__pycache__``, every run would compile the package afresh, and
+``peak_rss_mib`` would compare the compiler's high-water marks of the two
+sources.  Pair i runs ``bench/run.py --workload W --seed S+i --seconds 2
+--trace 0`` once in each tree, one process at a time; the parent goes first in even
 pairs and the change in odd ones, so drift of the machine falls on both
 sides alike.  Each run's last stdout line (its end-to-end metrics) is
 parsed, and the line before it gives the tree's ``source_sha256``.  For
@@ -17,7 +21,8 @@ whose change median is worse than the parent's by more than its relative
 bound is flagged.  Each side's share of failed operations and its runs that
 were not ``correct`` close the table; a change that fails a larger share
 than the parent is marked.  ``--json PATH`` writes all of that, with both
-trees' source digests and the seeds, to PATH (``report``).  Each tree's runs
+trees' source digests, the compile command and the seeds, to PATH
+(``report``).  Each tree's runs
 write only where ``bench/run.py`` writes them (its ``.bench_out/``).
 """
 
@@ -31,6 +36,7 @@ import sys
 from pathlib import Path
 
 WIN_SHARE = 0.9  # share of pairs the change must win for a resolved gain
+COMPILE = ("-m", "compileall", "-q", "src")  # run in each tree before the pairs
 
 
 def quartiles(values):
@@ -82,6 +88,16 @@ def end_to_end_metrics(tree):
     spec = json.loads((Path(tree) / "BENCHMARK.json").read_text())
     return {m["name"]: (m["better"], m.get("bound"))
             for m in spec["end_to_end"]}
+
+
+def compile_tree(tree):
+    """Compile ``tree``'s ``src`` to bytecode (COMPILE), so that every run
+    imports the package from its ``__pycache__``."""
+    proc = subprocess.run([sys.executable, *COMPILE], cwd=tree,
+                          capture_output=True, text=True, check=False)
+    if proc.returncode != 0:
+        raise RuntimeError(f"compileall in {tree} exited {proc.returncode}: "
+                           f"{(proc.stdout + proc.stderr).strip()[-500:]}")
 
 
 def run_once(tree, workload, seed):
@@ -160,6 +176,7 @@ def format_summary(rows, failures=None):
 
 def report(trees, digests, seeds, results):
     """The JSON record of the summary: each tree's path and source digest,
+    the command that compiled both trees before the pairs (``compile_tree``),
     the seeds of the pairs, and per workload its ``summarize`` rows, each
     with its ``verdict``, and its ``failure_summary``.
 
@@ -170,6 +187,7 @@ def report(trees, digests, seeds, results):
     return {"trees": {label: {"path": str(tree), "source_digest": digest}
                       for label, tree, digest in zip(("parent", "change"),
                                                      trees, digests)},
+            "compiled": " ".join(("python",) + COMPILE),
             "seeds": list(seeds),
             "workloads": {
                 workload: {"metrics": [dict(r, parent=list(r["parent"]),
@@ -198,6 +216,8 @@ def main(argv=None):
     seeds = [args.seed0 + i for i in range(args.pairs)]
     digests = [set(), set()]
     results = {}
+    for tree in trees:
+        compile_tree(tree)
     for workload in args.workload:
         pairs, outcomes = [], []
         for i, seed in enumerate(seeds):
