@@ -140,16 +140,6 @@ def _float_cells(values):
     return cells
 
 
-@lru_cache(maxsize=1)
-def _converge_grid():
-    """The s-grid of ``converge`` (read-only) and its CSV cells, built on
-    first use: numpy's first ``linspace`` at import would add 0.15 MiB of
-    RSS to every command."""
-    s_grid = np.linspace(-6.0, 4.0, 101)
-    s_grid.flags.writeable = False
-    return s_grid, [str(s) for s in s_grid.tolist()]
-
-
 def _openblas_paths():
     """Paths of the OpenBLAS libraries mapped into this process, sorted;
     empty where ``/proc/self/maps`` cannot be read (not Linux)."""
@@ -217,7 +207,8 @@ def _cmd_analyze(args):
 
 def _cmd_density(args):
     coeffs = HoppingCoefficients(args.gamma)
-    for flag, x in (("--xmin", args.xmin), ("--xmax", args.xmax)):
+    for flag, x in (("--xmin", args.xmin), ("--xmax", args.xmax),
+                    ("--xmax - --xmin", args.xmax - args.xmin)):  # also the span
         if not math.isfinite(x):
             raise ValueError(f"{flag} must be finite, got {x!r}")
     xs = np.linspace(args.xmin, args.xmax,
@@ -249,8 +240,8 @@ def _cmd_kernel_profile(args):
         raise ValueError(f"--window {args.window} holds no half-integer site")
     _desk_size("--window", last - first + 1, GRID_POINTS, "sites")
     ks = np.arange(first, last + 1) + 0.5
-    rows = [(float(k), kernel_mod.kernel_eval(band, k, k)) for k in ks]
-    _csv_out(rows, ["k", "Kkk"], args.out)
+    diag = kernel_mod.kernel_eval(band, ks, ks)
+    _csv_out(zip(ks.tolist(), diag.tolist()), ["k", "Kkk"], args.out)
     return 0
 
 
@@ -288,6 +279,8 @@ def _cmd_cdf(args):
     lo, hi, _ = _parse_range("--ell-range", args.ell_range, "ell")
     if lo != int(lo) or hi != int(hi):
         raise ValueError(f"--ell-range takes integers, got {args.ell_range!r}")
+    # past 2^53 a float skips integers
+    _desk_size("--ell-range", max(-lo, hi), 2 ** 53, "as its largest |end|")
     _desk_size("--ell-range", hi - lo + 1, GRID_POINTS, "rows")
     ells = np.arange(int(lo), int(hi) + 1)
     p = edge_mod.exact_cdf(coeffs, ells)
@@ -314,17 +307,13 @@ def _cmd_converge(args):
     if power < 1:
         raise ValueError(f"--power takes auto or an integer >= 1, "
                          f"got {args.power!r}")
-    s_grid, s_cells = _converge_grid()
-    limit = airy_mod.limiting_cdf(profile.law_order, power, s_grid)
-
-    def one(theta):
-        return edge_mod.scaled_convergence_study(
-            args.gamma, [theta], s_grid=s_grid, n_cuts=power, limit=limit)[0]
-
-    reports = _pool_map(one, thetas, args.threads)
+    reports = _pool_map(lambda theta: edge_mod.scaled_convergence_study(
+        args.gamma, [theta], n_cuts=power)[0], thetas, args.threads)
     summary = {str(r["theta"]): r["sup_distance"] for r in reports}
+    s_grid = reports[0]["s"]
     if args.out:
         # the cells that ",".join(map(str, row)) gives, each formatted once
+        s_cells = [str(s) for s in s_grid.tolist()]
         lines = ["theta,s,cdf"]
         for r in reports:
             theta = str(r["theta"])
@@ -332,8 +321,7 @@ def _cmd_converge(args):
                       zip(s_cells, _float_cells(r["cdf"].tolist()))]
         _write_lines(lines, args.out)
     if args.svg:
-        pw = reports[0]["power"]
-        panel = Panel(title=f"scaled edge CDFs vs limit (power {pw})")
+        panel = Panel(title=f"scaled edge CDFs vs limit (power {power})")
         for r in reports:
             panel.add(s_grid, r["cdf"], label=f"theta={r['theta']:g}")
         panel.add(s_grid, reports[0]["limit"], label="limit")

@@ -24,13 +24,14 @@ to s = (ell - b theta) / (d theta)^(1/(2m+1)), and ``lattice_of`` sends s
 back to the lattice point whose row is the law of the scaled maximum at s
 (a step function in s: k_max is lattice valued).  The scaled study reads
 those rows from one ``exact_cdf`` table per theta and compares them with the
-limiting law F_{2m+1}^n at the cut count n of the sea just below the edge.
+limit law F_{2m+1}^n at the sea's cut count n, from ``_desk_law`` like ``ks_limit``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -41,6 +42,19 @@ from .potential import HoppingCoefficients, _AngleGrid, edge_profile
 
 MAX_TABLE_DIM = 4096  # desk-scale cap on a Toeplitz or Fredholm matrix's order
 ROUTE_SCAN = _AngleGrid(2048, closed=True)  # where exact_cdf reads the symbol
+TRACE_TOL = 1e-12  # right trace a Fredholm table may drop past its cut
+
+
+def _ell_array(ell):
+    """``ell`` as an int64 array of at least one dimension; ValueError naming
+    ``ell=`` and the first value that an int64 does not hold exactly."""
+    values = np.atleast_1d(ell)
+    if values.dtype.kind != "i":  # floats, or Python ints past int64
+        values = values.astype(float)
+        bad = (np.floor(values) != values) | (values < -2.0 ** 63) | (values >= 2.0 ** 63)
+        if np.any(bad):
+            raise ValueError(f"ell={float(values.flat[np.argmax(bad)])!r} is not an int64")
+    return values.astype(np.int64)
 
 
 def symbol_coeffs(coeffs, n_max):
@@ -63,7 +77,7 @@ def toeplitz_cdf(coeffs, ell):
     (an empty array gives an empty table).  det T_0 = 1, and P = 0 for
     ell < 0 because k_max >= -1/2.
     """
-    ells = np.atleast_1d(ell).astype(np.int64)
+    ells = _ell_array(ell)
     if ells.size == 0:
         return np.zeros(ells.shape)
     top = max(int(ells.max()), 0)
@@ -86,14 +100,13 @@ def toeplitz_cdf(coeffs, ell):
     return float(p[0]) if np.ndim(ell) == 0 else p
 
 
-def fredholm_cdf_check(coeffs, ell, trace_tol=1e-12):
+def fredholm_cdf_check(coeffs, ell, trace_tol=TRACE_TOL):
     """P(k_max < ell) as det(I - K) on the sites above ell (integer or array):
     the large-coupling route and the Toeplitz oracle, ``_gap_table`` on the
     model's band, whose ``trace_tol`` check it shares (an empty ell gives an
     empty table).
     """
-    ells = np.atleast_1d(ell).astype(np.int64)
-    p = _gap_table(coefficient_band(coeffs), ells, trace_tol)
+    p = _gap_table(coefficient_band(coeffs), _ell_array(ell), trace_tol)
     return float(p[0]) if np.ndim(ell) == 0 else p
 
 
@@ -169,33 +182,39 @@ def exact_cdf(coeffs, ell):
     return fredholm_cdf_check(coeffs, ell)
 
 
-def scaled_convergence_study(gammas, theta_list, s_grid=None, n_cuts=None,
-                             limit=None):
+@lru_cache(maxsize=8)
+def _desk_law(m, n, points):
+    """The desk s-grid of ``points`` on [-6, 4] and F_{2m+1}^n on it, read-only
+    and built on first use (an import-time ``linspace`` adds 0.15 MiB of RSS)."""
+    s_grid = np.linspace(-6.0, 4.0, points)
+    limit = limiting_cdf(m, n, s_grid)
+    s_grid.flags.writeable = limit.flags.writeable = False
+    return s_grid, limit
+
+
+def scaled_convergence_study(gammas, theta_list, n_cuts=None):
     """Sup-distance between the scaled lattice CDF and its limiting edge law.
 
-    Per-theta reports {theta, sup_distance, power, m, cdf, limit}, the last
-    two on ``s_grid``: the lattice law at each s is one ``exact_cdf`` row,
+    Per-theta reports {theta, sup_distance, power, m, s, cdf, limit}, the
+    last two on ``s``, the 101-point grid of ``_desk_law`` (it and ``limit``
+    read-only): the lattice law at each s is one ``exact_cdf`` row,
     P(k_max < ``EdgeProfile.lattice_of(s, theta)``).  The limit law's power
-    defaults to the sea's cut count.  ``limit`` is that law on ``s_grid``
-    when the caller already has it (one ``limiting_cdf`` table otherwise).
-    Maximizers of different orders or constants d raise ``UnsupportedEdge``,
-    and a theta whose symbol amplitude overflows a ValueError from its model
-    (``HoppingCoefficients``), before its lattice points are placed.
+    ``n_cuts`` defaults to the sea's cut count.  Maximizers of different
+    orders or constants d raise ``UnsupportedEdge``, and a theta whose symbol
+    amplitude overflows a ValueError from its model, before its lattice
+    points are placed.
     """
-    if s_grid is None:
-        s_grid = np.linspace(-6.0, 4.0, 101)
-    s_grid = np.asarray(s_grid, dtype=float)
     profile = edge_profile(HoppingCoefficients(gammas))
     m = profile.law_order
     power = int(n_cuts) if n_cuts is not None else profile.n_cuts
-    limit_vals = limiting_cdf(m, power, s_grid) if limit is None else limit
+    s_grid, limit = _desk_law(m, power, 101)
 
     reports = []
     for theta in theta_list:
         coeffs = HoppingCoefficients(gammas, theta=theta)
         lattice_vals = exact_cdf(coeffs, profile.lattice_of(s_grid, theta))
-        sup = float(np.max(np.abs(lattice_vals - limit_vals)))
+        sup = float(np.max(np.abs(lattice_vals - limit)))
         reports.append({"theta": float(theta), "sup_distance": sup,
-                        "power": power, "m": m,
-                        "cdf": lattice_vals, "limit": limit_vals})
+                        "power": power, "m": m, "s": s_grid,
+                        "cdf": lattice_vals, "limit": limit})
     return reports

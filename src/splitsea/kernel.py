@@ -202,17 +202,20 @@ def _half_ints(sites, name):
 
 
 def kernel_eval(band, k, ell):
-    """Series evaluation K(k, l) = sum_{i>0} J_{k+i} J_{l+i}."""
-    ka = int(_half_ints(k, "k")) + 1   # first summand index k + 1/2
-    la = int(_half_ints(ell, "ell")) + 1
+    """Series K(k, l) = sum_{i>0} J_{k+i} J_{l+i} at each pair of the site arrays
+    ``k`` and ``ell``, of one shape (scalars give a float): one dot per pair."""
+    ka = _half_ints(k, "k") + 1   # first summand index k + 1/2
+    la = _half_ints(ell, "ell") + 1
+    if ka.shape != la.shape:
+        raise ValueError(f"k and ell differ in shape: {ka.shape} and {la.shape}")
     n = band.half_width
-    t0 = max(0, -n - ka, -n - la)
-    t1 = min(n - ka, n - la)
-    if t1 < t0:
-        return 0.0
-    a = band.coeffs[ka + t0 + n: ka + t1 + n + 1]
-    b = band.coeffs[la + t0 + n: la + t1 + n + 1]
-    return float(np.dot(a, b))
+    out = np.zeros(ka.shape)
+    for i, (f, g) in enumerate(zip(ka.ravel().tolist(), la.ravel().tolist())):
+        t0, t1 = max(0, -n - f, -n - g), min(n - f, n - g)
+        if t0 <= t1:
+            out.flat[i] = np.dot(band.coeffs[f + t0 + n:f + t1 + n + 1],
+                                 band.coeffs[g + t0 + n:g + t1 + n + 1])
+    return float(out) if out.ndim == 0 else out
 
 
 def kernel_matrix(band, sites):

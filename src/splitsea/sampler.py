@@ -27,12 +27,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .airy import limiting_cdf
-from .edge import GapBlock, _gap_table, gap_block
+from .edge import TRACE_TOL, GapBlock, _desk_law, _gap_table, gap_block
 from .errors import LeakageTooLarge, NoConvergence
 from .kernel import (CoefficientBand, _least_cut, coefficient_band,
                      kernel_matrix, tail_trace)
@@ -40,7 +38,6 @@ from .kernel import kernel_eval  # noqa: F401  (bench/tracer.py patches it here)
 from .potential import edge_profile
 
 EIG_CLIP_TOL = 1e-9
-KS_TRACE_TOL = 1e-12  # ks_exact's table, cut as fredholm_cdf_check's
 KS_ALPHA = 1e-6  # false-alarm level of the DKW bound ks_exact must stay under
 FRAME_BUDGET = 2 ** 21  # bytes of Gram-Schmidt columns one batch chunk may hold
 
@@ -76,8 +73,8 @@ def windowed_kernel(coeffs, window=None, leakage_tol=1e-6):
     b theta - 8 (d theta)^(1/(2m+1)) up and then twice as deep while none is
     under (rows below ell = 0 are 0).  Those rows, the window matrix and
     ``ks_exact``'s table are read from one ``edge.GapBlock`` (``gaps``), whose
-    top also holds the cut at KS_TRACE_TOL; each search twice as deep builds
-    it anew.  A half that is not finite, or at or under the band's roundoff
+    top also holds the cut at TRACE_TOL; each search twice as deep builds it
+    anew.  A half that is not finite, or at or under the band's roundoff
     ``trace_floor``, raises LeakageTooLarge.
     """
     band = coefficient_band(coeffs)  # refuses theta before any window arithmetic
@@ -91,8 +88,8 @@ def windowed_kernel(coeffs, window=None, leakage_tol=1e-6):
         right, gaps = tail_trace(band, k_hi + 1), None
     else:  # rows from the first guess up, then twice as deep
         k_hi = _least_cut(band, half) - 1
-        # ks_exact's rows reach max ell <= k_hi + 2 and the cut at KS_TRACE_TOL
-        top = max(k_hi + 2, _least_cut(band, KS_TRACE_TOL))
+        # ks_exact's rows reach max ell <= k_hi + 2 and the cut at TRACE_TOL
+        top = max(k_hi + 2, _least_cut(band, TRACE_TOL))
         guess = edge_profile(coeffs).lattice_of(-8.0, coeffs.theta)
         ells = np.arange(min(guess, k_hi), k_hi + 1)
         while True:  # the block holds the rows and the window, least ell -1
@@ -243,16 +240,6 @@ def sample_many(wk, n_samples, seed):
     return _sample_batch(wk, seed, range(int(n_samples)))
 
 
-@lru_cache(maxsize=8)
-def _limit_table(m, n):
-    """The s-grid of ``ks_limit`` and F_{2m+1}^n on it, read-only, built on
-    first use: an import-time ``linspace`` adds 0.15 MiB of RSS to commands."""
-    s_grid = np.linspace(-6.0, 4.0, 201)
-    limit = limiting_cdf(m, n, s_grid)
-    s_grid.flags.writeable = limit.flags.writeable = False
-    return s_grid, limit
-
-
 @dataclass(frozen=True)
 class EdgeLawReport:
     """Empirical law of the scaled maximum against exact and limiting CDFs."""
@@ -266,19 +253,19 @@ def empirical_edge_law(coeffs, n_samples, seed):
     """Sample k_max from the edge window; report KS distances to its laws.
 
     ``ks_exact`` is against the Fredholm gap table on the window's own band
-    and block (``edge._gap_table`` cut at KS_TRACE_TOL, ``fredholm_cdf_check``'s
-    trace), ``ks_limit`` against the sea's own limit law F_{2m+1}^n on s in
-    [-6, 4].  A ``ks_exact`` at or over the Dvoretzky-Kiefer-Wolfowitz bound
-    sqrt(log(2 / KS_ALPHA) / (2 n)), which exact draws pass but with
-    probability KS_ALPHA, raises ``NoConvergence``.  Maximizers of different
-    orders or constants d raise ``UnsupportedEdge``, and a limit law the
-    library lacks ``NoConvergence``, before any draw.
+    and block (``edge._gap_table`` cut at TRACE_TOL, as ``fredholm_cdf_check``
+    is), ``ks_limit`` against the sea's own limit law F_{2m+1}^n on 201 points
+    of s in [-6, 4] (``edge._desk_law``).  A ``ks_exact`` at or over the
+    Dvoretzky-Kiefer-Wolfowitz bound sqrt(log(2 / KS_ALPHA) / (2 n)), which
+    exact draws pass but with probability KS_ALPHA, raises ``NoConvergence``.
+    Maximizers of different orders or constants d raise ``UnsupportedEdge``,
+    and a limit law the library lacks ``NoConvergence``, before any draw.
     """
     n_samples = int(n_samples)
     if n_samples < 1:
         raise ValueError(f"n_samples must be a positive integer, got {n_samples}")
     profile = edge_profile(coeffs)
-    s_grid, limit = _limit_table(profile.law_order, profile.n_cuts)
+    s_grid, limit = _desk_law(profile.law_order, profile.n_cuts, 201)
     wk = windowed_kernel(coeffs)
     kmax = np.array([conf[-1] if len(conf) else wk.k_lo_int - 0.5
                      for conf in sample_many(wk, n_samples, seed)])
@@ -286,7 +273,7 @@ def empirical_edge_law(coeffs, n_samples, seed):
     ells = np.arange(int(ordered[0] - 0.5), int(ordered[-1] + 0.5) + 2)
     ks_exact = float(np.max(np.abs(
         np.searchsorted(ordered, ells) / n_samples
-        - _gap_table(wk.band, ells, KS_TRACE_TOL, wk.gaps))))
+        - _gap_table(wk.band, ells, TRACE_TOL, wk.gaps))))
     bound = math.sqrt(math.log(2.0 / KS_ALPHA) / (2.0 * n_samples))
     if ks_exact >= bound:
         raise NoConvergence(f"ks_exact {ks_exact:.4g} of {n_samples} draws is not "

@@ -431,9 +431,9 @@ def test_airy_grid(capsys):
 ])
 def test_each_command_computes_one_limit_table(monkeypatch, capsys, argv):
     import splitsea.airy as airy_mod
-    import splitsea.sampler as sampler_mod
+    import splitsea.edge as edge_mod
 
-    sampler_mod._limit_table.cache_clear()  # sample's, once per process
+    edge_mod._desk_law.cache_clear()  # converge's and sample's, once per process
     calls = []
     table = airy_mod.limiting_cdf
 
@@ -441,10 +441,38 @@ def test_each_command_computes_one_limit_table(monkeypatch, capsys, argv):
         calls.append(args)
         return table(*args)
 
-    for module in ("splitsea.airy", "splitsea.edge", "splitsea.sampler"):
+    for module in ("splitsea.airy", "splitsea.edge"):
         monkeypatch.setattr(f"{module}.limiting_cdf", counted)
     assert run(capsys, *argv)[0] == 0
     assert len(calls) == 1 and np.ndim(calls[0][2]) == 1
+    edge_mod._desk_law.cache_clear()
+
+
+def test_a_second_converge_computes_no_limit_table(monkeypatch, capsys):
+    # converge built F_{2m+1}^n on its grid once per command; the table is
+    # edge._desk_law's, and the study's reports carry its read-only grid
+    import splitsea.airy as airy_mod
+    import splitsea.edge as edge_mod
+
+    edge_mod._desk_law.cache_clear()
+    calls = []
+    table = airy_mod.limiting_cdf
+    monkeypatch.setattr(edge_mod, "limiting_cdf",
+                        lambda *a: calls.append(a[:2]) or table(*a))
+    argv = ("converge", "--gamma", "1,-0.3333333333", "--thetas", "10,12")
+    first = run(capsys, *argv)
+    assert first[0] == 0 and calls == [(1, 2)]
+    assert run(capsys, *argv) == first and calls == [(1, 2)]
+    reports = scaled_convergence_study((1.0, -0.3333333333), [10.0, 12.0])
+    assert calls == [(1, 2)]
+    grid, limit = edge_mod._desk_law(1, 2, 101)
+    for r in reports:
+        assert r["s"] is grid and r["limit"] is limit
+    assert np.array_equal(grid, np.linspace(-6.0, 4.0, 101))
+    for array in (grid, limit):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+    edge_mod._desk_law.cache_clear()
 
 
 def test_the_one_parser_carries_nothing_between_calls(monkeypatch, capsys):
@@ -488,6 +516,28 @@ def test_cdf_command(capsys):
     assert lines[0] == "ell,p,s"
     ps = [float(line.split(",")[1]) for line in lines[1:]]
     assert all(a <= b + 1e-12 for a, b in zip(ps, ps[1:]))
+
+
+@pytest.mark.parametrize("ells", ["1e20:1e20", "-9.3e18:-9.3e18",
+                                  "9.3e18:9.3e18",
+                                  "9007199254740994:9007199254740994"])
+def test_cdf_ell_range_past_two_to_the_53_is_config_error(capsys, ells):
+    # 1e20 and -9.3e18 ended in an OverflowError traceback; 9.3e18 printed
+    # P = 0 where P is 1, wrapped by the int64 cast
+    code, out, err = run(capsys, "cdf", "--gamma", "1", "--theta", "2",
+                         "--ell-range", ells)
+    assert code == 2 and out == ""
+    assert err.startswith("config error: --ell-range asks for ")
+
+
+def test_density_span_past_the_largest_float_is_config_error(capsys):
+    # numpy's overflow warning, then "the level x must be finite, got nan"
+    code, out, err = run(capsys, "density", "--gamma", "1", "--xmin", "-1e308",
+                         "--xmax", "1e308", "--steps", "3")
+    assert code == 2 and out == ""
+    assert err == "config error: --xmax - --xmin must be finite, got inf\n"
+    assert run(capsys, "density", "--gamma", "1", "--xmin", "-1e300",
+               "--xmax", "1e300", "--steps", "3")[0] == 0
 
 
 def test_cdf_empty_ell_range_is_config_error(capsys):
@@ -975,11 +1025,10 @@ def test_converge_csv_is_the_str_of_each_row(tmp_path, capsys, gamma, thetas):
                      "--out", str(csv))
     assert code == 0
     gammas = tuple(float(g) for g in gamma.split(","))
-    s_grid = np.linspace(-6.0, 4.0, 101)
     reports = scaled_convergence_study(
-        gammas, [float(t) for t in thetas.split(",")], s_grid=s_grid)
+        gammas, [float(t) for t in thetas.split(",")])
     rows = [(r["theta"], float(s), float(p))
-            for r in reports for s, p in zip(s_grid, r["cdf"])]
+            for r in reports for s, p in zip(r["s"], r["cdf"])]
     lines = ["theta,s,cdf"] + [",".join(map(str, row)) for row in rows]
     assert csv.read_bytes() == ("\n".join(lines) + "\n").encode()
     # a lattice CDF repeats rows: distinct values are what gets formatted

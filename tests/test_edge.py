@@ -9,9 +9,9 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splitsea.edge import (_gap_table, exact_cdf, fredholm_cdf_check,
-                           scaled_convergence_study, symbol_coeffs,
-                           toeplitz_cdf)
+from splitsea.edge import (TRACE_TOL, _gap_table, exact_cdf,
+                           fredholm_cdf_check, scaled_convergence_study,
+                           symbol_coeffs, toeplitz_cdf)
 from splitsea.errors import NotPositiveDefinite
 from splitsea.kernel import coefficient_band, kernel_matrix, tail_trace
 from splitsea.potential import HoppingCoefficients, edge_profile
@@ -132,8 +132,24 @@ def test_fredholm_window_is_the_least_certified_one(g2, theta, ells):
     (_, sites), = [call.args for call in spy.call_args_list]
     top = sites[0] + 0.5 if len(sites) else rows.max()
     assert np.array_equal(sites, top - 0.5 - np.arange(top - rows.min()))
-    assert tail_trace(band, top) < 1e-12
-    assert top == rows.max() or tail_trace(band, top - 1) >= 1e-12
+    assert tail_trace(band, top) < TRACE_TOL
+    assert top == rows.max() or tail_trace(band, top - 1) >= TRACE_TOL
+
+
+def test_ell_past_int64_or_off_the_integers_is_refused():
+    # the int64 cast wrapped 9.3e18 to a negative row and answered P = 0
+    for theta in (2.0, 40.0):  # the Toeplitz and the Fredholm route
+        c = HoppingCoefficients((1.0,), theta=theta)
+        for table in (exact_cdf, fredholm_cdf_check, toeplitz_cdf):
+            for bad in (9.3e18, -9.3e18, 1e20, 2.0 ** 63, 2.5, math.nan,
+                        np.array([3, 2 ** 70], dtype=object)):
+                with pytest.raises(ValueError, match="^ell="):
+                    table(c, bad)
+            assert table(c, 3.0) == table(c, 3)
+            assert np.array_equal(table(c, np.array([2.0, 3.0])),
+                                  table(c, np.array([2, 3])))
+    with pytest.raises(ValueError, match=r"^ell=9\.3e\+18 is not an int64$"):
+        exact_cdf(HoppingCoefficients((1.0,), theta=2.0), 9.3e18)
 
 
 def test_empty_ell_gives_an_empty_table():
@@ -277,12 +293,14 @@ def test_scaled_law_steps_at_the_half_integer_atoms():
         assert profile.lattice_of(s_jump - 0.4 / scale, theta) == ell - 1
         assert profile.lattice_of(s_jump + 0.4 / scale, theta) == ell
     s_jump = profile.s_of(ells[5] - 0.5, theta)
-    report = scaled_convergence_study(
-        gam, [theta], s_grid=[s_jump - 0.4 / scale, s_jump + 0.4 / scale],
-        limit=np.zeros(2))[0]
+    pair = profile.lattice_of([s_jump - 0.4 / scale, s_jump + 0.4 / scale], theta)
     # rows of tables over other ell ranges agree to roundoff
-    assert report["cdf"] == pytest.approx([ps[4], ps[5]], abs=1e-14)
+    assert exact_cdf(c, pair) == pytest.approx([ps[4], ps[5]], abs=1e-14)
     assert ps[5] - ps[4] > 1e-3
+    # the study's law at each s of its grid is that row of the lattice law
+    report = scaled_convergence_study(gam, [theta])[0]
+    assert np.array_equal(report["cdf"], exact_cdf(
+        c, profile.lattice_of(report["s"], theta)))
 
 
 def test_convergence_study_two_cut():

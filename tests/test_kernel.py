@@ -111,6 +111,39 @@ def test_kernel_symmetry_and_diagonal_range(rng):
         assert 0.0 <= kernel_eval(band, k, k) <= 1.0
 
 
+def _one_dot(band, k, ell):
+    # the series of one pair: J_{k+i} J_{l+i} over the band, one dot product
+    n, f, g = band.half_width, int(k + 0.5), int(ell + 0.5)
+    t0, t1 = max(0, -n - f, -n - g), min(n - f, n - g)
+    if t1 < t0:
+        return 0.0
+    return float(np.dot(band.coeffs[f + t0 + n:f + t1 + n + 1],
+                        band.coeffs[g + t0 + n:g + t1 + n + 1]))
+
+
+def test_kernel_eval_of_site_arrays_is_one_dot_per_pair():
+    # kernel-profile parsed and evaluated each site in its own call
+    band = coefficient_band(HoppingCoefficients((1.0, -1.0 / 3.0), theta=6.0))
+    n = band.half_width
+    ks = np.array([[-n - 3.5, -2.5, 0.5], [1.5, n + 0.5, 7.5]])
+    ells = np.array([[0.5, -2.5, n + 4.5], [-0.5, n - 0.5, 2.5]])
+    got = kernel_eval(band, ks, ells)
+    assert got.shape == (2, 3) and got.dtype == float
+    want = [_one_dot(band, k, ell) for k, ell in zip(ks.flat, ells.flat)]
+    assert np.array_equal(got.reshape(-1), want)
+    assert np.array_equal(got.reshape(-1), [kernel_eval(band, k, ell) for k, ell
+                                            in zip(ks.flat, ells.flat)])
+    one = kernel_eval(band, 1.5, -0.5)
+    assert type(one) is float and one == _one_dot(band, 1.5, -0.5)
+    assert kernel_eval(band, np.array([]), np.array([])).shape == (0,)
+    with pytest.raises(ValueError, match="shape"):
+        kernel_eval(band, ks, ells[0])
+    with pytest.raises(ValueError, match=r"^k=1\.0 is not a half-integer"):
+        kernel_eval(band, [0.5, 1.0], [0.5, 0.5])
+    with pytest.raises(ValueError, match=r"^ell=2\.0 is not a half-integer"):
+        kernel_eval(band, 0.5, 2.0)
+
+
 def test_minor_matches_brute_correlation():
     c = HoppingCoefficients((1.0, -1.0 / 3.0), theta=0.5)
     band = coefficient_band(c)

@@ -9,8 +9,8 @@ import pytest
 
 sys.path.append(os.path.join(os.path.dirname(__file__), os.pardir, "tools"))
 from paired_bench import (compile_tree, end_to_end_metrics,  # noqa: E402
-                          failure_summary, format_summary, main, quartiles,
-                          report, summarize, verdict)
+                          failure_summary, format_summary, kind_medians, main,
+                          quartiles, report, run_once, summarize, verdict)
 
 METRICS = {"ops_per_cpu_s": ("higher", 0.25), "op_cpu_s_p50": ("lower", 0.25),
            "peak_rss_mib": ("lower", 0.1)}
@@ -106,10 +106,14 @@ def test_json_record_holds_every_printed_number_and_reads_back(tmp_path,
                 ((True, 0, 40), (True, 0, 40)), ((True, 0, 40), (True, 0, 40))]
     rows = summarize(_pairs(parent, change), METRICS)
     failures = failure_summary(outcomes)
-    runs = iter([({"ops_per_cpu_s": a}, outcome[0], "aa") if side == 0 else
-                 ({"ops_per_cpu_s": b}, outcome[1], "bb")
-                 for a, b, outcome, order in zip(parent, change, outcomes,
-                                                 ((0, 1), (1, 0)) * 2)
+    kinds = summarize(_pairs([0.2, 0.3, 0.2, 0.4], [0.1, 0.3, 0.3, 0.2],
+                             "sample"), {"sample": ("lower", None)})
+    runs = iter([({"ops_per_cpu_s": a}, outcome[0], "aa", {"sample": ka})
+                 if side == 0 else
+                 ({"ops_per_cpu_s": b}, outcome[1], "bb", {"sample": kb})
+                 for a, b, outcome, order, ka, kb in zip(
+                     parent, change, outcomes, ((0, 1), (1, 0)) * 2,
+                     [0.2, 0.3, 0.2, 0.4], [0.1, 0.3, 0.3, 0.2])
                  for side in order])
     monkeypatch.setattr("paired_bench.run_once", lambda *a: next(runs))
     monkeypatch.setattr("paired_bench.compile_tree", lambda tree: None)
@@ -119,7 +123,7 @@ def test_json_record_holds_every_printed_number_and_reads_back(tmp_path,
                  "5", "--json", str(path)]) == 0
     record = json.loads(path.read_text())
     assert record == report(("P", "C"), ("aa", "bb"), [5, 6, 7, 8],
-                            {"sample": (rows, failures)})
+                            {"sample": (rows, failures, kinds)})
     assert record["trees"]["change"] == {"path": "C", "source_digest": "bb"}
     assert record["compiled"] == "python -m compileall -q src"
     (row,) = record["workloads"]["sample"]["metrics"]
@@ -130,6 +134,11 @@ def test_json_record_holds_every_printed_number_and_reads_back(tmp_path,
     assert (row["wins"], row["pairs"]) == (3, 4)
     assert row["verdict"] == verdict(rows[0]) == "unresolved"
     assert record["workloads"]["sample"]["failures"] == failures
+    (kind,) = record["workloads"]["sample"]["kinds"]
+    assert kind["metric"] == "sample" and kind["better"] == "lower"
+    assert (kind["wins"], kind["pairs"]) == (2, 4)
+    assert kind["change"] == list(quartiles([0.1, 0.3, 0.3, 0.2]))
+    assert not kind["past_bound"]
     # every number the table prints is a number of the record, as printed
     printed = {tok for line in format_summary(rows, failures).splitlines()[1:]
                for word in line.split() for tok in word.split("/")
@@ -153,7 +162,7 @@ def test_both_trees_are_compiled_once_before_the_first_pair(tmp_path,
                         lambda tree: events.append(("compile", tree)))
     monkeypatch.setattr("paired_bench.run_once", lambda tree, workload, seed:
                         events.append(("run", tree)) or
-                        ({"ops_per_cpu_s": 1.0}, (True, 0, 1), tree))
+                        ({"ops_per_cpu_s": 1.0}, (True, 0, 1), tree, {}))
     monkeypatch.setattr("paired_bench.end_to_end_metrics", lambda tree: METRICS)
     assert main(["P", "C", "--workload", "sample", "--workload", "converge",
                  "--pairs", "2"]) == 0
@@ -174,3 +183,54 @@ def test_both_trees_are_compiled_once_before_the_first_pair(tmp_path,
     (package / "bad.py").write_text("def (\n")
     with pytest.raises(RuntimeError, match="compileall"):
         compile_tree(tmp_path)
+
+
+def test_each_run_reports_the_median_cpu_of_each_operation_kind(tmp_path,
+                                                                capsys):
+    # the pooled op_cpu_s_p50 of converge sits on the seam between its
+    # kinds; the record each run names holds every timed operation
+    timed = [["two-cut", 0.5, 0.004, True], ["one-cut", 0.2, 0.001, True],
+             ["two-cut", 0.5, 0.006, False], ["two-cut", 0.5, 0.005, True],
+             ["one-cut", 0.2, 0.003, True]]
+    assert kind_medians(timed) == {"two-cut": 0.005, "one-cut": 0.002}
+    assert kind_medians([]) == {}
+    # a stand-in bench/run.py: the record, then its summary and metric lines
+    for name, scale in (("P", 1.0), ("C", 0.4)):
+        bench = tmp_path / name / "bench"
+        bench.mkdir(parents=True)
+        (bench / "run.py").write_text(f"""import json, pathlib, sys
+seed = int(sys.argv[sys.argv.index("--seed") + 1])
+timed = [[k, 0.0, c * {scale} * seed, ok] for k, _, c, ok in {timed!r}]
+out = pathlib.Path(".bench_out")
+out.mkdir(exist_ok=True)
+path = out / f"converge-seed{{seed}}-trace0.json"
+path.write_text(json.dumps({{"details": {{"timed": timed}}}}))
+print(json.dumps({{"machine": {{"source_sha256": "{name}"}},
+                  "record": str(path)}}))
+print(json.dumps({{"correct": True, "failed": 0, "attempted": 5,
+                  "metrics": {{"ops_per_cpu_s": {{"value": 1.0 / {scale}}}}}}}))
+""")
+    values, outcome, digest, kinds = run_once(tmp_path / "C", "converge", 2)
+    assert (values, outcome, digest) == ({"ops_per_cpu_s": 2.5}, (True, 0, 5), "C")
+    assert kinds == kind_medians([[k, 0.0, c * 0.4 * 2, ok]
+                                  for k, _, c, ok in timed])
+    for name in ("P", "C"):
+        (tmp_path / name / "BENCHMARK.json").write_text(json.dumps(
+            {"end_to_end": [{"name": "ops_per_cpu_s", "better": "higher"}]}))
+    path = tmp_path / "bench.json"
+    assert main([str(tmp_path / "P"), str(tmp_path / "C"), "--workload",
+                 "converge", "--pairs", "3", "--json", str(path)]) == 0
+    rows = json.loads(path.read_text())["workloads"]["converge"]["kinds"]
+    assert [r["metric"] for r in rows] == ["one-cut", "two-cut"]
+    for r in rows:
+        median = kind_medians(timed)[r["metric"]]
+        assert r["parent"] == pytest.approx([median * 1.5, median * 2,
+                                             median * 2.5])
+        assert r["change"] == pytest.approx([0.4 * v for v in r["parent"]])
+        assert (r["wins"], r["pairs"], r["verdict"]) == (3, 3, "resolved gain")
+    text = capsys.readouterr().out.splitlines()
+    at = text.index(next(line for line in text
+                         if line.startswith("median CPU s")))
+    assert [line.split()[0] for line in text[at + 1:at + 3]] == \
+        ["one-cut", "two-cut"]
+    assert all("3/3" in line for line in text[at + 1:at + 3])

@@ -12,16 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splitsea import edge as edge_mod
-from splitsea.edge import _gap_table, fredholm_cdf_check
+from splitsea.edge import TRACE_TOL, _gap_table, fredholm_cdf_check
 from splitsea.errors import LeakageTooLarge
 from splitsea.kernel import coefficient_band, kernel_matrix, tail_trace
 from splitsea.potential import (HoppingCoefficients, edge_profile,
                                 global_extrema, limit_shape)
 from splitsea import sampler as sampler_mod
-from splitsea.sampler import (KS_TRACE_TOL, WindowedKernel, _philox_state,
-                              _rng_for, _sample_batch, _selections,
-                              empirical_edge_law, sample, sample_many,
-                              windowed_kernel)
+from splitsea.sampler import (WindowedKernel, _philox_state, _rng_for,
+                              _sample_batch, _selections, empirical_edge_law,
+                              sample, sample_many, windowed_kernel)
 from conftest import full_window, left_trace
 
 
@@ -329,12 +328,12 @@ def _block_reads_equal_separate_builds(coeffs):
     ks = np.arange(lo, hi + 3)
     with mock.patch.object(edge_mod, "kernel_matrix", wraps=kernel_matrix) as built:
         search_rows = _gap_table(band, search, 0.5e-6, gaps)
-        ks_rows = _gap_table(band, ks, KS_TRACE_TOL, gaps)
+        ks_rows = _gap_table(band, ks, TRACE_TOL, gaps)
     assert built.call_count == 0  # both read off the block
     assert np.array_equal(search_rows, _gap_table(band, search, 0.5e-6))
-    assert np.array_equal(ks_rows, _gap_table(band, ks, KS_TRACE_TOL))
-    assert np.array_equal(_gap_table(band, ks - 1, KS_TRACE_TOL, gaps),
-                          _gap_table(band, ks - 1, KS_TRACE_TOL))
+    assert np.array_equal(ks_rows, _gap_table(band, ks, TRACE_TOL))
+    assert np.array_equal(_gap_table(band, ks - 1, TRACE_TOL, gaps),
+                          _gap_table(band, ks - 1, TRACE_TOL))
     # the window's bottom is the search's largest row under half the bound
     at = lo - search[0]
     assert search_rows[at] < 0.5e-6 <= search_rows[at + 1:].min(initial=1.0)
@@ -492,15 +491,16 @@ def test_empirical_edge_law_small():
 
 def test_limit_table_is_built_once_per_law_and_read_only(monkeypatch):
     # every sample command evaluated F_{2m+1}^n on its 201-point grid anew;
-    # the table depends on (m, n) only, and its row is the law file's stack
+    # the table depends on (m, n, points) only, and its row is the law
+    # file's stack
     calls = []
-    table = sampler_mod.limiting_cdf
-    monkeypatch.setattr(sampler_mod, "limiting_cdf",
+    table = edge_mod.limiting_cdf
+    monkeypatch.setattr(edge_mod, "limiting_cdf",
                         lambda *a: calls.append(a[:2]) or table(*a))
-    sampler_mod._limit_table.cache_clear()
-    s_grid, limit = sampler_mod._limit_table(1, 2)
-    assert sampler_mod._limit_table(1, 2)[1] is limit
-    sampler_mod._limit_table(1, 1)
+    edge_mod._desk_law.cache_clear()
+    s_grid, limit = edge_mod._desk_law(1, 2, 201)
+    assert edge_mod._desk_law(1, 2, 201)[1] is limit
+    edge_mod._desk_law(1, 1, 201)
     assert calls == [(1, 2), (1, 1)]
     assert np.array_equal(s_grid, np.linspace(-6.0, 4.0, 201))
     assert np.array_equal(limit, table(1, 2, np.linspace(-6.0, 4.0, 201)))
@@ -512,7 +512,7 @@ def test_limit_table_is_built_once_per_law_and_read_only(monkeypatch):
     assert empirical_edge_law(c, 50, seed=1).ks_limit == \
         empirical_edge_law(c, 50, seed=1).ks_limit
     assert calls == [(1, 2), (1, 1)]  # (1, -1/3) has m = 1 and two cuts
-    sampler_mod._limit_table.cache_clear()
+    edge_mod._desk_law.cache_clear()
 
 
 def test_edge_law_ks_convergence_trend():

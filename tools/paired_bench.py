@@ -20,9 +20,14 @@ median is better than the parent's by more than the parent's IQR; a metric
 whose change median is worse than the parent's by more than its relative
 bound is flagged.  Each side's share of failed operations and its runs that
 were not ``correct`` close the table; a change that fails a larger share
-than the parent is marked.  ``--json PATH`` writes all of that, with both
-trees' source digests, the compile command and the seeds, to PATH
-(``report``).  Each tree's runs
+than the parent is marked.  Per operation kind, each run's median CPU
+seconds is read from the record that its second-to-last stdout line names
+(``.bench_out/<workload>-seed<s>-trace0.json``, its ``details.timed``), and
+the same summary of those medians, lower better and with no bound, follows
+the table: a shift in one kind shows there even where the pooled
+``op_cpu_s_p50`` sits on the seam between two kinds.  ``--json PATH`` writes
+all of that, with both trees' source digests, the compile command and the
+seeds, to PATH (``report``, the kinds under ``"kinds"``).  Each tree's runs
 write only where ``bench/run.py`` writes them (its ``.bench_out/``).
 """
 
@@ -100,9 +105,18 @@ def compile_tree(tree):
                            f"{(proc.stdout + proc.stderr).strip()[-500:]}")
 
 
+def kind_medians(timed):
+    """{kind: median CPU seconds} of a run's ``details.timed``, whose entries
+    are [kind, wall, cpu, ok] per timed operation."""
+    cpus = {}
+    for kind, _, cpu, _ in timed:
+        cpus.setdefault(kind, []).append(cpu)
+    return {kind: statistics.median(values) for kind, values in cpus.items()}
+
+
 def run_once(tree, workload, seed):
-    """Metric values, (correct, failed, attempted) and the source digest of
-    one benchmark run."""
+    """Metric values, (correct, failed, attempted), the source digest and
+    the per-kind median CPU (``kind_medians``) of one benchmark run."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed",
          str(seed), "--seconds", "2", "--trace", "0"],
@@ -113,9 +127,11 @@ def run_once(tree, workload, seed):
                            f"{proc.returncode}: {proc.stderr.strip()[-500:]}")
     result = json.loads(lines[-1])
     values = {k: v["value"] for k, v in result["metrics"].items()}
-    digest = json.loads(lines[-2])["machine"]["source_sha256"]
+    summary = json.loads(lines[-2])
+    record = json.loads((Path(tree) / summary["record"]).read_text())
     return (values, (result["correct"], result["failed"], result["attempted"]),
-            digest)
+            summary["machine"]["source_sha256"],
+            kind_medians(record["details"]["timed"]))
 
 
 def failure_summary(outcomes):
@@ -148,10 +164,10 @@ def verdict(row):
             "past bound" if row["past_bound"] else "unresolved")
 
 
-def format_summary(rows, failures=None):
+def format_summary(rows, failures=None, first="metric"):
     """Text table of ``summarize``'s rows, one line per metric, closed by
-    ``failure_summary``'s line when given."""
-    lines = [f"{'metric':<15} {'parent q1/med/q3':>30} {'change q1/med/q3':>30}"
+    ``failure_summary``'s line when given; ``first`` heads the name column."""
+    lines = [f"{first:<15} {'parent q1/med/q3':>30} {'change q1/med/q3':>30}"
              f" {'parent IQR':>11} {'gain':>8} {'wins':>6}  verdict"]
     for r in rows:
         rel = r["relative_gain"]
@@ -174,15 +190,21 @@ def format_summary(rows, failures=None):
     return "\n".join(lines)
 
 
+def _json_rows(rows):
+    """``summarize``'s rows with list quartiles and each row's verdict."""
+    return [dict(r, parent=list(r["parent"]), change=list(r["change"]),
+                 verdict=verdict(r)) for r in rows]
+
+
 def report(trees, digests, seeds, results):
     """The JSON record of the summary: each tree's path and source digest,
     the command that compiled both trees before the pairs (``compile_tree``),
     the seeds of the pairs, and per workload its ``summarize`` rows, each
-    with its ``verdict``, and its ``failure_summary``.
+    with its ``verdict``, its ``failure_summary`` and its per-kind rows.
 
     ``trees`` and ``digests`` are (parent, change) pairs, and ``results``
-    maps each workload to its (rows, failures).  Quartiles are lists, so
-    the record reads back from JSON equal to itself.
+    maps each workload to its (rows, failures, kind rows).  Quartiles are
+    lists, so the record reads back from JSON equal to itself.
     """
     return {"trees": {label: {"path": str(tree), "source_digest": digest}
                       for label, tree, digest in zip(("parent", "change"),
@@ -190,12 +212,9 @@ def report(trees, digests, seeds, results):
             "compiled": " ".join(("python",) + COMPILE),
             "seeds": list(seeds),
             "workloads": {
-                workload: {"metrics": [dict(r, parent=list(r["parent"]),
-                                            change=list(r["change"]),
-                                            verdict=verdict(r))
-                                       for r in rows],
-                           "failures": failures}
-                for workload, (rows, failures) in results.items()}}
+                workload: {"metrics": _json_rows(rows), "failures": failures,
+                           "kinds": _json_rows(kinds)}
+                for workload, (rows, failures, kinds) in results.items()}}
 
 
 def main(argv=None):
@@ -219,7 +238,7 @@ def main(argv=None):
     for tree in trees:
         compile_tree(tree)
     for workload in args.workload:
-        pairs, outcomes = [], []
+        pairs, outcomes, kinds = [], [], []
         for i, seed in enumerate(seeds):
             order = (0, 1) if i % 2 == 0 else (1, 0)
             got = [None, None]
@@ -228,15 +247,19 @@ def main(argv=None):
                 digests[side].add(got[side][2])
             print(f"{workload} pair {i + 1} seed {seed}: "
                   + "  ".join(f"{label} {json.dumps(v)} correct/failed/"
-                              f"attempted {c}" for label, (v, c, _)
+                              f"attempted {c}" for label, (v, c, *_)
                               in zip(("parent", "change"), got)),
                   flush=True)
             pairs.append((got[0][0], got[1][0]))
             outcomes.append((got[0][1], got[1][1]))
-        results[workload] = (summarize(pairs, end_to_end_metrics(args.parent)),
-                             failure_summary(outcomes))
-        print(f"workload {workload}\n{format_summary(*results[workload])}",
-              flush=True)
+            kinds.append((got[0][3], got[1][3]))
+        names = sorted({kind for pair in kinds for side in pair for kind in side})
+        rows = summarize(pairs, end_to_end_metrics(args.parent))
+        failures = failure_summary(outcomes)
+        kind_rows = summarize(kinds, dict.fromkeys(names, ("lower", None)))
+        results[workload] = (rows, failures, kind_rows)
+        print(f"workload {workload}\n{format_summary(rows, failures)}\n"
+              f"{format_summary(kind_rows, first='median CPU s')}", flush=True)
     if any(len(d) != 1 for d in digests):
         raise RuntimeError(f"a tree's sources changed during the runs: {digests}")
     if args.json:
