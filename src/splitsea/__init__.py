@@ -6,7 +6,7 @@ determinants, determinantal sampling, and the corresponding unitary matrix
 model, with a CLI (``splitsea``) orchestrating desk-scale studies.
 """
 
-from .airy import FredholmConfig, fredholm_F, limiting_cdf
+from .airy import fredholm_F, limiting_cdf
 from .edge import (exact_cdf, fredholm_cdf_check, scaled_convergence_study,
                    symbol_coeffs, toeplitz_cdf)
 from .kernel import (CoefficientBand, coefficient_band, kernel_eval,
@@ -22,7 +22,7 @@ from .unitary import eigen_density_supercritical, metropolis_chain
 
 __all__ = [
     "CoefficientBand", "EdgeProfile", "FermiSea",
-    "FredholmConfig", "HoppingCoefficients", "WindowedKernel",
+    "HoppingCoefficients", "WindowedKernel",
     "brute_cdf_first_part", "coefficient_band", "complete_homogeneous",
     "edge_profile", "eigen_density_supercritical",
     "elementary", "empirical_edge_law", "eval_dispersion", "exact_cdf",

@@ -62,7 +62,6 @@ from __future__ import annotations
 import math
 import numbers
 import zipfile
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
@@ -76,7 +75,7 @@ KERNEL_FACTOR_FLOOR = 1e-16  # Ai factor size ending the v-integration
 AIRY_NODE_BUDGET = 65536     # most trapezoid nodes one contour batch may use
 TABLE_TOL = 1e-8             # certification tolerance of the F_{2m+1} laws
 LAW_CHECK_TOL = 1e-12        # most a law block may miss its table off its nodes
-_CHOLESKY_BLOCK = 256  # columns per np.linalg.cholesky call in _log_minors
+FREDHOLM_NODES = 64          # Nystrom nodes of fredholm_F's first value
 _AIRY_FLOOR_TOL = 1e-10  # most roundoff floor an Airy value may carry
 _DESK_FLOOR = -12.0    # least s of the limit law (the desk range)
 _SCAN_MAX = 80.0       # most argument a decay-point scan reaches
@@ -310,15 +309,10 @@ def airy_kernel_matrix(order, xs):
     return factor @ factor.T
 
 
-@dataclass(frozen=True)
-class FredholmConfig:
-    """Nystrom discretisation: node count; the upper cut above s is per order."""
-
-    n_nodes: int = 64
-
-    def cut_for(self, m):
-        """Upper cut L: 14 for m = 1, 20 above (10 is 1.8e-8 off at m = 2)."""
-        return 14.0 if m == 1 else 20.0
+def _fredholm_cut(m):
+    """Upper cut L of the Fredholm panel [s, s + L]: 14 for m = 1, 20 above
+    (10 is 1.8e-8 off at m = 2)."""
+    return 14.0 if m == 1 else 20.0
 
 
 def _fredholm_once(m, s, L, n_nodes):
@@ -338,89 +332,26 @@ def _fredholm_once(m, s, L, n_nodes):
 def fredholm_F(order, config=None, s=0.0, check=True):
     """F_{2m+1}(s) = det(1 - A_{2m+1}) on L^2([s, infinity)), one panel.
 
-    The independent per-point oracle of ``limiting_cdf``.  With ``check`` the
-    value is recomputed at doubled node count and must move by less than
-    TABLE_TOL (NodeCountInsufficient otherwise); the doubled value is
-    returned.
+    The independent per-point oracle of ``limiting_cdf``: FREDHOLM_NODES
+    nodes on [s, s + _fredholm_cut(m)], s finite and >= -12.  With ``check``
+    the doubled node count must move it by less than TABLE_TOL
+    (NodeCountInsufficient otherwise) and gives the value.  ``config`` must
+    be None: the benchmark's checker passes it; ROADMAP item 3 drops it.
     """
     m = _order(order)
-    cfg = config or FredholmConfig()
-    if s < _DESK_FLOOR:
-        raise ValueError(f"desk range is s >= {_DESK_FLOOR:g}")
-    L = cfg.cut_for(m)
-    val = _fredholm_once(m, s, L, cfg.n_nodes)
+    if config is not None:
+        raise ValueError(f"config must be None; got {config!r}")
+    if not (math.isfinite(s) and s >= _DESK_FLOOR):
+        raise ValueError(f"s must be finite and >= {_DESK_FLOOR:g} (desk range)")
+    L = _fredholm_cut(m)
+    val = _fredholm_once(m, s, L, FREDHOLM_NODES)
     if not check:
         return val
-    val2 = _fredholm_once(m, s, L, 2 * cfg.n_nodes)
+    val2 = _fredholm_once(m, s, L, 2 * FREDHOLM_NODES)
     if abs(val2 - val) >= TABLE_TOL:
         raise NodeCountInsufficient(
             f"F changed by {abs(val2 - val):.2e} under node doubling at s={s}")
     return val2
-
-
-def _swept_factor(block):
-    """Column-by-column Cholesky factor of the symmetric ``block`` (its lower
-    triangle), and the index of its first pivot <= 0 (None if there is none).
-
-    The fallback for a block ``np.linalg.cholesky`` refuses, which does not
-    say where.  A pivot that is all roundoff can take either sign: OpenBLAS
-    scales each column by the reciprocal of its pivot's root where this
-    sweep divides by it, and refuses some blocks whose sweep ends on a
-    pivot of 5.6e-17.  The sweep decides.
-    """
-    low = np.tril(block)
-    for j in range(len(low)):
-        pivot = low[j, j] - low[j, :j] @ low[j, :j]
-        if not pivot > 0.0:
-            return low, j
-        low[j, j] = root = math.sqrt(pivot)
-        low[j + 1:, j] -= low[j + 1:, :j] @ low[j, :j]
-        low[j + 1:, j] /= root
-    return low, None
-
-
-def _log_minors(mat, orders, tol):
-    """Log leading minors of the symmetric ``mat`` at ``orders``, from one
-    Cholesky factor, and the order of its first pivot <= 0 (0 if there is
-    none).
-
-    The factor is left-looking by blocks of _CHOLESKY_BLOCK columns, each
-    diagonal block one ``np.linalg.cholesky`` (``_swept_factor`` where that
-    refuses); a table of at most that order is one call.  A larger ``mat``
-    is the factor's scratch, so the only temporaries are one block column
-    and one diagonal block.  Past the first pivot <= 0 the minors
-    are -inf when the last minor before it is under ``tol``; otherwise the
-    log minors are None and the caller raises.  The minor is compared as
-    exp(min(log, 0)), so log minors above 0 (a Toeplitz table's run up to
-    the Szego constant) cannot overflow.
-    """
-    size = len(mat)
-    diag = np.empty(size)
-    info = 0
-    for k0 in range(0, size, _CHOLESKY_BLOCK):
-        k1 = min(k0 + _CHOLESKY_BLOCK, size)
-        if k0:
-            mat[k0:, k0:k1] -= mat[k0:, :k0] @ mat[k0:k1, :k0].T
-        try:
-            low = np.linalg.cholesky(mat[k0:k1, k0:k1])
-        except np.linalg.LinAlgError:
-            low, failed = _swept_factor(mat[k0:k1, k0:k1])
-            if failed is not None:
-                info = k0 + failed + 1
-                diag[k0:info - 1] = low.diagonal()[:failed]
-                break
-        diag[k0:k1] = low.diagonal()
-        if k1 < size:
-            # L21 = A21 L11^-T; numpy has no triangular solve, and its pivoted
-            # one took twice the time of this inverse on 4 064 sites
-            mat[k1:, k0:k1] = mat[k1:, k0:k1] @ np.linalg.inv(low).T
-    n = info - 1 if info else size
-    logdet = np.concatenate(([0.0], np.cumsum(2.0 * np.log(diag[:n]))))
-    orders = np.minimum(orders, n + 1)
-    if np.max(orders) > n and math.exp(min(logdet[-1], 0.0)) >= tol:
-        return None, info
-    return np.append(logdet, -np.inf)[orders], info
-
 
 
 def _block_count(decay):

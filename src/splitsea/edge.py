@@ -15,7 +15,7 @@ making P -> 1 as ell grows.
 
 The same law is the discrete Fredholm determinant det(I - K) over the sites
 {ell + 1/2, ...} up to the least certified cut, the large-coupling route.
-Either route gets a whole table of ell from one Cholesky factor's minors.
+Either route's whole table of ell is one Cholesky factor's minors (``_log_minors``).
 Each table is cut by the band's ``right_traces``; the sampler's edge window
 and its ``ks_exact`` read the same ``_gap_table``, both from one GapBlock.
 
@@ -30,12 +30,13 @@ limit law F_{2m+1}^n at the sea's cut count n, from ``_desk_law`` like ``ks_limi
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .airy import _log_minors, limiting_cdf
+from .airy import limiting_cdf
 from .errors import NotPositiveDefinite
 from .kernel import _fourier_band, _least_cut, coefficient_band, kernel_matrix
 from .potential import HoppingCoefficients, _AngleGrid, edge_profile
@@ -43,6 +44,7 @@ from .potential import HoppingCoefficients, _AngleGrid, edge_profile
 MAX_TABLE_DIM = 4096  # desk-scale cap on a Toeplitz or Fredholm matrix's order
 ROUTE_SCAN = _AngleGrid(2048, closed=True)  # where exact_cdf reads the symbol
 TRACE_TOL = 1e-12  # right trace a Fredholm table may drop past its cut
+_CHOLESKY_BLOCK = 256  # columns per np.linalg.cholesky call in _log_minors
 
 
 def _ell_array(ell):
@@ -50,11 +52,80 @@ def _ell_array(ell):
     ``ell=`` and the first value that an int64 does not hold exactly."""
     values = np.atleast_1d(ell)
     if values.dtype.kind != "i":  # floats, or Python ints past int64
-        values = values.astype(float)
+        try:
+            values = values.astype(float)
+        except OverflowError:  # an int past the float range: inf or -inf
+            values = np.array([v if abs(v) <= sys.float_info.max else
+                               (math.inf if v > 0 else -math.inf)
+                               for v in values.flat], dtype=float)
         bad = (np.floor(values) != values) | (values < -2.0 ** 63) | (values >= 2.0 ** 63)
         if np.any(bad):
             raise ValueError(f"ell={float(values.flat[np.argmax(bad)])!r} is not an int64")
     return values.astype(np.int64)
+
+
+def _swept_factor(block):
+    """Column-by-column Cholesky factor of the symmetric ``block`` (its lower
+    triangle), and the index of its first pivot <= 0 (None if there is none).
+
+    The fallback for a block ``np.linalg.cholesky`` refuses, which does not
+    say where.  A pivot that is all roundoff can take either sign: OpenBLAS
+    scales each column by the reciprocal of its pivot's root where this
+    sweep divides by it, and refuses some blocks whose sweep ends on a
+    pivot of 5.6e-17.  The sweep decides.
+    """
+    low = np.tril(block)
+    for j in range(len(low)):
+        pivot = low[j, j] - low[j, :j] @ low[j, :j]
+        if not pivot > 0.0:
+            return low, j
+        low[j, j] = root = math.sqrt(pivot)
+        low[j + 1:, j] -= low[j + 1:, :j] @ low[j, :j]
+        low[j + 1:, j] /= root
+    return low, None
+
+
+def _log_minors(mat, orders, tol):
+    """Log leading minors of the symmetric ``mat`` at ``orders``, from one
+    Cholesky factor, and the order of its first pivot <= 0 (0 if there is
+    none).
+
+    The factor is left-looking by blocks of _CHOLESKY_BLOCK columns, each
+    diagonal block one ``np.linalg.cholesky`` (``_swept_factor`` where that
+    refuses); a table of at most that order is one call.  A larger ``mat``
+    is the factor's scratch, so the only temporaries are one block column
+    and one diagonal block.  Past the first pivot <= 0 the minors
+    are -inf when the last minor before it is under ``tol``; otherwise the
+    log minors are None and the caller raises.  The minor is compared as
+    exp(min(log, 0)), so log minors above 0 (a Toeplitz table's run up to
+    the Szego constant) cannot overflow.
+    """
+    size = len(mat)
+    diag = np.empty(size)
+    info = 0
+    for k0 in range(0, size, _CHOLESKY_BLOCK):
+        k1 = min(k0 + _CHOLESKY_BLOCK, size)
+        if k0:
+            mat[k0:, k0:k1] -= mat[k0:, :k0] @ mat[k0:k1, :k0].T
+        try:
+            low = np.linalg.cholesky(mat[k0:k1, k0:k1])
+        except np.linalg.LinAlgError:
+            low, failed = _swept_factor(mat[k0:k1, k0:k1])
+            if failed is not None:
+                info = k0 + failed + 1
+                diag[k0:info - 1] = low.diagonal()[:failed]
+                break
+        diag[k0:k1] = low.diagonal()
+        if k1 < size:
+            # L21 = A21 L11^-T; numpy has no triangular solve, and its pivoted
+            # one took twice the time of this inverse on 4 064 sites
+            mat[k1:, k0:k1] = mat[k1:, k0:k1] @ np.linalg.inv(low).T
+    n = info - 1 if info else size
+    logdet = np.concatenate(([0.0], np.cumsum(2.0 * np.log(diag[:n]))))
+    orders = np.minimum(orders, n + 1)
+    if np.max(orders) > n and math.exp(min(logdet[-1], 0.0)) >= tol:
+        return None, info
+    return np.append(logdet, -np.inf)[orders], info
 
 
 def symbol_coeffs(coeffs, n_max):

@@ -49,8 +49,6 @@ class CoefficientBand:
     over the band: no trace or leakage tolerance at or under it is certified.
     """
 
-    theta: float
-    gammas: tuple
     half_width: int
     coeffs: np.ndarray  # J_{-N..N}, index n stored at n + N
     roundoff: float = 0.0
@@ -184,8 +182,7 @@ def coefficient_band(coeffs):
     parseval = float(np.dot(sym, sym))
     if abs(parseval - 1.0) > 1e-12:
         raise BandTooNarrow(f"Parseval defect {parseval - 1.0:.2e}")
-    return CoefficientBand(theta=theta, gammas=gam, half_width=n, coeffs=sym,
-                           roundoff=roundoff)
+    return CoefficientBand(half_width=n, coeffs=sym, roundoff=roundoff)
 
 
 def _half_ints(sites, name):

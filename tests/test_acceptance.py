@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from splitsea.airy import FredholmConfig, _fredholm_once, airy_values
+from splitsea.airy import _fredholm_cut, _fredholm_once, airy_values
 from splitsea.edge import (fredholm_cdf_check, scaled_convergence_study,
                            toeplitz_cdf)
 from splitsea.kernel import (coefficient_band, kernel_eval,
@@ -166,9 +166,8 @@ def test_criterion_07_oscillation_constants():
 def test_criterion_08_airy_stack():
     worst_series = max(abs(airy_values(1, x) - airy_series(x))
                        for x in (-3.0, -1.0, 0.0, 1.0, 3.0))
-    cfg = FredholmConfig(n_nodes=64)
-    worst_double = max(abs(_fredholm_once(1, s, cfg.cut_for(1), 64)
-                           - _fredholm_once(1, s, cfg.cut_for(1), 128))
+    worst_double = max(abs(_fredholm_once(1, s, _fredholm_cut(1), 64)
+                           - _fredholm_once(1, s, _fredholm_cut(1), 128))
                        for s in (-4.0, -1.1, 0.0, 2.0))
 
     def eig_resid(m, x, v, h):

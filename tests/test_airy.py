@@ -10,12 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splitsea.airy import (FredholmConfig, airy_kernel_matrix, airy_values,
-                           fredholm_F, limiting_cdf)
+from splitsea.airy import (airy_kernel_matrix, airy_values, fredholm_F,
+                           limiting_cdf)
 from splitsea import airy as airy_mod
-from splitsea.airy import (KERNEL_FACTOR_FLOOR, TABLE_TOL, _airy_cached,
-                           _fredholm_once, _gauss_legendre, _kernel_factor,
-                           _log_minors, _v_quadrature)
+from splitsea import edge as edge_mod
+from splitsea.airy import (FREDHOLM_NODES, KERNEL_FACTOR_FLOOR, TABLE_TOL,
+                           _airy_cached, _fredholm_cut, _fredholm_once,
+                           _gauss_legendre, _kernel_factor, _v_quadrature)
+from splitsea.edge import _log_minors
 from splitsea.errors import LawDataError, NoConvergence, NodeCountInsufficient
 from conftest import airy_kernel, airy_series
 
@@ -139,14 +141,25 @@ def test_fredholm_limits_and_monotonicity():
 
 
 def test_fredholm_node_doubling_stability():
-    cfg = FredholmConfig(n_nodes=64)
     for s in (-4.0, -1.1, 0.0, 2.0):
-        a = _fredholm_once(1, s, cfg.cut_for(1), 64)
-        b = _fredholm_once(1, s, cfg.cut_for(1), 128)
+        a = _fredholm_once(1, s, _fredholm_cut(1), 64)
+        b = _fredholm_once(1, s, _fredholm_cut(1), 128)
         assert abs(a - b) < 1e-8
     # the checking wrapper enforces the same invariant
-    assert fredholm_F(1, cfg, -1.1) == pytest.approx(
-        _fredholm_once(1, -1.1, cfg.cut_for(1), 128), abs=1e-12)
+    assert fredholm_F(1, None, -1.1) == pytest.approx(
+        _fredholm_once(1, -1.1, _fredholm_cut(1), 2 * FREDHOLM_NODES), abs=1e-12)
+
+
+def test_fredholm_refuses_a_config_and_s_off_the_desk_range():
+    # nan raised "cannot convert float NaN to integer" and inf an
+    # OverflowError, neither naming s
+    for bad in (math.nan, math.inf, -math.inf, -12.5):
+        with pytest.raises(ValueError,
+                           match=r"^s must be finite and >= -12 \(desk range\)$"):
+            fredholm_F(1, None, bad)
+    for config in (object(), 64, {}):
+        with pytest.raises(ValueError, match="^config must be None"):
+            fredholm_F(1, config, 0.0)
 
 
 def test_fredholm_nonpositive_determinant_raises(monkeypatch):
@@ -245,7 +258,7 @@ def test_limit_table_scalar_and_array_forms_agree():
 
 def test_m2_table_uses_the_certifying_cut():
     # L = 10 is 1.6e-8 off at s = -4; the table and the oracle share L = 20
-    assert FredholmConfig().cut_for(2) == 20.0
+    assert _fredholm_cut(2) == 20.0
     for s in (-4.3, -4.0):
         coarse_cut = _fredholm_once(2, s, 10.0, 128)
         assert abs(limiting_cdf(2, 1, s) - coarse_cut) > 1e-8
@@ -256,7 +269,7 @@ def test_m2_table_uses_the_certifying_cut():
 def _dense_law_table(m, s):
     # reference: leading minors of one Cholesky factor of the N x N matrix
     # I - W^1/2 A W^1/2 on the refined table's nodes, from the top down
-    top = s[-1] + 2 * FredholmConfig().cut_for(m)
+    top = s[-1] + 2 * _fredholm_cut(m)
     x, w, above = _law_nodes(np.concatenate(([top], s[::-1])), 2)
     factor = _kernel_factor(m, x) * np.sqrt(w)[:, None]
     chol = np.linalg.cholesky(np.eye(len(x)) - factor @ factor.T)
@@ -341,7 +354,7 @@ def test_log_minors_at_zero_tolerance_with_positive_logs():
 
 
 def _planted_pivot_cases():
-    block = airy_mod._CHOLESKY_BLOCK
+    block = edge_mod._CHOLESKY_BLOCK
     for n in (1, 2, block - 1, block, block + 1, 600):
         for order in [None] + sorted({o for o in (1, block, block + 1, n)
                                       if o <= n}):
@@ -383,7 +396,7 @@ def test_log_minors_keep_a_block_numpy_refuses_but_the_sweep_factors():
     # dividing gives a pivot of 5.6e-17, and the factor goes on to the
     # identity block after it
     b, c = 1.9772810662190627, 0.15638561659313577
-    block = airy_mod._CHOLESKY_BLOCK
+    block = edge_mod._CHOLESKY_BLOCK
     mat = np.eye(block + 4)
     mat[block - 2:block, block - 2:block] = [[25.0, b], [b, c]]
     try:

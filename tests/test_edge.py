@@ -142,7 +142,8 @@ def test_ell_past_int64_or_off_the_integers_is_refused():
         c = HoppingCoefficients((1.0,), theta=theta)
         for table in (exact_cdf, fredholm_cdf_check, toeplitz_cdf):
             for bad in (9.3e18, -9.3e18, 1e20, 2.0 ** 63, 2.5, math.nan,
-                        np.array([3, 2 ** 70], dtype=object)):
+                        np.array([3, 2 ** 70], dtype=object),
+                        10 ** 400, [3, 10 ** 400], -(10 ** 400)):
                 with pytest.raises(ValueError, match="^ell="):
                     table(c, bad)
             assert table(c, 3.0) == table(c, 3)
@@ -150,6 +151,9 @@ def test_ell_past_int64_or_off_the_integers_is_refused():
                                   table(c, np.array([2, 3])))
     with pytest.raises(ValueError, match=r"^ell=9\.3e\+18 is not an int64$"):
         exact_cdf(HoppingCoefficients((1.0,), theta=2.0), 9.3e18)
+    # an int past the float range raised OverflowError from the float cast
+    with pytest.raises(ValueError, match=r"^ell=-inf is not an int64$"):
+        exact_cdf(HoppingCoefficients((1.0,), theta=2.0), [2, -(10 ** 400)])
 
 
 def test_empty_ell_gives_an_empty_table():

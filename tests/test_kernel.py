@@ -392,8 +392,7 @@ def test_band_trim_drops_only_roundoff(gammas, theta, seed):
     # the untrimmed band moves a kernel value by at most its dropped part
     # (Cauchy-Schwarz, sum J^2 = 1) plus rounding; tail traces stay within
     # rounding of their size
-    full = CoefficientBand(theta=c.theta, gammas=c.gammas, half_width=half - 1,
-                           coeffs=fft[1:])
+    full = CoefficientBand(half_width=half - 1, coeffs=fft[1:])
     eps = float(np.linalg.norm(dropped))
     rng = np.random.default_rng(seed)
     for k, ell in rng.integers(-n - 3, n + 3, size=(20, 2)) + 0.5:

@@ -12,7 +12,10 @@ leading minor of I - W^1/2 A W^1/2.  That kernel has low numerical rank
 V x V Gram (r from 8 to 75 against up to 1300 nodes) each minor is the
 determinant of one r x r matrix, with the dropped trace bounding the error.
 A second table with twice the nodes on every panel and twice L certifies it
-to TABLE_TOL, and the finer one is returned.
+to TABLE_TOL, and the finer one is returned.  L is the cut of the per-point
+oracle, ``splitsea.airy._fredholm_cut``.  Where the stacked Cholesky of the
+compressed table fails, the minors come from ``splitsea.edge._log_minors``,
+the leading-minor routine of the exact lattice tables.
 
 F is analytic in s (Bornemann 2010), so a law block holds degree-16
 Chebyshev interpolants of F_{2m+1} on the five unit panels from -12 + 5k.
@@ -31,9 +34,10 @@ import math
 import numpy as np
 
 from splitsea.airy import (LAW_CHECK_TOL, TABLE_TOL, _DESK_FLOOR, _LAW_PANELS,
-                           FredholmConfig, _block_count, _cheb_coefficients,
-                           _cheb_points, _clenshaw, _decay_point,
-                           _gauss_legendre, _kernel_factor, _log_minors)
+                           _block_count, _cheb_coefficients, _cheb_points,
+                           _clenshaw, _decay_point, _fredholm_cut,
+                           _gauss_legendre, _kernel_factor)
+from splitsea.edge import _log_minors
 from splitsea.errors import NodeCountInsufficient
 
 LAW_TAIL_TOL = 1e-11         # most a law block panel's last 3 coefficients reach
@@ -82,7 +86,7 @@ def _law_factor(m, s, refine):
     Rows are the ``_law_nodes`` from the top down; also returns the number of
     rows above each s_j, from s_max down.
     """
-    top = s[-1] + refine * FredholmConfig().cut_for(m)
+    top = s[-1] + refine * _fredholm_cut(m)
     x, w, above = _law_nodes(np.concatenate(([top], s[::-1])), refine)
     factor = _kernel_factor(m, x)
     factor *= np.sqrt(w)[:, None]
